@@ -17,6 +17,7 @@ certificate), 2 = malformed input (schema violation, unknown command).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -29,6 +30,7 @@ from .errors import (ExtensionInfeasible, GroupExtensionError, InputError,
                      NumericalError, ResolventFamilyError)
 from .extension import ExtensionOptions, ExtensionProblem
 from .serialize import CHOI_CONVENTION
+from .tolerances import FEASIBILITY_TOL
 
 COMMANDS = (
     "check-cp", "check-ccp", "validate", "evolve", "resolvent", "identities",
@@ -41,6 +43,11 @@ _OPTION_KEYS = {
     "start_scale", "time", "horizon", "panels", "omega_param", "delta_param",
     "g2_prefactor",
 }
+
+# Iteration budgets default to the library's own defaults.
+_SOLVE_MAX_ITER = ExtensionOptions().max_iter
+_VALIDATE_MAX_ITER = inspect.signature(
+    dynamics.validate_subsystem_semigroup).parameters["max_iter"].default
 
 _SCHEMA_DIR = Path(__file__).resolve().parent / "schemas"
 
@@ -125,8 +132,8 @@ def _resolve_map(scenario, system, options):
 def _extension_options(options) -> ExtensionOptions:
     seed = options.get("seed")
     return ExtensionOptions(
-        tol=float(options.get("tol", 1e-8)),
-        max_iter=int(options.get("max_iter", 200_000)),
+        tol=float(options.get("tol", FEASIBILITY_TOL)),
+        max_iter=int(options.get("max_iter", _SOLVE_MAX_ITER)),
         seed=None if seed is None else int(seed),
         start="deterministic" if seed is None else "random",
         start_scale=float(options.get("start_scale", 1.0)),
@@ -148,7 +155,7 @@ def _cmd_check_cp(scenario, options):
     else:
         gen = _resolve_generator(scenario, options)
         phi = dynamics.evolve(gen, float(options.get("time", 1.0)))
-    tol = float(options.get("tol", 1e-8))
+    tol = float(options.get("tol", FEASIBILITY_TOL))
     report = maps.is_completely_positive(phi, tol)
     results = {
         "is_cp": report.is_cp,
@@ -181,13 +188,13 @@ def _cmd_check_ccp(scenario, options):
 def _cmd_validate(scenario, options):
     system = _resolve_system(scenario)
     sub = _resolve_subsystem_generator(scenario, system, options)
-    tol = float(options.get("tol", 1e-8))
+    tol = float(options.get("tol", FEASIBILITY_TOL))
     verdict = dynamics.validate_subsystem_semigroup(
         sub,
         sample_ts=tuple(options.get("times", (0.5, 1.5))),
         sample_lambdas=tuple(options.get("lambdas", (1.0, 4.0))),
         tol=tol,
-        max_iter=int(options.get("max_iter", 50_000)),
+        max_iter=int(options.get("max_iter", _VALIDATE_MAX_ITER)),
     )
     results = {"valid": verdict.valid, "message": verdict.message,
                "checks": list(verdict.checks)}
@@ -197,7 +204,7 @@ def _cmd_validate(scenario, options):
 def _cmd_evolve(scenario, options):
     gen = _resolve_generator(scenario, options)
     times = [float(t) for t in options.get("times", (1.0,))]
-    tol = float(options.get("tol", 1e-8))
+    tol = float(options.get("tol", FEASIBILITY_TOL))
     entries = []
     ok = True
     for t in times:
@@ -212,7 +219,7 @@ def _cmd_evolve(scenario, options):
 def _cmd_resolvent(scenario, options):
     gen = _resolve_generator(scenario, options)
     lambdas = [float(x) for x in options.get("lambdas", (1.0,))]
-    tol = float(options.get("tol", 1e-8))
+    tol = float(options.get("tol", FEASIBILITY_TOL))
     entries = []
     ok = True
     for lam in lambdas:
@@ -345,8 +352,8 @@ def _cmd_rigidity_probe(scenario, options):
         system,
         n_starts=int(options.get("starts", 8)),
         seed=int(options.get("seed", 0)),
-        tol=float(options.get("tol", 1e-8)),
-        max_iter=int(options.get("max_iter", 200_000)),
+        tol=float(options.get("tol", FEASIBILITY_TOL)),
+        max_iter=int(options.get("max_iter", _SOLVE_MAX_ITER)),
     )
     results = {
         "all_identity": report.all_identity,
@@ -363,7 +370,7 @@ def _cmd_demo_rebit(scenario, options):
     delta = float(options.get("delta_param", 1.0))
     omega = float(options.get("omega_param", 1.0))
     prefactor = options.get("g2_prefactor", "derived")
-    tol = float(options.get("tol", 1e-8))
+    tol = float(options.get("tol", FEASIBILITY_TOL))
     checks = []
 
     def record(name, passed, **details):

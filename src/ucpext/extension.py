@@ -8,15 +8,28 @@ Hermitian d^2 x d^2 Choi matrices:
 
 where phi_C is the map with Choi matrix C, v_k runs over the system's basis
 (v_0 = I, so unitality / kernel-of-unit is the k = 0 constraint), and P
-projects orthogonally to the maximally entangled vector.  Hermiticity is baked
-into the parametrization.
+projects orthogonally to the maximally entangled vector.  Both projections
+return exactly Hermitian matrices, so every iterate stays Hermitian.
 
 The solver is Dykstra's alternating-projection algorithm between the cone and
-the affine subspace, so the limit of a converged run is the projection of the
-starting point onto the feasible set.  That makes multi-start behaviour
-meaningful: distinct randomized starts project to distinct feasible points
-exactly when the feasible set is not a singleton, which is how non-uniqueness
-of extensions is detected.
+the affine subspace, run directly on Choi matrices, so the limit of a
+converged run is the projection of the starting point onto the feasible set.
+That makes multi-start behaviour meaningful: distinct randomized starts
+project to distinct feasible points exactly when the feasible set is not a
+singleton, which is how non-uniqueness of extensions is detected.
+
+The affine projection is matrix-free.  The agreement map is
+A(C)_k = sum_ij (v_k)_ij C[(i,.),(j,.)], its adjoint is
+A*(Y) = sum_k conj(v_k) (x) Y_k (the conj matters for complex bases such as
+Pauli Y), and A A* = G (x) id with G_kl = tr(v_k v_l) the real Gram matrix of
+the linearly independent Hermitian basis.  Hence
+
+  P(C) = C - sum_k conj(D_k) (x) (A(C)_k - target_k),   D = G^-1 basis,
+
+two (|V| x d^2) @ (d^2 x d^2) products after relaying C out as
+[(i,j),(a,b)].  One iteration costs O(|V| d^4) for the affine step plus one
+d^2 x d^2 Hermitian eigendecomposition for the cone; set-up is one |V| x |V|
+solve, and no d^4 x d^4 matrix is ever formed.
 
 Starting points.  The generator problem starts from the affine projection of
 zero.  The map problem starts from the affine projection of the identity
@@ -60,136 +73,6 @@ __all__ = [
     "rigidity_probe",
     "extend_discrete",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Real coordinates on Hermitian matrices
-# ---------------------------------------------------------------------------
-
-
-class HermitianCoords:
-    """Isometry between Hermitian n x n matrices and R^(n^2).
-
-    Coordinates: the n real diagonal entries, then sqrt(2) * Re and sqrt(2) *
-    Im of the strict upper triangle, so Euclidean norm equals Frobenius norm.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.iu = np.triu_indices(n, 1)
-        self.size = n * n
-
-    def to_vec(self, h: np.ndarray) -> np.ndarray:
-        upper = h[self.iu]
-        return np.concatenate([
-            h.diagonal().real,
-            np.sqrt(2.0) * upper.real,
-            np.sqrt(2.0) * upper.imag,
-        ])
-
-    def to_matrix(self, x: np.ndarray) -> np.ndarray:
-        n = self.n
-        m = self.iu[0].size
-        h = np.zeros((n, n), dtype=complex)
-        h[np.arange(n), np.arange(n)] = x[:n]
-        upper = (x[n:n + m] + 1j * x[n + m:]) / np.sqrt(2.0)
-        h[self.iu] = upper
-        h[self.iu[1], self.iu[0]] = np.conj(upper)
-        return h
-
-
-def _psd_clip(h: np.ndarray) -> np.ndarray:
-    w, u = np.linalg.eigh(h)
-    clipped = np.clip(w, 0.0, None)
-    out = (u * clipped) @ np.conj(u.T)
-    return 0.5 * (out + np.conj(out.T))
-
-
-class _PsdCone:
-    """The PSD cone of Hermitian n x n matrices in real coordinates."""
-
-    def __init__(self, coords: HermitianCoords):
-        self.coords = coords
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return self.coords.to_vec(_psd_clip(self.coords.to_matrix(x)))
-
-
-class _CompressedPsdCone:
-    """The cone { C Hermitian : P C P >= 0 } with P orthogonal to the
-    maximally entangled vector.
-
-    The Frobenius projection is exact: rotate by a fixed orthogonal matrix
-    that sends the last coordinate axis to the entangled vector, clip the
-    leading (n-1)-block to PSD, and leave the last row/column untouched.
-    """
-
-    def __init__(self, coords: HermitianCoords, d: int):
-        self.coords = coords
-        n = d * d
-        omega = maps.maximally_entangled_vector(d).real
-        v = np.zeros(n)
-        v[-1] = 1.0
-        v = v - omega
-        if np.linalg.norm(v) < 1e-14:
-            self.rot = np.eye(n)
-        else:
-            self.rot = np.eye(n) - 2.0 * np.outer(v, v) / float(v @ v)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        c = self.coords.to_matrix(x)
-        r = self.rot.T @ c @ self.rot
-        r[:-1, :-1] = _psd_clip(r[:-1, :-1])
-        out = self.rot @ r @ self.rot.T
-        return self.coords.to_vec(0.5 * (out + np.conj(out.T)))
-
-
-class _AffineAgreement:
-    """The affine subspace { C Hermitian : phi_C(v_k) = target_k for all k }.
-
-    The constraint matrix is assembled once by pushing every coordinate
-    direction of Hermitian d^2 x d^2 space through the agreement map; the
-    orthogonal projection is then a single precomputed matrix-vector product.
-    """
-
-    def __init__(self, system: MatricialSystem, targets: Sequence[np.ndarray]):
-        d = system.dim
-        self.system = system
-        self.coords = HermitianCoords(d * d)
-        out_coords = HermitianCoords(d)
-        basis = system.basis
-
-        rows = []
-        for direction in range(self.coords.size):
-            e = np.zeros(self.coords.size)
-            e[direction] = 1.0
-            c4 = self.coords.to_matrix(e).reshape(d, d, d, d)
-            col = []
-            for v in basis:
-                image = np.einsum("ij,iajb->ab", v, c4)
-                col.append(out_coords.to_vec(0.5 * (image + np.conj(image.T))))
-            rows.append(np.concatenate(col))
-        a_mat = np.array(rows).T  # (len(basis) * d^2, n^2)
-        b = np.concatenate([out_coords.to_vec(t) for t in targets])
-
-        u, s, vt = np.linalg.svd(a_mat, full_matrices=False)
-        rank = int(np.sum(s > s[0] * 1e-12)) if s.size else 0
-        pinv = vt[:rank].T @ np.diag(1.0 / s[:rank]) @ u[:, :rank].T
-        self.a_mat = a_mat
-        self.b = b
-        self.offset = pinv @ b
-        self.proj_dir = np.eye(self.coords.size) - pinv @ a_mat
-        inconsistency = float(np.linalg.norm(a_mat @ self.offset - b))
-        if inconsistency > 1e-8 * (1.0 + float(np.linalg.norm(b))):
-            raise InputError(
-                f"agreement targets are inconsistent: residual {inconsistency:.3e}"
-            )
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return self.proj_dir @ x + self.offset
-
-    def residual(self, x: np.ndarray) -> float:
-        return float(np.linalg.norm(self.a_mat @ x - self.b))
 
 
 # ---------------------------------------------------------------------------
@@ -306,33 +189,78 @@ _STALL_IMPROVEMENT = 1e-2
 
 
 class _FeasibilitySolver:
-    """Shared precomputation for one feasibility problem (reused across starts)."""
+    """Shared precomputation for one feasibility problem (reused across starts).
+
+    Iterates are Hermitian d^2 x d^2 Choi matrices; the affine projection is
+    the matrix-free one of the module docstring.
+    """
 
     def __init__(self, system: MatricialSystem, targets, cone_kind: str):
         d = system.dim
+        n = d * d
         self.system = system
         self.d = d
-        self.coords = HermitianCoords(d * d)
-        self.affine = _AffineAgreement(system, targets)
+        self.targets = [linalg.as_matrix(t) for t in targets]
+        self.basis_rows = np.array(system.basis).reshape(len(system), n)
+        self.target_rows = np.array(self.targets).reshape(len(system), n)
+        gram = (self.basis_rows @ linalg.dagger(self.basis_rows)).real
+        # Rows of conj(D) with D = G^-1 basis the dual basis, transposed.
+        self.dual_adjoint = np.conj(np.linalg.solve(gram, self.basis_rows)).T
         if cone_kind == "psd":
-            self.cone = _PsdCone(self.coords)
-            base = maps.identity_map(d).choi
+            self.rot = None
+            self.base = maps.identity_map(d).choi
         elif cone_kind == "compressed":
-            self.cone = _CompressedPsdCone(self.coords, d)
-            base = np.zeros((d * d, d * d), dtype=complex)
+            # Householder reflection sending the last axis to the maximally
+            # entangled vector: the cone { C : P C P >= 0 } becomes "leading
+            # (n-1)-block PSD, last row/column free", an exact projection.
+            omega = maps.maximally_entangled_vector(d).real
+            v = np.zeros(n)
+            v[-1] = 1.0
+            v = v - omega
+            if np.linalg.norm(v) < 1e-14:
+                self.rot = np.eye(n)
+            else:
+                self.rot = np.eye(n) - 2.0 * np.outer(v, v) / float(v @ v)
+            self.base = np.zeros((n, n), dtype=complex)
         else:
             raise ValueError(cone_kind)
-        self.base_vec = self.coords.to_vec(base)
-        self.targets = [linalg.as_matrix(t) for t in targets]
+        offset = self.project_affine(np.zeros((n, n), dtype=complex))
+        inconsistency = self.affine_residual(offset)
+        if inconsistency > 1e-8 * (1.0 + linalg.frob(self.target_rows)):
+            raise InputError(
+                f"agreement targets are inconsistent: residual {inconsistency:.3e}"
+            )
+
+    def _relayout(self, c: np.ndarray) -> np.ndarray:
+        """C[(i,a),(j,b)] <-> M[(i,j),(a,b)]; the swap is its own inverse."""
+        d = self.d
+        return c.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+    def project_cone(self, c: np.ndarray) -> np.ndarray:
+        if self.rot is None:
+            return linalg.psd_clip(c)
+        r = self.rot.T @ c @ self.rot
+        r[:-1, :-1] = linalg.psd_clip(r[:-1, :-1])
+        out = self.rot @ r @ self.rot.T
+        return 0.5 * (out + np.conj(out.T))
+
+    def project_affine(self, c: np.ndarray) -> np.ndarray:
+        """P(C) = C - sum_k conj(D_k) (x) (A(C)_k - target_k)."""
+        m = self._relayout(c)
+        out = self._relayout(m - self.dual_adjoint @ (self.basis_rows @ m - self.target_rows))
+        # Exactly Hermitian, so Dykstra's increments gather no skew roundoff.
+        return 0.5 * (out + np.conj(out.T))
+
+    def affine_residual(self, c: np.ndarray) -> float:
+        return linalg.frob(self.basis_rows @ self._relayout(c) - self.target_rows)
 
     def start_point(self, options: ExtensionOptions, seed=None) -> np.ndarray:
-        raw = self.base_vec
+        raw = self.base
         use_seed = options.seed if seed is None else seed
         if options.start == "random" or seed is not None:
             rng = np.random.default_rng(use_seed)
-            noise = linalg.random_hermitian(self.d * self.d, rng, scale=options.start_scale)
-            raw = raw + self.coords.to_vec(noise)
-        return self.affine.project(raw)
+            raw = raw + linalg.random_hermitian(self.d * self.d, rng, scale=options.start_scale)
+        return self.project_affine(raw)
 
     def solve(self, options: ExtensionOptions, seed=None):
         tol = options.tol
@@ -345,10 +273,12 @@ class _FeasibilitySolver:
         best_gap = np.inf
         window_best = np.inf
         for iterations in range(1, options.max_iter + 1):
-            y = self.cone.project(x + p)
-            p = x + p - y
-            z = self.affine.project(y + q)
-            q = y + q - z
+            xp = x + p
+            y = self.project_cone(xp)
+            p = xp - y
+            yq = y + q
+            z = self.project_affine(yq)
+            q = yq - z
             gap = float(np.linalg.norm(y - z))
             step = float(np.linalg.norm(z - x))
             x = z
@@ -363,10 +293,10 @@ class _FeasibilitySolver:
                 window_best = best_gap
 
         # Return the cone-exact point; its affine defect is bounded by the gap.
-        result_vec = self.cone.project(x)
-        cone_residual = float(np.linalg.norm(x - result_vec))
-        affine_residual = self.affine.residual(result_vec)
-        result = SuperOp(self.d, self.coords.to_matrix(result_vec))
+        choi = self.project_cone(x)
+        cone_residual = linalg.frob(x - choi)
+        affine_residual = self.affine_residual(choi)
+        result = SuperOp(self.d, choi)
         restriction = max(
             linalg.frob(result.apply(v) - t)
             for v, t in zip(self.system.basis, self.targets)

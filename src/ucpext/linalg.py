@@ -3,7 +3,9 @@
 Everything downstream funnels through the four primitives here: Hermitian
 eigendecomposition, the matrix exponential, projection onto the positive
 semidefinite cone, and the spectral norm.  All matrices are dense complex
-``numpy`` arrays; Hermitian inputs are validated, never assumed.
+``numpy`` arrays; Hermitian inputs are validated, never assumed, except by
+``psd_clip``, the unvalidated kernel behind ``psd_project`` that the
+feasibility solver calls once per iteration.
 
 Eigendecomposition and the exponential are delegated to LAPACK via
 ``numpy.linalg.eigh`` / ``scipy.linalg.expm`` (the latter is the usual
@@ -29,6 +31,7 @@ __all__ = [
     "herm_eig",
     "expm",
     "psd_project",
+    "psd_clip",
     "spectral_norm",
     "min_eigenvalue",
     "random_hermitian",
@@ -107,9 +110,18 @@ def psd_project(h, tol: float = STRUCTURAL_TOL) -> np.ndarray:
     Input must be Hermitian; the result is exactly Hermitian with spectrum
     >= 0 up to roundoff.
     """
-    w, u = herm_eig(h, tol=tol)
-    clipped = np.clip(w, 0.0, None)
-    return hermitian_part((u * clipped) @ dagger(u))
+    return psd_clip(ensure_hermitian(h, tol=tol))
+
+
+def psd_clip(h: np.ndarray) -> np.ndarray:
+    """:func:`psd_project` without input validation, for hot loops.
+
+    ``h`` must already be a Hermitian array (``eigh`` reads only its lower
+    triangle); the result is exactly Hermitian.
+    """
+    w, u = np.linalg.eigh(h)
+    out = (u * np.maximum(w, 0.0)) @ np.conj(u.T)
+    return 0.5 * (out + np.conj(out.T))
 
 
 def spectral_norm(m) -> float:

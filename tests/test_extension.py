@@ -1,5 +1,8 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_ucp_map
 from ucpext import catalog, dynamics, extension, linalg, maps
@@ -7,6 +10,7 @@ from ucpext.dynamics import SubsystemGenerator
 from ucpext.errors import (ExtensionInfeasible, GroupExtensionError, InputError,
                            ResolventFamilyError)
 from ucpext.extension import ExtensionOptions, ExtensionProblem
+from ucpext.systems import MatricialSystem
 
 
 def full_algebra_subsystem(gen):
@@ -168,6 +172,13 @@ class TestExtendUcpMap:
         b, rep_b = extension.extend_ucp_map(ExtensionProblem.for_map(rebit, images, opts))
         assert rep_a.iterations == rep_b.iterations
         assert np.array_equal(a.choi, b.choi)
+
+    def test_result_exactly_hermitian(self, rebit):
+        images = dynamics.subsystem_evolve_images(catalog.rebit_dissipative(1.0), 1.0)
+        psi, report = extension.extend_ucp_map(ExtensionProblem.for_map(
+            rebit, images, ExtensionOptions(seed=3, start="random")))
+        assert report.converged
+        assert np.array_equal(psi.choi, np.conj(psi.choi.T))
 
 
 class TestExtendGenerator:
@@ -395,3 +406,81 @@ class TestExtendDiscrete:
             extension.extend_discrete(
                 rebit, [pauli.I, 2.0 * pauli.X, pauli.Z], 2,
                 ExtensionOptions(max_iter=20_000))
+
+
+# ---------------------------------------------------------------------------
+# The matrix-free agreement projection against a dense least-squares reference
+# ---------------------------------------------------------------------------
+
+
+def _conjugated_real_symmetric(d, seed):
+    u = linalg.random_unitary(d, np.random.default_rng(seed))
+    return MatricialSystem.from_basis(
+        [u @ b @ linalg.dagger(u) for b in catalog.real_symmetric_system(d).basis])
+
+
+_PROJECTION_SYSTEMS = {
+    "M2": lambda seed: catalog.qubit_system(),
+    "rebit": lambda seed: catalog.rebit_system(),
+    "span_I": lambda seed: catalog.trivial_system(),
+    "diagonal": lambda seed: catalog.diagonal_system(),
+    **{f"U real_symmetric_{d} U*": (lambda seed, d=d: _conjugated_real_symmetric(d, seed))
+       for d in (2, 3, 4)},
+}
+
+
+def _hermitian_unit_directions(n):
+    """An orthonormal basis of Hermitian n x n matrices under Re tr(a* b)."""
+    out = []
+    for i in range(n):
+        e = np.zeros((n, n), dtype=complex)
+        e[i, i] = 1.0
+        out.append(e)
+    for i in range(n):
+        for j in range(i + 1, n):
+            re = np.zeros((n, n), dtype=complex)
+            re[i, j] = re[j, i] = 1.0 / np.sqrt(2.0)
+            im = np.zeros((n, n), dtype=complex)
+            im[i, j], im[j, i] = 1j / np.sqrt(2.0), -1j / np.sqrt(2.0)
+            out += [re, im]
+    return np.array(out)
+
+
+@lru_cache(maxsize=None)
+def _dense_agreement(name, seed):
+    """The system, the unit directions, and the real matrix sending a Hermitian
+    Choi matrix's coordinates to (Re, Im) of its images of the basis."""
+    system = _PROJECTION_SYSTEMS[name](seed)
+    d = system.dim
+    directions = _hermitian_unit_directions(d * d)
+    columns = []
+    for e in directions:
+        images = np.array([maps.SuperOp(d, e).apply(v) for v in system.basis])
+        columns.append(np.concatenate([images.real.ravel(), images.imag.ravel()]))
+    return system, directions, np.array(columns).T
+
+
+class TestAgreementProjection:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(name=st.sampled_from(sorted(_PROJECTION_SYSTEMS)),
+           unitary_seed=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_least_squares(self, name, unitary_seed, seed):
+        system, directions, a_mat = _dense_agreement(name, unitary_seed)
+        d = system.dim
+        rng = np.random.default_rng(seed)
+        targets = [linalg.random_hermitian(d, rng) for _ in system.basis]
+        solver = extension._FeasibilitySolver(system, targets, "psd")
+        c = linalg.random_hermitian(d * d, rng)
+        pc = solver.project_affine(c)
+
+        op = maps.SuperOp(d, pc)
+        for v, t in zip(system.basis, targets):
+            assert linalg.frob(op.apply(v) - t) <= 1e-10
+        assert linalg.frob(solver.project_affine(pc) - pc) <= 1e-10
+
+        coords = np.einsum("kij,ij->k", np.conj(directions), c).real
+        stacked = np.array(targets)
+        b = np.concatenate([stacked.real.ravel(), stacked.imag.ravel()])
+        shift = np.linalg.lstsq(a_mat, a_mat @ coords - b, rcond=None)[0]
+        reference = c - np.einsum("k,kij->ij", shift, directions)
+        assert linalg.frob(pc - reference) <= 1e-9

@@ -101,6 +101,18 @@ class TestPsdProject:
         np.testing.assert_allclose(linalg.psd_project(-np.eye(3)),
                                    np.zeros((3, 3)), atol=1e-15)
 
+    def test_clip_kernel_matches_validated_projection(self):
+        rng = np.random.default_rng(9)
+        for dim in (2, 4, 9):
+            h = linalg.random_hermitian(dim, rng)
+            clipped = linalg.psd_clip(h)
+            assert np.array_equal(clipped, linalg.psd_project(h))
+            assert np.array_equal(clipped, np.conj(clipped.T))
+
+    def test_rejects_non_hermitian(self, pauli):
+        with pytest.raises(InputError):
+            linalg.psd_project(pauli.X + 1j * pauli.I)
+
     def test_idempotent_and_nearest(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
