@@ -4,7 +4,8 @@ The toolkit represents unital self-adjoint subspaces V of d x d matrices,
 linear maps on M_d in Choi form, and semigroup generators with conditional
 complete positivity certificates.  Its core operations extend UCP maps,
 generators, and one-parameter groups from V to the full matrix algebra by
-Dykstra alternating-projection feasibility, including the resolvent-family
+convex feasibility (the projection onto the feasible set, computed through
+its dual), including the resolvent-family
 construction and uniqueness / non-uniqueness diagnostics.
 """
 

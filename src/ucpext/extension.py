@@ -9,12 +9,11 @@ Hermitian d^2 x d^2 Choi matrices:
 where phi_C is the map with Choi matrix C, v_k runs over the system's basis
 (v_0 = I, so unitality / kernel-of-unit is the k = 0 constraint), and P
 projects orthogonally to the maximally entangled vector.  Both projections
-return exactly Hermitian matrices, so every iterate stays Hermitian.
+return exactly Hermitian matrices, so every extension returned is exactly
+Hermitian.
 
-The solver is Dykstra's alternating-projection algorithm between the cone and
-the affine subspace, run directly on Choi matrices, so the limit of a
-converged run is the projection of the starting point onto the feasible set.
-That makes multi-start behaviour meaningful: distinct randomized starts
+The solver returns the projection of a starting point x0 onto the feasible
+set.  That makes multi-start behaviour meaningful: distinct randomized starts
 project to distinct feasible points exactly when the feasible set is not a
 singleton, which is how non-uniqueness of extensions is detected.
 
@@ -27,9 +26,31 @@ the linearly independent Hermitian basis.  Hence
   P(C) = C - sum_k conj(D_k) (x) (A(C)_k - target_k),   D = G^-1 basis,
 
 two (|V| x d^2) @ (d^2 x d^2) products after relaying C out as
-[(i,j),(a,b)].  One iteration costs O(|V| d^4) for the affine step plus one
-d^2 x d^2 Hermitian eigendecomposition for the cone; set-up is one |V| x |V|
-solve, and no d^4 x d^4 matrix is ever formed.
+[(i,j),(a,b)].  No d^4 x d^4 matrix is ever formed.
+
+The projection is computed through its dual (Malick, SIAM J. Matrix Anal.
+Appl. 26, 2004; Henrion & Malick, Projection methods in conic optimization,
+2012).  With the Cholesky factorisation G = R^T R, the map
+L(W) = A*(R^-1 W) = sum_k conj(Q_k) (x) W_k, Q = R^-T basis, is an isometry,
+and in the |V| d^2 real variables W (rows Hermitian d x d) the dual
+
+  f(W) = 1/2 ||Pi_K(x0 + L W)||^2 - <R^-T T, W>,  grad f(W) = R^-T (A(X) - T),
+  X = Pi_K(x0 + L W),
+
+is convex, with Hessian the identity wherever Pi_K is locally the identity,
+so unit steps are natural.  At the minimiser X is the projection of x0 (the
+limit of Dykstra's alternating projections).  X lies exactly in the cone and
+L is an isometry, so ||grad f|| is the distance from X to the affine
+subspace; the run stops when it reaches 0.2 tol.  L-BFGS minimises f,
+backtracking from the unit step and accepting a step on the Armijo test for
+f or on <grad f(W + t p), p> <= c <grad f(W), p>, which for convex f implies
+it and, unlike it, is not hidden by the roundoff of f (about 1e-16 ||X||^2)
+once the residual is near 1e-8.  ``iterations`` counts evaluations of f,
+line-search trials included; each is one cone projection (one d^2 x d^2
+eigh) plus O(|V| d^4), so ``max_iter`` is a budget of cone projections.
+Set-up is one |V| x |V| Cholesky factorisation.  The best point found is
+projected onto the affine subspace, then onto the cone, and the residuals
+are measured on the result.
 
 Starting points.  The generator problem starts from the affine projection of
 zero.  The map problem starts from the affine projection of the identity
@@ -44,6 +65,7 @@ projection.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -181,18 +203,42 @@ class RigidityReport:
 
 
 # ---------------------------------------------------------------------------
-# Dykstra solver
+# Dual projection solver
 # ---------------------------------------------------------------------------
 
 _STALL_WINDOW = 2000
 _STALL_IMPROVEMENT = 1e-2
+# L-BFGS on the dual: the number of curvature pairs kept, the constant of both
+# step acceptance tests, and the accepted step length below which the pairs
+# are dropped (flat dual directions of degenerate problems inflate them).
+_LBFGS_MEMORY = 5
+_ARMIJO = 1e-4
+_RESET_STEP = 1e-3
+
+
+def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
+    """-H g for the L-BFGS inverse Hessian H of the pairs (s, y, 1/s.y, scale)."""
+    q = g
+    alphas = []
+    for s, y, rho, _ in reversed(pairs):
+        alpha = rho * float(s @ q)
+        alphas.append(alpha)
+        q = q - alpha * y
+    if pairs:
+        q = pairs[-1][3] * q
+    for (s, y, rho, _), alpha in zip(pairs, reversed(alphas)):
+        q = q + (alpha - rho * float(y @ q)) * s
+    return -q
 
 
 class _FeasibilitySolver:
     """Shared precomputation for one feasibility problem (reused across starts).
 
     Iterates are Hermitian d^2 x d^2 Choi matrices; the affine projection is
-    the matrix-free one of the module docstring.
+    the matrix-free one of the module docstring, and the dual variables are
+    |V| x d^2 arrays whose rows are Hermitian d x d matrices, handled as flat
+    real vectors (a complex array viewed as its real and imaginary parts), so
+    that plain dot products are the real inner product Re tr(a* b).
     """
 
     def __init__(self, system: MatricialSystem, targets, cone_kind: str):
@@ -204,8 +250,13 @@ class _FeasibilitySolver:
         self.basis_rows = np.array(system.basis).reshape(len(system), n)
         self.target_rows = np.array(self.targets).reshape(len(system), n)
         gram = (self.basis_rows @ linalg.dagger(self.basis_rows)).real
-        # Rows of conj(D) with D = G^-1 basis the dual basis, transposed.
-        self.dual_adjoint = np.conj(np.linalg.solve(gram, self.basis_rows)).T
+        # G = R^T R; whiten = R^-T.  lift W is L(W) = sum_k conj(Q_k) (x) W_k
+        # relaid out, Q = R^-T basis; dual_adjoint = lift @ whiten holds the
+        # rows of conj(D), D = G^-1 basis the dual basis, transposed.
+        self.whiten = np.linalg.inv(np.linalg.cholesky(gram))
+        self.lift = np.conj(self.whiten @ self.basis_rows).T
+        self.dual_adjoint = self.lift @ self.whiten
+        self.dual_targets = (self.whiten @ self.target_rows).view(float).ravel()
         if cone_kind == "psd":
             self.rot = None
             self.base = maps.identity_map(d).choi
@@ -248,7 +299,6 @@ class _FeasibilitySolver:
         """P(C) = C - sum_k conj(D_k) (x) (A(C)_k - target_k)."""
         m = self._relayout(c)
         out = self._relayout(m - self.dual_adjoint @ (self.basis_rows @ m - self.target_rows))
-        # Exactly Hermitian, so Dykstra's increments gather no skew roundoff.
         return 0.5 * (out + np.conj(out.T))
 
     def affine_residual(self, c: np.ndarray) -> float:
@@ -262,46 +312,88 @@ class _FeasibilitySolver:
             raw = raw + linalg.random_hermitian(self.d * self.d, rng, scale=options.start_scale)
         return self.project_affine(raw)
 
+    def _dual_point(self, x0: np.ndarray, w: np.ndarray):
+        """X = Pi_K(x0 + L W), the dual value f(W) and its gradient R^-T (A X - T)."""
+        lifted = self.lift @ w.view(complex).reshape(self.target_rows.shape)
+        x = self.project_cone(x0 + self._relayout(lifted))
+        grad = self.whiten @ (self.basis_rows @ self._relayout(x) - self.target_rows)
+        value = 0.5 * float(np.vdot(x, x).real) - float(self.dual_targets @ w)
+        return x, value, grad.view(float).ravel()
+
+    def _line_search(self, x0, w, value, direction, slope, budget):
+        """Backtrack from the unit step along ``direction``.
+
+        Returns the evaluations spent and the accepted (step, W, X, f, grad),
+        or None in its place when the budget runs out first.
+        """
+        step = 1.0
+        for spent in range(1, budget + 1):
+            w_new = w + step * direction
+            x, value_new, grad = self._dual_point(x0, w_new)
+            slope_new = float(grad @ direction)
+            # For convex f, f(t) - f(0) <= t f'(t): the derivative test is a
+            # sufficient decrease that the roundoff of f cannot hide.
+            if (value_new <= value + _ARMIJO * step * slope
+                    or slope_new <= _ARMIJO * slope):
+                return spent, (step, w_new, x, value_new, grad)
+            # Secant estimate of f'(t) = 0, kept within [0.1, 0.5] of the step
+            # (slope_new > c slope > slope here, so the ratio is finite).
+            step *= min(0.5, max(0.1, slope / (slope - slope_new)))
+        return budget, None
+
     def solve(self, options: ExtensionOptions, seed=None):
+        """Project the start point onto the feasible set (module docstring)."""
         tol = options.tol
         inner_tol = 0.2 * tol
-        x = self.start_point(options, seed=seed)
-        p = np.zeros_like(x)
-        q = np.zeros_like(x)
-        iterations = 0
-        converged_loop = False
-        best_gap = np.inf
+        x0 = self.start_point(options, seed=seed)
+        w = np.zeros_like(self.dual_targets)
+        x, value, grad = self._dual_point(x0, w)
+        iterations = 1
+        residual = linalg.frob(grad)  # distance from X to the affine subspace
+        best, best_x = residual, x
         window_best = np.inf
-        for iterations in range(1, options.max_iter + 1):
-            xp = x + p
-            y = self.project_cone(xp)
-            p = xp - y
-            yq = y + q
-            z = self.project_affine(yq)
-            q = yq - z
-            gap = float(np.linalg.norm(y - z))
-            step = float(np.linalg.norm(z - x))
-            x = z
-            if max(gap, step) <= inner_tol:
-                converged_loop = True
+        window_end = _STALL_WINDOW
+        pairs = []
+        while residual > inner_tol and iterations < options.max_iter:
+            direction = _lbfgs_direction(grad, pairs)
+            slope = float(grad @ direction)
+            if slope >= 0.0:
+                pairs.clear()
+                direction, slope = -grad, -residual * residual
+            spent, accepted = self._line_search(x0, w, value, direction, slope,
+                                                options.max_iter - iterations)
+            iterations += spent
+            if accepted is None:
                 break
-            best_gap = min(best_gap, gap)
-            if iterations % _STALL_WINDOW == 0:
-                if (gap > 100.0 * tol and np.isfinite(window_best)
-                        and window_best - best_gap < _STALL_IMPROVEMENT * window_best):
+            step, w_new, x, value, grad_new = accepted
+            s, y = w_new - w, grad_new - grad
+            curvature = float(s @ y)
+            if step < _RESET_STEP:
+                pairs.clear()
+            elif curvature > 0.0:
+                pairs.append((s, y, 1.0 / curvature, curvature / float(y @ y)))
+                del pairs[:-_LBFGS_MEMORY]
+            w, grad = w_new, grad_new
+            residual = linalg.frob(grad)
+            if residual < best:
+                best, best_x = residual, x
+            if iterations >= window_end:
+                if (residual > 100.0 * tol and np.isfinite(window_best)
+                        and window_best - best < _STALL_IMPROVEMENT * window_best):
                     break  # plateau far from feasibility: sets look disjoint
-                window_best = best_gap
+                window_best = best
+                window_end += _STALL_WINDOW
 
-        # Return the cone-exact point; its affine defect is bounded by the gap.
-        choi = self.project_cone(x)
-        cone_residual = linalg.frob(x - choi)
+        # Polish the best point: affine projection, then the cone-exact point;
+        # the affine defect of the result is bounded by the distance between
+        # the two.  A converged run stops at its best point.
+        z = self.project_affine(best_x)
+        choi = self.project_cone(z)
+        cone_residual = linalg.frob(z - choi)
         affine_residual = self.affine_residual(choi)
         result = SuperOp(self.d, choi)
-        restriction = max(
-            linalg.frob(result.apply(v) - t)
-            for v, t in zip(self.system.basis, self.targets)
-        )
-        converged = (converged_loop and cone_residual <= tol
+        restriction = _restriction_error(result, self.system.basis, self.targets)
+        converged = (best <= inner_tol and cone_residual <= tol
                      and affine_residual <= tol and restriction <= tol)
         report = ExtensionReport(
             iterations=iterations,
@@ -311,6 +403,20 @@ class _FeasibilitySolver:
             converged=converged,
         )
         return result, report
+
+
+def _restriction_error(op: SuperOp, basis, targets) -> float:
+    """max_k ||op(v_k) - t_k||: agreement checked on the map itself."""
+    return max(linalg.frob(op.apply(v) - t) for v, t in zip(basis, targets))
+
+
+def _max_pairwise_distance(ops) -> float:
+    """The largest distance between two of ``ops`` (0.0 for fewer than two)."""
+    spread = 0.0
+    for i in range(len(ops)):
+        for j in range(i + 1, len(ops)):
+            spread = max(spread, ops[i].distance(ops[j]))
+    return spread
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +437,14 @@ def extend_ucp_map(problem: ExtensionProblem):
     return solver.solve(problem.options)
 
 
+# The budget of a feasibility verdict is the one validation uses.
+_VALIDATE_MAX_ITER = inspect.signature(
+    dynamics.validate_subsystem_semigroup).parameters["max_iter"].default
+
+
 def ucp_extension_feasible(system: MatricialSystem, images,
                            tol: float = FEASIBILITY_TOL,
-                           max_iter: int = 50_000):
+                           max_iter: int = _VALIDATE_MAX_ITER):
     """Feasibility verdict for extending the map v_k -> images[k] to a UCP map.
 
     Returns ``(feasible, residuals)``; used as the Arveson-type certificate
@@ -497,17 +608,10 @@ def extend_via_resolvent_family(problem: ExtensionProblem, omega: float,
                    for lam in grid]
         recovered = [(lam, _recover_generator(f, lam)) for lam, f in members]
         candidate = _recover_generator(f_omega, current)
-        spread = 0.0
-        all_ops = [op for _, op in recovered] + [candidate]
-        for i in range(len(all_ops)):
-            for j in range(i + 1, len(all_ops)):
-                spread = max(spread, all_ops[i].distance(all_ops[j]))
+        spread = _max_pairwise_distance([op for _, op in recovered] + [candidate])
 
         gen = dynamics.certify(candidate, tol=opts.tol)
-        restriction = max(
-            linalg.frob(candidate.apply(v) - a)
-            for v, a in zip(sub.system.basis, sub.action)
-        )
+        restriction = _restriction_error(candidate, sub.system.basis, sub.action)
         if gen.certificates.certified and spread <= opts.tol and restriction <= opts.tol:
             family = ResolventFamily(omega=current, f_omega=f_omega,
                                      grid=tuple(grid), members=tuple(members))
@@ -598,10 +702,7 @@ def extend_group(problem: ExtensionProblem, n_starts: int = 8,
         op, run_report = solver.solve(replace(opts, start="random"), seed=run_seed)
         if run_report.converged:
             run_ops.append(op)
-    spread = 0.0
-    for i in range(len(run_ops)):
-        for j in range(i + 1, len(run_ops)):
-            spread = max(spread, run_ops[i].distance(run_ops[j]))
+    spread = _max_pairwise_distance(run_ops)
     if spread > 10.0 * opts.tol:
         raise GroupExtensionError(
             f"randomized starts disagree (spread {spread:.3e}): extension is not "
@@ -641,7 +742,7 @@ def extend_group(problem: ExtensionProblem, n_starts: int = 8,
 
 def rigidity_probe(system: MatricialSystem, n_starts: int = 8, seed: int = 0,
                    tol: float = FEASIBILITY_TOL,
-                   max_iter: int = 200_000) -> RigidityReport:
+                   max_iter: int = ExtensionOptions().max_iter) -> RigidityReport:
     """Randomized evidence for rigidity: extend the identity of V from many starts.
 
     A system is rigid in its envelope when the only UCP extension of id_V is
@@ -665,10 +766,7 @@ def rigidity_probe(system: MatricialSystem, n_starts: int = 8, seed: int = 0,
 
     ident = maps.identity_map(system.dim)
     identity_threshold = max(50.0 * tol, 1e-6)
-    max_pair = 0.0
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            max_pair = max(max_pair, ops[i].distance(ops[j]))
+    max_pair = _max_pairwise_distance(ops)
     max_to_id = max((op.distance(ident) for op in ops), default=np.inf)
     return RigidityReport(
         all_identity=bool(ops) and max_to_id <= identity_threshold,

@@ -2,7 +2,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_ucp_map
 from ucpext import catalog, dynamics, extension, linalg, maps
@@ -484,3 +484,87 @@ class TestAgreementProjection:
         shift = np.linalg.lstsq(a_mat, a_mat @ coords - b, rcond=None)[0]
         reference = c - np.einsum("k,kij->ij", shift, directions)
         assert linalg.frob(pc - reference) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The solver returns the projection of its start point
+# ---------------------------------------------------------------------------
+
+
+class TestProjectionProperty:
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(d=st.integers(2, 4), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_variational_inequality(self, d, data, seed):
+        """X = proj(x0) onto the feasible set iff <x0 - X, Z - X> <= 0 for every
+        feasible Z; a converged extension from another start is such a Z."""
+        rank = data.draw(st.integers(1, d * d), label="kraus_rank")
+        rng = np.random.default_rng(seed)
+        system = _conjugated_real_symmetric(d, seed)
+        phi = random_ucp_map(d, rng, n_kraus=rank)
+        solver = extension._FeasibilitySolver(
+            system, [phi.apply(v) for v in system.basis], "psd")
+        # Problems without a positive-definite feasible point can plateau
+        # (ROADMAP item 4); the budget keeps such draws cheap.
+        opts = ExtensionOptions(start="random", max_iter=2000)
+        start_x, start_z = (int(s) for s in rng.integers(0, 2**32 - 1, size=2))
+        x0 = solver.start_point(opts, seed=start_x)
+        x, report_x = solver.solve(opts, seed=start_x)
+        z, report_z = solver.solve(opts, seed=start_z)
+        assume(report_x.converged and report_z.converged)
+        inner = float(np.vdot(x0 - x.choi, z.choi - x.choi).real)
+        assert inner <= 1e-6 * (1.0 + linalg.frob(x0))
+
+
+# ---------------------------------------------------------------------------
+# Feasible problems once reported as not UCP
+# ---------------------------------------------------------------------------
+
+
+def _real_gksl_subsystems():
+    """Real GKSL generators with 2 jumps on real_symmetric_3 and _4, drawn in
+    that order as the shared_system benchmark draws its validate scenarios."""
+    pool = np.random.default_rng([20220620, 3])
+    subs = {}
+    for d in (3, 4):
+        a = pool.normal(size=(d, d))
+        ham = 1j * (a - a.T) / 2.0
+        jumps = [(pool.normal(size=(d, d)) / np.sqrt(d) + 0j, float(pool.uniform(0.2, 1.0)))
+                 for _ in range(2)]
+        gen = dynamics.gksl_generator(d, ham, jumps)
+        system = catalog.real_symmetric_system(d)
+        subs[d] = SubsystemGenerator.from_action(
+            system, [gen.op.apply(v) for v in system.basis])
+    return subs
+
+
+def _unitary_mixture_images(n_unitaries):
+    """Images on real_symmetric_3 of an equal mixture of random unitary
+    conjugations: feasible by construction, with a low-rank Choi matrix."""
+    rng = np.random.default_rng([3, n_unitaries, 0])
+    unitaries = [linalg.random_unitary(3, rng) for _ in range(n_unitaries)]
+    phi = maps.from_kraus(3, unitaries, weights=[1.0 / n_unitaries] * n_unitaries)
+    system = catalog.real_symmetric_system(3)
+    return system, [phi.apply(v) for v in system.basis]
+
+
+class TestNoFalseNotUcp:
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_real_gksl_validates_within_small_budget(self, d):
+        verdict = dynamics.validate_subsystem_semigroup(_real_gksl_subsystems()[d],
+                                                        max_iter=2500)
+        assert verdict.valid, verdict.failures()
+
+    def test_two_unitary_mixture_within_small_budget(self):
+        system, images = _unitary_mixture_images(2)
+        psi, report = extension.extend_ucp_map(
+            ExtensionProblem.for_map(system, images, ExtensionOptions(max_iter=2500)))
+        assert report.converged
+        assert maps.is_ucp(psi, 1e-8)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "undecided: the feasible set has no positive-definite point and the "
+        "dual plateaus near 1e-6 (ROADMAP item 4, facial reduction)"))
+    def test_three_unitary_mixture(self):
+        system, images = _unitary_mixture_images(3)
+        feasible, _ = extension.ucp_extension_feasible(system, images)
+        assert feasible
