@@ -17,7 +17,6 @@ certificate), 2 = malformed input (schema violation, unknown command).
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 from pathlib import Path
@@ -30,7 +29,8 @@ from .errors import (ExtensionInfeasible, GroupExtensionError, InputError,
                      NumericalError, ResolventFamilyError)
 from .extension import ExtensionOptions, ExtensionProblem
 from .serialize import CHOI_CONVENTION
-from .tolerances import FEASIBILITY_TOL
+from .tolerances import (DEFAULT_STARTS, FEASIBILITY_TOL, SOLVE_MAX_ITER,
+                         VALIDATE_MAX_ITER)
 
 COMMANDS = (
     "check-cp", "check-ccp", "validate", "evolve", "resolvent", "identities",
@@ -43,11 +43,6 @@ _OPTION_KEYS = {
     "start_scale", "time", "horizon", "panels", "omega_param", "delta_param",
     "g2_prefactor",
 }
-
-# Iteration budgets default to the library's own defaults.
-_SOLVE_MAX_ITER = ExtensionOptions().max_iter
-_VALIDATE_MAX_ITER = inspect.signature(
-    dynamics.validate_subsystem_semigroup).parameters["max_iter"].default
 
 _SCHEMA_DIR = Path(__file__).resolve().parent / "schemas"
 
@@ -133,7 +128,7 @@ def _extension_options(options) -> ExtensionOptions:
     seed = options.get("seed")
     return ExtensionOptions(
         tol=float(options.get("tol", FEASIBILITY_TOL)),
-        max_iter=int(options.get("max_iter", _SOLVE_MAX_ITER)),
+        max_iter=int(options.get("max_iter", SOLVE_MAX_ITER)),
         seed=None if seed is None else int(seed),
         start="deterministic" if seed is None else "random",
         start_scale=float(options.get("start_scale", 1.0)),
@@ -194,7 +189,7 @@ def _cmd_validate(scenario, options):
         sample_ts=tuple(options.get("times", (0.5, 1.5))),
         sample_lambdas=tuple(options.get("lambdas", (1.0, 4.0))),
         tol=tol,
-        max_iter=int(options.get("max_iter", _VALIDATE_MAX_ITER)),
+        max_iter=int(options.get("max_iter", VALIDATE_MAX_ITER)),
     )
     results = {"valid": verdict.valid, "message": verdict.message,
                "checks": list(verdict.checks)}
@@ -323,7 +318,7 @@ def _cmd_extend_group(scenario, options):
     problem = ExtensionProblem.for_generator(system, sub, _extension_options(options))
     gen, report = extension.extend_group(
         problem,
-        n_starts=int(options.get("starts", 8)),
+        n_starts=int(options.get("starts", DEFAULT_STARTS)),
         seed=int(options.get("seed", 0)),
     )
     results = {
@@ -350,10 +345,10 @@ def _cmd_rigidity_probe(scenario, options):
     system = _resolve_system(scenario)
     report = extension.rigidity_probe(
         system,
-        n_starts=int(options.get("starts", 8)),
+        n_starts=int(options.get("starts", DEFAULT_STARTS)),
         seed=int(options.get("seed", 0)),
         tol=float(options.get("tol", FEASIBILITY_TOL)),
-        max_iter=int(options.get("max_iter", _SOLVE_MAX_ITER)),
+        max_iter=int(options.get("max_iter", SOLVE_MAX_ITER)),
     )
     results = {
         "all_identity": report.all_identity,
@@ -407,7 +402,7 @@ def _cmd_demo_rebit(scenario, options):
     try:
         gen, group_report = extension.extend_group(
             ExtensionProblem.for_generator(rebit, rot),
-            n_starts=int(options.get("starts", 8)),
+            n_starts=int(options.get("starts", DEFAULT_STARTS)),
             seed=int(options.get("seed", 0)))
         rot_err = gen.op.distance(truth.op)
         record("rotation-extension-unique", rot_err <= 1e-6,
@@ -419,30 +414,24 @@ def _cmd_demo_rebit(scenario, options):
 
     # Dissipative semigroup: extension exists but is not unique.
     diss = catalog.rebit_dissipative(delta)
-    seeds = range(int(options.get("starts", 8)))
-    y_images = []
-    all_converged = True
-    for s in seeds:
-        opts = ExtensionOptions(tol=tol, seed=int(s), start="random")
-        gen_s, rep_s = extension.extend_generator(
-            ExtensionProblem.for_generator(rebit, diss, opts))
-        all_converged = all_converged and rep_s.converged and gen_s.certificates.certified
-        y_images.append(gen_s.op.apply(p.Y))
-    spread = max((float(np.linalg.norm(u - v))
-                  for i, u in enumerate(y_images) for v in y_images[i + 1:]),
-                 default=0.0)
+    runs = extension.multi_start(
+        ExtensionProblem.for_generator(rebit, diss, ExtensionOptions(tol=tol)),
+        range(int(options.get("starts", DEFAULT_STARTS))))
+    all_converged = all(
+        report.converged and dynamics.certify(op, tol=tol).certificates.certified
+        for op, report in runs)
+    spread = extension.max_pairwise_distance([op.apply(p.Y) for op, _ in runs])
     record("dissipative-extension-not-unique", all_converged and spread >= 1e-3,
            all_converged=all_converged, max_spread_on_Y=spread)
 
     # The two named dissipative generators: same rebit action, different on Y.
     gen1 = catalog.g1(delta)
     gen2 = catalog.g2(delta, prefactor=prefactor)
-    same_on_rebit = max(
-        float(np.linalg.norm(gen1.op.apply(v) - diss.apply(v))) for v in rebit.basis)
+    diss_images = [diss.apply(v) for v in rebit.basis]
+    same_on_rebit = extension.restriction_error(gen1.op, rebit.basis, diss_images)
     record("g1-restricts-to-dissipation", same_on_rebit <= 1e-12,
            restriction_error=same_on_rebit)
-    g2_restriction = max(
-        float(np.linalg.norm(gen2.op.apply(v) - diss.apply(v))) for v in rebit.basis)
+    g2_restriction = extension.restriction_error(gen2.op, rebit.basis, diss_images)
     g2_x_coeff = float(np.real(np.trace(p.X.conj().T @ gen2.op.apply(p.X)) / 2.0))
     record("g2-restricts-to-dissipation", g2_restriction <= 1e-12,
            restriction_error=g2_restriction, prefactor=prefactor,
@@ -581,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--delta", type=float, default=1.0)
     demo.add_argument("--omega-param", type=float, default=1.0)
     demo.add_argument("--g2-prefactor", choices=("derived", "paper"), default="derived")
-    demo.add_argument("--starts", type=int, default=8)
+    demo.add_argument("--starts", type=int, default=DEFAULT_STARTS)
     demo.add_argument("--seed", type=int, default=0)
     demo.add_argument("--report", choices=("json", "text"), default="json")
     return parser

@@ -28,7 +28,7 @@ from . import linalg, maps
 from .errors import InputError, NumericalError
 from .maps import SuperOp
 from .systems import MatricialSystem, contains
-from .tolerances import FEASIBILITY_TOL, NUMERIC_TOL
+from .tolerances import FEASIBILITY_TOL, NUMERIC_TOL, VALIDATE_MAX_ITER
 
 __all__ = [
     "GeneratorCertificates",
@@ -338,7 +338,7 @@ def validate_subsystem_semigroup(sub: SubsystemGenerator,
                                  sample_ts: Sequence[float] = (0.5, 1.5),
                                  sample_lambdas: Sequence[float] = (1.0, 4.0),
                                  tol: float = FEASIBILITY_TOL,
-                                 max_iter: int = 50_000) -> SubsystemValidationReport:
+                                 max_iter: int = VALIDATE_MAX_ITER) -> SubsystemValidationReport:
     """Certify that A generates a UCP semigroup on V.
 
     For each sampled lambda the map lam * R(lam, A) and for each sampled t the

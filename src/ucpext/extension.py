@@ -60,12 +60,14 @@ selects the extension compatible with that limit (the projection of zero
 instead selects the minimum-norm extension, which in general fails the
 conditional-positivity recovery of the resolvent-family route).  Randomized
 starts add a seeded Hermitian Gaussian perturbation before the first
-projection.
+projection.  :func:`multi_start` solves one problem from a list of seeds on
+one set-up: the seed ``None`` solves with the problem's options as given, and
+an int ``s`` solves from the randomized start with ``seed = s``, so equal
+seeds give bit-identical extensions.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -77,12 +79,14 @@ from .errors import (ExtensionInfeasible, GroupExtensionError, InputError,
                      NumericalError, ResolventFamilyError)
 from .maps import SuperOp
 from .systems import MatricialSystem
-from .tolerances import FEASIBILITY_TOL
+from .tolerances import (DEFAULT_STARTS, FEASIBILITY_TOL, SOLVE_MAX_ITER,
+                         STRUCTURAL_TOL, VALIDATE_MAX_ITER)
 
 __all__ = [
     "ExtensionOptions",
     "ExtensionProblem",
     "ExtensionReport",
+    "multi_start",
     "ResolventFamily",
     "GroupExtensionReport",
     "RigidityReport",
@@ -105,7 +109,7 @@ __all__ = [
 @dataclass(frozen=True)
 class ExtensionOptions:
     tol: float = FEASIBILITY_TOL
-    max_iter: int = 200_000
+    max_iter: int = SOLVE_MAX_ITER
     seed: Optional[int] = None
     start: str = "deterministic"  # or "random"
     start_scale: float = 1.0
@@ -139,7 +143,10 @@ class ExtensionProblem:
         if (self.map_targets is None) == (self.generator is None):
             raise InputError("exactly one of map_targets / generator must be given")
         if self.generator is not None and self.generator.system is not self.system:
-            if len(self.generator.system) != len(self.system):
+            other = self.generator.system
+            if (other.dim != self.system.dim or len(other) != len(self.system)
+                    or not np.allclose(other.basis, self.system.basis,
+                                       rtol=0.0, atol=STRUCTURAL_TOL)):
                 raise InputError("generator is defined on a different system")
 
     @classmethod
@@ -304,11 +311,10 @@ class _FeasibilitySolver:
     def affine_residual(self, c: np.ndarray) -> float:
         return linalg.frob(self.basis_rows @ self._relayout(c) - self.target_rows)
 
-    def start_point(self, options: ExtensionOptions, seed=None) -> np.ndarray:
+    def start_point(self, options: ExtensionOptions) -> np.ndarray:
         raw = self.base
-        use_seed = options.seed if seed is None else seed
-        if options.start == "random" or seed is not None:
-            rng = np.random.default_rng(use_seed)
+        if options.start == "random":
+            rng = np.random.default_rng(options.seed)
             raw = raw + linalg.random_hermitian(self.d * self.d, rng, scale=options.start_scale)
         return self.project_affine(raw)
 
@@ -341,11 +347,11 @@ class _FeasibilitySolver:
             step *= min(0.5, max(0.1, slope / (slope - slope_new)))
         return budget, None
 
-    def solve(self, options: ExtensionOptions, seed=None):
+    def solve(self, options: ExtensionOptions):
         """Project the start point onto the feasible set (module docstring)."""
         tol = options.tol
         inner_tol = 0.2 * tol
-        x0 = self.start_point(options, seed=seed)
+        x0 = self.start_point(options)
         w = np.zeros_like(self.dual_targets)
         x, value, grad = self._dual_point(x0, w)
         iterations = 1
@@ -392,7 +398,7 @@ class _FeasibilitySolver:
         cone_residual = linalg.frob(z - choi)
         affine_residual = self.affine_residual(choi)
         result = SuperOp(self.d, choi)
-        restriction = _restriction_error(result, self.system.basis, self.targets)
+        restriction = restriction_error(result, self.system.basis, self.targets)
         converged = (best <= inner_tol and cone_residual <= tol
                      and affine_residual <= tol and restriction <= tol)
         report = ExtensionReport(
@@ -405,18 +411,38 @@ class _FeasibilitySolver:
         return result, report
 
 
-def _restriction_error(op: SuperOp, basis, targets) -> float:
+def restriction_error(op: SuperOp, basis, targets) -> float:
     """max_k ||op(v_k) - t_k||: agreement checked on the map itself."""
     return max(linalg.frob(op.apply(v) - t) for v, t in zip(basis, targets))
 
 
-def _max_pairwise_distance(ops) -> float:
-    """The largest distance between two of ``ops`` (0.0 for fewer than two)."""
+def max_pairwise_distance(mats) -> float:
+    """The largest Frobenius distance between two of ``mats`` (0.0 for fewer
+    than two); pass ``op.choi`` to compare maps."""
     spread = 0.0
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            spread = max(spread, ops[i].distance(ops[j]))
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            spread = max(spread, linalg.frob(mats[i] - mats[j]))
     return spread
+
+
+def multi_start(problem: ExtensionProblem, seeds):
+    """Solve ``problem`` once per entry of ``seeds``, on one shared set-up.
+
+    The seed ``None`` solves with ``problem.options`` as given; an int ``s``
+    solves from the randomized start ``replace(problem.options,
+    start="random", seed=s)``.  Returns one ``(superop, report)`` per seed, in
+    order; the superop is the raw Choi-matrix solution (map problems use the
+    PSD cone, generator problems the compressed cone of the module docstring).
+    """
+    if problem.map_targets is not None:
+        solver = _FeasibilitySolver(problem.system, problem.map_targets, "psd")
+    else:
+        solver = _FeasibilitySolver(problem.system, problem.generator.action, "compressed")
+    options = problem.options
+    return [solver.solve(options if seed is None
+                         else replace(options, start="random", seed=seed))
+            for seed in seeds]
 
 
 # ---------------------------------------------------------------------------
@@ -433,18 +459,12 @@ def extend_ucp_map(problem: ExtensionProblem):
     """
     if problem.map_targets is None:
         raise InputError("extend_ucp_map needs a map-case problem")
-    solver = _FeasibilitySolver(problem.system, problem.map_targets, "psd")
-    return solver.solve(problem.options)
-
-
-# The budget of a feasibility verdict is the one validation uses.
-_VALIDATE_MAX_ITER = inspect.signature(
-    dynamics.validate_subsystem_semigroup).parameters["max_iter"].default
+    return multi_start(problem, [None])[0]
 
 
 def ucp_extension_feasible(system: MatricialSystem, images,
                            tol: float = FEASIBILITY_TOL,
-                           max_iter: int = _VALIDATE_MAX_ITER):
+                           max_iter: int = VALIDATE_MAX_ITER):
     """Feasibility verdict for extending the map v_k -> images[k] to a UCP map.
 
     Returns ``(feasible, residuals)``; used as the Arveson-type certificate
@@ -520,12 +540,6 @@ def rescale_resolvent(phi: SuperOp, beta: float, mode: str = "closed",
 # ---------------------------------------------------------------------------
 
 
-def _generator_solver(problem: ExtensionProblem) -> _FeasibilitySolver:
-    if problem.generator is None:
-        raise InputError("a generator-case problem is required")
-    return _FeasibilitySolver(problem.system, problem.generator.action, "compressed")
-
-
 def extend_generator(problem: ExtensionProblem):
     """Extend a subsystem generator A to a conditionally completely positive
     generator G on M_d with G(v_k) = A(v_k) and G(I) = 0.
@@ -536,8 +550,9 @@ def extend_generator(problem: ExtensionProblem):
     agreement constraints, the evolution of the result restricted to V matches
     the subsystem semigroup.
     """
-    solver = _generator_solver(problem)
-    result, report = solver.solve(problem.options)
+    if problem.generator is None:
+        raise InputError("a generator-case problem is required")
+    result, report = multi_start(problem, [None])[0]
     return dynamics.certify(result, tol=problem.options.tol), report
 
 
@@ -608,10 +623,10 @@ def extend_via_resolvent_family(problem: ExtensionProblem, omega: float,
                    for lam in grid]
         recovered = [(lam, _recover_generator(f, lam)) for lam, f in members]
         candidate = _recover_generator(f_omega, current)
-        spread = _max_pairwise_distance([op for _, op in recovered] + [candidate])
+        spread = max_pairwise_distance([op.choi for _, op in recovered] + [candidate.choi])
 
         gen = dynamics.certify(candidate, tol=opts.tol)
-        restriction = _restriction_error(candidate, sub.system.basis, sub.action)
+        restriction = restriction_error(candidate, sub.system.basis, sub.action)
         if gen.certificates.certified and spread <= opts.tol and restriction <= opts.tol:
             family = ResolventFamily(omega=current, f_omega=f_omega,
                                      grid=tuple(grid), members=tuple(members))
@@ -646,7 +661,7 @@ def extend_via_resolvent_family(problem: ExtensionProblem, omega: float,
 # ---------------------------------------------------------------------------
 
 
-def extend_group(problem: ExtensionProblem, n_starts: int = 8,
+def extend_group(problem: ExtensionProblem, n_starts: int = DEFAULT_STARTS,
                  sample_ts: Sequence[float] = (0.4, 1.1),
                  seed: int = 0):
     """Extend a one-parameter UCP group on V to a group on M_d, with checks.
@@ -677,9 +692,13 @@ def extend_group(problem: ExtensionProblem, n_starts: int = 8,
                 f"not a group on V: {label} fails validation ({verdict.message})"
             )
 
-    plus_problem = problem
+    # The deterministic +A run and the randomized ones share one set-up; the
+    # rng draws the start seeds first and the multiplicativity samples after.
+    rng = np.random.default_rng(seed)
+    run_seeds = [int(rng.integers(0, 2**32 - 1)) for _ in range(n_starts)]
+    (op_plus, report), *runs = multi_start(problem, [None, *run_seeds])
+    gen_plus = dynamics.certify(op_plus, tol=opts.tol)
     minus_problem = ExtensionProblem.for_generator(sub.system, -sub, opts)
-    gen_plus, report = extend_generator(plus_problem)
     gen_minus, report_minus = extend_generator(minus_problem)
     if not (report.converged and report_minus.converged):
         raise GroupExtensionError("generator extension did not converge for +A/-A")
@@ -694,15 +713,8 @@ def extend_group(problem: ExtensionProblem, n_starts: int = 8,
             f"not a group on V: inverse check residual {inverse_residual:.3e}"
         )
 
-    solver = _generator_solver(problem)
-    rng = np.random.default_rng(seed)
-    run_ops = [gen_plus.op]
-    for _ in range(n_starts):
-        run_seed = int(rng.integers(0, 2**32 - 1))
-        op, run_report = solver.solve(replace(opts, start="random"), seed=run_seed)
-        if run_report.converged:
-            run_ops.append(op)
-    spread = _max_pairwise_distance(run_ops)
+    spread = max_pairwise_distance(
+        [op_plus.choi] + [op.choi for op, run_report in runs if run_report.converged])
     if spread > 10.0 * opts.tol:
         raise GroupExtensionError(
             f"randomized starts disagree (spread {spread:.3e}): extension is not "
@@ -740,9 +752,9 @@ def extend_group(problem: ExtensionProblem, n_starts: int = 8,
 # ---------------------------------------------------------------------------
 
 
-def rigidity_probe(system: MatricialSystem, n_starts: int = 8, seed: int = 0,
-                   tol: float = FEASIBILITY_TOL,
-                   max_iter: int = ExtensionOptions().max_iter) -> RigidityReport:
+def rigidity_probe(system: MatricialSystem, n_starts: int = DEFAULT_STARTS,
+                   seed: int = 0, tol: float = FEASIBILITY_TOL,
+                   max_iter: int = SOLVE_MAX_ITER) -> RigidityReport:
     """Randomized evidence for rigidity: extend the identity of V from many starts.
 
     A system is rigid in its envelope when the only UCP extension of id_V is
@@ -751,22 +763,15 @@ def rigidity_probe(system: MatricialSystem, n_starts: int = 8, seed: int = 0,
     whether all converged extensions are the identity map.  This is evidence,
     not proof: agreement of finitely many projections cannot certify rigidity.
     """
-    options = ExtensionOptions(tol=tol, max_iter=max_iter)
-    solver = _FeasibilitySolver(system, list(system.basis), "psd")
+    problem = ExtensionProblem(system=system, map_targets=tuple(system.basis),
+                               options=ExtensionOptions(tol=tol, max_iter=max_iter))
     rng = np.random.default_rng(seed)
-    ops = []
-    op, report = solver.solve(options)
-    if report.converged:
-        ops.append(op)
-    for _ in range(n_starts):
-        run_seed = int(rng.integers(0, 2**32 - 1))
-        op, report = solver.solve(replace(options, start="random"), seed=run_seed)
-        if report.converged:
-            ops.append(op)
+    seeds = [None] + [int(rng.integers(0, 2**32 - 1)) for _ in range(n_starts)]
+    ops = [op for op, report in multi_start(problem, seeds) if report.converged]
 
     ident = maps.identity_map(system.dim)
     identity_threshold = max(50.0 * tol, 1e-6)
-    max_pair = _max_pairwise_distance(ops)
+    max_pair = max_pairwise_distance([op.choi for op in ops])
     max_to_id = max((op.distance(ident) for op in ops), default=np.inf)
     return RigidityReport(
         all_identity=bool(ops) and max_to_id <= identity_threshold,

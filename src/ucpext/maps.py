@@ -38,8 +38,6 @@ __all__ = [
     "from_action",
     "conjugation_map",
     "transpose_map",
-    "apply",
-    "compose",
     "amplification_apply",
     "is_completely_positive",
     "is_unital",
@@ -186,15 +184,6 @@ def conjugation_map(u) -> SuperOp:
 def transpose_map(d: int) -> SuperOp:
     """The transpose map B -> B^T (positive but not completely positive for d >= 2)."""
     return from_action(d, lambda b: b.T)
-
-
-def apply(phi: SuperOp, m) -> np.ndarray:
-    return phi.apply(m)
-
-
-def compose(phi: SuperOp, psi: SuperOp) -> SuperOp:
-    """Composition phi after psi: apply(compose(phi, psi), m) = phi(psi(m))."""
-    return phi.compose(psi)
 
 
 def amplification_apply(phi: SuperOp, k: int, m) -> np.ndarray:

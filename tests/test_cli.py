@@ -153,11 +153,17 @@ class TestFailuresAndExitCodes:
 
 class TestReports:
     def test_determinism_byte_identical(self):
-        scenario = {"command": "extend-generator", "system": "rebit",
-                    "dynamics": "rebit_dissipative", "options": {"seed": 5}}
-        a = json.dumps(run_scenario(scenario), sort_keys=True)
-        b = json.dumps(run_scenario(scenario), sort_keys=True)
-        assert a == b
+        scenarios = [
+            {"command": "extend-generator", "system": "rebit",
+             "dynamics": "rebit_dissipative", "options": {"seed": 5}},
+            {"command": "demo-rebit"},
+            {"command": "rigidity-probe", "system": "span_I", "options": {"seed": 0}},
+            {"command": "extend-group", "system": "rebit", "dynamics": "rebit_rotation"},
+        ]
+        for scenario in scenarios:
+            a = json.dumps(run_scenario(scenario), sort_keys=True)
+            b = json.dumps(run_scenario(scenario), sort_keys=True)
+            assert a == b
 
     def test_embedded_matrices_round_trip_bit_exactly(self):
         scenario = {"command": "evolve", "dynamics": "g1", "options": {"times": [0.7]}}

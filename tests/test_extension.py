@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -309,6 +310,55 @@ class TestResolventFamilyRoute:
         assert report.converged and gen.certificates.certified
 
 
+class TestMultiStart:
+    @staticmethod
+    def _assert_same(outcome, expected):
+        (op, report), (op_ref, report_ref) = outcome, expected
+        assert np.array_equal(op.choi, op_ref.choi)
+        assert report == report_ref
+
+    def test_map_problem_matches_single_solves(self, rebit):
+        images = dynamics.subsystem_evolve_images(catalog.rebit_dissipative(1.0), 1.0)
+        problem = ExtensionProblem.for_map(rebit, images)
+        seeds = [None, 7, 3, None]
+        outcomes = extension.multi_start(problem, seeds)
+        assert len(outcomes) == len(seeds)
+        for seed, outcome in zip(seeds, outcomes):
+            if seed is None:
+                expected = extension.extend_ucp_map(problem)
+            else:
+                expected = extension.extend_ucp_map(ExtensionProblem.for_map(
+                    rebit, images, ExtensionOptions(seed=seed, start="random")))
+            self._assert_same(outcome, expected)
+        assert outcomes[1][0].distance(outcomes[2][0]) > 1e-3  # not unique
+
+    def test_generator_problem_matches_single_solves(self, rebit):
+        diss = catalog.rebit_dissipative(1.0)
+        problem = ExtensionProblem.for_generator(rebit, diss)
+        outcomes = extension.multi_start(problem, [None, 5])
+        for seed, outcome in zip([None, 5], outcomes):
+            opts = ExtensionOptions() if seed is None else ExtensionOptions(
+                seed=seed, start="random")
+            gen, report = extension.extend_generator(
+                ExtensionProblem.for_generator(rebit, diss, opts))
+            self._assert_same(outcome, (gen.op, report))
+
+
+class TestExtensionProblem:
+    def test_generator_on_other_basis_rejected(self, pauli):
+        other = MatricialSystem.from_basis([pauli.I, pauli.X, pauli.Y])
+        with pytest.raises(InputError, match="different system"):
+            ExtensionProblem.for_generator(other, catalog.rebit_rotation(1.0))
+
+    def test_equal_system_built_twice_accepted(self):
+        sub = catalog.rebit_rotation(1.0)
+        system = catalog.rebit_system()
+        assert system is not sub.system
+        problem = ExtensionProblem.for_generator(system, sub)
+        gen, report = extension.extend_generator(problem)
+        assert report.converged and gen.certificates.certified
+
+
 class TestExtendGroup:
     def test_rotation_group(self, rebit):
         problem = ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(1.0))
@@ -507,9 +557,10 @@ class TestProjectionProperty:
         # (ROADMAP item 4); the budget keeps such draws cheap.
         opts = ExtensionOptions(start="random", max_iter=2000)
         start_x, start_z = (int(s) for s in rng.integers(0, 2**32 - 1, size=2))
-        x0 = solver.start_point(opts, seed=start_x)
-        x, report_x = solver.solve(opts, seed=start_x)
-        z, report_z = solver.solve(opts, seed=start_z)
+        opts_x, opts_z = replace(opts, seed=start_x), replace(opts, seed=start_z)
+        x0 = solver.start_point(opts_x)
+        x, report_x = solver.solve(opts_x)
+        z, report_z = solver.solve(opts_z)
         assume(report_x.converged and report_z.converged)
         inner = float(np.vdot(x0 - x.choi, z.choi - x.choi).real)
         assert inner <= 1e-6 * (1.0 + linalg.frob(x0))

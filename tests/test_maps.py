@@ -60,18 +60,18 @@ class TestApplyCompose:
         conj_x = maps.conjugation_map(pauli.X)
         conj_z = maps.conjugation_map(pauli.Z)
         ident = maps.identity_map(2)
-        assert maps.compose(ident, conj_z).distance(conj_z) <= 1e-14
-        assert maps.compose(conj_x, conj_x).distance(ident) <= 1e-14
+        assert ident.compose(conj_z).distance(conj_z) <= 1e-14
+        assert conj_x.compose(conj_x).distance(ident) <= 1e-14
         # X (Z Y Z) X computed directly: conjugation by XZ up to phase.
         oracle = pauli.X @ (pauli.Z @ pauli.Y @ pauli.Z) @ pauli.X
         np.testing.assert_allclose(oracle, pauli.Y, atol=1e-14)
-        composed = maps.compose(conj_x, conj_z)
+        composed = conj_x.compose(conj_z)
         np.testing.assert_allclose(composed.apply(pauli.Y), oracle, atol=1e-14)
 
     def test_compose_agrees_pointwise_on_basis(self):
         rng = np.random.default_rng(4)
         phi, psi = random_ucp_map(3, rng), random_ucp_map(3, rng)
-        comp = maps.compose(phi, psi)
+        comp = phi.compose(psi)
         for i in range(3):
             for j in range(3):
                 e = unit(i, j, 3)
@@ -80,7 +80,7 @@ class TestApplyCompose:
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
-            maps.compose(maps.identity_map(2), maps.identity_map(3))
+            maps.identity_map(2).compose(maps.identity_map(3))
 
 
 class TestCpUnital:
