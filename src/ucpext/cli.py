@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -130,7 +131,6 @@ def _extension_options(options) -> ExtensionOptions:
         tol=float(options.get("tol", FEASIBILITY_TOL)),
         max_iter=int(options.get("max_iter", SOLVE_MAX_ITER)),
         seed=None if seed is None else int(seed),
-        start="deterministic" if seed is None else "random",
         start_scale=float(options.get("start_scale", 1.0)),
     )
 
@@ -257,22 +257,12 @@ def _cmd_identities(scenario, options):
     }
 
 
-def _extension_report_json(report) -> dict:
-    return {
-        "iterations": report.iterations,
-        "cone_residual": report.cone_residual,
-        "affine_residual": report.affine_residual,
-        "restriction_error": report.restriction_error,
-        "converged": report.converged,
-    }
-
-
 def _cmd_extend_map(scenario, options):
     system = _resolve_system(scenario)
     images = _resolve_map(scenario, system, options)
     problem = ExtensionProblem.for_map(system, images, _extension_options(options))
     phi, report = extension.extend_ucp_map(problem)
-    results = {"report": _extension_report_json(report), "map": _report_superop(phi)}
+    results = {"report": asdict(report), "map": _report_superop(phi)}
     return ("ok" if report.converged else "failed"), results
 
 
@@ -282,13 +272,9 @@ def _cmd_extend_generator(scenario, options):
     problem = ExtensionProblem.for_generator(system, sub, _extension_options(options))
     gen, report = extension.extend_generator(problem)
     results = {
-        "report": _extension_report_json(report),
+        "report": asdict(report),
         "generator": serialize.generator_to_json(gen),
-        "certificates": {
-            "hermiticity_preserving": gen.certificates.hermiticity_preserving,
-            "unital_kernel": gen.certificates.unital_kernel,
-            "ccp": gen.certificates.ccp,
-        },
+        "certificates": asdict(gen.certificates),
     }
     status = "ok" if (report.converged and gen.certificates.certified) else "failed"
     return status, results
@@ -303,7 +289,7 @@ def _cmd_extend_resolvent_family(scenario, options):
     gen, family, report = extension.extend_via_resolvent_family(
         problem, omega, grid=None if grid is None else [float(g) for g in grid])
     results = {
-        "report": _extension_report_json(report),
+        "report": asdict(report),
         "generator": serialize.generator_to_json(gen),
         "omega": family.omega,
         "grid": list(family.grid),
@@ -322,7 +308,7 @@ def _cmd_extend_group(scenario, options):
         seed=int(options.get("seed", 0)),
     )
     results = {
-        "report": _extension_report_json(report.extension),
+        "report": asdict(report.extension),
         "generator": serialize.generator_to_json(gen),
         "inverse_residual": report.inverse_residual,
         "uniqueness_spread": report.uniqueness_spread,
@@ -350,15 +336,7 @@ def _cmd_rigidity_probe(scenario, options):
         tol=float(options.get("tol", FEASIBILITY_TOL)),
         max_iter=int(options.get("max_iter", SOLVE_MAX_ITER)),
     )
-    results = {
-        "all_identity": report.all_identity,
-        "max_pairwise_distance": report.max_pairwise_distance,
-        "max_distance_to_identity": report.max_distance_to_identity,
-        "identity_threshold": report.identity_threshold,
-        "n_converged": report.n_converged,
-        "n_runs": report.n_runs,
-    }
-    return "ok", results
+    return "ok", asdict(report)
 
 
 def _cmd_demo_rebit(scenario, options):

@@ -155,11 +155,8 @@ def resolvent(gen: Generator, lam: complex) -> SuperOp:
     """R(lam, A) = (lam - A)^{-1} as a SuperOp (solve at the transfer level)."""
     n = gen.d * gen.d
     system = complex(lam) * np.eye(n) - gen.op.transfer
-    cond = float(np.linalg.cond(system))
-    if not np.isfinite(cond) or cond > 1e13:
-        raise NumericalError(
-            f"resolvent system is singular at lam={lam}: condition estimate {cond:.3e}"
-        )
+    linalg.check_nonsingular(
+        system, f"resolvent system is singular at lam={lam}: condition estimate {{cond:.3e}}")
     return SuperOp.from_transfer(gen.d, np.linalg.solve(system, np.eye(n, dtype=complex)))
 
 
@@ -271,12 +268,9 @@ class SubsystemGenerator:
             raise InputError("A(basis[0]) must vanish: the unit is not annihilated")
 
         # Images of the orthonormalized basis follow linearly from the
-        # Gram-Schmidt coefficients; coordinates give the matrix of A on V.
-        m = len(images)
-        coord = np.empty((m, m), dtype=complex)
-        for j in range(m):
-            img = np.tensordot(system.onb_coeffs[j], np.array(images), axes=(0, 0))
-            coord[:, j] = system.coords(img)
+        # orthonormalization coefficients; their coordinates, as columns, give
+        # the matrix of A on V.
+        coord = system.coords(images).T @ system.onb_coeffs.T
         imag_defect = float(np.max(np.abs(coord.imag))) if coord.size else 0.0
         if imag_defect > tol * (1.0 + float(np.max(np.abs(coord.real)))):
             raise InputError(
@@ -297,31 +291,25 @@ class SubsystemGenerator:
                                   coordinate_matrix=-self.coordinate_matrix)
 
 
+def _basis_images(sub: SubsystemGenerator, step: np.ndarray):
+    """Images of the user basis under the map with matrix ``step`` on V's coordinates."""
+    system = sub.system
+    return list(system.from_coords(system.coords(system.basis) @ step.T))
+
+
 def subsystem_resolvent_images(sub: SubsystemGenerator, lam: float):
     """Images of the user basis under lam * R(lam, A), computed on V's coordinates."""
     m = len(sub.system)
     system_matrix = float(lam) * np.eye(m) - sub.coordinate_matrix
-    cond = float(np.linalg.cond(system_matrix))
-    if not np.isfinite(cond) or cond > 1e13:
-        raise NumericalError(
-            f"subsystem resolvent singular at lam={lam}: condition estimate {cond:.3e}"
-        )
-    scaled = float(lam) * np.linalg.inv(system_matrix)
-    out = []
-    for b in sub.system.basis:
-        coords = sub.system.coords(b)
-        out.append(sub.system.from_coords(scaled @ coords))
-    return out
+    linalg.check_nonsingular(
+        system_matrix,
+        f"subsystem resolvent singular at lam={lam}: condition estimate {{cond:.3e}}")
+    return _basis_images(sub, float(lam) * np.linalg.inv(system_matrix))
 
 
 def subsystem_evolve_images(sub: SubsystemGenerator, t: float):
     """Images of the user basis under exp(t * A) on V's coordinates."""
-    step = linalg.expm(sub.coordinate_matrix, scale=float(t))
-    out = []
-    for b in sub.system.basis:
-        coords = sub.system.coords(b)
-        out.append(sub.system.from_coords(step @ coords))
-    return out
+    return _basis_images(sub, linalg.expm(sub.coordinate_matrix, scale=float(t)))
 
 
 @dataclass(frozen=True)

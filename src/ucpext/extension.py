@@ -30,9 +30,11 @@ two (|V| x d^2) @ (d^2 x d^2) products after relaying C out as
 
 The projection is computed through its dual (Malick, SIAM J. Matrix Anal.
 Appl. 26, 2004; Henrion & Malick, Projection methods in conic optimization,
-2012).  With the Cholesky factorisation G = R^T R, the map
-L(W) = A*(R^-1 W) = sum_k conj(Q_k) (x) W_k, Q = R^-T basis, is an isometry,
-and in the |V| d^2 real variables W (rows Hermitian d x d) the dual
+2012).  The system's orthonormal basis Q = R^-T basis comes with R^-T, its
+``onb_coeffs``: lower-triangular with positive diagonal and R^-T G R^-1 = I,
+so G = R^T R is the Cholesky factorisation of G.  The map
+L(W) = A*(R^-1 W) = sum_k conj(Q_k) (x) W_k is an isometry, and in the
+|V| d^2 real variables W (rows Hermitian d x d) the dual
 
   f(W) = 1/2 ||Pi_K(x0 + L W)||^2 - <R^-T T, W>,  grad f(W) = R^-T (A(X) - T),
   X = Pi_K(x0 + L W),
@@ -48,9 +50,9 @@ it and, unlike it, is not hidden by the roundoff of f (about 1e-16 ||X||^2)
 once the residual is near 1e-8.  ``iterations`` counts evaluations of f,
 line-search trials included; each is one cone projection (one d^2 x d^2
 eigh) plus O(|V| d^4), so ``max_iter`` is a budget of cone projections.
-Set-up is one |V| x |V| Cholesky factorisation.  The best point found is
-projected onto the affine subspace, then onto the cone, and the residuals
-are measured on the result.
+Set-up factorises nothing: Q and R^-T are the system's own.  The best point
+found is projected onto the affine subspace, then onto the cone, and the
+residuals are measured on the result.
 
 Starting points.  The generator problem starts from the affine projection of
 zero.  The map problem starts from the affine projection of the identity
@@ -60,10 +62,12 @@ selects the extension compatible with that limit (the projection of zero
 instead selects the minimum-norm extension, which in general fails the
 conditional-positivity recovery of the resolvent-family route).  Randomized
 starts add a seeded Hermitian Gaussian perturbation before the first
-projection.  :func:`multi_start` solves one problem from a list of seeds on
-one set-up: the seed ``None`` solves with the problem's options as given, and
-an int ``s`` solves from the randomized start with ``seed = s``, so equal
-seeds give bit-identical extensions.
+projection; ``ExtensionOptions.seed`` chooses the start, ``None`` the
+deterministic one and an int the randomized one it seeds.  :func:`multi_start`
+solves one problem from a list of seeds on one set-up: the seed ``None``
+solves with the problem's options as given, and an int ``s`` solves from the
+randomized start with ``seed = s``, so equal seeds give bit-identical
+extensions.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ import numpy as np
 from . import dynamics, linalg, maps
 from .dynamics import SubsystemGenerator
 from .errors import (ExtensionInfeasible, GroupExtensionError, InputError,
-                     NumericalError, ResolventFamilyError)
+                     ResolventFamilyError)
 from .maps import SuperOp
 from .systems import MatricialSystem
 from .tolerances import (DEFAULT_STARTS, FEASIBILITY_TOL, SOLVE_MAX_ITER,
@@ -110,13 +114,10 @@ __all__ = [
 class ExtensionOptions:
     tol: float = FEASIBILITY_TOL
     max_iter: int = SOLVE_MAX_ITER
-    seed: Optional[int] = None
-    start: str = "deterministic"  # or "random"
+    seed: Optional[int] = None  # None: deterministic start; an int: seeded random start
     start_scale: float = 1.0
 
     def __post_init__(self):
-        if self.start not in ("deterministic", "random"):
-            raise InputError(f"unknown start mode {self.start!r}")
         if self.tol <= 0 or self.max_iter <= 0 or self.start_scale < 0:
             raise InputError("tol, max_iter must be positive and start_scale nonnegative")
 
@@ -256,12 +257,12 @@ class _FeasibilitySolver:
         self.targets = [linalg.as_matrix(t) for t in targets]
         self.basis_rows = np.array(system.basis).reshape(len(system), n)
         self.target_rows = np.array(self.targets).reshape(len(system), n)
-        gram = (self.basis_rows @ linalg.dagger(self.basis_rows)).real
-        # G = R^T R; whiten = R^-T.  lift W is L(W) = sum_k conj(Q_k) (x) W_k
-        # relaid out, Q = R^-T basis; dual_adjoint = lift @ whiten holds the
-        # rows of conj(D), D = G^-1 basis the dual basis, transposed.
-        self.whiten = np.linalg.inv(np.linalg.cholesky(gram))
-        self.lift = np.conj(self.whiten @ self.basis_rows).T
+        # whiten = R^-T with G = R^T R, the system's orthonormalization
+        # coefficients.  lift W is L(W) = sum_k conj(Q_k) (x) W_k relaid out,
+        # Q = R^-T basis the orthonormal basis; dual_adjoint = lift @ whiten
+        # holds the rows of conj(D), D = G^-1 basis the dual basis, transposed.
+        self.whiten = system.onb_coeffs
+        self.lift = np.conj(system.onb.reshape(len(system), n)).T
         self.dual_adjoint = self.lift @ self.whiten
         self.dual_targets = (self.whiten @ self.target_rows).view(float).ravel()
         if cone_kind == "psd":
@@ -313,7 +314,7 @@ class _FeasibilitySolver:
 
     def start_point(self, options: ExtensionOptions) -> np.ndarray:
         raw = self.base
-        if options.start == "random":
+        if options.seed is not None:
             rng = np.random.default_rng(options.seed)
             raw = raw + linalg.random_hermitian(self.d * self.d, rng, scale=options.start_scale)
         return self.project_affine(raw)
@@ -430,10 +431,10 @@ def multi_start(problem: ExtensionProblem, seeds):
     """Solve ``problem`` once per entry of ``seeds``, on one shared set-up.
 
     The seed ``None`` solves with ``problem.options`` as given; an int ``s``
-    solves from the randomized start ``replace(problem.options,
-    start="random", seed=s)``.  Returns one ``(superop, report)`` per seed, in
-    order; the superop is the raw Choi-matrix solution (map problems use the
-    PSD cone, generator problems the compressed cone of the module docstring).
+    solves from the randomized start ``replace(problem.options, seed=s)``.
+    Returns one ``(superop, report)`` per seed, in order; the superop is the
+    raw Choi-matrix solution (map problems use the PSD cone, generator
+    problems the compressed cone of the module docstring).
     """
     if problem.map_targets is not None:
         solver = _FeasibilitySolver(problem.system, problem.map_targets, "psd")
@@ -441,7 +442,7 @@ def multi_start(problem: ExtensionProblem, seeds):
         solver = _FeasibilitySolver(problem.system, problem.generator.action, "compressed")
     options = problem.options
     return [solver.solve(options if seed is None
-                         else replace(options, start="random", seed=seed))
+                         else replace(options, seed=seed))
             for seed in seeds]
 
 
@@ -525,12 +526,9 @@ def rescale_resolvent(phi: SuperOp, beta: float, mode: str = "closed",
         return SuperOp.from_transfer(phi.d, out)
     if mode == "closed":
         m = np.eye(n) - (1.0 - beta) * t
-        cond = float(np.linalg.cond(m))
-        if not np.isfinite(cond) or cond > 1e13:
-            raise NumericalError(
-                f"id - (1-beta) phi is numerically singular (cond {cond:.3e}); "
-                "the input was not a valid UCP map"
-            )
+        linalg.check_nonsingular(
+            m, "id - (1-beta) phi is numerically singular (cond {cond:.3e}); "
+               "the input was not a valid UCP map")
         return SuperOp.from_transfer(phi.d, beta * (t @ np.linalg.inv(m)))
     raise InputError(f"unknown mode {mode!r}")
 
@@ -564,11 +562,8 @@ def extend_generator(problem: ExtensionProblem):
 def _recover_generator(f_lam: SuperOp, lam: float) -> SuperOp:
     """G = lam * (id - F(lam)^{-1}) at the transfer level."""
     t = f_lam.transfer
-    cond = float(np.linalg.cond(t))
-    if not np.isfinite(cond) or cond > 1e13:
-        raise NumericalError(
-            f"family member at lam={lam} is numerically singular (cond {cond:.3e})"
-        )
+    linalg.check_nonsingular(
+        t, f"family member at lam={lam} is numerically singular (cond {{cond:.3e}})")
     n = t.shape[0]
     return SuperOp.from_transfer(f_lam.d, lam * (np.eye(n) - np.linalg.inv(t)))
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .errors import InputError
-from .tolerances import STRUCTURAL_TOL
+from .errors import InputError, NumericalError
+from .tolerances import SINGULAR_COND, STRUCTURAL_TOL
 
 __all__ = [
     "as_matrix",
@@ -28,6 +28,7 @@ __all__ = [
     "hermiticity_defect",
     "ensure_square",
     "ensure_hermitian",
+    "check_nonsingular",
     "herm_eig",
     "expm",
     "psd_project",
@@ -50,7 +51,8 @@ def as_matrix(m) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(m.T)
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.conj(np.swapaxes(m, -1, -2))
 
 
 def frob(m: np.ndarray) -> float:
@@ -84,6 +86,14 @@ def ensure_hermitian(m, tol: float = STRUCTURAL_TOL, name: str = "matrix") -> np
             f"{name} is not Hermitian: defect {defect:.3e} exceeds {tol * scale:.3e}"
         )
     return hermitian_part(a)
+
+
+def check_nonsingular(m: np.ndarray, message: str) -> None:
+    """Raise :class:`NumericalError` when m's condition number is not finite
+    or exceeds ``SINGULAR_COND``; ``message`` is formatted with ``cond``."""
+    cond = float(np.linalg.cond(m))
+    if not np.isfinite(cond) or cond > SINGULAR_COND:
+        raise NumericalError(message.format(cond=cond))
 
 
 def herm_eig(h, tol: float = STRUCTURAL_TOL):

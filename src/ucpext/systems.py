@@ -5,6 +5,13 @@ Positivity at matrix level k is concrete: an element of M_k(V) is positive
 exactly when it is positive semidefinite as a (k*d) x (k*d) matrix, since the
 cone of the system is span(V) intersected with the PSD cone.
 
+This module is the one place V's basis is orthonormalized: one QR
+factorisation of the stacked basis (Hermitian matrices as real vectors, so
+the Hilbert-Schmidt inner product is the dot product) gives the orthonormal
+basis and its coefficients on the user basis, the inverse Cholesky factor of
+the Gram matrix, which the extension solver reuses.  Coordinates against the
+orthonormal basis are taken of one matrix or of a whole stack at once.
+
 Two norms are exposed, both computed by bisection on PSD tests against the
 system's cone:
 
@@ -20,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from . import linalg
 from .errors import InputError
@@ -28,7 +36,6 @@ from .tolerances import FEASIBILITY_TOL, STRUCTURAL_TOL
 __all__ = [
     "MatricialSystem",
     "LevelElement",
-    "hs_inner",
     "project_onto",
     "contains",
     "level_membership_residual",
@@ -42,20 +49,17 @@ _BISECTION_STEPS = 60
 _GRAM_INDEPENDENCE_TOL = 1e-10
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product <a, b> = tr(a* b)."""
-    return complex(np.sum(np.conj(a) * b))
-
-
 @dataclass(frozen=True)
 class MatricialSystem:
     """A unital self-adjoint subspace of M_d, with an orthonormalized basis.
 
     ``basis`` is the user-supplied Hermitian basis (``basis[0]`` must be the
-    identity); ``onb`` is its modified Gram-Schmidt orthonormalization under
-    the Hilbert-Schmidt inner product and ``onb_coeffs`` expresses
-    ``onb[j] = sum_k onb_coeffs[j, k] * basis[k]`` (real coefficients, since
-    inner products of Hermitian matrices are real).
+    identity); ``onb`` is its orthonormalization under the Hilbert-Schmidt
+    inner product, from one QR factorisation of the stacked basis, and
+    ``onb_coeffs`` expresses ``onb[j] = sum_k onb_coeffs[j, k] * basis[k]``.
+    ``onb_coeffs`` is real and lower-triangular with positive diagonal, so
+    with G the Gram matrix of the basis, ``onb_coeffs @ G @ onb_coeffs.T = I``
+    makes it the inverse Cholesky factor of G.
     """
 
     dim: int
@@ -75,45 +79,42 @@ class MatricialSystem:
         if not np.allclose(mats[0], np.eye(d), atol=tol):
             raise InputError("basis[0] must be the identity matrix")
 
-        # Linear independence via the smallest Gram eigenvalue.
+        # Hermitian matrices as real vectors (real and imaginary parts): the
+        # Hilbert-Schmidt inner product is the plain dot product of the rows.
         m = len(mats)
-        gram = np.empty((m, m))
-        for i in range(m):
-            for j in range(m):
-                gram[i, j] = hs_inner(mats[i], mats[j]).real
+        rows = np.array(mats).reshape(m, d * d).view(float)
+        gram = rows @ rows.T
+        # Linear independence via the smallest Gram eigenvalue.
         gmin = float(np.linalg.eigvalsh(gram)[0])
         if gmin <= _GRAM_INDEPENDENCE_TOL:
             raise InputError(
                 f"basis is numerically dependent: smallest Gram eigenvalue {gmin:.3e}"
             )
 
-        # Modified Gram-Schmidt over the Hilbert-Schmidt inner product.
-        onb = np.empty((m, d, d), dtype=complex)
-        coeffs = np.zeros((m, m))
-        work = [a.copy() for a in mats]
-        cwork = np.eye(m)
-        for j in range(m):
-            norm = np.sqrt(hs_inner(work[j], work[j]).real)
-            onb[j] = work[j] / norm
-            coeffs[j] = cwork[j] / norm
-            for k in range(j + 1, m):
-                overlap = hs_inner(onb[j], work[k]).real
-                work[k] = work[k] - overlap * onb[j]
-                cwork[k] = cwork[k] - overlap * coeffs[j]
-            onb[j] = linalg.hermitian_part(onb[j])
-
+        # rows^T = Q R with R's diagonal made positive, so rows = R^T Q^T and
+        # the orthonormal rows Q^T = R^-T rows.
+        q, r = np.linalg.qr(rows.T)
+        signs = np.sign(np.diag(r))
+        q, r = q * signs, r * signs[:, None]
+        coeffs = scipy.linalg.solve_triangular(r, np.eye(m)).T
+        onb = linalg.hermitian_part(np.ascontiguousarray(q.T).view(complex).reshape(m, d, d))
         return cls(dim=d, basis=tuple(mats), onb=onb, onb_coeffs=coeffs)
 
     def __len__(self) -> int:
         return len(self.basis)
 
-    def coords(self, m: np.ndarray) -> np.ndarray:
-        """Hilbert-Schmidt coordinates of m against the orthonormal basis."""
-        return np.array([hs_inner(b, m) for b in self.onb])
+    def coords(self, m) -> np.ndarray:
+        """Hilbert-Schmidt coordinates against the orthonormal basis, of one
+        d x d matrix (shape (|V|,)) or of a stack (shape (..., |V|))."""
+        a = np.asarray(m, dtype=complex)
+        flat = np.conj(self.onb).reshape(len(self), -1)
+        return a.reshape(a.shape[:-2] + (-1,)) @ flat.T
 
     def from_coords(self, c) -> np.ndarray:
+        """The matrix sum_j c[..., j] onb[j], for one coordinate vector or a stack."""
         c = np.asarray(c, dtype=complex)
-        return np.tensordot(c, self.onb, axes=(0, 0))
+        d = self.dim
+        return (c @ self.onb.reshape(len(self), -1)).reshape(c.shape[:-1] + (d, d))
 
 
 @dataclass(frozen=True)
@@ -160,13 +161,9 @@ def project_level(system: MatricialSystem, m) -> np.ndarray:
     a = linalg.as_matrix(m)
     d = system.dim
     k = a.shape[0] // d
-    blocks = a.reshape(k, d, k, d)
-    out = np.empty_like(blocks)
-    for i in range(k):
-        for j in range(k):
-            block = blocks[i, :, j, :]
-            out[i, :, j, :] = system.from_coords(system.coords(block))
-    return out.reshape(k * d, k * d)
+    blocks = a.reshape(k, d, k, d).transpose(0, 2, 1, 3)
+    out = system.from_coords(system.coords(blocks))
+    return out.transpose(0, 2, 1, 3).reshape(k * d, k * d)
 
 
 def level_membership_residual(system: MatricialSystem, m) -> float:

@@ -34,7 +34,7 @@ def test_criterion_2_dissipative_non_uniqueness(rebit, pauli):
     y_images = []
     all_ok = True
     for seed in range(16):
-        opts = ExtensionOptions(tol=1e-8, seed=seed, start="random")
+        opts = ExtensionOptions(tol=1e-8, seed=seed)
         gen, report = extension.extend_generator(
             ExtensionProblem.for_generator(rebit, diss, opts))
         all_ok = all_ok and report.converged

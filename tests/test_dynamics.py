@@ -57,6 +57,11 @@ class TestConditionalCompletePositivity:
         assert not gen.certificates.unital_kernel
         assert not maps.is_unital(dynamics.evolve(gen, 0.3))
 
+    def test_group_certificate(self):
+        # A Hamiltonian generator is ccp with its negative; dissipation is not.
+        assert dynamics.has_group_certificate(catalog.rotation_extension_generator(1.0))
+        assert not dynamics.has_group_certificate(catalog.g1(1.0))
+
     def test_involution_lift_is_never_ccp(self):
         rng = np.random.default_rng(1)
         for _ in range(5):

@@ -123,7 +123,7 @@ class TestExtendUcpMap:
         assert psi.distance(maps.conjugation_map(u)) <= 1e-6
         # unique: randomized starts land on the same extension
         for seed in (11, 12):
-            opts = ExtensionOptions(seed=seed, start="random")
+            opts = ExtensionOptions(seed=seed)
             psi_s, rep_s = extension.extend_ucp_map(
                 ExtensionProblem.for_map(rebit, images, opts))
             assert rep_s.converged
@@ -133,7 +133,7 @@ class TestExtendUcpMap:
         images = dynamics.subsystem_evolve_images(catalog.rebit_dissipative(1.0), 1.0)
         results = []
         for seed in range(4):
-            opts = ExtensionOptions(seed=seed, start="random")
+            opts = ExtensionOptions(seed=seed)
             psi, report = extension.extend_ucp_map(
                 ExtensionProblem.for_map(rebit, images, opts))
             assert report.converged
@@ -168,7 +168,7 @@ class TestExtendUcpMap:
 
     def test_determinism_bit_identical(self, rebit):
         images = dynamics.subsystem_evolve_images(catalog.rebit_dissipative(1.0), 1.0)
-        opts = ExtensionOptions(seed=42, start="random")
+        opts = ExtensionOptions(seed=42)
         a, rep_a = extension.extend_ucp_map(ExtensionProblem.for_map(rebit, images, opts))
         b, rep_b = extension.extend_ucp_map(ExtensionProblem.for_map(rebit, images, opts))
         assert rep_a.iterations == rep_b.iterations
@@ -177,7 +177,7 @@ class TestExtendUcpMap:
     def test_result_exactly_hermitian(self, rebit):
         images = dynamics.subsystem_evolve_images(catalog.rebit_dissipative(1.0), 1.0)
         psi, report = extension.extend_ucp_map(ExtensionProblem.for_map(
-            rebit, images, ExtensionOptions(seed=3, start="random")))
+            rebit, images, ExtensionOptions(seed=3)))
         assert report.converged
         assert np.array_equal(psi.choi, np.conj(psi.choi.T))
 
@@ -194,8 +194,7 @@ class TestExtendGenerator:
     def test_rotation_extension_unique(self, rebit):
         truth = catalog.rotation_extension_generator(1.0)
         for seed in (None, 5, 6):
-            opts = ExtensionOptions() if seed is None else ExtensionOptions(
-                seed=seed, start="random")
+            opts = ExtensionOptions(seed=seed)
             gen, report = extension.extend_generator(
                 ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(1.0), opts))
             assert report.converged and gen.certificates.certified
@@ -205,7 +204,7 @@ class TestExtendGenerator:
         diss = catalog.rebit_dissipative(1.0)
         y_images = []
         for seed in range(6):
-            opts = ExtensionOptions(seed=seed, start="random")
+            opts = ExtensionOptions(seed=seed)
             gen, report = extension.extend_generator(
                 ExtensionProblem.for_generator(rebit, diss, opts))
             assert report.converged
@@ -264,6 +263,14 @@ class TestResolventFamilyRoute:
                 lhs = (lam * f_mu.transfer - mu * f_lam.transfer) / (lam - mu)
                 rhs = f_lam.transfer @ f_mu.transfer
                 assert np.linalg.norm(lhs - rhs) <= 1e-7
+
+    def test_family_at_matches_members(self, rebit):
+        problem = ExtensionProblem.for_generator(rebit, catalog.rebit_dissipative(1.0))
+        _, family, _ = extension.extend_via_resolvent_family(problem, omega=10.0)
+        for lam, member in family.members:
+            assert family.at(lam).distance(member) <= 1e-12
+        with pytest.raises(InputError):
+            family.at(2.0 * family.omega)
 
     def test_recovered_generator_is_lambda_independent(self, rebit):
         problem = ExtensionProblem.for_generator(rebit, catalog.rebit_dissipative(1.0))
@@ -328,7 +335,7 @@ class TestMultiStart:
                 expected = extension.extend_ucp_map(problem)
             else:
                 expected = extension.extend_ucp_map(ExtensionProblem.for_map(
-                    rebit, images, ExtensionOptions(seed=seed, start="random")))
+                    rebit, images, ExtensionOptions(seed=seed)))
             self._assert_same(outcome, expected)
         assert outcomes[1][0].distance(outcomes[2][0]) > 1e-3  # not unique
 
@@ -337,8 +344,7 @@ class TestMultiStart:
         problem = ExtensionProblem.for_generator(rebit, diss)
         outcomes = extension.multi_start(problem, [None, 5])
         for seed, outcome in zip([None, 5], outcomes):
-            opts = ExtensionOptions() if seed is None else ExtensionOptions(
-                seed=seed, start="random")
+            opts = ExtensionOptions(seed=seed)
             gen, report = extension.extend_generator(
                 ExtensionProblem.for_generator(rebit, diss, opts))
             self._assert_same(outcome, (gen.op, report))
@@ -555,7 +561,7 @@ class TestProjectionProperty:
             system, [phi.apply(v) for v in system.basis], "psd")
         # Problems without a positive-definite feasible point can plateau
         # (ROADMAP item 4); the budget keeps such draws cheap.
-        opts = ExtensionOptions(start="random", max_iter=2000)
+        opts = ExtensionOptions(max_iter=2000)
         start_x, start_z = (int(s) for s in rng.integers(0, 2**32 - 1, size=2))
         opts_x, opts_z = replace(opts, seed=start_x), replace(opts, seed=start_z)
         x0 = solver.start_point(opts_x)

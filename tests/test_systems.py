@@ -26,14 +26,39 @@ class TestConstruction:
             MatricialSystem.from_basis([pauli.I, pauli.X + 1j * pauli.I])
 
     def test_orthonormalization(self, rebit):
-        m = len(rebit)
-        gram = np.array([[np.sum(np.conj(a) * b).real for b in rebit.onb]
-                         for a in rebit.onb])
-        np.testing.assert_allclose(gram, np.eye(m), atol=1e-12)
-        # onb_coeffs reproduces the orthonormal basis from the user basis
-        for j in range(m):
-            recon = sum(rebit.onb_coeffs[j, k] * rebit.basis[k] for k in range(m))
-            np.testing.assert_allclose(recon, rebit.onb[j], atol=1e-12)
+        rng = np.random.default_rng(17)
+        conjugated = []
+        for d in (3, 4, 5):
+            u = linalg.random_unitary(d, rng)
+            conjugated.append(MatricialSystem.from_basis(
+                [u @ b @ linalg.dagger(u) for b in catalog.real_symmetric_system(d).basis]))
+        for system in (rebit, *conjugated):
+            m, d = len(system), system.dim
+            gram = np.array([[np.sum(np.conj(a) * b).real for b in system.onb]
+                             for a in system.onb])
+            np.testing.assert_allclose(gram, np.eye(m), atol=1e-12)
+            # onb_coeffs reproduces the orthonormal basis from the user basis
+            for j in range(m):
+                recon = sum(system.onb_coeffs[j, k] * system.basis[k] for k in range(m))
+                np.testing.assert_allclose(recon, system.onb[j], atol=1e-12)
+            # ... and is the inverse Cholesky factor of the basis Gram matrix
+            c = system.onb_coeffs
+            assert np.array_equal(c, np.tril(c)) and np.all(np.diag(c) > 0)
+            basis_gram = np.array([[np.sum(np.conj(a) * b).real for b in system.basis]
+                                   for a in system.basis])
+            np.testing.assert_allclose(c @ basis_gram @ c.T, np.eye(m), atol=1e-10)
+            # coordinates of a stack are the stack of coordinates, both ways
+            mats = rng.normal(size=(2, 3, d, d)) + 1j * rng.normal(size=(2, 3, d, d))
+            coords = system.coords(mats)
+            assert coords.shape == (2, 3, m)
+            for idx in np.ndindex(2, 3):
+                np.testing.assert_allclose(coords[idx], system.coords(mats[idx]),
+                                           atol=1e-12)
+            back = system.from_coords(coords)
+            assert back.shape == mats.shape
+            for idx in np.ndindex(2, 3):
+                np.testing.assert_allclose(back[idx], system.from_coords(coords[idx]),
+                                           atol=1e-12)
 
 
 class TestProjection:
