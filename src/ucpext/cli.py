@@ -10,6 +10,9 @@ provenance (tool version, seed, resolved options).  Reports are deterministic
 given the seed; JSON output carries full float precision, text output renders
 residuals to three significant digits.
 
+The scenario schema is the one input gate, compiled once per process: its
+``command`` enum names the handlers, its ``options`` properties the option keys.
+
 Exit codes: 0 = ok, 1 = mathematical failure (infeasible, diverged, invalid
 certificate), 2 = malformed input (schema violation, unknown command).
 """
@@ -17,6 +20,7 @@ certificate), 2 = malformed input (schema violation, unknown command).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -33,18 +37,6 @@ from .serialize import CHOI_CONVENTION
 from .tolerances import (DEFAULT_STARTS, FEASIBILITY_TOL, SOLVE_MAX_ITER,
                          VALIDATE_MAX_ITER)
 
-COMMANDS = (
-    "check-cp", "check-ccp", "validate", "evolve", "resolvent", "identities",
-    "extend-map", "extend-generator", "extend-resolvent-family", "extend-group",
-    "extend-discrete", "rigidity-probe", "demo-rebit",
-)
-
-_OPTION_KEYS = {
-    "tol", "max_iter", "seed", "omega", "grid", "times", "lambdas", "starts",
-    "start_scale", "time", "horizon", "panels", "omega_param", "delta_param",
-    "g2_prefactor",
-}
-
 _SCHEMA_DIR = Path(__file__).resolve().parent / "schemas"
 
 
@@ -52,15 +44,24 @@ def load_scenario_schema() -> dict:
     return json.loads((_SCHEMA_DIR / "scenario.schema.json").read_text())
 
 
-def validate_scenario(scenario) -> None:
-    """Schema check; raises InputError with a machine-readable message."""
+@functools.cache
+def _scenario_validator():
+    """The scenario schema, read and compiled once per process."""
     import jsonschema
 
-    try:
-        jsonschema.validate(scenario, load_scenario_schema())
-    except jsonschema.ValidationError as exc:
-        raise InputError(f"scenario schema violation: {exc.message}") from None
-    unknown = set(scenario.get("options", {})) - _OPTION_KEYS
+    return jsonschema.Draft7Validator(load_scenario_schema())
+
+
+def validate_scenario(scenario) -> None:
+    """Schema check; raises InputError with a machine-readable message."""
+    from jsonschema.exceptions import best_match
+
+    validator = _scenario_validator()
+    error = best_match(validator.iter_errors(scenario))
+    if error is not None:
+        raise InputError(f"scenario schema violation: {error.message}")
+    option_keys = validator.schema["properties"]["options"]["properties"]
+    unknown = scenario.get("options", {}).keys() - option_keys.keys()
     if unknown:
         raise InputError(f"unknown option keys: {sorted(unknown)}")
 
@@ -97,15 +98,19 @@ def _resolve_subsystem_generator(scenario, system, options) -> SubsystemGenerato
     dyn = scenario.get("dynamics")
     if dyn is None:
         raise InputError("this command requires a 'dynamics' field")
-    if isinstance(dyn, str) and dyn == "rebit_rotation":
-        return catalog.rebit_rotation(float(options.get("omega_param", 1.0)))
-    if isinstance(dyn, str) and dyn == "rebit_dissipative":
-        return catalog.rebit_dissipative(float(options.get("delta_param", 1.0)))
-    gen = _resolve_generator(scenario, options)
-    if gen.d != system.dim:
-        raise InputError("generator dimension does not match the system")
-    images = [gen.op.apply(v) for v in system.basis]
-    return SubsystemGenerator.from_action(system, images)
+    if dyn == "rebit_rotation":
+        sub = catalog.rebit_rotation(float(options.get("omega_param", 1.0)))
+    elif dyn == "rebit_dissipative":
+        sub = catalog.rebit_dissipative(float(options.get("delta_param", 1.0)))
+    else:
+        gen = _resolve_generator(scenario, options)
+        if gen.d != system.dim:
+            raise InputError("generator dimension does not match the system")
+        images = [gen.op.apply(v) for v in system.basis]
+        return SubsystemGenerator.from_action(system, images)
+    if not system.same_basis(sub.system):
+        raise InputError(f"dynamics {dyn!r} are defined on the rebit system only")
+    return sub
 
 
 def _resolve_map(scenario, system, options):
@@ -429,47 +434,39 @@ def _cmd_demo_rebit(scenario, options):
                     "checks": checks, "failed_checks": failed}
 
 
-_HANDLERS = {
-    "check-cp": _cmd_check_cp,
-    "check-ccp": _cmd_check_ccp,
-    "validate": _cmd_validate,
-    "evolve": _cmd_evolve,
-    "resolvent": _cmd_resolvent,
-    "identities": _cmd_identities,
-    "extend-map": _cmd_extend_map,
-    "extend-generator": _cmd_extend_generator,
-    "extend-resolvent-family": _cmd_extend_resolvent_family,
-    "extend-group": _cmd_extend_group,
-    "extend-discrete": _cmd_extend_discrete,
-    "rigidity-probe": _cmd_rigidity_probe,
-    "demo-rebit": _cmd_demo_rebit,
-}
+# "check-cp" -> _cmd_check_cp, ...; a test holds these to the schema's command enum.
+_HANDLERS = {name[len("_cmd_"):].replace("_", "-"): handler
+             for name, handler in globals().items() if name.startswith("_cmd_")}
 
 
 # ---------------------------------------------------------------------------
 # Report assembly and rendering
 # ---------------------------------------------------------------------------
 
+def _envelope(command, options: dict) -> dict:
+    """The report fields every report carries: the command and provenance."""
+    return {"command": command,
+            "provenance": {"tool": "ucpext", "version": __version__,
+                           "seed": options.get("seed"), "options": options,
+                           "choi_convention": CHOI_CONVENTION}}
+
+
+def _invalid_input(report: dict, message: str) -> dict:
+    report.update(status="invalid-input", results={},
+                  error={"type": "input", "message": message})
+    return report
+
+
 def run_scenario(scenario: dict) -> dict:
     """Execute one scenario dict and return the full report."""
     options = dict(scenario.get("options", {}))
-    command = scenario.get("command")
-    provenance = {
-        "tool": "ucpext",
-        "version": __version__,
-        "seed": options.get("seed"),
-        "options": options,
-        "choi_convention": CHOI_CONVENTION,
-    }
-    base = {"command": command, "provenance": provenance}
+    base = _envelope(scenario.get("command"), options)
     try:
         validate_scenario(scenario)
-        handler = _HANDLERS[command]
-        status, results = handler(scenario, options)
+        status, results = _HANDLERS[base["command"]](scenario, options)
         base.update(status=status, results=results)
     except InputError as exc:
-        base.update(status="invalid-input", results={},
-                    error={"type": "input", "message": str(exc)})
+        _invalid_input(base, str(exc))
     except (NumericalError, ExtensionInfeasible, GroupExtensionError) as exc:
         base.update(status="failed", results={},
                     error={"type": type(exc).__name__, "message": str(exc)})
@@ -581,20 +578,18 @@ def main(argv=None) -> int:
         return _EXIT_BY_STATUS[report["status"]]
 
     paths = args.scenario
+    flag_options = _apply_flag_overrides({}, args)["options"]
     if len(paths) > 1 and not args.batch:
-        print(json.dumps({"status": "invalid-input",
-                          "error": {"type": "input",
-                                    "message": "multiple scenarios require --batch"}}))
+        _emit(_invalid_input(_envelope(None, flag_options),
+                             "multiple scenarios require --batch"), args.report)
         return 2
     worst = 0
     for path in paths:
         try:
             scenario = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
-            report = {"command": None, "status": "invalid-input", "results": {},
-                      "error": {"type": "input",
-                                "message": f"cannot parse scenario {path}: {exc}"}}
-            _emit(report, args.report)
+            _emit(_invalid_input(_envelope(None, flag_options),
+                                 f"cannot parse scenario {path}: {exc}"), args.report)
             worst = max(worst, 2)
             continue
         if not isinstance(scenario, dict):

@@ -200,18 +200,17 @@ def laplace_resolvent(gen: Generator, lam: float, horizon: Optional[float] = Non
     h = horizon / panels
     offsets = 0.5 * h * (_GL_NODES + 1.0)  # node positions inside one panel
     weights = 0.5 * h * _GL_WEIGHTS
-    # exp((p*h + offset) A) = exp(p*h A) @ exp(offset A): one exponential per
-    # node offset plus one per panel width, accumulated as a running product.
-    node_ops = [linalg.expm(gen.op.transfer, scale=off) for off in offsets]
-    panel_step = linalg.expm(gen.op.transfer, scale=h)
-
-    total = np.zeros((n, n), dtype=complex)
-    prefix = np.eye(n, dtype=complex)
-    for p in range(panels):
-        base_t = p * h
-        for off, w, op in zip(offsets, weights, node_ops):
-            total += w * np.exp(-lam * (base_t + off)) * (prefix @ op)
-        prefix = prefix @ panel_step
+    # At t = p*h + o_j the integrand is q^p times a node term, q = exp(-lam h) exp(h A):
+    # total = (sum_p q^p) @ (sum_j w_j exp(-lam o_j) exp(o_j A)), q^p as a running power.
+    node_sum = sum(w * np.exp(-lam * off) * linalg.expm(gen.op.transfer, scale=off)
+                   for off, w in zip(offsets, weights))
+    q = np.exp(-lam * h) * linalg.expm(gen.op.transfer, scale=h)
+    power_sum = np.zeros((n, n), dtype=complex)
+    power = np.eye(n, dtype=complex)
+    for _ in range(panels):
+        power_sum += power
+        power = power @ q
+    total = power_sum @ node_sum
     bound = float(np.exp(-lam * horizon) / lam)
     return SuperOp.from_transfer(gen.d, total), bound
 

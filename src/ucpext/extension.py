@@ -84,7 +84,7 @@ from .errors import (ExtensionInfeasible, GroupExtensionError, InputError,
 from .maps import SuperOp
 from .systems import MatricialSystem
 from .tolerances import (DEFAULT_STARTS, FEASIBILITY_TOL, SOLVE_MAX_ITER,
-                         STRUCTURAL_TOL, VALIDATE_MAX_ITER)
+                         VALIDATE_MAX_ITER)
 
 __all__ = [
     "ExtensionOptions",
@@ -143,12 +143,8 @@ class ExtensionProblem:
     def __post_init__(self):
         if (self.map_targets is None) == (self.generator is None):
             raise InputError("exactly one of map_targets / generator must be given")
-        if self.generator is not None and self.generator.system is not self.system:
-            other = self.generator.system
-            if (other.dim != self.system.dim or len(other) != len(self.system)
-                    or not np.allclose(other.basis, self.system.basis,
-                                       rtol=0.0, atol=STRUCTURAL_TOL)):
-                raise InputError("generator is defined on a different system")
+        if self.generator is not None and not self.system.same_basis(self.generator.system):
+            raise InputError("generator is defined on a different system")
 
     @classmethod
     def for_map(cls, system: MatricialSystem, images,

@@ -15,6 +15,8 @@ block layout is auditable from the file alone.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from . import catalog, dynamics, linalg
@@ -39,22 +41,22 @@ __all__ = [
 
 def matrix_to_json(m) -> list:
     a = linalg.as_matrix(m)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
 def matrix_from_json(data) -> np.ndarray:
-    if not isinstance(data, list) or not data or not isinstance(data[0], list):
-        raise InputError("matrix JSON must be a nonempty nested list")
+    """Decode rectangular, nonempty rows of finite ``[re, im]`` numbers in one cast."""
+    entries = np.array(data, dtype=object)
+    if entries.ndim != 3 or entries.shape[2] != 2 or not entries.size:
+        raise InputError("matrix JSON must be rectangular, nonempty rows of [re, im] pairs")
+    kinds = set(map(type, entries.flat))
+    if not all(issubclass(k, numbers.Real) and k is not bool for k in kinds):
+        raise InputError("matrix JSON entries must be numbers, not strings or booleans")
     try:
-        rows = []
-        for row in data:
-            rows.append([complex(float(z[0]), float(z[1])) for z in row])
-    except (TypeError, IndexError, ValueError) as exc:
+        pairs = entries.astype(float)
+    except OverflowError as exc:
         raise InputError(f"malformed matrix JSON: {exc}") from None
-    a = np.array(rows, dtype=complex)
-    if a.ndim != 2:
-        raise InputError("matrix JSON is ragged")
-    return a
+    return linalg.as_matrix(pairs.view(complex)[..., 0])
 
 
 def superop_to_json(phi: SuperOp, tagged: bool = False) -> dict:

@@ -103,6 +103,12 @@ class MatricialSystem:
     def __len__(self) -> int:
         return len(self.basis)
 
+    def same_basis(self, other: "MatricialSystem") -> bool:
+        """Whether ``other`` carries this basis, entrywise to ``STRUCTURAL_TOL``."""
+        return other is self or (
+            other.dim == self.dim and len(other) == len(self)
+            and np.allclose(other.basis, self.basis, rtol=0.0, atol=STRUCTURAL_TOL))
+
     def coords(self, m) -> np.ndarray:
         """Hilbert-Schmidt coordinates against the orthonormal basis, of one
         d x d matrix (shape (|V|,)) or of a stack (shape (..., |V|))."""

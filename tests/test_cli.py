@@ -4,7 +4,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from ucpext import serialize
+from ucpext import cli, serialize
 from ucpext.cli import load_scenario_schema, main, run_scenario
 
 REPORT_SCHEMA = json.loads(
@@ -150,6 +150,66 @@ class TestFailuresAndExitCodes:
         ok = write_scenario(tmp_path, {"command": "check-ccp", "dynamics": "g1"})
         assert main(["run", ok, ok]) == 2
 
+    def test_ragged_matrix_is_invalid_input(self, tmp_path, capsys):
+        ragged = [[[1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]]]
+        eye = serialize.matrix_to_json(np.eye(2))
+        scenarios = [
+            {"command": "validate", "system": {"basis": [eye, ragged]},
+             "dynamics": "rebit_dissipative"},
+            {"command": "check-cp",
+             "dynamics": {"kind": "choi", "super": {"d": 1, "choi": ragged}}},
+            {"command": "check-ccp", "dynamics": {"kind": "gksl", "H": ragged}},
+            {"command": "check-ccp",
+             "dynamics": {"kind": "gksl", "jumps": [{"op": ragged, "rate": 1.0}]}},
+        ]
+        for scenario in scenarios:
+            report = run_scenario(scenario)
+            assert report["status"] == "invalid-input", scenario
+            assert report["error"]["type"] == "input"
+        bad = write_scenario(tmp_path, scenarios[2], "ragged.json")
+        ok = write_scenario(tmp_path, {"command": "check-ccp", "dynamics": "g1"}, "ok.json")
+        capsys.readouterr()
+        assert main(["run", "--batch", bad, ok]) == 2
+        statuses = [json.loads(line)["status"]
+                    for line in capsys.readouterr().out.splitlines()]
+        assert statuses == ["invalid-input", "ok"]
+
+    @pytest.mark.parametrize("system", ["M2", "real_symmetric_3", "diagonal"])
+    @pytest.mark.parametrize("dynamics", ["rebit_rotation", "rebit_dissipative"])
+    def test_rebit_dynamics_need_the_rebit_system(self, system, dynamics):
+        report = run_scenario({"command": "validate", "system": system,
+                               "dynamics": dynamics})
+        assert report["status"] == "invalid-input"
+        assert "rebit system" in report["error"]["message"]
+
+
+class TestScenarioSchema:
+    def test_published_schema_is_valid_draft7(self):
+        jsonschema.Draft7Validator.check_schema(load_scenario_schema())
+
+    def test_handlers_cover_the_command_enum(self):
+        commands = load_scenario_schema()["properties"]["command"]["enum"]
+        assert set(cli._HANDLERS) == set(commands)
+        assert len(commands) == len(set(commands))
+
+    def test_schema_read_once(self, monkeypatch):
+        reads = []
+
+        def counting_load():
+            reads.append(1)
+            return load_scenario_schema()
+
+        monkeypatch.setattr(cli, "load_scenario_schema", counting_load)
+        cli._scenario_validator.cache_clear()
+        try:
+            for _ in range(3):
+                cli.validate_scenario({"command": "check-ccp", "dynamics": "g1"})
+                with pytest.raises(cli.InputError):
+                    cli.validate_scenario({"command": "bogus"})
+        finally:
+            cli._scenario_validator.cache_clear()
+        assert len(reads) == 1
+
 
 class TestReports:
     def test_determinism_byte_identical(self):
@@ -173,7 +233,7 @@ class TestReports:
         direct = dynamics.evolve(catalog.g1(1.0), 0.7)
         assert np.array_equal(embedded.choi, direct.choi)
 
-    def test_reports_validate_against_schema(self):
+    def test_reports_validate_against_schema(self, tmp_path, capsys):
         scenarios = [
             {"command": "check-ccp", "dynamics": "g1"},
             {"command": "demo-rebit"},
@@ -183,6 +243,17 @@ class TestReports:
         ]
         for scenario in scenarios:
             jsonschema.validate(run_scenario(scenario), REPORT_SCHEMA)
+        # Reports that main builds before any scenario runs: an unparseable
+        # file, and several files without --batch.
+        unparseable = tmp_path / "broken.json"
+        unparseable.write_text("{not json")
+        ok = write_scenario(tmp_path, {"command": "check-ccp", "dynamics": "g1"})
+        capsys.readouterr()
+        for argv in (["run", str(unparseable)], ["run", "--seed", "3", ok, ok]):
+            assert main(argv) == 2
+            report = json.loads(capsys.readouterr().out)
+            assert report["status"] == "invalid-input"
+            jsonschema.validate(report, REPORT_SCHEMA)
 
 
 class TestDemoRebit:

@@ -10,16 +10,28 @@ from ucpext.errors import InputError
 
 class TestMatrixRoundTrip:
     def test_bit_exact(self):
-        m = np.array([[1.0 / 3.0 + 1j * np.pi, -2.0e-17],
-                      [5.0, np.nextafter(1.0, 2.0) * 1j]])
+        tiny = np.nextafter(0.0, 1.0)
+        m = np.array([[1.0 / 3.0 + 1j * np.pi, -2.0e-17, complex(-0.0, 0.0)],
+                      [5.0, np.nextafter(1.0, 2.0) * 1j, complex(0.0, -0.0)],
+                      [complex(tiny, -tiny), complex(-1.0 / 3.0, 1e308), 0.0]])
         encoded = json.dumps(serialize.matrix_to_json(m))
         decoded = serialize.matrix_from_json(json.loads(encoded))
-        assert np.array_equal(decoded, m)
+        assert decoded.view(float).tobytes() == m.view(float).tobytes()
+        assert decoded.flags["C_CONTIGUOUS"]
 
     def test_malformed(self):
-        for bad in ([], [[1.0]], [[[1.0]]], "nope", [[[1.0, 2.0], [3.0]]]):
+        ragged_rows = [[[1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]]]
+        for bad in ([], [[1.0]], [[[1.0]]], "nope", [[[1.0, 2.0], [3.0]]], ragged_rows,
+                    [[[True, False]]], [[[1.0, True]]], [[["1.0", 0.0]]],
+                    [[[float("nan"), 0.0]]], [[[1.0, float("inf")]]], [[[None, 0.0]]],
+                    [[[1.0, 2.0, 3.0]]]):
             with pytest.raises(InputError):
                 serialize.matrix_from_json(bad)
+
+    def test_numpy_scalars_and_integers_accepted(self):
+        decoded = serialize.matrix_from_json([[[np.float64(0.5), 2]]])
+        assert decoded.dtype == complex
+        assert decoded[0, 0] == 0.5 + 2j
 
 
 class TestSuperOpRoundTrip:

@@ -25,6 +25,15 @@ class TestConstruction:
         with pytest.raises(InputError):
             MatricialSystem.from_basis([pauli.I, pauli.X + 1j * pauli.I])
 
+    def test_same_basis(self, pauli, rebit):
+        assert rebit.same_basis(rebit)
+        assert rebit.same_basis(catalog.rebit_system())
+        assert rebit.same_basis(MatricialSystem.from_basis(
+            [pauli.I, pauli.X + 1e-13, pauli.Z]))
+        assert not rebit.same_basis(MatricialSystem.from_basis([pauli.I, pauli.X, pauli.Y]))
+        assert not rebit.same_basis(catalog.qubit_system())
+        assert not rebit.same_basis(catalog.real_symmetric_system(3))
+
     def test_orthonormalization(self, rebit):
         rng = np.random.default_rng(17)
         conjugated = []
