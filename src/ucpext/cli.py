@@ -459,7 +459,8 @@ def _invalid_input(report: dict, message: str) -> dict:
 
 def run_scenario(scenario: dict) -> dict:
     """Execute one scenario dict and return the full report."""
-    options = dict(scenario.get("options", {}))
+    options = scenario.get("options", {})
+    options = dict(options) if isinstance(options, dict) else {}  # else validation rejects it
     base = _envelope(scenario.get("command"), options)
     try:
         validate_scenario(scenario)
@@ -552,15 +553,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_flag_overrides(scenario: dict, args) -> dict:
-    scenario = dict(scenario)
-    options = dict(scenario.get("options", {}))
+    options = scenario.get("options", {})
+    if not isinstance(options, dict):
+        return scenario  # validation rejects it
+    options = dict(options)
     for flag, key in (("tol", "tol"), ("max_iter", "max_iter"), ("seed", "seed"),
                       ("omega", "omega"), ("starts", "starts")):
         value = getattr(args, flag, None)
         if value is not None:
             options[key] = value
-    scenario["options"] = options
-    return scenario
+    return {**scenario, "options": options}
 
 
 def main(argv=None) -> int:

@@ -34,7 +34,6 @@ __all__ = [
     "psd_project",
     "psd_clip",
     "spectral_norm",
-    "min_eigenvalue",
     "random_hermitian",
     "random_unitary",
 ]
@@ -141,11 +140,6 @@ def spectral_norm(m) -> float:
         return 0.0
     w = np.linalg.eigvalsh(dagger(a) @ a)
     return float(np.sqrt(max(float(w[-1]), 0.0)))
-
-
-def min_eigenvalue(h, tol: float = STRUCTURAL_TOL) -> float:
-    a = ensure_hermitian(h, tol=tol)
-    return float(np.linalg.eigvalsh(a)[0])
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

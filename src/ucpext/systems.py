@@ -183,7 +183,7 @@ def is_positive_element(system: MatricialSystem, el: LevelElement, tol: float = 
     if resid > tol * (1.0 + linalg.frob(el.matrix)):
         raise InputError(f"element violates membership: residual {resid:.3e}")
     h = linalg.ensure_hermitian(el.matrix, tol=max(tol, STRUCTURAL_TOL))
-    return linalg.min_eigenvalue(h) >= -tol
+    return float(np.linalg.eigvalsh(h)[0]) >= -tol
 
 
 def _bisect_cone_radius(is_feasible, upper: float) -> float:

@@ -1,14 +1,12 @@
 """Centralized tolerance and budget defaults.
 
-Three tolerance tiers, from strict to loose:
+Two tolerance tiers, from strict to loose:
 
   STRUCTURAL  -- symmetry / shape checks on inputs (Hermitian residual, etc.)
-  NUMERIC     -- residuals of well-conditioned dense linear algebra
-  FEASIBILITY -- user-facing convergence targets of the feasibility solver
+  FEASIBILITY -- every certificate: solver residuals, generator certificates
 """
 
 STRUCTURAL_TOL = 1e-12
-NUMERIC_TOL = 1e-10
 FEASIBILITY_TOL = 1e-8
 
 # Condition number above which a matrix counts as numerically singular.

@@ -17,6 +17,13 @@ def write_scenario(tmp_path, scenario, name="scenario.json"):
     return str(path)
 
 
+# Amplitude damping: one jump |0><1| at rate 1, which leaves the rebit invariant.
+AMPLITUDE_DAMPING_VALIDATE = {
+    "command": "validate", "system": "rebit",
+    "dynamics": {"kind": "gksl",
+                 "jumps": [{"op": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]], "rate": 1.0}]}}
+
+
 class TestRunScenario:
     def test_check_cp_on_choi_map(self):
         gen_report = run_scenario({"command": "check-cp",
@@ -55,6 +62,21 @@ class TestRunScenario:
         assert report["status"] == "ok"
         assert report["results"]["hilbert_worst"] <= 1e-9
         assert report["results"]["laplace_worst"] <= 1e-6
+
+    def test_validate_amplitude_damping(self):
+        report = run_scenario(AMPLITUDE_DAMPING_VALIDATE)
+        assert report["status"] == "ok"
+        assert [c["feasible"] for c in report["results"]["checks"]] == [True] * 4
+
+    def test_check_ccp_of_extended_generator(self):
+        extended = run_scenario({"command": "extend-generator", "system": "rebit",
+                                 "dynamics": "rebit_rotation", "options": {"seed": 1}})
+        assert extended["status"] == "ok"
+        report = run_scenario({"command": "check-ccp",
+                               "dynamics": extended["results"]["generator"]})
+        assert report["status"] == "ok"
+        assert report["results"]["certified"] is True
+        assert abs(report["results"]["spectral_bound"]) <= 1e-8
 
     def test_extend_group_matches_commutator_generator(self, pauli):
         report = run_scenario({"command": "extend-group", "system": "rebit",
@@ -145,6 +167,22 @@ class TestFailuresAndExitCodes:
         assert main(["run", fail]) == 1
         assert main(["run", "--batch", ok, bad, fail]) == 2
         assert main(["run", str(tmp_path / "missing.json")]) == 2
+
+    @pytest.mark.parametrize("options", [5, "ab", [1, 2], None])
+    def test_options_not_an_object(self, tmp_path, capsys, options):
+        scenario = {"command": "check-ccp", "dynamics": "g1", "options": options}
+        report = run_scenario(scenario)
+        assert report["status"] == "invalid-input"
+        assert report["provenance"]["options"] == {}
+        jsonschema.validate(report, REPORT_SCHEMA)
+        path = write_scenario(tmp_path, scenario)
+        capsys.readouterr()
+        for argv in (["run", path], ["run", "--seed", "3", path]):
+            assert main(argv) == 2
+            report = json.loads(capsys.readouterr().out)
+            assert report["status"] == "invalid-input"
+            assert report["provenance"]["options"] == {}
+            jsonschema.validate(report, REPORT_SCHEMA)
 
     def test_multiple_scenarios_require_batch(self, tmp_path):
         ok = write_scenario(tmp_path, {"command": "check-ccp", "dynamics": "g1"})

@@ -257,6 +257,14 @@ class TestSpectralBound:
         np.testing.assert_allclose(imag, [-omega, 0.0, 0.0, omega], atol=1e-12)
         assert abs(dynamics.spectral_bound(g)) <= 1e-8
 
+    def test_no_second_unital_kernel_check(self):
+        # A(I) = 1e-9 I passes certify at tol 1e-8; spectral_bound reports the
+        # spectrum and leaves the unital kernel to that certificate.
+        op = maps.from_action(2, lambda b: 1e-9 * np.trace(b) / 2.0 * np.eye(2))
+        g = dynamics.certify(op)
+        assert g.certificates.unital_kernel
+        assert dynamics.spectral_bound(g) == pytest.approx(1e-9, rel=1e-6)
+
     def test_kernel_eigenvector(self):
         rng = np.random.default_rng(6)
         g = random_gksl(3, rng)

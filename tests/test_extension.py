@@ -12,6 +12,7 @@ from ucpext.errors import (ExtensionInfeasible, GroupExtensionError, InputError,
                            ResolventFamilyError)
 from ucpext.extension import ExtensionOptions, ExtensionProblem
 from ucpext.systems import MatricialSystem
+from ucpext.tolerances import FEASIBILITY_TOL, VALIDATE_MAX_ITER
 
 
 def full_algebra_subsystem(gen):
@@ -386,6 +387,33 @@ class TestExtendGroup:
         with pytest.raises(GroupExtensionError, match="not a group"):
             extension.extend_group(problem, n_starts=2)
 
+    def test_no_separate_validation(self, rebit, monkeypatch):
+        def no_validation(*args, **kwargs):
+            raise AssertionError("extend_group must not call validate")
+
+        monkeypatch.setattr(dynamics, "validate_subsystem_semigroup", no_validation)
+        problem = ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(1.0))
+        gen, _ = extension.extend_group(problem, n_starts=2, seed=0)
+        assert gen.op.distance(catalog.rotation_extension_generator(1.0).op) <= 1e-6
+
+    @pytest.mark.parametrize("sign, label", [(1.0, "-A"), (-1.0, "+A")])
+    def test_rejection_before_random_starts(self, rebit, monkeypatch, sign, label):
+        calls = []
+        solve = extension.multi_start
+
+        def counting_multi_start(problem, seeds):
+            calls.append(list(seeds))
+            return solve(problem, seeds)
+
+        monkeypatch.setattr(extension, "multi_start", counting_multi_start)
+        sub = catalog.rebit_dissipative(1.0)
+        problem = ExtensionProblem.for_generator(rebit, sub if sign > 0 else -sub)
+        with pytest.raises(GroupExtensionError, match="not a group") as info:
+            extension.extend_group(problem, n_starts=8)
+        assert label in str(info.value)
+        assert len(calls) <= 2
+        assert all(seeds == [None] for seeds in calls)
+
     def test_three_dimensional_rotation_group(self):
         # A rotation of the real symmetric 3x3 system, extended uniquely to
         # the commutator generator on M_3, through both routes.
@@ -602,6 +630,33 @@ def _unitary_mixture_images(n_unitaries):
     phi = maps.from_kraus(3, unitaries, weights=[1.0 / n_unitaries] * n_unitaries)
     system = catalog.real_symmetric_system(3)
     return system, [phi.apply(v) for v in system.basis]
+
+
+class TestConvergedIsTheResidualCheck:
+    @staticmethod
+    def assert_residual_verdict(report, tol=FEASIBILITY_TOL):
+        worst = max(report.cone_residual, report.affine_residual, report.restriction_error)
+        assert report.converged == (worst <= tol)
+
+    def test_amplitude_damping_samples(self, rebit):
+        # The resolvent samples stop on the plateau rule with every residual
+        # near 1e-11: they are feasible, and the verdict says so.
+        gen = dynamics.gksl_generator(2, jumps=[(np.array([[0, 0], [1, 0]]), 1.0)])
+        sub = SubsystemGenerator.from_action(rebit, [gen.op.apply(v) for v in rebit.basis])
+        samples = [dynamics.subsystem_resolvent_images(sub, lam) for lam in (1.0, 4.0)]
+        samples += [dynamics.subsystem_evolve_images(sub, t) for t in (0.5, 1.5)]
+        for images in samples:
+            _, report = extension.extend_ucp_map(ExtensionProblem.for_map(
+                rebit, images, ExtensionOptions(max_iter=VALIDATE_MAX_ITER)))
+            assert report.converged
+            self.assert_residual_verdict(report)
+
+    def test_transpose_map_infeasible(self, qubit):
+        transpose = [v.T for v in qubit.basis]
+        _, report = extension.extend_ucp_map(ExtensionProblem.for_map(
+            qubit, transpose, ExtensionOptions(max_iter=3000)))
+        assert not report.converged
+        self.assert_residual_verdict(report)
 
 
 class TestNoFalseNotUcp:
