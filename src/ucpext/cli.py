@@ -12,6 +12,9 @@ residuals to three significant digits.
 
 The scenario schema is the one input gate, compiled once per process: its
 ``command`` enum names the handlers, its ``options`` properties the option keys.
+Options are decoded once, by their schema types, and ``null`` means unset;
+handlers pass on only the options a scenario sets, so an unset option takes the
+default of the library function that uses it.
 
 Exit codes: 0 = ok, 1 = mathematical failure (infeasible, diverged, invalid
 certificate), 2 = malformed input (schema violation, unknown command).
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import sys
 from dataclasses import asdict
@@ -34,8 +38,7 @@ from .errors import (ExtensionInfeasible, GroupExtensionError, InputError,
                      NumericalError, ResolventFamilyError)
 from .extension import ExtensionOptions, ExtensionProblem
 from .serialize import CHOI_CONVENTION
-from .tolerances import (DEFAULT_STARTS, FEASIBILITY_TOL, SOLVE_MAX_ITER,
-                         VALIDATE_MAX_ITER)
+from .tolerances import DEFAULT_STARTS
 
 _SCHEMA_DIR = Path(__file__).resolve().parent / "schemas"
 
@@ -52,18 +55,48 @@ def _scenario_validator():
     return jsonschema.Draft7Validator(load_scenario_schema())
 
 
+def _option_schemas() -> dict:
+    """Option key -> its schema, from the scenario schema's ``options`` properties."""
+    return _scenario_validator().schema["properties"]["options"]["properties"]
+
+
 def validate_scenario(scenario) -> None:
     """Schema check; raises InputError with a machine-readable message."""
     from jsonschema.exceptions import best_match
 
-    validator = _scenario_validator()
-    error = best_match(validator.iter_errors(scenario))
+    error = best_match(_scenario_validator().iter_errors(scenario))
     if error is not None:
         raise InputError(f"scenario schema violation: {error.message}")
-    option_keys = validator.schema["properties"]["options"]["properties"]
-    unknown = scenario.get("options", {}).keys() - option_keys.keys()
+    unknown = scenario.get("options", {}).keys() - _option_schemas().keys()
     if unknown:
         raise InputError(f"unknown option keys: {sorted(unknown)}")
+
+
+_CASTS = {"integer": int, "number": float, "string": str}
+
+
+def _decode(schema: dict, value):
+    """A schema-checked value as the Python type its schema names."""
+    kind = schema["type"]
+    if isinstance(kind, list):  # ["integer", "null"]: null values are dropped before
+        (kind,) = set(kind) - {"null"}
+    if kind == "array":
+        return [_decode(schema["items"], item) for item in value]
+    return _CASTS[kind](value)
+
+
+def _decode_options(options: dict) -> dict:
+    """The set options of a schema-checked scenario, decoded; null means unset."""
+    schemas = _option_schemas()
+    return {key: _decode(schemas[key], value)
+            for key, value in options.items() if value is not None}
+
+
+def _given(options: dict, *keys, **renamed) -> dict:
+    """The options among ``keys`` and ``renamed`` that a scenario sets, as keyword
+    arguments: ``renamed`` maps an option key to the parameter it feeds."""
+    params = {key: key for key in keys} | renamed
+    return {param: options[key] for key, param in params.items() if key in options}
 
 
 # ---------------------------------------------------------------------------
@@ -83,12 +116,12 @@ def _resolve_generator(scenario, options):
         raise InputError("this command requires a 'dynamics' field")
     if isinstance(dyn, str):
         if dyn == "g1":
-            return catalog.g1(float(options.get("delta_param", 1.0)))
+            return catalog.g1(options.get("delta_param", 1.0))
         if dyn == "g2":
-            return catalog.g2(float(options.get("delta_param", 1.0)),
-                              prefactor=options.get("g2_prefactor", "derived"))
+            return catalog.g2(options.get("delta_param", 1.0),
+                              **_given(options, g2_prefactor="prefactor"))
         if dyn == "rotation_extension":
-            return catalog.rotation_extension_generator(float(options.get("omega_param", 1.0)))
+            return catalog.rotation_extension_generator(options.get("omega_param", 1.0))
         raise InputError(f"unknown generator name {dyn!r}")
     return serialize.generator_from_json(dyn)
 
@@ -99,9 +132,9 @@ def _resolve_subsystem_generator(scenario, system, options) -> SubsystemGenerato
     if dyn is None:
         raise InputError("this command requires a 'dynamics' field")
     if dyn == "rebit_rotation":
-        sub = catalog.rebit_rotation(float(options.get("omega_param", 1.0)))
+        sub = catalog.rebit_rotation(options.get("omega_param", 1.0))
     elif dyn == "rebit_dissipative":
-        sub = catalog.rebit_dissipative(float(options.get("delta_param", 1.0)))
+        sub = catalog.rebit_dissipative(options.get("delta_param", 1.0))
     else:
         gen = _resolve_generator(scenario, options)
         if gen.d != system.dim:
@@ -113,31 +146,27 @@ def _resolve_subsystem_generator(scenario, system, options) -> SubsystemGenerato
     return sub
 
 
-def _resolve_map(scenario, system, options):
-    """Basis images of a UCP map on V: an evolved generator or an explicit map."""
+def _resolve_superop(scenario, options):
+    """A map on M_d: an explicit Choi map, or a generator evolved for ``time``."""
     dyn = scenario.get("dynamics")
     if isinstance(dyn, dict) and dyn.get("kind") == "choi" and "time" not in options:
-        phi = serialize.superop_from_json(dyn["super"])
-        if phi.d != system.dim:
-            raise InputError("map dimension does not match the system")
-        return [phi.apply(v) for v in system.basis]
-    t = float(options.get("time", 1.0))
-    if isinstance(dyn, str) and dyn in ("rebit_rotation", "rebit_dissipative"):
+        return serialize.superop_from_json(dyn.get("super"))
+    return dynamics.evolve(_resolve_generator(scenario, options), options.get("time", 1.0))
+
+
+def _resolve_map(scenario, system, options):
+    """Basis images of a UCP map on V: evolved rebit dynamics, or a map on M_d."""
+    if scenario.get("dynamics") in ("rebit_rotation", "rebit_dissipative"):
         sub = _resolve_subsystem_generator(scenario, system, options)
-        return dynamics.subsystem_evolve_images(sub, t)
-    gen = _resolve_generator(scenario, options)
-    step = dynamics.evolve(gen, t)
-    return [step.apply(v) for v in system.basis]
+        return dynamics.subsystem_evolve_images(sub, options.get("time", 1.0))
+    phi = _resolve_superop(scenario, options)
+    if phi.d != system.dim:
+        raise InputError("map dimension does not match the system")
+    return [phi.apply(v) for v in system.basis]
 
 
 def _extension_options(options) -> ExtensionOptions:
-    seed = options.get("seed")
-    return ExtensionOptions(
-        tol=float(options.get("tol", FEASIBILITY_TOL)),
-        max_iter=int(options.get("max_iter", SOLVE_MAX_ITER)),
-        seed=None if seed is None else int(seed),
-        start_scale=float(options.get("start_scale", 1.0)),
-    )
+    return ExtensionOptions(**_given(options, "tol", "max_iter", "seed", "start_scale"))
 
 
 def _report_superop(phi) -> dict:
@@ -149,18 +178,13 @@ def _report_superop(phi) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_check_cp(scenario, options):
-    dyn = scenario.get("dynamics")
-    if isinstance(dyn, dict) and dyn.get("kind") == "choi" and "time" not in options:
-        phi = serialize.superop_from_json(dyn["super"])
-    else:
-        gen = _resolve_generator(scenario, options)
-        phi = dynamics.evolve(gen, float(options.get("time", 1.0)))
-    tol = float(options.get("tol", FEASIBILITY_TOL))
-    report = maps.is_completely_positive(phi, tol)
+    phi = _resolve_superop(scenario, options)
+    tol_kw = _given(options, "tol")
+    report = maps.is_completely_positive(phi, **tol_kw)
     results = {
         "is_cp": report.is_cp,
-        "is_unital": maps.is_unital(phi, tol),
-        "is_ucp": maps.is_ucp(phi, tol),
+        "is_unital": maps.is_unital(phi, **tol_kw),
+        "is_ucp": maps.is_ucp(phi, **tol_kw),
         "min_choi_eigenvalue": report.min_choi_eigenvalue,
         "map": _report_superop(phi),
     }
@@ -188,14 +212,8 @@ def _cmd_check_ccp(scenario, options):
 def _cmd_validate(scenario, options):
     system = _resolve_system(scenario)
     sub = _resolve_subsystem_generator(scenario, system, options)
-    tol = float(options.get("tol", FEASIBILITY_TOL))
     verdict = dynamics.validate_subsystem_semigroup(
-        sub,
-        sample_ts=tuple(options.get("times", (0.5, 1.5))),
-        sample_lambdas=tuple(options.get("lambdas", (1.0, 4.0))),
-        tol=tol,
-        max_iter=int(options.get("max_iter", VALIDATE_MAX_ITER)),
-    )
+        sub, **_given(options, "tol", "max_iter", times="sample_ts", lambdas="sample_lambdas"))
     results = {"valid": verdict.valid, "message": verdict.message,
                "checks": list(verdict.checks)}
     return ("ok" if verdict.valid else "failed"), results
@@ -203,13 +221,12 @@ def _cmd_validate(scenario, options):
 
 def _cmd_evolve(scenario, options):
     gen = _resolve_generator(scenario, options)
-    times = [float(t) for t in options.get("times", (1.0,))]
-    tol = float(options.get("tol", FEASIBILITY_TOL))
+    tol_kw = _given(options, "tol")
     entries = []
     ok = True
-    for t in times:
+    for t in options.get("times", [1.0]):
         phi = dynamics.evolve(gen, t)
-        ucp = maps.is_ucp(phi, tol)
+        ucp = maps.is_ucp(phi, **tol_kw)
         ok = ok and (ucp or not gen.certificates.certified)
         entries.append({"t": t, "is_ucp": ucp, "map": _report_superop(phi)})
     return ("ok" if ok else "failed"), {"evolutions": entries,
@@ -218,13 +235,12 @@ def _cmd_evolve(scenario, options):
 
 def _cmd_resolvent(scenario, options):
     gen = _resolve_generator(scenario, options)
-    lambdas = [float(x) for x in options.get("lambdas", (1.0,))]
-    tol = float(options.get("tol", FEASIBILITY_TOL))
+    tol_kw = _given(options, "tol")
     entries = []
     ok = True
-    for lam in lambdas:
+    for lam in options.get("lambdas", [1.0]):
         scaled = lam * dynamics.resolvent(gen, lam)
-        ucp = maps.is_ucp(scaled, tol)
+        ucp = maps.is_ucp(scaled, **tol_kw)
         ok = ok and (ucp or not gen.certificates.certified)
         entries.append({"lambda": lam, "scaled_is_ucp": ucp,
                         "scaled_map": _report_superop(scaled)})
@@ -234,8 +250,8 @@ def _cmd_resolvent(scenario, options):
 
 def _cmd_identities(scenario, options):
     gen = _resolve_generator(scenario, options)
-    grid = [float(x) for x in options.get("grid", np.linspace(0.5, 4.0, 5))]
-    tol = float(options.get("tol", 1e-9))
+    grid = options.get("grid", np.linspace(0.5, 4.0, 5).tolist())
+    tol = options.get("tol", 1e-9)
     hilbert = []
     worst = 0.0
     for lam in grid:
@@ -248,9 +264,8 @@ def _cmd_identities(scenario, options):
     laplace = []
     laplace_tol = 1e-6
     laplace_worst = 0.0
-    for lam in [float(x) for x in options.get("lambdas", (0.5, 1.0, 2.0))]:
-        approx, bound = dynamics.laplace_resolvent(
-            gen, lam, panels=int(options.get("panels", 400)))
+    for lam in options.get("lambdas", [0.5, 1.0, 2.0]):
+        approx, bound = dynamics.laplace_resolvent(gen, lam, **_given(options, "panels"))
         err = approx.distance(dynamics.resolvent(gen, lam))
         laplace_worst = max(laplace_worst, err)
         laplace.append({"lambda": lam, "quadrature_error": err,
@@ -289,10 +304,8 @@ def _cmd_extend_resolvent_family(scenario, options):
     system = _resolve_system(scenario)
     sub = _resolve_subsystem_generator(scenario, system, options)
     problem = ExtensionProblem.for_generator(system, sub, _extension_options(options))
-    omega = float(options.get("omega", 4.0))
-    grid = options.get("grid")
     gen, family, report = extension.extend_via_resolvent_family(
-        problem, omega, grid=None if grid is None else [float(g) for g in grid])
+        problem, options.get("omega", 4.0), **_given(options, "grid"))
     results = {
         "report": asdict(report),
         "generator": serialize.generator_to_json(gen),
@@ -308,10 +321,7 @@ def _cmd_extend_group(scenario, options):
     sub = _resolve_subsystem_generator(scenario, system, options)
     problem = ExtensionProblem.for_generator(system, sub, _extension_options(options))
     gen, report = extension.extend_group(
-        problem,
-        n_starts=int(options.get("starts", DEFAULT_STARTS)),
-        seed=int(options.get("seed", 0)),
-    )
+        problem, **_given(options, "seed", starts="n_starts"))
     results = {
         "report": asdict(report.extension),
         "generator": serialize.generator_to_json(gen),
@@ -326,7 +336,7 @@ def _cmd_extend_group(scenario, options):
 def _cmd_extend_discrete(scenario, options):
     system = _resolve_system(scenario)
     images = _resolve_map(scenario, system, options)
-    horizon = int(options.get("horizon", 4))
+    horizon = options.get("horizon", 4)
     powers = extension.extend_discrete(system, images, horizon, _extension_options(options))
     return "ok", {"horizon": horizon,
                   "powers": [_report_superop(p) for p in powers]}
@@ -335,20 +345,16 @@ def _cmd_extend_discrete(scenario, options):
 def _cmd_rigidity_probe(scenario, options):
     system = _resolve_system(scenario)
     report = extension.rigidity_probe(
-        system,
-        n_starts=int(options.get("starts", DEFAULT_STARTS)),
-        seed=int(options.get("seed", 0)),
-        tol=float(options.get("tol", FEASIBILITY_TOL)),
-        max_iter=int(options.get("max_iter", SOLVE_MAX_ITER)),
-    )
+        system, **_given(options, "seed", "tol", "max_iter", starts="n_starts"))
     return "ok", asdict(report)
 
 
 def _cmd_demo_rebit(scenario, options):
-    delta = float(options.get("delta_param", 1.0))
-    omega = float(options.get("omega_param", 1.0))
-    prefactor = options.get("g2_prefactor", "derived")
-    tol = float(options.get("tol", FEASIBILITY_TOL))
+    delta = options.get("delta_param", 1.0)
+    omega = options.get("omega_param", 1.0)
+    prefactor = options.get("g2_prefactor",
+                            inspect.signature(catalog.g2).parameters["prefactor"].default)
+    tol_kw = _given(options, "tol")
     checks = []
 
     def record(name, passed, **details):
@@ -374,7 +380,7 @@ def _cmd_demo_rebit(scenario, options):
         for b in (-2, -1, 0, 1, 2):
             for c in (-2, -1, 0, 1, 2):
                 el = LevelElement(level=1, matrix=a * p.I + b * p.X + c * p.Z)
-                got = is_positive_element(rebit, el, tol)
+                got = is_positive_element(rebit, el, **tol_kw)
                 want = (b * b + c * c <= a * a) and a >= 0
                 grid_ok = grid_ok and (got == want)
     record("rebit-cone-grid", grid_ok, grid="{0,+-1,+-2}^3")
@@ -385,8 +391,7 @@ def _cmd_demo_rebit(scenario, options):
     try:
         gen, group_report = extension.extend_group(
             ExtensionProblem.for_generator(rebit, rot),
-            n_starts=int(options.get("starts", DEFAULT_STARTS)),
-            seed=int(options.get("seed", 0)))
+            **_given(options, "seed", starts="n_starts"))
         rot_err = gen.op.distance(truth.op)
         record("rotation-extension-unique", rot_err <= 1e-6,
                distance_to_commutator_generator=rot_err,
@@ -398,10 +403,10 @@ def _cmd_demo_rebit(scenario, options):
     # Dissipative semigroup: extension exists but is not unique.
     diss = catalog.rebit_dissipative(delta)
     runs = extension.multi_start(
-        ExtensionProblem.for_generator(rebit, diss, ExtensionOptions(tol=tol)),
-        range(int(options.get("starts", DEFAULT_STARTS))))
+        ExtensionProblem.for_generator(rebit, diss, ExtensionOptions(**tol_kw)),
+        range(options.get("starts", DEFAULT_STARTS)))
     all_converged = all(
-        report.converged and dynamics.certify(op, tol=tol).certificates.certified
+        report.converged and dynamics.certify(op, **tol_kw).certificates.certified
         for op, report in runs)
     spread = extension.max_pairwise_distance([op.apply(p.Y) for op, _ in runs])
     record("dissipative-extension-not-unique", all_converged and spread >= 1e-3,
@@ -464,7 +469,7 @@ def run_scenario(scenario: dict) -> dict:
     base = _envelope(scenario.get("command"), options)
     try:
         validate_scenario(scenario)
-        status, results = _HANDLERS[base["command"]](scenario, options)
+        status, results = _HANDLERS[base["command"]](scenario, _decode_options(options))
         base.update(status=status, results=results)
     except InputError as exc:
         _invalid_input(base, str(exc))
@@ -557,9 +562,8 @@ def _apply_flag_overrides(scenario: dict, args) -> dict:
     if not isinstance(options, dict):
         return scenario  # validation rejects it
     options = dict(options)
-    for flag, key in (("tol", "tol"), ("max_iter", "max_iter"), ("seed", "seed"),
-                      ("omega", "omega"), ("starts", "starts")):
-        value = getattr(args, flag, None)
+    for key in ("tol", "max_iter", "seed", "omega", "starts"):
+        value = getattr(args, key, None)
         if value is not None:
             options[key] = value
     return {**scenario, "options": options}

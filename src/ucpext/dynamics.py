@@ -328,27 +328,19 @@ def validate_subsystem_semigroup(sub: SubsystemGenerator,
     """
     from . import extension  # local import: extension builds on this module
 
+    samples = ([("resolvent", lam, subsystem_resolvent_images) for lam in sample_lambdas]
+               + [("evolution", t, subsystem_evolve_images) for t in sample_ts])
     checks = []
-    valid = True
-    for lam in sample_lambdas:
+    for kind, parameter, images_of in samples:
+        check = {"kind": kind, "parameter": float(parameter)}
         try:
-            images = subsystem_resolvent_images(sub, lam)
-        except NumericalError as exc:
-            checks.append({"kind": "resolvent", "parameter": float(lam),
-                           "feasible": False, "residuals": None, "error": str(exc)})
-            valid = False
+            images = images_of(sub, parameter)
+        except NumericalError as exc:  # a singular resolvent sample
+            checks.append({**check, "feasible": False, "residuals": None, "error": str(exc)})
             continue
         feasible, residuals = extension.ucp_extension_feasible(
             sub.system, images, tol=tol, max_iter=max_iter)
-        checks.append({"kind": "resolvent", "parameter": float(lam),
-                       "feasible": feasible, "residuals": residuals})
-        valid = valid and feasible
-    for t in sample_ts:
-        images = subsystem_evolve_images(sub, t)
-        feasible, residuals = extension.ucp_extension_feasible(
-            sub.system, images, tol=tol, max_iter=max_iter)
-        checks.append({"kind": "evolution", "parameter": float(t),
-                       "feasible": feasible, "residuals": residuals})
-        valid = valid and feasible
+        checks.append({**check, "feasible": feasible, "residuals": residuals})
+    valid = all(check["feasible"] for check in checks)
     message = "UCP subsystem semigroup" if valid else "not a UCP subsystem semigroup"
     return SubsystemValidationReport(valid=valid, checks=tuple(checks), message=message)

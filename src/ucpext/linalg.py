@@ -1,11 +1,12 @@
 """Dense complex matrix kernel.
 
-Everything downstream funnels through the four primitives here: Hermitian
-eigendecomposition, the matrix exponential, projection onto the positive
-semidefinite cone, and the spectral norm.  All matrices are dense complex
-``numpy`` arrays; Hermitian inputs are validated, never assumed, except by
-``psd_clip``, the unvalidated kernel behind ``psd_project`` that the
-feasibility solver calls once per iteration.
+Matrix validation, the matrix exponential, the PSD clip the feasibility solver
+calls once per iteration, and validated Hermitian eigendecomposition, PSD
+projection and spectral norm (``herm_eig``, ``psd_project``, ``spectral_norm``:
+public API, unused inside the package, where ``maps``, ``dynamics`` and
+``systems`` call ``np.linalg.eigvalsh`` / ``eigvals`` directly).  All matrices
+are dense complex ``numpy`` arrays; Hermitian inputs are validated, never
+assumed, except by ``psd_clip``, the unvalidated kernel behind ``psd_project``.
 
 Eigendecomposition and the exponential are delegated to LAPACK via
 ``numpy.linalg.eigh`` / ``scipy.linalg.expm`` (the latter is the usual

@@ -96,7 +96,7 @@ def generator_from_json(data) -> Generator:
             raise InputError("gksl generator needs H or at least one jump")
         return dynamics.gksl_generator(d, hamiltonian=ham, jumps=jumps)
     if kind == "choi":
-        return dynamics.certify(superop_from_json(data["super"]))
+        return dynamics.certify(superop_from_json(data.get("super")))
     raise InputError(f"unknown generator kind {kind!r}")
 
 

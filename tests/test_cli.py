@@ -1,10 +1,11 @@
 import json
+from dataclasses import asdict
 
 import jsonschema
 import numpy as np
 import pytest
 
-from ucpext import cli, serialize
+from ucpext import catalog, cli, dynamics, extension, serialize
 from ucpext.cli import load_scenario_schema, main, run_scenario
 
 REPORT_SCHEMA = json.loads(
@@ -132,6 +133,31 @@ class TestRunScenario:
         report = run_scenario(scenario)
         assert report["status"] == "ok"
 
+    @pytest.mark.parametrize("scenario, as_floats", [
+        ({"command": "extend-group", "system": "rebit", "dynamics": "rebit_rotation",
+          "options": {"starts": 2}}, {"starts": 2.0}),
+        ({"command": "extend-map", "system": "rebit", "dynamics": "g1",
+          "options": {"max_iter": 50, "seed": 3}}, {"max_iter": 50.0, "seed": 3.0}),
+        ({"command": "extend-discrete", "system": "rebit", "dynamics": "rebit_rotation",
+          "options": {"horizon": 2}}, {"horizon": 2.0}),
+        ({"command": "identities", "dynamics": "g1", "options": {"panels": 10}},
+         {"panels": 10.0}),
+    ])
+    def test_integer_valued_floats_decode_as_integers(self, scenario, as_floats):
+        given_as_floats = run_scenario({**scenario, "options": as_floats})
+        assert given_as_floats["status"] == "ok"
+        assert given_as_floats["provenance"]["options"] == as_floats
+        assert given_as_floats["results"] == run_scenario(scenario)["results"]
+
+    def test_unset_options_take_the_library_defaults(self):
+        report = run_scenario({"command": "validate", "system": "rebit",
+                               "dynamics": "rebit_dissipative"})
+        verdict = dynamics.validate_subsystem_semigroup(catalog.rebit_dissipative(1.0))
+        assert report["results"] == {"valid": verdict.valid, "message": verdict.message,
+                                     "checks": list(verdict.checks)}
+        report = run_scenario({"command": "rigidity-probe", "system": "M2"})
+        assert report["results"] == asdict(extension.rigidity_probe(catalog.qubit_system()))
+
     def test_restricting_incompatible_generator_is_invalid_input(self):
         # The rotation moves Z out of span{I, Z}, so it cannot be restricted
         # to the diagonal system.
@@ -183,6 +209,42 @@ class TestFailuresAndExitCodes:
             assert report["status"] == "invalid-input"
             assert report["provenance"]["options"] == {}
             jsonschema.validate(report, REPORT_SCHEMA)
+
+    @pytest.mark.parametrize("scenario", [
+        {"command": "rigidity-probe", "system": "rebit"},
+        {"command": "extend-group", "system": "rebit", "dynamics": "rebit_rotation"},
+        {"command": "demo-rebit"},
+    ])
+    def test_null_seed_is_unset(self, tmp_path, capsys, scenario):
+        unseeded = run_scenario(scenario)
+        assert unseeded["status"] == "ok"
+        null_seed = {**scenario, "options": {"seed": None}}
+        report = run_scenario(null_seed)
+        assert report["provenance"]["seed"] is None
+        reports = [report]
+        path = write_scenario(tmp_path, null_seed)
+        capsys.readouterr()
+        assert main(["run", path]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+        for report in reports:
+            assert report["status"] == "ok"
+            assert report["results"] == unseeded["results"]
+            jsonschema.validate(report, REPORT_SCHEMA)
+
+    @pytest.mark.parametrize("command, system", [
+        ("check-cp", None), ("extend-map", "rebit"), ("check-ccp", None)])
+    def test_choi_dynamics_without_super(self, tmp_path, capsys, command, system):
+        scenario = {"command": command, "dynamics": {"kind": "choi"}}
+        if system is not None:
+            scenario["system"] = system
+        report = run_scenario(scenario)
+        assert report["status"] == "invalid-input"
+        assert report["error"]["type"] == "input"
+        jsonschema.validate(report, REPORT_SCHEMA)
+        path = write_scenario(tmp_path, scenario)
+        capsys.readouterr()
+        assert main(["run", path]) == 2
+        assert json.loads(capsys.readouterr().out)["status"] == "invalid-input"
 
     def test_multiple_scenarios_require_batch(self, tmp_path):
         ok = write_scenario(tmp_path, {"command": "check-ccp", "dynamics": "g1"})
@@ -247,6 +309,24 @@ class TestScenarioSchema:
         finally:
             cli._scenario_validator.cache_clear()
         assert len(reads) == 1
+
+
+class TestOptionDecoding:
+    def test_decoded_by_schema_types(self):
+        decoded = cli._decode_options({"tol": 1, "max_iter": 5.0, "seed": None,
+                                       "times": [1, 2.5], "g2_prefactor": "paper"})
+        assert decoded == {"tol": 1.0, "max_iter": 5, "times": [1.0, 2.5],
+                           "g2_prefactor": "paper"}
+        assert type(decoded["tol"]) is float and type(decoded["max_iter"]) is int
+        assert all(type(t) is float for t in decoded["times"])
+        assert cli._decode_options({"seed": 7.0}) == {"seed": 7}
+
+    def test_every_option_key_has_a_decoder(self):
+        schemas = cli._option_schemas()
+        for key, schema in schemas.items():
+            sample = [1] if schema["type"] == "array" else (
+                "derived" if schema["type"] == "string" else 1)
+            assert key in cli._decode_options({key: sample})
 
 
 class TestReports:

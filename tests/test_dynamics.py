@@ -340,3 +340,18 @@ class TestValidation:
         assert not report.valid
         assert report.failures()
         assert report.message == "not a UCP subsystem semigroup"
+
+    def test_sample_order_and_singular_resolvent(self, rebit, pauli):
+        # The coordinate action has eigenvalue 1, so lam = 1 is a singular
+        # resolvent sample: recorded as a failed check, and the loop goes on.
+        grow = SubsystemGenerator.from_action(
+            rebit, [np.zeros((2, 2)), 1.0 * pauli.X, -1.0 * pauli.Z])
+        report = dynamics.validate_subsystem_semigroup(
+            grow, sample_ts=(0.5,), sample_lambdas=(1.0, 4.0), max_iter=200)
+        assert [(c["kind"], c["parameter"]) for c in report.checks] == [
+            ("resolvent", 1.0), ("resolvent", 4.0), ("evolution", 0.5)]
+        singular = report.checks[0]
+        assert singular["feasible"] is False and singular["residuals"] is None
+        assert "singular" in singular["error"]
+        assert all("error" not in c for c in report.checks[1:])
+        assert not report.valid
