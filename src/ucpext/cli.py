@@ -219,33 +219,32 @@ def _cmd_validate(scenario, options):
     return ("ok" if verdict.valid else "failed"), results
 
 
-def _cmd_evolve(scenario, options):
+def _sample_maps(scenario, options, grid_key, image_of, keys):
+    """The maps ``image_of(gen, value)`` over the ``grid_key`` grid, each with
+    its UCP verdict; only a non-UCP sample of a certified generator fails.
+    ``keys`` name the report's entry list, parameter, verdict and map."""
     gen = _resolve_generator(scenario, options)
+    entries_key, param_key, ucp_key, map_key = keys
     tol_kw = _given(options, "tol")
     entries = []
-    ok = True
-    for t in options.get("times", [1.0]):
-        phi = dynamics.evolve(gen, t)
-        ucp = maps.is_ucp(phi, **tol_kw)
-        ok = ok and (ucp or not gen.certificates.certified)
-        entries.append({"t": t, "is_ucp": ucp, "map": _report_superop(phi)})
-    return ("ok" if ok else "failed"), {"evolutions": entries,
-                                        "certified": gen.certificates.certified}
+    for value in options.get(grid_key, [1.0]):
+        phi = image_of(gen, value)
+        entries.append({param_key: value, ucp_key: maps.is_ucp(phi, **tol_kw),
+                        map_key: _report_superop(phi)})
+    certified = gen.certificates.certified
+    ok = not certified or all(entry[ucp_key] for entry in entries)
+    return ("ok" if ok else "failed"), {entries_key: entries, "certified": certified}
+
+
+def _cmd_evolve(scenario, options):
+    return _sample_maps(scenario, options, "times", dynamics.evolve,
+                        ("evolutions", "t", "is_ucp", "map"))
 
 
 def _cmd_resolvent(scenario, options):
-    gen = _resolve_generator(scenario, options)
-    tol_kw = _given(options, "tol")
-    entries = []
-    ok = True
-    for lam in options.get("lambdas", [1.0]):
-        scaled = lam * dynamics.resolvent(gen, lam)
-        ucp = maps.is_ucp(scaled, **tol_kw)
-        ok = ok and (ucp or not gen.certificates.certified)
-        entries.append({"lambda": lam, "scaled_is_ucp": ucp,
-                        "scaled_map": _report_superop(scaled)})
-    return ("ok" if ok else "failed"), {"resolvents": entries,
-                                        "certified": gen.certificates.certified}
+    return _sample_maps(scenario, options, "lambdas",
+                        lambda gen, lam: lam * dynamics.resolvent(gen, lam),
+                        ("resolvents", "lambda", "scaled_is_ucp", "scaled_map"))
 
 
 def _cmd_identities(scenario, options):
@@ -473,7 +472,8 @@ def run_scenario(scenario: dict) -> dict:
         base.update(status=status, results=results)
     except InputError as exc:
         _invalid_input(base, str(exc))
-    except (NumericalError, ExtensionInfeasible, GroupExtensionError) as exc:
+    except (NumericalError, np.linalg.LinAlgError, ExtensionInfeasible,
+            GroupExtensionError) as exc:
         base.update(status="failed", results={},
                     error={"type": type(exc).__name__, "message": str(exc)})
     except ResolventFamilyError as exc:

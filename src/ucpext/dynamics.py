@@ -117,17 +117,14 @@ def gksl_generator(d: int, hamiltonian=None, jumps: Sequence = ()) -> Generator:
     if hamiltonian is None:
         ham = np.zeros((d, d), dtype=complex)
     else:
-        ham = linalg.ensure_hermitian(hamiltonian, name="hamiltonian")
-        if ham.shape != (d, d):
-            raise InputError(f"hamiltonian has shape {ham.shape}, expected ({d}, {d})")
+        ham = linalg.ensure_hermitian(linalg.as_matrix(hamiltonian, (d, d), "hamiltonian"),
+                                      name="hamiltonian")
     terms = []
     for k, (op, rate) in enumerate(jumps):
         rate = float(rate)
         if rate < 0:
             raise InputError(f"jump rate {k} is negative: {rate}")
-        v = linalg.as_matrix(op)
-        if v.shape != (d, d):
-            raise InputError(f"jump operator {k} has shape {v.shape}, expected ({d}, {d})")
+        v = linalg.as_matrix(op, (d, d), f"jump operator {k}")
         terms.append((v, linalg.dagger(v), rate))
 
     def action(b):
@@ -246,17 +243,15 @@ class SubsystemGenerator:
     coordinate_matrix: np.ndarray = field(repr=False)
 
     @classmethod
-    def from_action(cls, system: MatricialSystem, action,
-                    tol: float = FEASIBILITY_TOL) -> "SubsystemGenerator":
-        images = [linalg.as_matrix(a) for a in action]
+    def from_action(cls, system: MatricialSystem, action) -> "SubsystemGenerator":
+        d = system.dim
+        images = [linalg.as_matrix(a, (d, d), f"action[{k}]") for k, a in enumerate(action)]
         if len(images) != len(system):
             raise InputError(f"{len(images)} images for {len(system)} basis elements")
         for k, img in enumerate(images):
-            if img.shape != (system.dim, system.dim):
-                raise InputError(f"action[{k}] has shape {img.shape}")
-            if not contains(system, img, tol):
+            if not contains(system, img):
                 raise InputError(f"action[{k}] does not lie in span(V)")
-        if linalg.frob(images[0]) > tol:
+        if linalg.frob(images[0]) > FEASIBILITY_TOL:
             raise InputError("A(basis[0]) must vanish: the unit is not annihilated")
 
         # Images of the orthonormalized basis follow linearly from the
@@ -264,7 +259,7 @@ class SubsystemGenerator:
         # the matrix of A on V.
         coord = system.coords(images).T @ system.onb_coeffs.T
         imag_defect = float(np.max(np.abs(coord.imag))) if coord.size else 0.0
-        if imag_defect > tol * (1.0 + float(np.max(np.abs(coord.real)))):
+        if imag_defect > FEASIBILITY_TOL * (1.0 + float(np.max(np.abs(coord.real)))):
             raise InputError(
                 f"induced coordinate matrix is not real (defect {imag_defect:.3e}): "
                 "A does not preserve hermiticity on V"
@@ -324,9 +319,13 @@ def validate_subsystem_semigroup(sub: SubsystemGenerator,
     For each sampled lambda the map lam * R(lam, A) and for each sampled t the
     map exp(t * A), both computed on V's coordinates, must extend to a UCP map
     on the full matrix algebra; feasibility of the extension problem is the
-    certificate, and each check records the feasibility residuals.
+    certificate, and each check records the feasibility residuals.  Samples
+    outside the semigroup (t < 0 or lambda <= 0) are rejected before any solve.
     """
     from . import extension  # local import: extension builds on this module
+
+    if any(t < 0 for t in sample_ts) or any(lam <= 0 for lam in sample_lambdas):
+        raise InputError("samples must lie in the semigroup: every t >= 0 and every lambda > 0")
 
     samples = ([("resolvent", lam, subsystem_resolvent_images) for lam in sample_lambdas]
                + [("evolution", t, subsystem_evolve_images) for t in sample_ts])

@@ -155,18 +155,14 @@ class ExtensionProblem:
     @classmethod
     def for_map(cls, system: MatricialSystem, images,
                 options: Optional[ExtensionOptions] = None) -> "ExtensionProblem":
-        mats = [linalg.as_matrix(m) for m in images]
+        d = system.dim
+        mats = [linalg.ensure_hermitian(linalg.as_matrix(m, (d, d), f"image {k}"),
+                                        tol=1e-10, name=f"image {k}")
+                for k, m in enumerate(images)]
         if len(mats) != len(system):
             raise InputError(f"{len(mats)} images for {len(system)} basis elements")
-        d = system.dim
-        for k, m in enumerate(mats):
-            if m.shape != (d, d):
-                raise InputError(f"image {k} has shape {m.shape}, expected ({d}, {d})")
-            if linalg.hermiticity_defect(m) > 1e-10 * (1.0 + float(np.max(np.abs(m)))):
-                raise InputError(f"image {k} is not Hermitian; no UCP map can match it")
-        if linalg.frob(mats[0] - np.eye(d)) > 1e-8 * d:
+        if linalg.frob(mats[0] - np.eye(d)) > FEASIBILITY_TOL * d:
             raise InputError("map must be unital on V: image of the identity must be I")
-        mats = [linalg.hermitian_part(m) for m in mats]
         return cls(system=system, map_targets=tuple(mats),
                    options=options or ExtensionOptions())
 
@@ -287,7 +283,7 @@ class _FeasibilitySolver:
             raise ValueError(cone_kind)
         offset = self.project_affine(np.zeros((n, n), dtype=complex))
         inconsistency = self.affine_residual(offset)
-        if inconsistency > 1e-8 * (1.0 + linalg.frob(self.target_rows)):
+        if inconsistency > FEASIBILITY_TOL * (1.0 + linalg.frob(self.target_rows)):
             raise InputError(
                 f"agreement targets are inconsistent: residual {inconsistency:.3e}"
             )
@@ -302,14 +298,13 @@ class _FeasibilitySolver:
             return linalg.psd_clip(c)
         r = self.rot.T @ c @ self.rot
         r[:-1, :-1] = linalg.psd_clip(r[:-1, :-1])
-        out = self.rot @ r @ self.rot.T
-        return 0.5 * (out + np.conj(out.T))
+        return linalg.hermitian_part(self.rot @ r @ self.rot.T)
 
     def project_affine(self, c: np.ndarray) -> np.ndarray:
         """P(C) = C - sum_k conj(D_k) (x) (A(C)_k - target_k)."""
         m = self._relayout(c)
-        out = self._relayout(m - self.dual_adjoint @ (self.basis_rows @ m - self.target_rows))
-        return 0.5 * (out + np.conj(out.T))
+        return linalg.hermitian_part(
+            self._relayout(m - self.dual_adjoint @ (self.basis_rows @ m - self.target_rows)))
 
     def affine_residual(self, c: np.ndarray) -> float:
         return linalg.frob(self.basis_rows @ self._relayout(c) - self.target_rows)
@@ -671,7 +666,7 @@ def extend_group(problem: ExtensionProblem, n_starts: int = DEFAULT_STARTS, seed
     error amplification through the exponentials):
 
       * inversion:        exp(t G+) o exp(t G-) = id          (rigid envelope),
-      * uniqueness:       n_starts randomized runs of +A agree,
+      * uniqueness:       n_starts randomized runs of +A all converge and agree,
       * multiplicativity: exp(t G+) is an algebra homomorphism on sampled
         pairs, reflecting that group extensions act as *-automorphisms.
 
@@ -709,8 +704,12 @@ def extend_group(problem: ExtensionProblem, n_starts: int = DEFAULT_STARTS, seed
             f"not a group on V: inverse check residual {inverse_residual:.3e}"
         )
 
-    spread = max_pairwise_distance(
-        [gen_plus.op.choi] + [op.choi for op, run_report in runs if run_report.converged])
+    unconverged = sum(not run_report.converged for _, run_report in runs)
+    if unconverged:
+        raise GroupExtensionError(
+            f"uniqueness undecided: {unconverged} of {n_starts} randomized starts "
+            "did not converge")
+    spread = max_pairwise_distance([gen_plus.op.choi] + [op.choi for op, _ in runs])
     if spread > 10.0 * opts.tol:
         raise GroupExtensionError(
             f"randomized starts disagree (spread {spread:.3e}): extension is not "
@@ -758,8 +757,8 @@ def rigidity_probe(system: MatricialSystem, n_starts: int = DEFAULT_STARTS,
     whether all converged extensions are the identity map.  This is evidence,
     not proof: agreement of finitely many projections cannot certify rigidity.
     """
-    problem = ExtensionProblem(system=system, map_targets=tuple(system.basis),
-                               options=ExtensionOptions(tol=tol, max_iter=max_iter))
+    problem = ExtensionProblem.for_map(system, system.basis,
+                                       ExtensionOptions(tol=tol, max_iter=max_iter))
     rng = np.random.default_rng(seed)
     seeds = [None] + [int(rng.integers(0, 2**32 - 1)) for _ in range(n_starts)]
     ops = [op for op, report in multi_start(problem, seeds) if report.converged]

@@ -1,12 +1,12 @@
 """Dense complex matrix kernel.
 
-Matrix validation, the matrix exponential, the PSD clip the feasibility solver
-calls once per iteration, and validated Hermitian eigendecomposition, PSD
-projection and spectral norm (``herm_eig``, ``psd_project``, ``spectral_norm``:
-public API, unused inside the package, where ``maps``, ``dynamics`` and
-``systems`` call ``np.linalg.eigvalsh`` / ``eigvals`` directly).  All matrices
-are dense complex ``numpy`` arrays; Hermitian inputs are validated, never
-assumed, except by ``psd_clip``, the unvalidated kernel behind ``psd_project``.
+The two matrix gates the other modules call: :func:`as_matrix` (a finite
+2-d complex array, of an expected shape when one is given) and
+:func:`ensure_hermitian` (Hermitian symmetry to a tolerance scaled by the
+entries).  Besides them: the matrix exponential, the PSD clip the feasibility
+solver calls once per iteration, and the spectral norm.  All matrices are
+dense complex ``numpy`` arrays; Hermitian inputs are validated, never assumed,
+except by ``psd_clip``, the unvalidated kernel of the hot loop.
 
 Eigendecomposition and the exponential are delegated to LAPACK via
 ``numpy.linalg.eigh`` / ``scipy.linalg.expm`` (the latter is the usual
@@ -26,13 +26,10 @@ __all__ = [
     "dagger",
     "frob",
     "hermitian_part",
-    "hermiticity_defect",
     "ensure_square",
     "ensure_hermitian",
     "check_nonsingular",
-    "herm_eig",
     "expm",
-    "psd_project",
     "psd_clip",
     "spectral_norm",
     "random_hermitian",
@@ -40,13 +37,16 @@ __all__ = [
 ]
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce to a 2-d complex array and reject non-finite entries."""
+def as_matrix(m, shape=None, name: str = "matrix") -> np.ndarray:
+    """Coerce to a 2-d complex array, reject non-finite entries and, when
+    ``shape`` is given, any other shape."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise InputError(f"expected a matrix, got array with ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
         raise InputError("matrix contains NaN or Inf entries")
+    if shape is not None and a.shape != shape:
+        raise InputError(f"{name} has shape {a.shape}, expected {shape}")
     return a
 
 
@@ -63,11 +63,6 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + dagger(m))
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """max |m - m*| entrywise; zero exactly for Hermitian matrices."""
-    return float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
-
-
 def ensure_square(m, name: str = "matrix") -> np.ndarray:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
@@ -76,11 +71,13 @@ def ensure_square(m, name: str = "matrix") -> np.ndarray:
 
 
 def ensure_hermitian(m, tol: float = STRUCTURAL_TOL, name: str = "matrix") -> np.ndarray:
-    """Validate Hermitian symmetry (tolerance scaled by 1 + max|entry|) and
-    return the exactly Hermitian part."""
+    """Validate Hermitian symmetry, max |m - m*| entrywise against a tolerance
+    scaled by 1 + max|entry|, and return the exactly Hermitian part."""
     a = ensure_square(m, name)
-    scale = 1.0 + (float(np.max(np.abs(a))) if a.size else 0.0)
-    defect = hermiticity_defect(a)
+    if not a.size:
+        return a
+    scale = 1.0 + float(np.max(np.abs(a)))
+    defect = float(np.max(np.abs(a - dagger(a))))
     if defect > tol * scale:
         raise InputError(
             f"{name} is not Hermitian: defect {defect:.3e} exceeds {tol * scale:.3e}"
@@ -96,42 +93,21 @@ def check_nonsingular(m: np.ndarray, message: str) -> None:
         raise NumericalError(message.format(cond=cond))
 
 
-def herm_eig(h, tol: float = STRUCTURAL_TOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(w, u)`` with eigenvalues ``w`` real ascending and ``u`` unitary
-    such that ``h = u @ diag(w) @ u*``.  Non-Hermitian input raises
-    :class:`InputError`.
-    """
-    a = ensure_hermitian(h, tol=tol)
-    w, u = np.linalg.eigh(a)
-    return w, u
-
-
 def expm(m, scale: float = 1.0) -> np.ndarray:
     """exp(scale * m) for a square matrix."""
     a = ensure_square(m)
     return scipy.linalg.expm(scale * a)
 
 
-def psd_project(h, tol: float = STRUCTURAL_TOL) -> np.ndarray:
+def psd_clip(h: np.ndarray) -> np.ndarray:
     """Frobenius-nearest positive semidefinite matrix: clip negative eigenvalues.
 
-    Input must be Hermitian; the result is exactly Hermitian with spectrum
-    >= 0 up to roundoff.
-    """
-    return psd_clip(ensure_hermitian(h, tol=tol))
-
-
-def psd_clip(h: np.ndarray) -> np.ndarray:
-    """:func:`psd_project` without input validation, for hot loops.
-
-    ``h`` must already be a Hermitian array (``eigh`` reads only its lower
-    triangle); the result is exactly Hermitian.
+    No input validation, for hot loops: ``h`` must already be a Hermitian
+    array (``eigh`` reads only its lower triangle); the result is exactly
+    Hermitian with spectrum >= 0 up to roundoff.
     """
     w, u = np.linalg.eigh(h)
-    out = (u * np.maximum(w, 0.0)) @ np.conj(u.T)
-    return 0.5 * (out + np.conj(out.T))
+    return hermitian_part((u * np.maximum(w, 0.0)) @ np.conj(u.T))
 
 
 def spectral_norm(m) -> float:

@@ -56,11 +56,8 @@ class SuperOp:
     choi: np.ndarray
 
     def __post_init__(self):
-        c = linalg.as_matrix(self.choi)
         n = self.d * self.d
-        if c.shape != (n, n):
-            raise InputError(f"choi must be {n} x {n} for d={self.d}, got {c.shape}")
-        object.__setattr__(self, "choi", c)
+        object.__setattr__(self, "choi", linalg.as_matrix(self.choi, (n, n), "choi"))
 
     # -- representations ---------------------------------------------------
 
@@ -77,9 +74,7 @@ class SuperOp:
 
     @classmethod
     def from_transfer(cls, d: int, transfer) -> "SuperOp":
-        t = linalg.as_matrix(transfer)
-        if t.shape != (d * d, d * d):
-            raise InputError(f"transfer must be {d * d} x {d * d}, got {t.shape}")
+        t = linalg.as_matrix(transfer, (d * d, d * d), "transfer")
         t4 = t.reshape(d, d, d, d)  # [a, b, i, j]
         choi = t4.transpose(2, 0, 3, 1).reshape(d * d, d * d)
         return cls(d=d, choi=np.ascontiguousarray(choi))
@@ -87,9 +82,7 @@ class SuperOp:
     # -- action ------------------------------------------------------------
 
     def apply(self, m) -> np.ndarray:
-        a = linalg.as_matrix(m)
-        if a.shape != (self.d, self.d):
-            raise InputError(f"expected shape ({self.d}, {self.d}), got {a.shape}")
+        a = linalg.as_matrix(m, (self.d, self.d), "input")
         return np.einsum("ij,iajb->ab", a, self._choi4)
 
     def compose(self, other: "SuperOp") -> "SuperOp":
@@ -144,7 +137,7 @@ def from_kraus(d: int, kraus_ops, weights=None) -> SuperOp:
     sum_k w_k |v_k><v_k| with v_k = conj(vec(K_k)), so it is PSD by
     construction.
     """
-    ops = [linalg.as_matrix(k) for k in kraus_ops]
+    ops = [linalg.as_matrix(k, (d, d), "Kraus operator") for k in kraus_ops]
     if weights is None:
         weights = [1.0] * len(ops)
     weights = [float(w) for w in weights]
@@ -154,8 +147,6 @@ def from_kraus(d: int, kraus_ops, weights=None) -> SuperOp:
         raise InputError("Kraus weights must be nonnegative")
     choi = np.zeros((d * d, d * d), dtype=complex)
     for k, w in zip(ops, weights):
-        if k.shape != (d, d):
-            raise InputError(f"Kraus operator has shape {k.shape}, expected ({d}, {d})")
         v = np.conj(k).reshape(d * d)
         choi += w * np.outer(v, np.conj(v))
     return SuperOp(d, choi)
@@ -168,10 +159,7 @@ def from_action(d: int, action) -> SuperOp:
         for j in range(d):
             unit = np.zeros((d, d), dtype=complex)
             unit[i, j] = 1.0
-            img = linalg.as_matrix(action(unit))
-            if img.shape != (d, d):
-                raise InputError(f"action returned shape {img.shape}, expected ({d}, {d})")
-            choi4[i, :, j, :] = img
+            choi4[i, :, j, :] = linalg.as_matrix(action(unit), (d, d), "action image")
     return SuperOp(d, choi4.reshape(d * d, d * d))
 
 
@@ -188,11 +176,8 @@ def transpose_map(d: int) -> SuperOp:
 
 def amplification_apply(phi: SuperOp, k: int, m) -> np.ndarray:
     """Apply the k-th amplification id_k (x) phi blockwise to a (k*d) x (k*d) matrix."""
-    a = linalg.as_matrix(m)
     d = phi.d
-    if a.shape != (k * d, k * d):
-        raise InputError(f"expected shape ({k * d}, {k * d}), got {a.shape}")
-    m4 = a.reshape(k, d, k, d)
+    m4 = linalg.as_matrix(m, (k * d, k * d), "input").reshape(k, d, k, d)
     out = np.einsum("iajb,piqj->paqb", phi._choi4, m4)
     return out.reshape(k * d, k * d)
 

@@ -68,15 +68,15 @@ class MatricialSystem:
     onb_coeffs: np.ndarray = field(repr=False)
 
     @classmethod
-    def from_basis(cls, basis, tol: float = STRUCTURAL_TOL) -> "MatricialSystem":
-        mats = [linalg.ensure_hermitian(b, tol=tol, name=f"basis[{k}]") for k, b in enumerate(basis)]
+    def from_basis(cls, basis) -> "MatricialSystem":
+        mats = [linalg.ensure_hermitian(b, name=f"basis[{k}]") for k, b in enumerate(basis)]
         if not mats:
             raise InputError("basis must be nonempty")
         d = mats[0].shape[0]
         for k, m in enumerate(mats):
             if m.shape != (d, d):
                 raise InputError(f"basis[{k}] has shape {m.shape}, expected ({d}, {d})")
-        if not np.allclose(mats[0], np.eye(d), atol=tol):
+        if not np.allclose(mats[0], np.eye(d), atol=STRUCTURAL_TOL):
             raise InputError("basis[0] must be the identity matrix")
 
         # Hermitian matrices as real vectors (real and imaginary parts): the
@@ -131,14 +131,14 @@ class LevelElement:
     matrix: np.ndarray
 
     @classmethod
-    def wrap(cls, system: MatricialSystem, matrix, tol: float = FEASIBILITY_TOL) -> "LevelElement":
+    def wrap(cls, system: MatricialSystem, matrix) -> "LevelElement":
         m = linalg.as_matrix(matrix)
         d = system.dim
         if m.shape[0] != m.shape[1] or m.shape[0] % d != 0:
             raise InputError(f"level element shape {m.shape} is not a multiple of ambient dim {d}")
         k = m.shape[0] // d
         resid = level_membership_residual(system, m)
-        if resid > tol * (1.0 + linalg.frob(m)):
+        if resid > FEASIBILITY_TOL * (1.0 + linalg.frob(m)):
             raise InputError(
                 f"matrix is not in M_{k}(V): membership residual {resid:.3e}"
             )
@@ -147,9 +147,7 @@ class LevelElement:
 
 def project_onto(system: MatricialSystem, m) -> np.ndarray:
     """Orthogonal projection of an ambient matrix onto span(V)."""
-    a = linalg.as_matrix(m)
-    if a.shape != (system.dim, system.dim):
-        raise InputError(f"expected shape ({system.dim}, {system.dim}), got {a.shape}")
+    a = linalg.as_matrix(m, (system.dim, system.dim), "input")
     return system.from_coords(system.coords(a))
 
 

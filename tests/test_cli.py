@@ -246,6 +246,34 @@ class TestFailuresAndExitCodes:
         assert main(["run", path]) == 2
         assert json.loads(capsys.readouterr().out)["status"] == "invalid-input"
 
+    @pytest.mark.parametrize("scenario, status, error_type", [
+        ({"command": "validate", "system": "rebit", "dynamics": "g1",
+          "options": {"times": [-1.0]}}, "invalid-input", "input"),
+        ({"command": "validate", "system": "rebit", "dynamics": "rebit_rotation",
+          "options": {"lambdas": [0.0]}}, "invalid-input", "input"),
+        ({"command": "validate", "system": "rebit", "dynamics": "rebit_rotation",
+          "options": {"lambdas": [-1.0]}}, "invalid-input", "input"),
+        ({"command": "extend-group", "system": "rebit", "dynamics": "rebit_rotation",
+          "options": {"max_iter": 5}}, "failed", "GroupExtensionError"),
+        ({"command": "extend-generator", "system": "rebit", "dynamics": "rebit_rotation",
+          "options": {"omega_param": 1e200}}, "failed", "LinAlgError"),
+        ({"command": "extend-group", "system": "rebit", "dynamics": "rebit_rotation",
+          "options": {"omega_param": 1e150}}, "failed", "LinAlgError"),
+        ({"command": "check-cp", "dynamics": {"kind": "choi", "super": {
+            "d": 2, "choi": [[[1e308, 0.0]] * 4] * 4}}}, "failed", "LinAlgError"),
+    ])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_verdicts_need_decided_evidence(self, tmp_path, capsys, scenario, status,
+                                            error_type):
+        report = run_scenario(scenario)
+        assert report["status"] == status
+        assert report["error"]["type"] == error_type
+        jsonschema.validate(report, REPORT_SCHEMA)
+        path = write_scenario(tmp_path, scenario)
+        capsys.readouterr()
+        assert main(["run", path]) == {"failed": 1, "invalid-input": 2}[status]
+        assert json.loads(capsys.readouterr().out) == report
+
     def test_multiple_scenarios_require_batch(self, tmp_path):
         ok = write_scenario(tmp_path, {"command": "check-ccp", "dynamics": "g1"})
         assert main(["run", ok, ok]) == 2

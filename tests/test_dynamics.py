@@ -341,6 +341,19 @@ class TestValidation:
         assert report.failures()
         assert report.message == "not a UCP subsystem semigroup"
 
+    @pytest.mark.parametrize("samples", [
+        {"sample_ts": (-1.0,)}, {"sample_lambdas": (0.0,)}, {"sample_lambdas": (-1.0,)},
+        {"sample_ts": (0.5, -0.1), "sample_lambdas": (1.0,)}])
+    def test_samples_outside_the_semigroup_rejected(self, monkeypatch, samples):
+        from ucpext import extension
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("no sample may be solved")
+
+        monkeypatch.setattr(extension, "ucp_extension_feasible", no_solve)
+        with pytest.raises(InputError, match="samples must lie in the semigroup"):
+            dynamics.validate_subsystem_semigroup(catalog.rebit_rotation(1.0), **samples)
+
     def test_sample_order_and_singular_resolvent(self, rebit, pauli):
         # The coordinate action has eigenvalue 1, so lam = 1 is a singular
         # resolvent sample: recorded as a failed check, and the loop goes on.

@@ -414,6 +414,15 @@ class TestExtendGroup:
         assert len(calls) <= 2
         assert all(seeds == [None] for seeds in calls)
 
+    def test_unconverged_starts_leave_uniqueness_undecided(self, rebit):
+        # The deterministic +A and -A solves converge within 5 evaluations; the
+        # randomized starts do not, so they cannot witness uniqueness.
+        problem = ExtensionProblem.for_generator(
+            rebit, catalog.rebit_rotation(1.0), ExtensionOptions(max_iter=5))
+        with pytest.raises(GroupExtensionError,
+                           match="uniqueness undecided: 8 of 8 randomized starts"):
+            extension.extend_group(problem, n_starts=8)
+
     def test_three_dimensional_rotation_group(self):
         # A rotation of the real symmetric 3x3 system, extended uniquely to
         # the commutator generator on M_3, through both routes.

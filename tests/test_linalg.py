@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
-from ucpext import linalg
+from ucpext import dynamics, linalg, maps, systems
+from ucpext.dynamics import SubsystemGenerator
 from ucpext.errors import InputError
+from ucpext.extension import ExtensionProblem
 
 
 def series_expm(m, scale, order=30):
@@ -14,36 +18,6 @@ def series_expm(m, scale, order=30):
         term = term @ a / k
         total += term
     return total
-
-
-class TestHermEig:
-    def test_pauli_z(self, pauli):
-        w, u = linalg.herm_eig(pauli.Z)
-        np.testing.assert_allclose(w, [-1.0, 1.0])
-        np.testing.assert_allclose(u @ np.conj(u.T), np.eye(2), atol=1e-12)
-
-    def test_identity(self):
-        w, _ = linalg.herm_eig(np.eye(2))
-        np.testing.assert_allclose(w, [1.0, 1.0])
-
-    def test_pauli_x(self, pauli):
-        w, _ = linalg.herm_eig(pauli.X)
-        np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-15)
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(InputError):
-            linalg.herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_reconstruction_and_unitarity_random(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            dim = int(rng.integers(2, 17))
-            h = linalg.random_hermitian(dim, rng, scale=rng.uniform(0.1, 10.0))
-            w, u = linalg.herm_eig(h)
-            assert np.all(np.diff(w) >= -1e-12)
-            recon = (u * w) @ np.conj(u.T)
-            assert linalg.frob(recon - h) <= 1e-10 * (1.0 + linalg.frob(h))
-            assert linalg.frob(np.conj(u.T) @ u - np.eye(dim)) <= 1e-10
 
 
 class TestExpm:
@@ -69,7 +43,7 @@ class TestExpm:
         for _ in range(20):
             dim = int(rng.integers(2, 8))
             h = linalg.random_hermitian(dim, rng)
-            w, u = linalg.herm_eig(h)
+            w, u = np.linalg.eigh(h)
             via_eig = (u * np.exp(w)) @ np.conj(u.T)
             got = linalg.expm(h, 1.0)
             assert linalg.frob(got - via_eig) <= 1e-10 * linalg.frob(via_eig)
@@ -87,40 +61,31 @@ class TestExpm:
 
 
 class TestPsdProject:
+    """The PSD projection is ``psd_clip``, the solver's cone kernel."""
+
     def test_clips_negative_eigenvalue(self, pauli):
-        np.testing.assert_allclose(linalg.psd_project(pauli.Z),
+        np.testing.assert_allclose(linalg.psd_clip(pauli.Z),
                                    np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_fixed_point_on_psd(self):
         rng = np.random.default_rng(3)
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         p = g @ np.conj(g.T)
-        np.testing.assert_allclose(linalg.psd_project(p), p, atol=1e-12)
+        np.testing.assert_allclose(linalg.psd_clip(p), p, atol=1e-12)
 
     def test_all_negative_spectrum(self):
-        np.testing.assert_allclose(linalg.psd_project(-np.eye(3)),
+        np.testing.assert_allclose(linalg.psd_clip(-np.eye(3)),
                                    np.zeros((3, 3)), atol=1e-15)
-
-    def test_clip_kernel_matches_validated_projection(self):
-        rng = np.random.default_rng(9)
-        for dim in (2, 4, 9):
-            h = linalg.random_hermitian(dim, rng)
-            clipped = linalg.psd_clip(h)
-            assert np.array_equal(clipped, linalg.psd_project(h))
-            assert np.array_equal(clipped, np.conj(clipped.T))
-
-    def test_rejects_non_hermitian(self, pauli):
-        with pytest.raises(InputError):
-            linalg.psd_project(pauli.X + 1j * pauli.I)
 
     def test_idempotent_and_nearest(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
             dim = int(rng.integers(2, 7))
             h = linalg.random_hermitian(dim, rng, scale=2.0)
-            proj = linalg.psd_project(h)
+            proj = linalg.psd_clip(h)
+            assert np.array_equal(proj, np.conj(proj.T))
             assert np.linalg.eigvalsh(proj)[0] >= -1e-12
-            np.testing.assert_allclose(linalg.psd_project(proj), proj, atol=1e-12)
+            np.testing.assert_allclose(linalg.psd_clip(proj), proj, atol=1e-12)
             # Frobenius-nearest: no sampled PSD matrix is closer.
             for _ in range(5):
                 g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -150,3 +115,55 @@ class TestSpectralNorm:
 def test_matrix_rejects_nan():
     with pytest.raises(InputError):
         linalg.as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+# Every entry point that takes a matrix of a known shape, called on the rebit
+# (d = 2) with a matrix of the wrong shape, and the shape it expects.
+WRONG_SHAPE_CALLS = [
+    pytest.param(lambda rebit: maps.SuperOp(2, np.eye(1)), (4, 4), id="SuperOp"),
+    pytest.param(lambda rebit: maps.SuperOp.from_transfer(2, np.eye(3)), (4, 4),
+                 id="from_transfer"),
+    pytest.param(lambda rebit: maps.identity_map(2).apply(np.eye(3)), (2, 2), id="apply"),
+    pytest.param(lambda rebit: maps.from_kraus(2, [np.eye(3)]), (2, 2), id="from_kraus"),
+    pytest.param(lambda rebit: maps.from_action(2, lambda b: np.eye(3)), (2, 2),
+                 id="from_action"),
+    pytest.param(lambda rebit: maps.amplification_apply(maps.identity_map(2), 2, np.eye(2)),
+                 (4, 4), id="amplification_apply"),
+    pytest.param(lambda rebit: dynamics.gksl_generator(2, hamiltonian=np.eye(3)), (2, 2),
+                 id="gksl_hamiltonian"),
+    pytest.param(lambda rebit: dynamics.gksl_generator(2, jumps=[(np.eye(3), 1.0)]), (2, 2),
+                 id="gksl_jump"),
+    pytest.param(lambda rebit: SubsystemGenerator.from_action(rebit, [np.zeros((3, 3))] * 3),
+                 (2, 2), id="SubsystemGenerator.from_action"),
+    pytest.param(lambda rebit: ExtensionProblem.for_map(rebit, [np.eye(3)] * 3), (2, 2),
+                 id="for_map"),
+    pytest.param(lambda rebit: systems.project_onto(rebit, np.eye(3)), (2, 2),
+                 id="project_onto"),
+]
+
+
+@pytest.mark.parametrize("call, expected", WRONG_SHAPE_CALLS)
+def test_entry_points_reject_wrong_shape(rebit, call, expected):
+    with pytest.raises(InputError, match=re.escape(f"expected {expected}")):
+        call(rebit)
+
+
+class TestHermitianGate:
+    def test_rejects_and_names_the_defect(self):
+        with pytest.raises(InputError, match=re.escape("h is not Hermitian: defect 1.000e+00")):
+            linalg.ensure_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), name="h")
+
+    def test_returns_the_exact_hermitian_part(self, pauli):
+        nearly = pauli.X + 1e-14 * np.array([[0.0, 1.0], [0.0, 0.0]])
+        h = linalg.ensure_hermitian(nearly)
+        assert np.array_equal(h, np.conj(h.T))
+        np.testing.assert_allclose(h, pauli.X, atol=1e-14)
+
+    def test_map_images_pass_the_gate_at_their_tolerance(self, rebit, pauli):
+        with pytest.raises(InputError, match="image 1 is not Hermitian"):
+            ExtensionProblem.for_map(rebit, [pauli.I, np.array([[0.0, 1.0], [0.0, 0.0]]),
+                                             pauli.Z])
+        # A defect within for_map's 1e-10 is accepted and its target symmetrised.
+        nearly = pauli.X + 1e-11 * np.array([[0.0, 1.0], [0.0, 0.0]])
+        target = ExtensionProblem.for_map(rebit, [pauli.I, nearly, pauli.Z]).map_targets[1]
+        assert np.array_equal(target, np.conj(target.T))
