@@ -166,7 +166,7 @@ def _resolve_map(scenario, system, options):
 
 
 def _extension_options(options) -> ExtensionOptions:
-    return ExtensionOptions(**_given(options, "tol", "max_iter", "seed", "start_scale"))
+    return ExtensionOptions(**_given(options, "tol", "max_iter", "seed"))
 
 
 def _report_superop(phi) -> dict:

@@ -7,11 +7,11 @@ A generator is a SuperOp A together with three derived certificates:
   ccp                    -- conditional complete positivity (below).
 
 The three together say exp(t*A) is a unital completely positive semigroup.
-Conditional complete positivity is decided at the Choi level: with P the
-projector orthogonal to the normalized maximally entangled vector, A is ccp
-iff it preserves hermiticity and P choi(A) P >= 0.  This one-shot eigenvalue
-test is cross-validated in the test suite against the small-time behaviour of
-exp(t*A).
+Conditional complete positivity is decided at the Choi level: with
+P = I - omega omega* (``maps.ccp_projector``) projecting orthogonally to the
+maximally entangled vector omega, A is ccp iff it preserves hermiticity and
+P choi(A) P >= 0.  This one-shot eigenvalue test is cross-validated in the
+test suite against the small-time behaviour of exp(t*A).
 
 Certificates are always recomputed from the map; they are never accepted from
 input.
@@ -74,36 +74,35 @@ class Generator:
         return self.op.d
 
 
-def is_conditionally_completely_positive(op: SuperOp, tol: float = FEASIBILITY_TOL) -> bool:
-    """Choi-level conditional complete positivity.
-
-    True iff op preserves hermiticity and P choi(op) P >= -tol * (1 + ||choi||_F),
-    where P projects orthogonally to the normalized maximally entangled vector.
-    """
-    if not maps.is_hermiticity_preserving(op, tol):
-        return False
-    d = op.d
-    omega = maps.maximally_entangled_vector(d)
-    proj = np.eye(d * d) - np.outer(omega, np.conj(omega))
+def _compression_psd(op: SuperOp, tol: float) -> bool:
+    """The ccp test less its hermiticity test, which the caller makes once."""
+    proj = maps.ccp_projector(op.d)
     compressed = proj @ linalg.hermitian_part(op.choi) @ proj
-    min_eig = float(np.linalg.eigvalsh(linalg.hermitian_part(compressed))[0])
+    min_eig = float(np.linalg.eigvalsh(compressed)[0])  # reads the lower triangle
     return min_eig >= -tol * (1.0 + linalg.frob(op.choi))
+
+
+def is_conditionally_completely_positive(op: SuperOp, tol: float = FEASIBILITY_TOL) -> bool:
+    """True iff op preserves hermiticity and P choi(op) P >= -tol * (1 + ||choi||_F),
+    P = ``maps.ccp_projector(d)`` (module docstring)."""
+    return maps.is_hermiticity_preserving(op, tol) and _compression_psd(op, tol)
 
 
 def certify(op: SuperOp, tol: float = FEASIBILITY_TOL) -> Generator:
     """Wrap a SuperOp as a Generator, computing all certificates from scratch."""
-    kernel_defect = linalg.frob(op.apply(np.eye(op.d)))
+    hermitian = maps.is_hermiticity_preserving(op, tol)
     certs = GeneratorCertificates(
-        hermiticity_preserving=maps.is_hermiticity_preserving(op, tol),
-        unital_kernel=kernel_defect <= tol,
-        ccp=is_conditionally_completely_positive(op, tol),
+        hermiticity_preserving=hermitian,
+        unital_kernel=linalg.frob(op.apply(np.eye(op.d))) <= tol,
+        ccp=hermitian and _compression_psd(op, tol),
     )
     return Generator(op=op, certificates=certs)
 
 
 def has_group_certificate(gen: Generator, tol: float = FEASIBILITY_TOL) -> bool:
-    """Both +A and -A generate UCP semigroups, so exp(t*A) is defined for all real t."""
-    return gen.certificates.certified and is_conditionally_completely_positive(-gen.op, tol)
+    """Both +A and -A generate UCP semigroups, so exp(t*A) is defined for all
+    real t; -A preserves hermiticity exactly when A does."""
+    return gen.certificates.certified and _compression_psd(-gen.op, tol)
 
 
 def gksl_generator(d: int, hamiltonian=None, jumps: Sequence = ()) -> Generator:
@@ -320,7 +319,8 @@ def validate_subsystem_semigroup(sub: SubsystemGenerator,
     map exp(t * A), both computed on V's coordinates, must extend to a UCP map
     on the full matrix algebra; feasibility of the extension problem is the
     certificate, and each check records the feasibility residuals.  Samples
-    outside the semigroup (t < 0 or lambda <= 0) are rejected before any solve.
+    outside the semigroup (t < 0 or lambda <= 0), and an empty sample set, are
+    rejected before any solve.
     """
     from . import extension  # local import: extension builds on this module
 
@@ -329,6 +329,8 @@ def validate_subsystem_semigroup(sub: SubsystemGenerator,
 
     samples = ([("resolvent", lam, subsystem_resolvent_images) for lam in sample_lambdas]
                + [("evolution", t, subsystem_evolve_images) for t in sample_ts])
+    if not samples:
+        raise InputError("no samples: a verdict needs at least one t or lambda")
     checks = []
     for kind, parameter, images_of in samples:
         check = {"kind": kind, "parameter": float(parameter)}

@@ -7,10 +7,12 @@ Hermitian d^2 x d^2 Choi matrices:
   generator case  find C with  P C P PSD,         phi_C(v_k) = A(v_k)    for all k,
 
 where phi_C is the map with Choi matrix C, v_k runs over the system's basis
-(v_0 = I, so unitality / kernel-of-unit is the k = 0 constraint), and P
-projects orthogonally to the maximally entangled vector.  Both projections
-return exactly Hermitian matrices, so every extension returned is exactly
-Hermitian.
+(v_0 = I, so unitality / kernel-of-unit is the k = 0 constraint), and
+P = I - omega omega* (``maps.ccp_projector``) projects orthogonally to the
+maximally entangled vector omega.  C -> PCP is an orthogonal projection and
+C - PCP is unconstrained, so Pi_K(C) = C - PCP + Pi_+(PCP) is the exact cone
+projection, Pi_+ the PSD clip (P = I in the map case).  Both projections return
+exactly Hermitian matrices, so every extension returned is exactly Hermitian.
 
 The solver aims at the projection of a starting point x0 onto the feasible
 set.  That makes multi-start behaviour meaningful: distinct randomized starts
@@ -121,11 +123,10 @@ class ExtensionOptions:
     tol: float = FEASIBILITY_TOL
     max_iter: int = SOLVE_MAX_ITER
     seed: Optional[int] = None  # None: deterministic start; an int: seeded random start
-    start_scale: float = 1.0
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iter <= 0 or self.start_scale < 0:
-            raise InputError("tol, max_iter must be positive and start_scale nonnegative")
+        if self.tol <= 0 or self.max_iter <= 0:
+            raise InputError("tol and max_iter must be positive")
 
 
 @dataclass(frozen=True)
@@ -247,7 +248,7 @@ class _FeasibilitySolver:
     that plain dot products are the real inner product Re tr(a* b).
     """
 
-    def __init__(self, system: MatricialSystem, targets, cone_kind: str):
+    def __init__(self, system: MatricialSystem, targets, ccp: bool = False):
         d = system.dim
         n = d * d
         self.system = system
@@ -263,24 +264,8 @@ class _FeasibilitySolver:
         self.lift = np.conj(system.onb.reshape(len(system), n)).T
         self.dual_adjoint = self.lift @ self.whiten
         self.dual_targets = (self.whiten @ self.target_rows).view(float).ravel()
-        if cone_kind == "psd":
-            self.rot = None
-            self.base = maps.identity_map(d).choi
-        elif cone_kind == "compressed":
-            # Householder reflection sending the last axis to the maximally
-            # entangled vector: the cone { C : P C P >= 0 } becomes "leading
-            # (n-1)-block PSD, last row/column free", an exact projection.
-            omega = maps.maximally_entangled_vector(d).real
-            v = np.zeros(n)
-            v[-1] = 1.0
-            v = v - omega
-            if np.linalg.norm(v) < 1e-14:
-                self.rot = np.eye(n)
-            else:
-                self.rot = np.eye(n) - 2.0 * np.outer(v, v) / float(v @ v)
-            self.base = np.zeros((n, n), dtype=complex)
-        else:
-            raise ValueError(cone_kind)
+        self.proj = maps.ccp_projector(d) if ccp else None
+        self.base = np.zeros((n, n), dtype=complex) if ccp else maps.identity_map(d).choi
         offset = self.project_affine(np.zeros((n, n), dtype=complex))
         inconsistency = self.affine_residual(offset)
         if inconsistency > FEASIBILITY_TOL * (1.0 + linalg.frob(self.target_rows)):
@@ -293,34 +278,37 @@ class _FeasibilitySolver:
         d = self.d
         return c.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
+    def _defect(self, m: np.ndarray) -> np.ndarray:
+        """The agreement defect A(C) - T, rows k, of C relaid out as m."""
+        return self.basis_rows @ m - self.target_rows
+
     def project_cone(self, c: np.ndarray) -> np.ndarray:
-        if self.rot is None:
+        """Pi_K(C) = C - PCP + Pi_+(PCP) (module docstring); Pi_+(C) for maps."""
+        if self.proj is None:
             return linalg.psd_clip(c)
-        r = self.rot.T @ c @ self.rot
-        r[:-1, :-1] = linalg.psd_clip(r[:-1, :-1])
-        return linalg.hermitian_part(self.rot @ r @ self.rot.T)
+        m = self.proj @ c @ self.proj
+        return linalg.hermitian_part(c - m + linalg.psd_clip(m))
 
     def project_affine(self, c: np.ndarray) -> np.ndarray:
         """P(C) = C - sum_k conj(D_k) (x) (A(C)_k - target_k)."""
         m = self._relayout(c)
-        return linalg.hermitian_part(
-            self._relayout(m - self.dual_adjoint @ (self.basis_rows @ m - self.target_rows)))
+        return linalg.hermitian_part(self._relayout(m - self.dual_adjoint @ self._defect(m)))
 
     def affine_residual(self, c: np.ndarray) -> float:
-        return linalg.frob(self.basis_rows @ self._relayout(c) - self.target_rows)
+        return linalg.frob(self._defect(self._relayout(c)))
 
     def start_point(self, options: ExtensionOptions) -> np.ndarray:
         raw = self.base
         if options.seed is not None:
             rng = np.random.default_rng(options.seed)
-            raw = raw + linalg.random_hermitian(self.d * self.d, rng, scale=options.start_scale)
+            raw = raw + linalg.random_hermitian(self.d * self.d, rng)
         return self.project_affine(raw)
 
     def _dual_point(self, x0: np.ndarray, w: np.ndarray):
         """X = Pi_K(x0 + L W), the dual value f(W) and its gradient R^-T (A X - T)."""
         lifted = self.lift @ w.view(complex).reshape(self.target_rows.shape)
         x = self.project_cone(x0 + self._relayout(lifted))
-        grad = self.whiten @ (self.basis_rows @ self._relayout(x) - self.target_rows)
+        grad = self.whiten @ self._defect(self._relayout(x))
         value = 0.5 * float(np.vdot(x, x).real) - float(self.dual_targets @ w)
         return x, value, grad.view(float).ravel()
 
@@ -429,12 +417,11 @@ def multi_start(problem: ExtensionProblem, seeds):
     solves from the randomized start ``replace(problem.options, seed=s)``.
     Returns one ``(superop, report)`` per seed, in order; the superop is the
     raw Choi-matrix solution (map problems use the PSD cone, generator
-    problems the compressed cone of the module docstring).
+    problems the ccp cone { C : P C P >= 0 } of the module docstring).
     """
-    if problem.map_targets is not None:
-        solver = _FeasibilitySolver(problem.system, problem.map_targets, "psd")
-    else:
-        solver = _FeasibilitySolver(problem.system, problem.generator.action, "compressed")
+    ccp = problem.generator is not None
+    targets = problem.generator.action if ccp else problem.map_targets
+    solver = _FeasibilitySolver(problem.system, targets, ccp)
     options = problem.options
     return [solver.solve(options if seed is None
                          else replace(options, seed=seed))
@@ -620,14 +607,8 @@ def extend_via_resolvent_family(problem: ExtensionProblem, omega: float,
         if gen.certificates.certified and spread <= opts.tol and restriction <= opts.tol:
             family = ResolventFamily(omega=current, f_omega=f_omega,
                                      grid=tuple(grid), members=tuple(members))
-            report = ExtensionReport(
-                iterations=map_report.iterations,
-                cone_residual=map_report.cone_residual,
-                affine_residual=map_report.affine_residual,
-                restriction_error=restriction,
-                converged=True,
-            )
-            return gen, family, report
+            return gen, family, replace(map_report, restriction_error=restriction,
+                                        converged=True)
         attempts.append({
             "omega": current,
             "failure": "recovered generator failed certification",
@@ -653,6 +634,13 @@ def extend_via_resolvent_family(problem: ExtensionProblem, omega: float,
 
 # Sample times of the inverse and multiplicativity checks.
 _GROUP_SAMPLE_TS = (0.4, 1.1)
+
+
+def _start_seeds(rng: np.random.Generator, n_starts: int) -> list:
+    """Seeds of the randomized starts, of which a verdict needs at least one."""
+    if n_starts < 1:
+        raise InputError(f"n_starts must be at least 1, got {n_starts}")
+    return [int(rng.integers(0, 2**32 - 1)) for _ in range(n_starts)]
 
 
 def extend_group(problem: ExtensionProblem, n_starts: int = DEFAULT_STARTS, seed: int = 0):
@@ -681,7 +669,7 @@ def extend_group(problem: ExtensionProblem, n_starts: int = DEFAULT_STARTS, seed
 
     # The rng draws the start seeds first and the multiplicativity samples after.
     rng = np.random.default_rng(seed)
-    run_seeds = [int(rng.integers(0, 2**32 - 1)) for _ in range(n_starts)]
+    run_seeds = _start_seeds(rng, n_starts)
     minus_problem = ExtensionProblem.for_generator(sub.system, -sub, opts)
     extensions = []
     for signed_problem, label in ((problem, "+A"), (minus_problem, "-A")):
@@ -760,7 +748,7 @@ def rigidity_probe(system: MatricialSystem, n_starts: int = DEFAULT_STARTS,
     problem = ExtensionProblem.for_map(system, system.basis,
                                        ExtensionOptions(tol=tol, max_iter=max_iter))
     rng = np.random.default_rng(seed)
-    seeds = [None] + [int(rng.integers(0, 2**32 - 1)) for _ in range(n_starts)]
+    seeds = [None] + _start_seeds(rng, n_starts)
     ops = [op for op, report in multi_start(problem, seeds) if report.converged]
 
     ident = maps.identity_map(system.dim)

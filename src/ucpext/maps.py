@@ -45,6 +45,7 @@ __all__ = [
     "is_hermiticity_preserving",
     "maximally_entangled_vector",
     "maximally_entangled_projector",
+    "ccp_projector",
 ]
 
 
@@ -194,6 +195,13 @@ def maximally_entangled_projector(d: int) -> np.ndarray:
     v = np.zeros(d * d, dtype=complex)
     v[:: d + 1] = 1.0
     return np.outer(v, v)
+
+
+def ccp_projector(d: int) -> np.ndarray:
+    """P = I - omega omega*, projecting orthogonally to the normalized maximally
+    entangled vector omega: a hermiticity-preserving map is ccp iff P choi P >= 0."""
+    omega = maximally_entangled_vector(d)
+    return np.eye(d * d) - np.outer(omega, np.conj(omega))
 
 
 def is_completely_positive(phi: SuperOp, tol: float = FEASIBILITY_TOL) -> CPReport:

@@ -177,6 +177,12 @@ class TestFailuresAndExitCodes:
                                "options": {"tolerance": 1e-8}})
         assert report["status"] == "invalid-input"
 
+    def test_start_scale_is_not_an_option(self):
+        report = run_scenario({"command": "extend-map", "system": "rebit",
+                               "dynamics": "g1", "options": {"start_scale": 1.0}})
+        assert report["status"] == "invalid-input"
+        assert report["error"]["message"] == "unknown option keys: ['start_scale']"
+
     def test_group_on_dissipative_fails(self):
         report = run_scenario({"command": "extend-group", "system": "rebit",
                                "dynamics": "rebit_dissipative"})
@@ -258,7 +264,7 @@ class TestFailuresAndExitCodes:
         ({"command": "extend-generator", "system": "rebit", "dynamics": "rebit_rotation",
           "options": {"omega_param": 1e200}}, "failed", "LinAlgError"),
         ({"command": "extend-group", "system": "rebit", "dynamics": "rebit_rotation",
-          "options": {"omega_param": 1e150}}, "failed", "LinAlgError"),
+          "options": {"omega_param": 1e150}}, "failed", "GroupExtensionError"),
         ({"command": "check-cp", "dynamics": {"kind": "choi", "super": {
             "d": 2, "choi": [[[1e308, 0.0]] * 4] * 4}}}, "failed", "LinAlgError"),
     ])

@@ -354,6 +354,17 @@ class TestValidation:
         with pytest.raises(InputError, match="samples must lie in the semigroup"):
             dynamics.validate_subsystem_semigroup(catalog.rebit_rotation(1.0), **samples)
 
+    def test_empty_sample_set_rejected(self, monkeypatch):
+        from ucpext import extension
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("no sample may be solved")
+
+        monkeypatch.setattr(extension, "ucp_extension_feasible", no_solve)
+        with pytest.raises(InputError, match="no samples"):
+            dynamics.validate_subsystem_semigroup(
+                catalog.rebit_rotation(1.0), sample_ts=(), sample_lambdas=())
+
     def test_sample_order_and_singular_resolvent(self, rebit, pauli):
         # The coordinate action has eigenvalue 1, so lam = 1 is a singular
         # resolvent sample: recorded as a failed check, and the loop goes on.

@@ -217,6 +217,15 @@ class TestExtendGenerator:
                      for i, a in enumerate(y_images) for b in y_images[i + 1:])
         assert spread > 1e-3  # both named generators fit: extension not unique
 
+    def test_large_entries_converge_without_plateau(self, rebit):
+        # The exact commutator generator is feasible and has entries about
+        # 1e7: the cone projection's roundoff must stay well below tol.
+        problem = ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(1e7))
+        gen, report = extension.extend_generator(problem)
+        assert report.converged and report.iterations <= 100
+        truth = catalog.rotation_extension_generator(1e7)
+        assert gen.op.distance(truth.op) <= 1e-8 * linalg.frob(truth.op.choi)
+
     def test_restricted_evolution_matches_subsystem(self, rebit):
         diss = catalog.rebit_dissipative(0.7)
         gen, _ = extension.extend_generator(ExtensionProblem.for_generator(rebit, diss))
@@ -414,6 +423,16 @@ class TestExtendGroup:
         assert len(calls) <= 2
         assert all(seeds == [None] for seeds in calls)
 
+    @pytest.mark.parametrize("n_starts", [0, -3])
+    def test_no_randomized_start_rejected(self, rebit, monkeypatch, n_starts):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("no start may be solved")
+
+        monkeypatch.setattr(extension, "multi_start", no_solve)
+        problem = ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(1.0))
+        with pytest.raises(InputError, match="n_starts must be at least 1"):
+            extension.extend_group(problem, n_starts=n_starts)
+
     def test_unconverged_starts_leave_uniqueness_undecided(self, rebit):
         # The deterministic +A and -A solves converge within 5 evaluations; the
         # randomized starts do not, so they cannot witness uniqueness.
@@ -451,6 +470,15 @@ class TestRigidityProbe:
         report = extension.rigidity_probe(rebit, n_starts=6, seed=0)
         assert report.all_identity
         assert report.max_distance_to_identity <= report.identity_threshold
+
+    @pytest.mark.parametrize("n_starts", [0, -2])
+    def test_no_randomized_start_rejected(self, monkeypatch, n_starts):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("no start may be solved")
+
+        monkeypatch.setattr(extension, "multi_start", no_solve)
+        with pytest.raises(InputError, match="n_starts must be at least 1"):
+            extension.rigidity_probe(catalog.trivial_system(), n_starts=n_starts)
 
     def test_span_identity_not_rigid(self, pauli):
         system = catalog.trivial_system()
@@ -562,7 +590,7 @@ class TestAgreementProjection:
         d = system.dim
         rng = np.random.default_rng(seed)
         targets = [linalg.random_hermitian(d, rng) for _ in system.basis]
-        solver = extension._FeasibilitySolver(system, targets, "psd")
+        solver = extension._FeasibilitySolver(system, targets)
         c = linalg.random_hermitian(d * d, rng)
         pc = solver.project_affine(c)
 
@@ -595,7 +623,7 @@ class TestProjectionProperty:
         system = _conjugated_real_symmetric(d, seed)
         phi = random_ucp_map(d, rng, n_kraus=rank)
         solver = extension._FeasibilitySolver(
-            system, [phi.apply(v) for v in system.basis], "psd")
+            system, [phi.apply(v) for v in system.basis])
         # Problems without a positive-definite feasible point can plateau
         # (ROADMAP item 4); the budget keeps such draws cheap.
         opts = ExtensionOptions(max_iter=2000)
@@ -607,6 +635,40 @@ class TestProjectionProperty:
         assume(report_x.converged and report_z.converged)
         inner = float(np.vdot(x0 - x.choi, z.choi - x.choi).real)
         assert inner <= 1e-6 * (1.0 + linalg.frob(x0))
+
+
+# ---------------------------------------------------------------------------
+# The generator cone { C : P C P >= 0 }, P = I - omega omega*
+# ---------------------------------------------------------------------------
+
+
+class TestCcpConeProjection:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(d=st.integers(2, 4), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_is_the_projection(self, d, scale, seed):
+        system = catalog.real_symmetric_system(d)
+        solver = extension._FeasibilitySolver(
+            system, [np.zeros((d, d))] * len(system), ccp=True)
+        rng = np.random.default_rng(seed)
+        n = d * d
+        unit = np.eye(d).reshape(n) / np.sqrt(d)
+        proj = np.eye(n) - np.outer(unit, unit)  # independent of maps.ccp_projector
+        c = linalg.random_hermitian(n, rng, scale=scale)
+        x = solver.project_cone(c)
+        norm = linalg.frob(c)
+
+        assert np.array_equal(x, linalg.dagger(x))
+        assert np.linalg.eigvalsh(proj @ x @ proj)[0] >= -1e-12 * (1.0 + norm)
+        assert linalg.frob((x - proj @ x @ proj) - (c - proj @ c @ proj)) <= 1e-12 * (1.0 + norm)
+        assert linalg.frob(solver.project_cone(x) - x) <= 1e-12 * (1.0 + norm)
+        # Variational inequality against cone points Y = H - PHP + P G G* P.
+        for _ in range(4):
+            h = linalg.random_hermitian(n, rng, scale=scale)
+            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            y = h - proj @ h @ proj + scale * proj @ g @ linalg.dagger(g) @ proj
+            inner = float(np.vdot(c - x, y - x).real)
+            assert inner <= 1e-10 * (1.0 + norm * norm)
 
 
 # ---------------------------------------------------------------------------
