@@ -24,14 +24,14 @@ from .extension import (ExtensionOptions, ExtensionProblem, ExtensionReport,
                         ResolventFamily, RigidityReport, extend_discrete,
                         extend_generator, extend_group, extend_ucp_map,
                         extend_via_resolvent_family, multi_start,
-                        rescale_resolvent, rigidity_probe,
+                        rescale_resolvent, rigidity_probe, rigidity_witness,
                         ucp_extension_feasible)
 from .maps import (CPReport, SuperOp, amplification_apply, conjugation_map,
                    from_action, from_kraus, identity_map, is_completely_positive,
                    is_hermiticity_preserving, is_ucp, is_unital, transpose_map,
                    zero_map)
-from .systems import (LevelElement, MatricialSystem, contains,
-                      is_positive_element, matrix_norm, order_norm_h,
+from .systems import (Commutant, LevelElement, MatricialSystem, commutant,
+                      contains, is_positive_element, matrix_norm, order_norm_h,
                       project_onto)
 
 __version__ = "0.1.0"

@@ -62,7 +62,12 @@ def pauli_basis() -> PauliBasis:
 
 @dataclass(frozen=True)
 class EnvelopeInfo:
-    """Descriptor of the injective envelope: metadata, not a computed object."""
+    """Descriptor of the injective envelope, typed in by hand.
+
+    For the four systems of :func:`four_case_catalog` the envelope is C*(V);
+    ``demo-rebit`` computes its dimension (``systems.cstar_dim``) and
+    commutativity (``systems.is_commutative``) and compares them with these.
+    """
 
     name: str
     dim: int

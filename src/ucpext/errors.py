@@ -15,7 +15,8 @@ class ExtensionInfeasible(RuntimeError):
 
 class GroupExtensionError(RuntimeError):
     """Raised when group extension fails: the dynamics is not a group on V,
-    or randomized starts disagree where uniqueness is expected."""
+    uniqueness is not certified (V is reducible, or the certificate fails),
+    or randomized starts of the cross-check disagree with the certificate."""
 
 
 class ResolventFamilyError(RuntimeError):

@@ -85,14 +85,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import dynamics, linalg, maps
+from . import dynamics, linalg, maps, systems
 from .dynamics import SubsystemGenerator
 from .errors import (ExtensionInfeasible, GroupExtensionError, InputError,
-                     ResolventFamilyError)
+                     NumericalError, ResolventFamilyError)
 from .maps import SuperOp
 from .systems import MatricialSystem
-from .tolerances import (DEFAULT_STARTS, FEASIBILITY_TOL, SOLVE_MAX_ITER,
-                         VALIDATE_MAX_ITER)
+from .tolerances import FEASIBILITY_TOL, SOLVE_MAX_ITER, VALIDATE_MAX_ITER
 
 __all__ = [
     "ExtensionOptions",
@@ -100,6 +99,8 @@ __all__ = [
     "ExtensionReport",
     "multi_start",
     "ResolventFamily",
+    "RigidityCertificate",
+    "GroupCertificate",
     "GroupExtensionReport",
     "RigidityReport",
     "extend_ucp_map",
@@ -109,6 +110,7 @@ __all__ = [
     "extend_via_resolvent_family",
     "extend_group",
     "rigidity_probe",
+    "rigidity_witness",
     "extend_discrete",
 ]
 
@@ -191,12 +193,29 @@ class ResolventFamily:
 
 
 @dataclass(frozen=True)
+class RigidityCertificate:
+    """The commutant V' behind a rigidity verdict (``systems.Commutant``):
+    its dimension and its singular-value gap (``None`` when V' = M_d)."""
+
+    commutant_dim: int
+    commutant_gap: Optional[float]
+
+
+@dataclass(frozen=True)
+class GroupCertificate(RigidityCertificate):
+    """Adds ``inverse_witness`` = ||G+ + G-||, zero for a unique group extension."""
+
+    inverse_witness: float
+
+
+@dataclass(frozen=True)
 class GroupExtensionReport:
     extension: ExtensionReport
     inverse_residual: float
     uniqueness_spread: float
     multiplicativity_residual: float
     n_starts: int
+    certificate: GroupCertificate
 
 
 @dataclass(frozen=True)
@@ -207,6 +226,7 @@ class RigidityReport:
     identity_threshold: float
     n_converged: int
     n_runs: int
+    certificate: RigidityCertificate
 
 
 # ---------------------------------------------------------------------------
@@ -637,26 +657,48 @@ _GROUP_SAMPLE_TS = (0.4, 1.1)
 
 
 def _start_seeds(rng: np.random.Generator, n_starts: int) -> list:
-    """Seeds of the randomized starts, of which a verdict needs at least one."""
-    if n_starts < 1:
-        raise InputError(f"n_starts must be at least 1, got {n_starts}")
+    """Seeds of the randomized starts of a cross-check (none by default)."""
+    if n_starts < 0:
+        raise InputError(f"n_starts must be nonnegative, got {n_starts}")
     return [int(rng.integers(0, 2**32 - 1)) for _ in range(n_starts)]
 
 
-def extend_group(problem: ExtensionProblem, n_starts: int = DEFAULT_STARTS, seed: int = 0):
+def _decided_commutant(system: MatricialSystem, tol: float, error, claim: str):
+    """V' (``systems.commutant``), or ``error`` when its rank is undecided."""
+    comm = systems.commutant(system, tol)
+    if not comm.decided:
+        raise error(
+            f"{claim} undecided: the commutant's rank is undecided (smallest "
+            f"singular value counted nonzero {comm.gap:.3e}, tol {tol:.1e})")
+    return comm
+
+
+def extend_group(problem: ExtensionProblem, n_starts: int = 0, seed: int = 0):
     """Extend a one-parameter UCP group on V to a group on M_d, with checks.
 
     +A and -A are extended first, each by :func:`extend_generator`.  Converged
     ccp extensions of both are the certificate that A generates a UCP group on
     V, so there is no separate validation; if either does not converge, A is
-    rejected before any randomized start runs.  The result must then satisfy,
-    at sampled times and within a relaxed tolerance (100 x tol, to absorb
-    error amplification through the exponentials):
+    rejected before anything else runs.  Uniqueness is then decided, not
+    sampled:
 
-      * inversion:        exp(t G+) o exp(t G-) = id          (rigid envelope),
-      * uniqueness:       n_starts randomized runs of +A all converge and agree,
+      * rigidity: V must be irreducible (commutant C I, :func:`rigidity_probe`);
+        on a reducible V, M_d is not the injective envelope and uniqueness in
+        M_d is not claimed;
+      * uniqueness: exp(t G+) o exp(t G-) is UCP and fixes V, so on a rigid V
+        it is the identity and G+ = -G-; every ccp extension of A is then
+        -G-.  The witness ||G+ + G-|| must be at most 100 x tol (a relaxed
+        tolerance, as for the sampled checks below).
+
+    The result must also satisfy, at sampled times and within 100 x tol:
+
+      * inversion:        exp(t G+) o exp(t G-) = id,
       * multiplicativity: exp(t G+) is an algebra homomorphism on sampled
-        pairs, reflecting that group extensions act as *-automorphisms.
+        pairs (a UCP map with a UCP inverse is a *-automorphism).
+
+    ``n_starts`` randomized runs of +A are an opt-in cross-check: each must
+    converge and agree with G+ within 10 x tol, or the certificate and the
+    solver disagree and the extension fails.
 
     Returns ``(generator, group_report)``; failures raise
     :class:`GroupExtensionError`.
@@ -679,7 +721,16 @@ def extend_group(problem: ExtensionProblem, n_starts: int = DEFAULT_STARTS, seed
                 f"not a group on V: the extension of {label} did not converge")
         extensions.append((gen, signed_report))
     (gen_plus, report), (gen_minus, _) = extensions
-    runs = multi_start(problem, run_seeds)
+
+    comm = _decided_commutant(sub.system, opts.tol, GroupExtensionError, "uniqueness")
+    if comm.dim > 1:
+        raise GroupExtensionError(
+            f"uniqueness in M_d is not claimed: V is reducible (commutant dimension "
+            f"{comm.dim}), so M_d is not its injective envelope")
+    witness = linalg.frob(gen_plus.op.choi + gen_minus.op.choi)
+    if witness > check_tol:
+        raise GroupExtensionError(
+            f"uniqueness not certified: ||G+ + G-|| = {witness:.3e} on a rigid V")
 
     steps = [dynamics.evolve(gen_plus, t) for t in _GROUP_SAMPLE_TS]
     ident = maps.identity_map(sub.system.dim)
@@ -692,6 +743,7 @@ def extend_group(problem: ExtensionProblem, n_starts: int = DEFAULT_STARTS, seed
             f"not a group on V: inverse check residual {inverse_residual:.3e}"
         )
 
+    runs = multi_start(problem, run_seeds) if run_seeds else []
     unconverged = sum(not run_report.converged for _, run_report in runs)
     if unconverged:
         raise GroupExtensionError(
@@ -700,9 +752,8 @@ def extend_group(problem: ExtensionProblem, n_starts: int = DEFAULT_STARTS, seed
     spread = max_pairwise_distance([gen_plus.op.choi] + [op.choi for op, _ in runs])
     if spread > 10.0 * opts.tol:
         raise GroupExtensionError(
-            f"randomized starts disagree (spread {spread:.3e}): extension is not "
-            "unique, contradicting rigidity of the envelope"
-        )
+            f"randomized starts disagree (spread {spread:.3e}) although the "
+            f"certificate says the extension is unique (||G+ + G-|| = {witness:.3e})")
 
     d = sub.system.dim
     mult_residual = 0.0
@@ -725,6 +776,8 @@ def extend_group(problem: ExtensionProblem, n_starts: int = DEFAULT_STARTS, seed
         uniqueness_spread=spread,
         multiplicativity_residual=mult_residual,
         n_starts=n_starts,
+        certificate=GroupCertificate(commutant_dim=comm.dim, commutant_gap=comm.gap,
+                                     inverse_witness=witness),
     )
     return gen_plus, group_report
 
@@ -734,17 +787,29 @@ def extend_group(problem: ExtensionProblem, n_starts: int = DEFAULT_STARTS, seed
 # ---------------------------------------------------------------------------
 
 
-def rigidity_probe(system: MatricialSystem, n_starts: int = DEFAULT_STARTS,
+def rigidity_probe(system: MatricialSystem, n_starts: int = 0,
                    seed: int = 0, tol: float = FEASIBILITY_TOL,
                    max_iter: int = SOLVE_MAX_ITER) -> RigidityReport:
-    """Randomized evidence for rigidity: extend the identity of V from many starts.
+    """Decide whether V is rigid in M_d: is the identity the only UCP map on
+    M_d that fixes V?
 
-    A system is rigid in its envelope when the only UCP extension of id_V is
-    the identity.  The probe runs the map-extension solver for phi = id_V from
-    the deterministic start plus ``n_starts`` randomized starts and reports
-    whether all converged extensions are the identity map.  This is evidence,
-    not proof: agreement of finitely many projections cannot certify rigidity.
+    The verdict ``all_identity`` is the commutant's: V is rigid exactly when
+    it is irreducible, V' = C I.  Then C*(V) = M_d and, by Arveson's boundary
+    theorem, the identity representation is a boundary representation of V,
+    so the only UCP map fixing V is the identity (Arveson, Subalgebras of
+    C*-algebras II, Acta Math. 128, 1972).  If instead V' holds a projection
+    Q != 0, I, the pinching by Q (:func:`rigidity_witness`) is a UCP map other
+    than the identity that fixes V.  An undecided commutant rank raises
+    :class:`NumericalError`.
+
+    The map-extension solver for phi = id_V also runs, from the deterministic
+    start (which converges in one evaluation) plus ``n_starts`` randomized
+    starts, as a cross-check: on a rigid V every converged extension must be
+    the identity, else the certificate and the solver disagree and the probe
+    raises :class:`NumericalError`.  On a non-rigid V the starts may still all
+    land on the identity; they cannot refute the witness.
     """
+    comm = _decided_commutant(system, tol, NumericalError, "rigidity")
     problem = ExtensionProblem.for_map(system, system.basis,
                                        ExtensionOptions(tol=tol, max_iter=max_iter))
     rng = np.random.default_rng(seed)
@@ -755,14 +820,34 @@ def rigidity_probe(system: MatricialSystem, n_starts: int = DEFAULT_STARTS,
     identity_threshold = max(50.0 * tol, 1e-6)
     max_pair = max_pairwise_distance([op.choi for op in ops])
     max_to_id = max((op.distance(ident) for op in ops), default=np.inf)
+    rigid = comm.dim == 1
+    if rigid and ops and max_to_id > identity_threshold:
+        raise NumericalError(
+            f"a converged start lies {max_to_id:.3e} from the identity although "
+            f"the commutant is C I (dimension 1, gap {comm.gap:.3e})")
     return RigidityReport(
-        all_identity=bool(ops) and max_to_id <= identity_threshold,
+        all_identity=rigid,
         max_pairwise_distance=max_pair,
         max_distance_to_identity=max_to_id,
         identity_threshold=identity_threshold,
         n_converged=len(ops),
         n_runs=n_starts + 1,
+        certificate=RigidityCertificate(commutant_dim=comm.dim, commutant_gap=comm.gap),
     )
+
+
+def rigidity_witness(system: MatricialSystem,
+                     tol: float = FEASIBILITY_TOL) -> Optional[SuperOp]:
+    """The pinching x -> QxQ + (1-Q)x(1-Q) by a projection Q != 0, I of V'
+    (``systems.Commutant.projection``), or None when V' = C I.
+
+    It is UCP (Kraus operators Q and 1 - Q), it fixes V because Q commutes
+    with V, and it is not the identity: it kills Q x (1-Q).
+    """
+    q = systems.commutant(system, tol).projection()
+    if q is None:
+        return None
+    return maps.from_kraus(system.dim, [q, np.eye(system.dim) - q])
 
 
 def extend_discrete(system: MatricialSystem, images, horizon: int,

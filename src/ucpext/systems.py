@@ -20,11 +20,18 @@ system's cone:
 
 On concrete systems both coincide with the spectral norm; the toolkit keeps
 the cone-based computation and uses the spectral identity as a self-test.
+
+The commutant V' = { x : xv = vx for all v in V } is the null space of the
+stacked commutators x -> q x - x q over the orthonormal basis, read off one
+SVD (:func:`commutant`).  V is self-adjoint, so V' is a C*-algebra: V is
+irreducible exactly when V' = C I, and the bicommutant V'' is C*(V), the
+C*-algebra V generates (von Neumann's bicommutant theorem).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -36,6 +43,10 @@ from .tolerances import FEASIBILITY_TOL, STRUCTURAL_TOL
 __all__ = [
     "MatricialSystem",
     "LevelElement",
+    "Commutant",
+    "commutant",
+    "cstar_dim",
+    "is_commutative",
     "project_onto",
     "contains",
     "level_membership_residual",
@@ -143,6 +154,85 @@ class LevelElement:
                 f"matrix is not in M_{k}(V): membership residual {resid:.3e}"
             )
         return cls(level=k, matrix=m)
+
+
+@dataclass(frozen=True)
+class Commutant:
+    """The commutant of a set of d x d matrices, from one SVD.
+
+    ``basis`` holds ``dim`` orthonormal d x d matrices spanning it (right
+    singular vectors of the stacked commutators).  ``gap`` is the smallest
+    singular value counted nonzero, ``None`` when there is none (the set is
+    scalar and the commutant is all of M_d).  Singular values at most the
+    roundoff floor count as zero; the rank, and so ``dim``, is ``decided`` when
+    the gap exceeds ``tol``, so no singular value lies in between.
+    """
+
+    dim: int
+    basis: np.ndarray = field(repr=False)
+    gap: Optional[float]
+    decided: bool
+
+    def projection(self) -> Optional[np.ndarray]:
+        """A projection Q != 0, I in the commutant, or None when it is C I.
+
+        The commutant of a self-adjoint set is a C*-algebra, so the spectral
+        projections of its Hermitian elements lie in it: Q projects onto the
+        eigenvectors above the widest eigenvalue gap of the traceless
+        Hermitian part of a basis element, the one farthest from the scalars.
+        """
+        if self.dim < 2:
+            return None
+        d = self.basis.shape[-1]
+        parts = np.concatenate([linalg.hermitian_part(self.basis),
+                                linalg.hermitian_part(-1j * self.basis)])
+        parts = parts - np.einsum("kii->k", parts)[:, None, None] * np.eye(d) / d
+        h = parts[int(np.argmax(np.linalg.norm(parts, axis=(1, 2))))]
+        w, u = np.linalg.eigh(h)
+        upper = u[:, int(np.argmax(np.diff(w))) + 1:]
+        return upper @ linalg.dagger(upper)
+
+
+def _commutant_of(mats, tol: float) -> Commutant:
+    """The commutant of a stack of d x d matrices (module docstring).
+
+    Row-major vec(q x - x q) = (q (x) I - I (x) q^T) vec(x); the null space of
+    those maps stacked is the commutant.  The roundoff floor is the usual rank
+    threshold, max(shape) * eps * max(1, largest singular value).
+    """
+    mats = np.asarray(mats, dtype=complex)
+    m, d = mats.shape[0], mats.shape[-1]
+    eye = np.eye(d)
+    # [k, i, a, j, b] = q_k[i, j] delta_ab - delta_ij q_k[b, a]
+    stack = (mats[:, :, None, :, None] * eye[None, None, :, None, :]
+             - eye[None, :, None, :, None] * np.swapaxes(mats, 1, 2)[:, None, :, None, :])
+    stack = stack.reshape(m * d * d, d * d)
+    _, sing, vh = np.linalg.svd(stack, full_matrices=False)
+    floor = max(stack.shape) * np.finfo(float).eps * max(1.0, float(sing[0]))
+    rank = int(np.count_nonzero(sing > floor))
+    gap = float(sing[rank - 1]) if rank else None
+    basis = np.conj(vh[rank:]).reshape(-1, d, d)
+    return Commutant(dim=d * d - rank, basis=basis, gap=gap,
+                     decided=gap is None or gap > tol)
+
+
+def commutant(system: MatricialSystem, tol: float = FEASIBILITY_TOL) -> Commutant:
+    """V' from the orthonormal basis, so its singular values, and the gap,
+    do not depend on the scale of the user's basis."""
+    return _commutant_of(system.onb, tol)
+
+
+def cstar_dim(system: MatricialSystem, tol: float = FEASIBILITY_TOL) -> int:
+    """dim C*(V) = dim V'': the commutant of the commutant's basis."""
+    comm = commutant(system, tol)
+    return _commutant_of(comm.basis, tol).dim
+
+
+def is_commutative(system: MatricialSystem, tol: float = FEASIBILITY_TOL) -> bool:
+    """Whether C*(V) is commutative: the basis elements commute pairwise."""
+    onb = system.onb
+    products = onb[:, None] @ onb[None, :]
+    return linalg.frob(products - np.swapaxes(products, 0, 1)) <= tol
 
 
 def project_onto(system: MatricialSystem, m) -> np.ndarray:

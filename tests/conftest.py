@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ucpext import catalog, dynamics, linalg, maps
+from ucpext.systems import MatricialSystem
 
 ACCEPTANCE_RESULTS = []
 
@@ -70,3 +71,13 @@ def random_ucp_map(d, rng, n_kraus=3):
     w, u = np.linalg.eigh(total)
     inv_sqrt = (u * (1.0 / np.sqrt(w))) @ np.conj(u.T)
     return maps.from_kraus(d, [k @ inv_sqrt for k in ops])
+
+
+def near_reducible_system(eps):
+    """span{I, E_00, E_22 + eps X_01} in M_3: blocks {0, 1} and {2}, with the
+    last element coupling 0 and 1 by eps, so one commutator singular value is
+    about sqrt(6) eps."""
+    x01 = np.zeros((3, 3))
+    x01[0, 1] = x01[1, 0] = 1.0
+    return MatricialSystem.from_basis(
+        [np.eye(3), np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0]) + eps * x01])

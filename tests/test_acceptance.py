@@ -22,11 +22,13 @@ def test_criterion_1_rotation_uniqueness(rebit):
     elapsed = time.time() - t0
     truth = catalog.rotation_extension_generator(1.0)
     distance = gen.op.distance(truth.op)
+    witness = report.certificate.inverse_witness
     record_acceptance(
         1, "rotation group extension is the commutator generator",
-        distance <= 1e-6 and report.uniqueness_spread <= 1e-6 and elapsed <= 10.0,
-        f"distance {distance:.2e}, spread {report.uniqueness_spread:.2e}, "
-        f"{elapsed:.2f}s")
+        distance <= 1e-6 and report.uniqueness_spread <= 1e-6 and witness <= 1e-6
+        and report.certificate.commutant_dim == 1 and elapsed <= 10.0,
+        f"distance {distance:.2e}, ||G+ + G-|| {witness:.2e}, "
+        f"8-start spread {report.uniqueness_spread:.2e}, {elapsed:.2f}s")
 
 
 def test_criterion_2_dissipative_non_uniqueness(rebit, pauli):
@@ -228,7 +230,10 @@ def test_criterion_11_rigidity(rebit, qubit):
         report = extension.rigidity_probe(system, n_starts=8, seed=0)
         elapsed = time.time() - t0
         verdicts[name] = report.all_identity
-        budget_ok = budget_ok and elapsed <= 20.0
+        # The 8 starts are a cross-check: each converges, and on a rigid V to
+        # the identity (the probe raises otherwise).
+        budget_ok = (budget_ok and elapsed <= 20.0 and report.n_converged == 9
+                     and (report.certificate.commutant_dim == 1) == expected)
     # explicit witness pair for span{I}: state-composed unital maps fixing I
     witnesses = [maps.from_action(2, lambda b, r=rho: np.trace(r @ b) * np.eye(2))
                  for rho in (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))]

@@ -1,5 +1,5 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import jsonschema
 import numpy as np
@@ -119,6 +119,19 @@ class TestRunScenario:
                                "options": {"starts": 4, "seed": 0}})
         assert report["status"] == "ok"
         assert report["results"]["all_identity"] is False
+        assert report["results"]["certificate"] == {"commutant_dim": 4, "commutant_gap": None}
+
+    def test_certificate_blocks(self):
+        probe = run_scenario({"command": "rigidity-probe", "system": "rebit"})["results"]
+        assert probe["all_identity"] is True and probe["n_runs"] == 1
+        assert probe["certificate"]["commutant_dim"] == 1
+        group = run_scenario({"command": "extend-group", "system": "rebit",
+                              "dynamics": "rebit_rotation"})
+        assert group["status"] == "ok"
+        certificate = group["results"]["certificate"]
+        assert set(certificate) == {"commutant_dim", "commutant_gap", "inverse_witness"}
+        assert certificate["commutant_dim"] == 1
+        assert certificate["inverse_witness"] <= 1e-6
 
     def test_inline_system_and_gksl_dynamics(self, pauli):
         scenario = {
@@ -188,6 +201,21 @@ class TestFailuresAndExitCodes:
                                "dynamics": "rebit_dissipative"})
         assert report["status"] == "failed"
         assert report["error"]["type"] == "GroupExtensionError"
+
+    def test_group_on_reducible_system_claims_no_uniqueness(self, tmp_path, capsys):
+        # A = 0 on the diagonal system (H = Z): M_2 is not the envelope of a
+        # reducible V, so the failure must not cite rigidity.
+        z = [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]
+        scenario = {"command": "extend-group", "system": "diagonal",
+                    "dynamics": {"kind": "gksl", "H": z}}
+        path = write_scenario(tmp_path, scenario)
+        capsys.readouterr()
+        assert main(["run", path]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "failed"
+        assert report["error"]["type"] == "GroupExtensionError"
+        assert "uniqueness in M_d is not claimed" in report["error"]["message"]
+        assert "contradicting rigidity" not in report["error"]["message"]
 
     def test_exit_codes(self, tmp_path):
         ok = write_scenario(tmp_path, {"command": "check-ccp", "dynamics": "g1"}, "a.json")
@@ -260,7 +288,7 @@ class TestFailuresAndExitCodes:
         ({"command": "validate", "system": "rebit", "dynamics": "rebit_rotation",
           "options": {"lambdas": [-1.0]}}, "invalid-input", "input"),
         ({"command": "extend-group", "system": "rebit", "dynamics": "rebit_rotation",
-          "options": {"max_iter": 5}}, "failed", "GroupExtensionError"),
+          "options": {"max_iter": 5, "starts": 8}}, "failed", "GroupExtensionError"),
         ({"command": "extend-generator", "system": "rebit", "dynamics": "rebit_rotation",
           "options": {"omega_param": 1e200}}, "failed", "LinAlgError"),
         ({"command": "extend-group", "system": "rebit", "dynamics": "rebit_rotation",
@@ -416,6 +444,17 @@ class TestDemoRebit:
         names = {c["name"] for c in report["results"]["checks"]}
         assert {"four-case-catalog", "rebit-cone-grid", "rotation-extension-unique",
                 "dissipative-extension-not-unique", "g1-g2-differ-on-Y"} <= names
+
+    def test_four_case_catalog_is_computed(self, monkeypatch):
+        cases = catalog.four_case_catalog()
+        wrong = [(system, replace(envelope, dim=envelope.dim + 1))
+                 for system, envelope in cases]
+        monkeypatch.setattr(catalog, "four_case_catalog", lambda: wrong)
+        report = run_scenario({"command": "demo-rebit"})
+        assert report["results"]["failed_checks"] == ["four-case-catalog"]
+        check = report["results"]["checks"][0]
+        assert [c["envelope_dim"] for c in check["cases"]] == [1, 2, 4, 4]
+        assert [c["commutative"] for c in check["cases"]] == [True, True, False, False]
 
     def test_alternative_prefactor_fails_restriction(self):
         report = run_scenario({"command": "demo-rebit",

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import random_ucp_map
-from ucpext import catalog, dynamics, extension, linalg, maps
+from conftest import near_reducible_system, random_ucp_map
+from ucpext import catalog, dynamics, extension, linalg, maps, serialize, systems
 from ucpext.dynamics import SubsystemGenerator
 from ucpext.errors import (ExtensionInfeasible, GroupExtensionError, InputError,
-                           ResolventFamilyError)
+                           NumericalError, ResolventFamilyError)
 from ucpext.extension import ExtensionOptions, ExtensionProblem
-from ucpext.systems import MatricialSystem
+from ucpext.systems import Commutant, MatricialSystem
 from ucpext.tolerances import FEASIBILITY_TOL, VALIDATE_MAX_ITER
 
 
@@ -20,6 +20,30 @@ def full_algebra_subsystem(gen):
     system = catalog.qubit_system() if gen.d == 2 else None
     assert system is not None
     return SubsystemGenerator.from_action(system, [gen.op.apply(b) for b in system.basis])
+
+
+def undecided_commutant(system, tol=FEASIBILITY_TOL):
+    """A commutant whose smallest nonzero singular value sits within tol of zero."""
+    d = system.dim
+    return Commutant(dim=1, basis=np.eye(d)[None] / np.sqrt(d), gap=0.5 * tol,
+                     decided=False)
+
+
+def counting_multi_start(monkeypatch):
+    """Record the seed list of every ``extension.multi_start`` call."""
+    calls = []
+    solve = extension.multi_start
+
+    def counting(problem, seeds):
+        calls.append(list(seeds))
+        return solve(problem, seeds)
+
+    monkeypatch.setattr(extension, "multi_start", counting)
+    return calls
+
+
+def no_solve(*args, **kwargs):
+    raise AssertionError("no start may be solved")
 
 
 def sampled_map_norm(phi_transfer_apply, unitaries):
@@ -407,14 +431,7 @@ class TestExtendGroup:
 
     @pytest.mark.parametrize("sign, label", [(1.0, "-A"), (-1.0, "+A")])
     def test_rejection_before_random_starts(self, rebit, monkeypatch, sign, label):
-        calls = []
-        solve = extension.multi_start
-
-        def counting_multi_start(problem, seeds):
-            calls.append(list(seeds))
-            return solve(problem, seeds)
-
-        monkeypatch.setattr(extension, "multi_start", counting_multi_start)
+        calls = counting_multi_start(monkeypatch)
         sub = catalog.rebit_dissipative(1.0)
         problem = ExtensionProblem.for_generator(rebit, sub if sign > 0 else -sub)
         with pytest.raises(GroupExtensionError, match="not a group") as info:
@@ -423,24 +440,70 @@ class TestExtendGroup:
         assert len(calls) <= 2
         assert all(seeds == [None] for seeds in calls)
 
-    @pytest.mark.parametrize("n_starts", [0, -3])
-    def test_no_randomized_start_rejected(self, rebit, monkeypatch, n_starts):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("no start may be solved")
+    def test_zero_starts_give_a_certified_verdict(self, rebit, monkeypatch):
+        calls = counting_multi_start(monkeypatch)
+        problem = ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(1.0))
+        gen, report = extension.extend_group(problem, n_starts=0)
+        assert calls == [[None], [None]]  # the +A and -A solves only
+        assert gen.op.distance(catalog.rotation_extension_generator(1.0).op) <= 1e-6
+        assert report.n_starts == 0 and report.uniqueness_spread == 0.0
+        assert report.certificate.commutant_dim == 1
+        assert report.certificate.commutant_gap > 1.0
+        assert report.certificate.inverse_witness <= 100.0 * FEASIBILITY_TOL
 
+    @pytest.mark.parametrize("n_starts", [-3])
+    def test_negative_start_count_rejected(self, rebit, monkeypatch, n_starts):
         monkeypatch.setattr(extension, "multi_start", no_solve)
         problem = ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(1.0))
-        with pytest.raises(InputError, match="n_starts must be at least 1"):
+        with pytest.raises(InputError, match="n_starts must be nonnegative"):
             extension.extend_group(problem, n_starts=n_starts)
+
+    def test_undecided_gap_gives_no_verdict(self, rebit, monkeypatch):
+        monkeypatch.setattr(systems, "commutant", undecided_commutant)
+        problem = ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(1.0))
+        with pytest.raises(GroupExtensionError,
+                           match="uniqueness undecided: the commutant's rank"):
+            extension.extend_group(problem)
+
+    def test_reducible_system_uniqueness_not_claimed(self, pauli):
+        # A = 0 on the diagonal system: a group on V whose ccp extensions to
+        # M_2 are not unique, which the paper does not contradict, since M_2
+        # is not the envelope of a reducible V.
+        system = catalog.diagonal_system()
+        gen = dynamics.gksl_generator(2, hamiltonian=pauli.Z)
+        sub = SubsystemGenerator.from_action(system, [gen.op.apply(v) for v in system.basis])
+        problem = ExtensionProblem.for_generator(system, sub)
+        for n_starts in (0, 4):
+            with pytest.raises(GroupExtensionError,
+                               match="not claimed: V is reducible .commutant dimension 2") as info:
+                extension.extend_group(problem, n_starts=n_starts)
+            assert "contradicting rigidity" not in str(info.value)
 
     def test_unconverged_starts_leave_uniqueness_undecided(self, rebit):
         # The deterministic +A and -A solves converge within 5 evaluations; the
-        # randomized starts do not, so they cannot witness uniqueness.
+        # randomized starts of the cross-check do not, so it is inconclusive.
         problem = ExtensionProblem.for_generator(
             rebit, catalog.rebit_rotation(1.0), ExtensionOptions(max_iter=5))
         with pytest.raises(GroupExtensionError,
                            match="uniqueness undecided: 8 of 8 randomized starts"):
             extension.extend_group(problem, n_starts=8)
+
+    def test_disagreeing_start_refutes_the_certificate(self, rebit, monkeypatch):
+        solve = extension.multi_start
+
+        def shifted(problem, seeds):
+            runs = solve(problem, seeds)
+            if seeds == [None]:
+                return runs
+            return [(maps.SuperOp(op.d, op.choi + 1e-3 * np.eye(op.d ** 2)), report)
+                    for op, report in runs]
+
+        monkeypatch.setattr(extension, "multi_start", shifted)
+        problem = ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(1.0))
+        with pytest.raises(GroupExtensionError,
+                           match=r"disagree \(spread .*\) although the certificate .*"
+                                 r"\|\|G\+ \+ G-\|\| = "):
+            extension.extend_group(problem, n_starts=2)
 
     def test_three_dimensional_rotation_group(self):
         # A rotation of the real symmetric 3x3 system, extended uniquely to
@@ -471,14 +534,43 @@ class TestRigidityProbe:
         assert report.all_identity
         assert report.max_distance_to_identity <= report.identity_threshold
 
-    @pytest.mark.parametrize("n_starts", [0, -2])
-    def test_no_randomized_start_rejected(self, monkeypatch, n_starts):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("no start may be solved")
+    @pytest.mark.parametrize("name, rigid", [("span_I", False), ("diagonal", False),
+                                             ("rebit", True), ("M2", True)])
+    def test_zero_starts_give_a_certified_verdict(self, monkeypatch, name, rigid):
+        calls = counting_multi_start(monkeypatch)
+        report = extension.rigidity_probe(serialize.system_from_json(name), n_starts=0)
+        assert calls == [[None]]  # the deterministic start only
+        assert report.all_identity is rigid
+        assert (report.certificate.commutant_dim == 1) is rigid
+        assert report.n_runs == report.n_converged == 1
+        assert report.max_distance_to_identity <= report.identity_threshold
 
+    @pytest.mark.parametrize("n_starts", [-2])
+    def test_negative_start_count_rejected(self, monkeypatch, n_starts):
         monkeypatch.setattr(extension, "multi_start", no_solve)
-        with pytest.raises(InputError, match="n_starts must be at least 1"):
+        with pytest.raises(InputError, match="n_starts must be nonnegative"):
             extension.rigidity_probe(catalog.trivial_system(), n_starts=n_starts)
+
+    def test_undecided_gap_gives_no_verdict(self, rebit, monkeypatch):
+        monkeypatch.setattr(systems, "commutant", undecided_commutant)
+        monkeypatch.setattr(extension, "multi_start", no_solve)
+        with pytest.raises(NumericalError, match="rigidity undecided"):
+            extension.rigidity_probe(rebit)
+
+    def test_converged_non_identity_start_refutes_the_certificate(self, rebit, monkeypatch):
+        solve = extension.multi_start
+
+        def depolarized(problem, seeds):
+            runs = solve(problem, seeds)
+            d = problem.system.dim
+            flat = maps.from_action(d, lambda b: np.trace(b) * np.eye(d) / d)
+            return [(flat, report) for _, report in runs]
+
+        monkeypatch.setattr(extension, "multi_start", depolarized)
+        with pytest.raises(NumericalError,
+                           match=r"lies [0-9.]+e[+-][0-9]+ from the identity although the "
+                                 r"commutant is C I \(dimension 1, gap 1\.414e\+00\)"):
+            extension.rigidity_probe(rebit)
 
     def test_span_identity_not_rigid(self, pauli):
         system = catalog.trivial_system()
@@ -751,3 +843,70 @@ class TestNoFalseNotUcp:
         system, images = _unitary_mixture_images(3)
         feasible, _ = extension.ucp_extension_feasible(system, images)
         assert feasible
+
+
+# ---------------------------------------------------------------------------
+# Uniqueness from the commutant: the pinching witness and ||G+ + G-||
+# ---------------------------------------------------------------------------
+
+
+class TestUniquenessCertificate:
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(p=st.integers(1, 2), q=st.integers(1, 3), extra=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_direct_sum_pinching_witness(self, p, q, extra, seed):
+        """V inside diag(M_p, M_q), conjugated: reducible, and its pinching
+        witness is a UCP map other than the identity that fixes V."""
+        d = p + q
+        rng = np.random.default_rng(seed)
+        u = linalg.random_unitary(d, rng)
+        extra = min(extra, p * p + q * q - 1)  # block-diagonal Hermitians, less I
+        basis = [np.eye(d)]
+        for _ in range(extra):
+            block = np.zeros((d, d), dtype=complex)
+            block[:p, :p] = linalg.random_hermitian(p, rng)
+            block[p:, p:] = linalg.random_hermitian(q, rng)
+            basis.append(u @ block @ linalg.dagger(u))
+        system = MatricialSystem.from_basis(basis)
+        comm = systems.commutant(system)
+        assert comm.decided and comm.dim >= 2
+        witness = extension.rigidity_witness(system)
+        assert maps.is_ucp(witness, 1e-10)
+        for v in system.basis:
+            assert linalg.frob(witness.apply(v) - v) <= 1e-10
+        assert witness.distance(maps.identity_map(d)) > 1.0
+        assert not extension.rigidity_probe(system).all_identity
+
+    @settings(max_examples=12, deadline=None, database=None)
+    @given(d=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+    def test_inverse_witness_vanishes_on_rigid_systems(self, d, seed):
+        """i[H, .] with H = U K U*, K imaginary Hermitian, preserves U V U* for
+        V the real symmetric matrices; the group it generates is extended
+        uniquely, so G+ = -G-."""
+        system = _conjugated_real_symmetric(d, seed)
+        u = linalg.random_unitary(d, np.random.default_rng(seed))
+        a = np.random.default_rng([seed, 1]).normal(size=(d, d))
+        ham = u @ (1j * (a - a.T)) @ linalg.dagger(u)
+        full = dynamics.gksl_generator(d, hamiltonian=ham)
+        sub = SubsystemGenerator.from_action(system, [full.op.apply(v) for v in system.basis])
+        gen, report = extension.extend_group(ExtensionProblem.for_generator(system, sub))
+        assert report.certificate.commutant_dim == 1
+        assert report.certificate.inverse_witness <= 100.0 * FEASIBILITY_TOL
+        assert gen.op.distance(full.op) <= 1e-6
+
+    @pytest.mark.parametrize("name", ["span_I", "diagonal", "rebit", "M2",
+                                      "real_symmetric_3", "real_symmetric_4"])
+    def test_certificate_agrees_with_randomized_starts(self, name):
+        system = serialize.system_from_json(name)
+        rigid = systems.commutant(system).dim == 1
+        report = extension.rigidity_probe(system, n_starts=4, seed=0)
+        assert report.all_identity is rigid
+        assert report.n_converged == report.n_runs == 5
+        if rigid:
+            assert report.max_distance_to_identity <= report.identity_threshold
+        else:
+            assert report.max_pairwise_distance > 1e-2
+
+    def test_near_reducible_system_gives_no_rigidity_verdict(self):
+        with pytest.raises(NumericalError, match="rigidity undecided"):
+            extension.rigidity_probe(near_reducible_system(1e-9))

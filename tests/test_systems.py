@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from ucpext import catalog, linalg
+from hypothesis import given, settings, strategies as st
+
+from conftest import near_reducible_system
+from ucpext import catalog, linalg, serialize, systems
 from ucpext.errors import InputError
 from ucpext.systems import (LevelElement, MatricialSystem, contains,
                             is_positive_element, matrix_norm, order_norm_h,
@@ -207,3 +210,72 @@ class TestNorms:
                     got = matrix_norm(system, el)
                     want = linalg.spectral_norm(blocks)
                     assert abs(got - want) <= 1e-8 * (1.0 + want)
+
+
+class TestCommutant:
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(d=st.integers(2, 5), extra=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
+    def test_generic_system_is_irreducible(self, d, extra, seed):
+        rng = np.random.default_rng(seed)
+        u = linalg.random_unitary(d, rng)
+        basis = [np.eye(d)] + [u @ linalg.random_hermitian(d, rng) @ linalg.dagger(u)
+                               for _ in range(extra)]
+        comm = systems.commutant(MatricialSystem.from_basis(basis))
+        assert comm.decided and comm.dim == 1
+        assert comm.projection() is None
+
+    # (commutant dimension, dim C*(V), commutative)
+    @pytest.mark.parametrize("name, expected", [
+        ("span_I", (4, 1, True)), ("diagonal", (2, 2, True)), ("rebit", (1, 4, False)),
+        ("M2", (1, 4, False)), ("real_symmetric_3", (1, 9, False)),
+        ("real_symmetric_4", (1, 16, False))])
+    def test_catalog_systems(self, name, expected):
+        system = serialize.system_from_json(name)
+        comm = systems.commutant(system)
+        assert comm.decided
+        assert (comm.dim, systems.cstar_dim(system), systems.is_commutative(system)) == expected
+        # The basis is orthonormal and commutes with V.
+        gram = np.einsum("aij,bij->ab", np.conj(comm.basis), comm.basis)
+        assert linalg.frob(gram - np.eye(comm.dim)) <= 1e-12
+        for x in comm.basis:
+            for v in system.basis:
+                assert linalg.frob(x @ v - v @ x) <= 1e-12
+        if name == "span_I":
+            assert comm.gap is None  # no nonzero singular value: V' = M_d
+        else:
+            assert 1.0 < comm.gap < 2.5
+
+    def test_four_cases_match_the_catalog_envelopes(self):
+        for system, envelope in catalog.four_case_catalog():
+            assert systems.cstar_dim(system) == envelope.dim
+            assert systems.is_commutative(system) == envelope.commutative
+
+    def test_commutative_c3_example(self):
+        # span{I, diag(1, 0, -1)}: C*(V) = C^3 (its envelope is C^2).
+        system = MatricialSystem.from_basis([np.eye(3), np.diag([1.0, 0.0, -1.0])])
+        assert systems.commutant(system).dim == 3
+        assert systems.cstar_dim(system) == 3
+        assert systems.is_commutative(system)
+
+    @pytest.mark.parametrize("scale", [1e-4, 1e4])
+    def test_gap_does_not_depend_on_the_basis_scale(self, scale):
+        system = catalog.real_symmetric_system(3)
+        scaled = MatricialSystem.from_basis(
+            [system.basis[0]] + [scale * b for b in system.basis[1:]])
+        assert systems.commutant(scaled).gap == pytest.approx(
+            systems.commutant(system).gap, rel=1e-10)
+
+    def test_rank_within_tol_of_zero_is_undecided(self):
+        assert not systems.commutant(near_reducible_system(1e-9)).decided
+        comm = systems.commutant(near_reducible_system(1e-3))
+        assert comm.decided and comm.dim == 2
+        assert comm.gap == pytest.approx(np.sqrt(6.0) * 1e-3, rel=1e-3)
+
+    @pytest.mark.parametrize("name", ["span_I", "diagonal"])
+    def test_projection_is_a_nontrivial_projection_in_the_commutant(self, name):
+        system = serialize.system_from_json(name)
+        q = systems.commutant(system).projection()
+        assert linalg.frob(q @ q - q) <= 1e-12 and linalg.frob(q - linalg.dagger(q)) <= 1e-12
+        assert 0.5 < np.trace(q).real < system.dim - 0.5
+        for v in system.basis:
+            assert linalg.frob(q @ v - v @ q) <= 1e-12
