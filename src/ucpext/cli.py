@@ -26,6 +26,7 @@ import argparse
 import functools
 import inspect
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -576,40 +577,42 @@ def _apply_flag_overrides(scenario: dict, args) -> dict:
     return {**scenario, "options": options}
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-
+def _reports(args):
+    """The report of each scenario the command line names, computed one at a time."""
     if args.mode == "demo-rebit":
-        scenario = {"command": "demo-rebit",
-                    "options": {"delta_param": args.delta,
-                                "omega_param": args.omega_param,
-                                "g2_prefactor": args.g2_prefactor,
-                                "starts": args.starts,
-                                "seed": args.seed}}
-        report = run_scenario(scenario)
-        _emit(report, args.report)
-        return _EXIT_BY_STATUS[report["status"]]
-
+        yield run_scenario({"command": "demo-rebit", "options": {
+            "delta_param": args.delta, "omega_param": args.omega_param,
+            "g2_prefactor": args.g2_prefactor, "starts": args.starts, "seed": args.seed}})
+        return
     paths = args.scenario
     flag_options = _apply_flag_overrides({}, args)["options"]
     if len(paths) > 1 and not args.batch:
-        _emit(_invalid_input(_envelope(None, flag_options),
-                             "multiple scenarios require --batch"), args.report)
-        return 2
-    worst = 0
+        yield _invalid_input(_envelope(None, flag_options),
+                             "multiple scenarios require --batch")
+        return
     for path in paths:
         try:
             scenario = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
-            _emit(_invalid_input(_envelope(None, flag_options),
-                                 f"cannot parse scenario {path}: {exc}"), args.report)
-            worst = max(worst, 2)
+            yield _invalid_input(_envelope(None, flag_options),
+                                 f"cannot parse scenario {path}: {exc}")
             continue
         if not isinstance(scenario, dict):
             scenario = {"command": None}
-        report = run_scenario(_apply_flag_overrides(scenario, args))
-        _emit(report, args.report)
-        worst = max(worst, _EXIT_BY_STATUS[report["status"]])
+        yield run_scenario(_apply_flag_overrides(scenario, args))
+
+
+def main(argv=None) -> int:
+    """Exit with the worst code of the reports computed; a closed pipe stops the run."""
+    args = build_parser().parse_args(argv)
+    worst = 0
+    try:
+        for report in _reports(args):
+            worst = max(worst, _EXIT_BY_STATUS[report["status"]])
+            _emit(report, args.report)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:  # the interpreter's last flush goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return worst
 
 

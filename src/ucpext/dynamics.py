@@ -64,45 +64,45 @@ class GeneratorCertificates:
 
 @dataclass(frozen=True)
 class Generator:
-    """An infinitesimal generator with re-derived certificates."""
+    """An infinitesimal generator with re-derived certificates.  ``ccp_eigenvalue``
+    is lambda_min(P choi(A) P), the number the ccp certificate compares with
+    -tol * (1 + ||choi||_F); -inf, not computed, when A does not preserve hermiticity."""
 
     op: SuperOp
     certificates: GeneratorCertificates
+    ccp_eigenvalue: float
 
     @property
     def d(self) -> int:
         return self.op.d
 
 
-def _compression_psd(op: SuperOp, tol: float) -> bool:
-    """The ccp test less its hermiticity test, which the caller makes once."""
-    proj = maps.ccp_projector(op.d)
-    compressed = proj @ linalg.hermitian_part(op.choi) @ proj
-    min_eig = float(np.linalg.eigvalsh(compressed)[0])  # reads the lower triangle
-    return min_eig >= -tol * (1.0 + linalg.frob(op.choi))
+def certify(op: SuperOp, tol: float = FEASIBILITY_TOL) -> Generator:
+    """Wrap a SuperOp as a Generator, computing all certificates from scratch."""
+    hermitian = maps.is_hermiticity_preserving(op, tol)
+    min_eig = -np.inf
+    if hermitian:
+        proj = maps.ccp_projector(op.d)
+        compressed = proj @ linalg.hermitian_part(op.choi) @ proj
+        min_eig = float(np.linalg.eigvalsh(compressed)[0])  # reads the lower triangle
+    certs = GeneratorCertificates(
+        hermiticity_preserving=hermitian,
+        unital_kernel=linalg.frob(op.apply(np.eye(op.d))) <= tol,
+        ccp=hermitian and min_eig >= -tol * (1.0 + linalg.frob(op.choi)),
+    )
+    return Generator(op=op, certificates=certs, ccp_eigenvalue=min_eig)
 
 
 def is_conditionally_completely_positive(op: SuperOp, tol: float = FEASIBILITY_TOL) -> bool:
     """True iff op preserves hermiticity and P choi(op) P >= -tol * (1 + ||choi||_F),
     P = ``maps.ccp_projector(d)`` (module docstring)."""
-    return maps.is_hermiticity_preserving(op, tol) and _compression_psd(op, tol)
-
-
-def certify(op: SuperOp, tol: float = FEASIBILITY_TOL) -> Generator:
-    """Wrap a SuperOp as a Generator, computing all certificates from scratch."""
-    hermitian = maps.is_hermiticity_preserving(op, tol)
-    certs = GeneratorCertificates(
-        hermiticity_preserving=hermitian,
-        unital_kernel=linalg.frob(op.apply(np.eye(op.d))) <= tol,
-        ccp=hermitian and _compression_psd(op, tol),
-    )
-    return Generator(op=op, certificates=certs)
+    return certify(op, tol).certificates.ccp
 
 
 def has_group_certificate(gen: Generator, tol: float = FEASIBILITY_TOL) -> bool:
     """Both +A and -A generate UCP semigroups, so exp(t*A) is defined for all
-    real t; -A preserves hermiticity exactly when A does."""
-    return gen.certificates.certified and _compression_psd(-gen.op, tol)
+    real t; -A preserves hermiticity and annihilates I exactly when A does."""
+    return gen.certificates.certified and is_conditionally_completely_positive(-gen.op, tol)
 
 
 def gksl_generator(d: int, hamiltonian=None, jumps: Sequence = ()) -> Generator:
@@ -270,11 +270,6 @@ class SubsystemGenerator:
         """A(m) for m in span(V), through the coordinate matrix."""
         c = self.system.coords(linalg.as_matrix(m))
         return self.system.from_coords(self.coordinate_matrix @ c)
-
-    def __neg__(self) -> "SubsystemGenerator":
-        return SubsystemGenerator(system=self.system,
-                                  action=tuple(-a for a in self.action),
-                                  coordinate_matrix=-self.coordinate_matrix)
 
 
 def _basis_images(sub: SubsystemGenerator, step: np.ndarray):

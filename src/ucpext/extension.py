@@ -17,7 +17,8 @@ exactly Hermitian matrices, so every extension returned is exactly Hermitian.
 The solver aims at the projection of a starting point x0 onto the feasible
 set.  That makes multi-start behaviour meaningful: distinct randomized starts
 project to distinct feasible points exactly when the feasible set is not a
-singleton, which is how non-uniqueness of extensions is detected.
+singleton, which is how non-uniqueness of extensions is detected.  Groups and
+rigidity are decided by certificates instead; randomized starts only cross-check.
 
 ``converged`` is the residual check alone: the polished point's cone, affine
 and restriction residuals are all at most ``tol``.  A run stopped by budget or
@@ -203,7 +204,8 @@ class RigidityCertificate:
 
 @dataclass(frozen=True)
 class GroupCertificate(RigidityCertificate):
-    """Adds ``inverse_witness`` = ||G+ + G-||, zero for a unique group extension."""
+    """Adds ``inverse_witness``, the ccp defect max(0, -lambda_min(P(-C+)P)) of
+    -G+ (``dynamics.Generator.ccp_eigenvalue``), zero for a unique group extension."""
 
     inverse_witness: float
 
@@ -673,26 +675,35 @@ def _decided_commutant(system: MatricialSystem, tol: float, error, claim: str):
     return comm
 
 
+def _cross_check(problem: ExtensionProblem, seeds, error, claim: str) -> list:
+    """The extensions from ``seeds``; one that does not converge leaves ``claim`` undecided."""
+    runs = multi_start(problem, seeds)
+    unconverged = sum(not report.converged for _, report in runs)
+    if unconverged:
+        raise error(f"{claim} undecided: {unconverged} of {len(seeds)} randomized "
+                    "starts did not converge")
+    return [op for op, _ in runs]
+
+
 def extend_group(problem: ExtensionProblem, n_starts: int = 0, seed: int = 0):
     """Extend a one-parameter UCP group on V to a group on M_d, with checks.
 
-    +A and -A are extended first, each by :func:`extend_generator`.  Converged
-    ccp extensions of both are the certificate that A generates a UCP group on
-    V, so there is no separate validation; if either does not converge, A is
-    rejected before anything else runs.  Uniqueness is then decided, not
-    sampled:
+    One solve, of +A, and two certificates decide:
 
-      * rigidity: V must be irreducible (commutant C I, :func:`rigidity_probe`);
-        on a reducible V, M_d is not the injective envelope and uniqueness in
-        M_d is not claimed;
-      * uniqueness: exp(t G+) o exp(t G-) is UCP and fixes V, so on a rigid V
-        it is the identity and G+ = -G-; every ccp extension of A is then
-        -G-.  The witness ||G+ + G-|| must be at most 100 x tol (a relaxed
-        tolerance, as for the sampled checks below).
+      * rigidity, before any solve: V must be irreducible (commutant C I,
+        :func:`rigidity_probe`); on a reducible V, M_d is not the injective
+        envelope and uniqueness in M_d is not claimed;
+      * the group: +A is extended to a ccp G+ (:func:`extend_generator`; a
+        run that does not converge leaves the group undecided).  On a rigid
+        V, A generates a UCP group exactly when -G+ is ccp: then exp(-t G+)
+        is a UCP inverse of exp(t G+), and for any ccp extension G of A,
+        exp(t G) o exp(-t G+) is UCP and fixes V, so it is the identity and
+        G = G+ (a ccp extension of -A is likewise -G+).  The witness is the
+        ccp defect of -G+ that :func:`dynamics.certify` tests.
 
     The result must also satisfy, at sampled times and within 100 x tol:
 
-      * inversion:        exp(t G+) o exp(t G-) = id,
+      * inversion:        exp(t G+) o exp(-t G+) = id,
       * multiplicativity: exp(t G+) is an algebra homomorphism on sampled
         pairs (a UCP map with a UCP inverse is a *-automorphism).
 
@@ -712,25 +723,21 @@ def extend_group(problem: ExtensionProblem, n_starts: int = 0, seed: int = 0):
     # The rng draws the start seeds first and the multiplicativity samples after.
     rng = np.random.default_rng(seed)
     run_seeds = _start_seeds(rng, n_starts)
-    minus_problem = ExtensionProblem.for_generator(sub.system, -sub, opts)
-    extensions = []
-    for signed_problem, label in ((problem, "+A"), (minus_problem, "-A")):
-        gen, signed_report = extend_generator(signed_problem)
-        if not signed_report.converged:
-            raise GroupExtensionError(
-                f"not a group on V: the extension of {label} did not converge")
-        extensions.append((gen, signed_report))
-    (gen_plus, report), (gen_minus, _) = extensions
-
     comm = _decided_commutant(sub.system, opts.tol, GroupExtensionError, "uniqueness")
     if comm.dim > 1:
         raise GroupExtensionError(
             f"uniqueness in M_d is not claimed: V is reducible (commutant dimension "
             f"{comm.dim}), so M_d is not its injective envelope")
-    witness = linalg.frob(gen_plus.op.choi + gen_minus.op.choi)
-    if witness > check_tol:
+
+    gen_plus, report = extend_generator(problem)  # the one solve
+    if not report.converged:
+        raise GroupExtensionError("group undecided: the extension of +A did not converge")
+    gen_minus = dynamics.certify(-gen_plus.op, opts.tol)
+    witness = max(0.0, -gen_minus.ccp_eigenvalue)
+    if not gen_minus.certificates.certified:
         raise GroupExtensionError(
-            f"uniqueness not certified: ||G+ + G-|| = {witness:.3e} on a rigid V")
+            f"not a group on V: -G+ is not ccp (ccp defect {witness:.3e} of the "
+            "extension G+ of +A)")
 
     steps = [dynamics.evolve(gen_plus, t) for t in _GROUP_SAMPLE_TS]
     ident = maps.identity_map(sub.system.dim)
@@ -743,17 +750,13 @@ def extend_group(problem: ExtensionProblem, n_starts: int = 0, seed: int = 0):
             f"not a group on V: inverse check residual {inverse_residual:.3e}"
         )
 
-    runs = multi_start(problem, run_seeds) if run_seeds else []
-    unconverged = sum(not run_report.converged for _, run_report in runs)
-    if unconverged:
-        raise GroupExtensionError(
-            f"uniqueness undecided: {unconverged} of {n_starts} randomized starts "
-            "did not converge")
-    spread = max_pairwise_distance([gen_plus.op.choi] + [op.choi for op, _ in runs])
+    ops = (_cross_check(problem, run_seeds, GroupExtensionError, "uniqueness")
+           if run_seeds else [])
+    spread = max_pairwise_distance([gen_plus.op.choi] + [op.choi for op in ops])
     if spread > 10.0 * opts.tol:
         raise GroupExtensionError(
             f"randomized starts disagree (spread {spread:.3e}) although the "
-            f"certificate says the extension is unique (||G+ + G-|| = {witness:.3e})")
+            f"certificate says the extension is unique (ccp defect of -G+ {witness:.3e})")
 
     d = sub.system.dim
     mult_residual = 0.0
@@ -800,28 +803,25 @@ def rigidity_probe(system: MatricialSystem, n_starts: int = 0,
     C*-algebras II, Acta Math. 128, 1972).  If instead V' holds a projection
     Q != 0, I, the pinching by Q (:func:`rigidity_witness`) is a UCP map other
     than the identity that fixes V.  An undecided commutant rank raises
-    :class:`NumericalError`.
+    :class:`NumericalError`.  No solve runs by default.
 
-    The map-extension solver for phi = id_V also runs, from the deterministic
-    start (which converges in one evaluation) plus ``n_starts`` randomized
-    starts, as a cross-check: on a rigid V every converged extension must be
-    the identity, else the certificate and the solver disagree and the probe
-    raises :class:`NumericalError`.  On a non-rigid V the starts may still all
-    land on the identity; they cannot refute the witness.
+    ``n_starts`` randomized starts of the solver for phi = id_V are an opt-in
+    cross-check: each must converge, and on a rigid V land on the identity,
+    else the probe raises :class:`NumericalError`.  On a non-rigid V they may
+    all land on the identity; they cannot refute the witness.
     """
+    options = ExtensionOptions(tol=tol, max_iter=max_iter)
+    seeds = _start_seeds(np.random.default_rng(seed), n_starts)
     comm = _decided_commutant(system, tol, NumericalError, "rigidity")
-    problem = ExtensionProblem.for_map(system, system.basis,
-                                       ExtensionOptions(tol=tol, max_iter=max_iter))
-    rng = np.random.default_rng(seed)
-    seeds = [None] + _start_seeds(rng, n_starts)
-    ops = [op for op, report in multi_start(problem, seeds) if report.converged]
+    ops = (_cross_check(ExtensionProblem.for_map(system, system.basis, options),
+                        seeds, NumericalError, "rigidity") if seeds else [])
 
     ident = maps.identity_map(system.dim)
     identity_threshold = max(50.0 * tol, 1e-6)
     max_pair = max_pairwise_distance([op.choi for op in ops])
-    max_to_id = max((op.distance(ident) for op in ops), default=np.inf)
+    max_to_id = max((op.distance(ident) for op in ops), default=0.0)
     rigid = comm.dim == 1
-    if rigid and ops and max_to_id > identity_threshold:
+    if rigid and max_to_id > identity_threshold:
         raise NumericalError(
             f"a converged start lies {max_to_id:.3e} from the identity although "
             f"the commutant is C I (dimension 1, gap {comm.gap:.3e})")
@@ -831,7 +831,7 @@ def rigidity_probe(system: MatricialSystem, n_starts: int = 0,
         max_distance_to_identity=max_to_id,
         identity_threshold=identity_threshold,
         n_converged=len(ops),
-        n_runs=n_starts + 1,
+        n_runs=n_starts,
         certificate=RigidityCertificate(commutant_dim=comm.dim, commutant_gap=comm.gap),
     )
 

@@ -17,6 +17,6 @@ SOLVE_MAX_ITER = 200_000     # one extension solve
 VALIDATE_MAX_ITER = 50_000   # each feasibility check of a validation
 # demo-rebit's start count (its dissipative non-uniqueness check and the
 # cross-check of its rotation group) and the default of its ``--starts`` flag.
-# rigidity_probe and extend_group decide from the commutant and run no
-# randomized start unless asked.
+# rigidity_probe (no solve) and extend_group (one solve, of +A) decide by
+# certificate and run no randomized start unless asked.
 DEFAULT_STARTS = 8

@@ -27,7 +27,7 @@ def test_criterion_1_rotation_uniqueness(rebit):
         1, "rotation group extension is the commutator generator",
         distance <= 1e-6 and report.uniqueness_spread <= 1e-6 and witness <= 1e-6
         and report.certificate.commutant_dim == 1 and elapsed <= 10.0,
-        f"distance {distance:.2e}, ||G+ + G-|| {witness:.2e}, "
+        f"distance {distance:.2e}, ccp defect of -G+ {witness:.2e}, "
         f"8-start spread {report.uniqueness_spread:.2e}, {elapsed:.2f}s")
 
 
@@ -232,7 +232,8 @@ def test_criterion_11_rigidity(rebit, qubit):
         verdicts[name] = report.all_identity
         # The 8 starts are a cross-check: each converges, and on a rigid V to
         # the identity (the probe raises otherwise).
-        budget_ok = (budget_ok and elapsed <= 20.0 and report.n_converged == 9
+        budget_ok = (budget_ok and elapsed <= 20.0
+                     and report.n_converged == report.n_runs == 8
                      and (report.certificate.commutant_dim == 1) == expected)
     # explicit witness pair for span{I}: state-composed unital maps fixing I
     witnesses = [maps.from_action(2, lambda b, r=rho: np.trace(r @ b) * np.eye(2))

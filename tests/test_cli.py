@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import ucpext
 from ucpext import catalog, cli, dynamics, extension, serialize
 from ucpext.cli import load_scenario_schema, main, run_scenario
 
@@ -123,7 +128,7 @@ class TestRunScenario:
 
     def test_certificate_blocks(self):
         probe = run_scenario({"command": "rigidity-probe", "system": "rebit"})["results"]
-        assert probe["all_identity"] is True and probe["n_runs"] == 1
+        assert probe["all_identity"] is True and probe["n_runs"] == 0
         assert probe["certificate"]["commutant_dim"] == 1
         group = run_scenario({"command": "extend-group", "system": "rebit",
                               "dynamics": "rebit_rotation"})
@@ -308,6 +313,27 @@ class TestFailuresAndExitCodes:
         assert main(["run", path]) == {"failed": 1, "invalid-input": 2}[status]
         assert json.loads(capsys.readouterr().out) == report
 
+    @pytest.mark.parametrize("scenario, error_type, message", [
+        ({"command": "extend-group", "system": "rebit", "dynamics": "rebit_rotation",
+          "options": {"omega_param": 1e150}},
+         "GroupExtensionError", "group undecided: the extension of +A did not converge"),
+        ({"command": "extend-group", "system": "real_symmetric_3",
+          "dynamics": {"kind": "gksl", "H": [[[0, 0], [0, -1], [0, 0]],
+                                             [[0, 1], [0, 0], [0, 0]],
+                                             [[0, 0], [0, 0], [0, 0]]]},
+          "options": {"max_iter": 1}},
+         "GroupExtensionError", "group undecided: the extension of +A did not converge"),
+        ({"command": "rigidity-probe", "system": "real_symmetric_3",
+          "options": {"starts": 4, "max_iter": 1}},
+         "NumericalError", "rigidity undecided: 4 of 4 randomized starts did not converge"),
+    ], ids=["group-overflow", "group-budget", "rigidity-budget"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_unconverged_solves_leave_the_verdict_undecided(self, scenario, error_type,
+                                                            message):
+        report = run_scenario(scenario)
+        assert report["status"] == "failed"
+        assert report["error"] == {"type": error_type, "message": message}
+
     def test_multiple_scenarios_require_batch(self, tmp_path):
         ok = write_scenario(tmp_path, {"command": "check-ccp", "dynamics": "g1"})
         assert main(["run", ok, ok]) == 2
@@ -343,6 +369,56 @@ class TestFailuresAndExitCodes:
                                "dynamics": dynamics})
         assert report["status"] == "invalid-input"
         assert "rebit system" in report["error"]["message"]
+
+
+class ClosedPipe:
+    """A standard output whose reader has gone: every write fails.  Its file
+    descriptor is a temporary file's, so it can be pointed elsewhere."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("argv, code", [
+        (["demo-rebit", "--report", "text"], 0),
+        (["run", "ok.json"], 0),
+        (["run", "failed.json"], 1),
+        (["run", "--batch", "ok.json", "failed.json"], 0),  # stops at the break
+    ])
+    def test_verdicts_keep_their_exit_code(self, tmp_path, monkeypatch, capsys, argv, code):
+        write_scenario(tmp_path, {"command": "check-ccp", "dynamics": "g1"}, "ok.json")
+        write_scenario(tmp_path, {"command": "extend-group", "system": "rebit",
+                                  "dynamics": "rebit_dissipative"}, "failed.json")
+        monkeypatch.chdir(tmp_path)
+        with open(tmp_path / "stdout", "w") as sink:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(sink.fileno()))
+            assert main(argv) == code
+        assert capsys.readouterr().err == ""
+
+    def test_closed_pipe_in_a_process(self, tmp_path):
+        path = write_scenario(tmp_path, {"command": "check-ccp", "dynamics": "g1"})
+        src = str(Path(ucpext.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "ucpext", "run", path],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env,
+                                  timeout=120)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (0, b"")
 
 
 class TestScenarioSchema:

@@ -429,22 +429,25 @@ class TestExtendGroup:
         gen, _ = extension.extend_group(problem, n_starts=2, seed=0)
         assert gen.op.distance(catalog.rotation_extension_generator(1.0).op) <= 1e-6
 
-    @pytest.mark.parametrize("sign, label", [(1.0, "-A"), (-1.0, "+A")])
-    def test_rejection_before_random_starts(self, rebit, monkeypatch, sign, label):
+    @pytest.mark.parametrize("sign, message", [
+        (1.0, r"not a group on V: -G\+ is not ccp \(ccp defect 1\.000e\+00"),
+        (-1.0, r"group undecided: the extension of \+A did not converge")],
+        ids=["dissipation", "reversed-dissipation"])
+    def test_rejection_before_random_starts(self, rebit, monkeypatch, sign, message):
+        # +A = the dissipation: its extension G+ converges and -G+ is not ccp.
+        # +A = minus the dissipation: no UCP semigroup, so no extension converges.
         calls = counting_multi_start(monkeypatch)
-        sub = catalog.rebit_dissipative(1.0)
-        problem = ExtensionProblem.for_generator(rebit, sub if sign > 0 else -sub)
-        with pytest.raises(GroupExtensionError, match="not a group") as info:
-            extension.extend_group(problem, n_starts=8)
-        assert label in str(info.value)
-        assert len(calls) <= 2
-        assert all(seeds == [None] for seeds in calls)
+        diss = catalog.rebit_dissipative(1.0)
+        sub = SubsystemGenerator.from_action(rebit, [sign * a for a in diss.action])
+        with pytest.raises(GroupExtensionError, match=message):
+            extension.extend_group(ExtensionProblem.for_generator(rebit, sub), n_starts=8)
+        assert calls == [[None]]  # the +A solve only
 
     def test_zero_starts_give_a_certified_verdict(self, rebit, monkeypatch):
         calls = counting_multi_start(monkeypatch)
         problem = ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(1.0))
         gen, report = extension.extend_group(problem, n_starts=0)
-        assert calls == [[None], [None]]  # the +A and -A solves only
+        assert calls == [[None]]  # the +A solve only
         assert gen.op.distance(catalog.rotation_extension_generator(1.0).op) <= 1e-6
         assert report.n_starts == 0 and report.uniqueness_spread == 0.0
         assert report.certificate.commutant_dim == 1
@@ -480,7 +483,7 @@ class TestExtendGroup:
             assert "contradicting rigidity" not in str(info.value)
 
     def test_unconverged_starts_leave_uniqueness_undecided(self, rebit):
-        # The deterministic +A and -A solves converge within 5 evaluations; the
+        # The deterministic +A solve converges within 5 evaluations; the
         # randomized starts of the cross-check do not, so it is inconclusive.
         problem = ExtensionProblem.for_generator(
             rebit, catalog.rebit_rotation(1.0), ExtensionOptions(max_iter=5))
@@ -502,7 +505,7 @@ class TestExtendGroup:
         problem = ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(1.0))
         with pytest.raises(GroupExtensionError,
                            match=r"disagree \(spread .*\) although the certificate .*"
-                                 r"\|\|G\+ \+ G-\|\| = "):
+                                 r"\(ccp defect of -G\+ [0-9.]+e[+-][0-9]+\)"):
             extension.extend_group(problem, n_starts=2)
 
     def test_three_dimensional_rotation_group(self):
@@ -539,11 +542,11 @@ class TestRigidityProbe:
     def test_zero_starts_give_a_certified_verdict(self, monkeypatch, name, rigid):
         calls = counting_multi_start(monkeypatch)
         report = extension.rigidity_probe(serialize.system_from_json(name), n_starts=0)
-        assert calls == [[None]]  # the deterministic start only
+        assert calls == []  # the commutant decides; no start is solved
         assert report.all_identity is rigid
         assert (report.certificate.commutant_dim == 1) is rigid
-        assert report.n_runs == report.n_converged == 1
-        assert report.max_distance_to_identity <= report.identity_threshold
+        assert report.n_runs == report.n_converged == 0
+        assert report.max_distance_to_identity == report.max_pairwise_distance == 0.0
 
     @pytest.mark.parametrize("n_starts", [-2])
     def test_negative_start_count_rejected(self, monkeypatch, n_starts):
@@ -556,6 +559,12 @@ class TestRigidityProbe:
         monkeypatch.setattr(extension, "multi_start", no_solve)
         with pytest.raises(NumericalError, match="rigidity undecided"):
             extension.rigidity_probe(rebit)
+
+    def test_default_probe_solves_nothing(self, monkeypatch):
+        # Rigid exactly when C*(V) is all of M_2.
+        monkeypatch.setattr(extension, "multi_start", no_solve)
+        for system, envelope in catalog.four_case_catalog():
+            assert extension.rigidity_probe(system).all_identity is (envelope.dim == 4)
 
     def test_converged_non_identity_start_refutes_the_certificate(self, rebit, monkeypatch):
         solve = extension.multi_start
@@ -570,7 +579,7 @@ class TestRigidityProbe:
         with pytest.raises(NumericalError,
                            match=r"lies [0-9.]+e[+-][0-9]+ from the identity although the "
                                  r"commutant is C I \(dimension 1, gap 1\.414e\+00\)"):
-            extension.rigidity_probe(rebit)
+            extension.rigidity_probe(rebit, n_starts=2)
 
     def test_span_identity_not_rigid(self, pauli):
         system = catalog.trivial_system()
@@ -894,6 +903,36 @@ class TestUniquenessCertificate:
         assert report.certificate.inverse_witness <= 100.0 * FEASIBILITY_TOL
         assert gen.op.distance(full.op) <= 1e-6
 
+    @settings(max_examples=12, deadline=None, database=None)
+    @given(d=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
+           rate=st.floats(1e-2, 1.0))
+    def test_one_solve_decides_a_group(self, d, seed, rate):
+        """On U V U*, V the real symmetric matrices, i[H, .] with H = U K U*,
+        K imaginary Hermitian, generates a group; adding one jump U R U*, R
+        real, keeps V invariant but makes the dynamics dissipative.  Either
+        verdict follows from the one +A solve."""
+        system = _conjugated_real_symmetric(d, seed)
+        u = linalg.random_unitary(d, np.random.default_rng(seed))
+        rng = np.random.default_rng([seed, 2])
+        a = rng.normal(size=(d, d))
+        ham = u @ (1j * (a - a.T)) @ linalg.dagger(u)
+        jump = u @ (rng.normal(size=(d, d)) / np.sqrt(d)) @ linalg.dagger(u)
+
+        def group_problem(jumps):
+            full = dynamics.gksl_generator(d, hamiltonian=ham, jumps=jumps)
+            sub = SubsystemGenerator.from_action(
+                system, [full.op.apply(v) for v in system.basis])
+            return ExtensionProblem.for_generator(system, sub)
+
+        with pytest.MonkeyPatch.context() as mp:
+            calls = counting_multi_start(mp)
+            extension.extend_group(group_problem([]))
+            assert calls == [[None]]
+            calls.clear()
+            with pytest.raises(GroupExtensionError, match=r"-G\+ is not ccp"):
+                extension.extend_group(group_problem([(jump, rate)]))
+            assert calls == [[None]]
+
     @pytest.mark.parametrize("name", ["span_I", "diagonal", "rebit", "M2",
                                       "real_symmetric_3", "real_symmetric_4"])
     def test_certificate_agrees_with_randomized_starts(self, name):
@@ -901,7 +940,7 @@ class TestUniquenessCertificate:
         rigid = systems.commutant(system).dim == 1
         report = extension.rigidity_probe(system, n_starts=4, seed=0)
         assert report.all_identity is rigid
-        assert report.n_converged == report.n_runs == 5
+        assert report.n_converged == report.n_runs == 4
         if rigid:
             assert report.max_distance_to_identity <= report.identity_threshold
         else:
