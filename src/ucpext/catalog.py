@@ -13,10 +13,16 @@ one-parameter dynamics on the rebit are provided: the rotation group
 (extended uniquely by the commutator generator with Hamiltonian (omega/2) Y)
 and the pure dissipation semigroup, whose extensions to M_2 are not unique --
 g1 and g2 below agree on the rebit but act differently on Y.
+
+The systems are built once per process and shared: each constructor returns
+the same read-only object on every call (``systems.MatricialSystem``), so the
+rebit dynamics sit on the one rebit system, and scenarios naming a catalog
+system, and every scenario of a ``--batch`` run, reuse it and its commutant.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +47,9 @@ __all__ = [
     "rotation_extension_generator",
     "real_symmetric_system",
 ]
+
+# real_symmetric_system keeps this many dimensions built.
+_REAL_SYMMETRIC_CACHED = 8
 
 
 @dataclass(frozen=True)
@@ -74,24 +83,28 @@ class EnvelopeInfo:
     commutative: bool
 
 
+@functools.cache
 def trivial_system() -> MatricialSystem:
     """span{I} inside M_2."""
     p = pauli_basis()
     return MatricialSystem.from_basis([p.I])
 
 
+@functools.cache
 def diagonal_system() -> MatricialSystem:
     """span{I, Z}: the diagonal 2 x 2 matrices."""
     p = pauli_basis()
     return MatricialSystem.from_basis([p.I, p.Z])
 
 
+@functools.cache
 def rebit_system() -> MatricialSystem:
     """span{I, X, Z}: the real symmetric 2 x 2 matrices."""
     p = pauli_basis()
     return MatricialSystem.from_basis([p.I, p.X, p.Z])
 
 
+@functools.cache
 def qubit_system() -> MatricialSystem:
     """The full matrix algebra M_2, with the Pauli basis."""
     p = pauli_basis()
@@ -181,6 +194,7 @@ def rotation_extension_generator(omega: float) -> Generator:
     return gksl_generator(2, hamiltonian=(float(omega) / 2.0) * p.Y)
 
 
+@functools.lru_cache(maxsize=_REAL_SYMMETRIC_CACHED)
 def real_symmetric_system(d: int) -> MatricialSystem:
     """The span of real symmetric matrices inside M_d (dimension d(d+1)/2).
 

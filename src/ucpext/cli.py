@@ -250,6 +250,7 @@ def _cmd_resolvent(scenario, options):
 
 def _cmd_identities(scenario, options):
     gen = _resolve_generator(scenario, options)
+    resolvent_of = functools.cache(functools.partial(dynamics.resolvent, gen))
     grid = options.get("grid", np.linspace(0.5, 4.0, 5).tolist())
     tol = options.get("tol", 1e-9)
     hilbert = []
@@ -258,7 +259,7 @@ def _cmd_identities(scenario, options):
         for mu in grid:
             if lam == mu:
                 continue
-            r = dynamics.hilbert_identity_residual(gen, lam, mu)
+            r = dynamics.hilbert_identity_residual(gen, lam, mu, resolvent_of)
             worst = max(worst, r)
             hilbert.append({"lambda": lam, "mu": mu, "residual": r})
     laplace = []
@@ -266,7 +267,7 @@ def _cmd_identities(scenario, options):
     laplace_worst = 0.0
     for lam in options.get("lambdas", [0.5, 1.0, 2.0]):
         approx, bound = dynamics.laplace_resolvent(gen, lam, **_given(options, "panels"))
-        err = approx.distance(dynamics.resolvent(gen, lam))
+        err = approx.distance(resolvent_of(lam))
         laplace_worst = max(laplace_worst, err)
         laplace.append({"lambda": lam, "quadrature_error": err,
                         "truncation_bound": bound})
@@ -381,16 +382,10 @@ def _cmd_demo_rebit(scenario, options):
     # Rebit cone on the integer grid: a*I + b*X + c*Z positive iff b^2+c^2 <= a^2.
     p = catalog.pauli_basis()
     rebit = catalog.rebit_system()
-    from .systems import LevelElement, is_positive_element
-    grid_ok = True
-    for a in (-2, -1, 0, 1, 2):
-        for b in (-2, -1, 0, 1, 2):
-            for c in (-2, -1, 0, 1, 2):
-                el = LevelElement(level=1, matrix=a * p.I + b * p.X + c * p.Z)
-                got = is_positive_element(rebit, el, **tol_kw)
-                want = (b * b + c * c <= a * a) and a >= 0
-                grid_ok = grid_ok and (got == want)
-    record("rebit-cone-grid", grid_ok, grid="{0,+-1,+-2}^3")
+    a, b, c = (x.reshape(-1, 1, 1) for x in np.meshgrid(*[np.arange(-2, 3)] * 3, indexing="ij"))
+    got = systems.positive_elements(rebit, a * p.I + b * p.X + c * p.Z, **tol_kw)
+    want = (b * b + c * c <= a * a) & (a >= 0)
+    record("rebit-cone-grid", np.all(got == want.ravel()), grid="{0,+-1,+-2}^3")
 
     # Rotation group: unique extension equals the commutator generator.
     rot = catalog.rebit_rotation(omega)

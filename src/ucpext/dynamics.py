@@ -19,6 +19,7 @@ input.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -156,12 +157,19 @@ def resolvent(gen: Generator, lam: complex) -> SuperOp:
     return SuperOp.from_transfer(gen.d, np.linalg.solve(system, np.eye(n, dtype=complex)))
 
 
-def hilbert_identity_residual(gen: Generator, lam: complex, mu: complex) -> float:
-    """Frobenius residual of (R(lam) - R(mu)) / (lam - mu) + R(lam) R(mu)."""
+def hilbert_identity_residual(gen: Generator, lam: complex, mu: complex,
+                              resolvent_of=None) -> float:
+    """Frobenius residual of (R(lam) - R(mu)) / (lam - mu) + R(lam) R(mu).
+
+    ``resolvent_of(x)`` gives R(x) of ``gen``, by default :func:`resolvent`; a
+    caller checking many pairs passes a memo of it, to solve each R(x) once.
+    """
     if lam == mu:
         raise InputError("resolvent identity requires lam != mu")
-    r_lam = resolvent(gen, lam).transfer
-    r_mu = resolvent(gen, mu).transfer
+    if resolvent_of is None:
+        resolvent_of = functools.partial(resolvent, gen)
+    r_lam = resolvent_of(lam).transfer
+    r_mu = resolvent_of(mu).transfer
     residual = (r_lam - r_mu) / (complex(lam) - complex(mu)) + r_lam @ r_mu
     return linalg.frob(residual)
 

@@ -658,8 +658,9 @@ def extend_via_resolvent_family(problem: ExtensionProblem, omega: float,
 _GROUP_SAMPLE_TS = (0.4, 1.1)
 
 
-def _start_seeds(rng: np.random.Generator, n_starts: int) -> list:
-    """Seeds of the randomized starts of a cross-check (none by default)."""
+def _start_seeds(rng: Optional[np.random.Generator], n_starts: int) -> list:
+    """Seeds of the randomized starts of a cross-check (none by default; then
+    ``rng`` may be None)."""
     if n_starts < 0:
         raise InputError(f"n_starts must be nonnegative, got {n_starts}")
     return [int(rng.integers(0, 2**32 - 1)) for _ in range(n_starts)]
@@ -811,12 +812,12 @@ def rigidity_probe(system: MatricialSystem, n_starts: int = 0,
     all land on the identity; they cannot refute the witness.
     """
     options = ExtensionOptions(tol=tol, max_iter=max_iter)
-    seeds = _start_seeds(np.random.default_rng(seed), n_starts)
+    seeds = _start_seeds(np.random.default_rng(seed) if n_starts > 0 else None, n_starts)
     comm = _decided_commutant(system, tol, NumericalError, "rigidity")
     ops = (_cross_check(ExtensionProblem.for_map(system, system.basis, options),
                         seeds, NumericalError, "rigidity") if seeds else [])
 
-    ident = maps.identity_map(system.dim)
+    ident = maps.identity_map(system.dim) if ops else None
     identity_threshold = max(50.0 * tol, 1e-6)
     max_pair = max_pairwise_distance([op.choi for op in ops])
     max_to_id = max((op.distance(ident) for op in ops), default=0.0)

@@ -3,8 +3,9 @@
 The two matrix gates the other modules call: :func:`as_matrix` (a finite
 2-d complex array, of an expected shape when one is given) and
 :func:`ensure_hermitian` (Hermitian symmetry to a tolerance scaled by the
-entries).  Besides them: the matrix exponential, the PSD clip the feasibility
-solver calls once per iteration, and the spectral norm.  All matrices are
+entries, of one matrix or of each matrix of a stack).  Besides them: the
+matrix exponential, the PSD clip the feasibility solver calls once per
+iteration, and the spectral norm.  All matrices are
 dense complex ``numpy`` arrays; Hermitian inputs are validated, never assumed,
 except by ``psd_clip``, the unvalidated kernel of the hot loop.
 
@@ -72,15 +73,24 @@ def ensure_square(m, name: str = "matrix") -> np.ndarray:
 
 def ensure_hermitian(m, tol: float = STRUCTURAL_TOL, name: str = "matrix") -> np.ndarray:
     """Validate Hermitian symmetry, max |m - m*| entrywise against a tolerance
-    scaled by 1 + max|entry|, and return the exactly Hermitian part."""
-    a = ensure_square(m, name)
+    scaled by 1 + max|entry|, and return the exactly Hermitian part.  A stack
+    of matrices (shape (..., n, n)) is checked matrix by matrix, each against
+    its own entries."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim <= 2 or a.shape[-2] != a.shape[-1]:
+        a = ensure_square(a, name)
+    elif a.size:  # a stack of square matrices
+        as_matrix(a.reshape(-1, a.shape[-1]), name=name)  # finite entries
     if not a.size:
         return a
-    scale = 1.0 + float(np.max(np.abs(a)))
-    defect = float(np.max(np.abs(a - dagger(a))))
-    if defect > tol * scale:
+    axes = (-2, -1) if a.ndim > 2 else None
+    bound = tol * (1.0 + np.abs(a).max(axis=axes))
+    defect = np.abs(a - dagger(a)).max(axis=axes)
+    bad = defect > bound
+    if np.count_nonzero(bad):
+        i = np.flatnonzero(bad)[0]
         raise InputError(
-            f"{name} is not Hermitian: defect {defect:.3e} exceeds {tol * scale:.3e}"
+            f"{name} is not Hermitian: defect {defect.flat[i]:.3e} exceeds {bound.flat[i]:.3e}"
         )
     return hermitian_part(a)
 

@@ -26,11 +26,18 @@ stacked commutators x -> q x - x q over the orthonormal basis, read off one
 SVD (:func:`commutant`).  V is self-adjoint, so V' is a C*-algebra: V is
 irreducible exactly when V' = C I, and the bicommutant V'' is C*(V), the
 C*-algebra V generates (von Neumann's bicommutant theorem).
+
+A system is a fixed, shared object: its arrays are read-only, and the SVD
+behind its commutant is computed on first use and kept with it, since it
+depends on V alone.  The catalog builds each of its systems once per process
+(``catalog``), so scenarios naming one, and every scenario of a ``--batch``
+run, reuse the same system and its SVD.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -52,6 +59,7 @@ __all__ = [
     "level_membership_residual",
     "project_level",
     "is_positive_element",
+    "positive_elements",
     "matrix_norm",
     "order_norm_h",
 ]
@@ -71,6 +79,9 @@ class MatricialSystem:
     ``onb_coeffs`` is real and lower-triangular with positive diagonal, so
     with G the Gram matrix of the basis, ``onb_coeffs @ G @ onb_coeffs.T = I``
     makes it the inverse Cholesky factor of G.
+
+    The three arrays are read-only, so a system can be shared: the catalog
+    hands the same object to every caller.
     """
 
     dim: int
@@ -109,7 +120,16 @@ class MatricialSystem:
         q, r = q * signs, r * signs[:, None]
         coeffs = scipy.linalg.solve_triangular(r, np.eye(m)).T
         onb = linalg.hermitian_part(np.ascontiguousarray(q.T).view(complex).reshape(m, d, d))
+        for a in (*mats, onb, coeffs):
+            a.flags.writeable = False
         return cls(dim=d, basis=tuple(mats), onb=onb, onb_coeffs=coeffs)
+
+    @cached_property
+    def commutator_svd(self) -> tuple:
+        """``(singular values, right singular vectors, rank)`` of the stacked
+        commutators over the orthonormal basis (:func:`commutant`), computed
+        on first use and kept: they depend on V alone, not on a tolerance."""
+        return _commutator_svd(self.onb)
 
     def __len__(self) -> int:
         return len(self.basis)
@@ -193,12 +213,14 @@ class Commutant:
         return upper @ linalg.dagger(upper)
 
 
-def _commutant_of(mats, tol: float) -> Commutant:
-    """The commutant of a stack of d x d matrices (module docstring).
+def _commutator_svd(mats) -> tuple:
+    """The SVD of the stacked commutators of a stack of d x d matrices, and
+    its rank (module docstring).
 
     Row-major vec(q x - x q) = (q (x) I - I (x) q^T) vec(x); the null space of
-    those maps stacked is the commutant.  The roundoff floor is the usual rank
-    threshold, max(shape) * eps * max(1, largest singular value).
+    those maps stacked is the commutant.  The rank counts the singular values
+    above the roundoff floor, the usual rank threshold
+    max(shape) * eps * max(1, largest singular value).
     """
     mats = np.asarray(mats, dtype=complex)
     m, d = mats.shape[0], mats.shape[-1]
@@ -209,7 +231,14 @@ def _commutant_of(mats, tol: float) -> Commutant:
     stack = stack.reshape(m * d * d, d * d)
     _, sing, vh = np.linalg.svd(stack, full_matrices=False)
     floor = max(stack.shape) * np.finfo(float).eps * max(1.0, float(sing[0]))
-    rank = int(np.count_nonzero(sing > floor))
+    sing.flags.writeable = vh.flags.writeable = False
+    return sing, vh, int(np.count_nonzero(sing > floor))
+
+
+def _commutant_of(svd: tuple, d: int, tol: float) -> Commutant:
+    """The commutant of d x d matrices read off their :func:`_commutator_svd`;
+    ``tol`` decides whether its rank is certain."""
+    sing, vh, rank = svd
     gap = float(sing[rank - 1]) if rank else None
     basis = np.conj(vh[rank:]).reshape(-1, d, d)
     return Commutant(dim=d * d - rank, basis=basis, gap=gap,
@@ -218,14 +247,15 @@ def _commutant_of(mats, tol: float) -> Commutant:
 
 def commutant(system: MatricialSystem, tol: float = FEASIBILITY_TOL) -> Commutant:
     """V' from the orthonormal basis, so its singular values, and the gap,
-    do not depend on the scale of the user's basis."""
-    return _commutant_of(system.onb, tol)
+    do not depend on the scale of the user's basis.  The SVD is the system's
+    own (``MatricialSystem.commutator_svd``); only the verdict reads ``tol``."""
+    return _commutant_of(system.commutator_svd, system.dim, tol)
 
 
 def cstar_dim(system: MatricialSystem, tol: float = FEASIBILITY_TOL) -> int:
     """dim C*(V) = dim V'': the commutant of the commutant's basis."""
     comm = commutant(system, tol)
-    return _commutant_of(comm.basis, tol).dim
+    return _commutant_of(_commutator_svd(comm.basis), system.dim, tol).dim
 
 
 def is_commutative(system: MatricialSystem, tol: float = FEASIBILITY_TOL) -> bool:
@@ -251,13 +281,14 @@ def contains(system: MatricialSystem, m, tol: float = FEASIBILITY_TOL) -> bool:
 
 
 def project_level(system: MatricialSystem, m) -> np.ndarray:
-    """Blockwise projection onto M_k(V): project every d x d block onto span(V)."""
-    a = linalg.as_matrix(m)
+    """Blockwise projection onto M_k(V): project every d x d block onto span(V),
+    of one (k*d) x (k*d) matrix or of each matrix of a stack."""
+    a = linalg.as_matrix(m) if np.ndim(m) == 2 else np.asarray(m, dtype=complex)
     d = system.dim
-    k = a.shape[0] // d
-    blocks = a.reshape(k, d, k, d).transpose(0, 2, 1, 3)
+    k = a.shape[-1] // d
+    blocks = a.reshape(a.shape[:-2] + (k, d, k, d)).swapaxes(-3, -2)
     out = system.from_coords(system.coords(blocks))
-    return out.transpose(0, 2, 1, 3).reshape(k * d, k * d)
+    return out.swapaxes(-3, -2).reshape(a.shape)
 
 
 def level_membership_residual(system: MatricialSystem, m) -> float:
@@ -265,13 +296,24 @@ def level_membership_residual(system: MatricialSystem, m) -> float:
     return linalg.frob(a - project_level(system, a))
 
 
+def positive_elements(system: MatricialSystem, matrices,
+                      tol: float = FEASIBILITY_TOL) -> np.ndarray:
+    """Positivity in the system's cone of each matrix of a stack of one level
+    (shape (n, k*d, k*d)): membership plus PSD in the ambient space, from one
+    projection and one ``eigvalsh`` of the whole stack.  An element outside
+    M_k(V) raises :class:`InputError`."""
+    a = np.asarray(matrices, dtype=complex)
+    resid = np.linalg.norm(a - project_level(system, a), axis=(-2, -1))
+    outside = resid > tol * (1.0 + np.linalg.norm(a, axis=(-2, -1)))
+    if np.any(outside):
+        raise InputError(f"element violates membership: residual {resid[outside][0]:.3e}")
+    h = linalg.ensure_hermitian(a, tol=max(tol, STRUCTURAL_TOL))
+    return np.linalg.eigvalsh(h)[..., 0] >= -tol
+
+
 def is_positive_element(system: MatricialSystem, el: LevelElement, tol: float = FEASIBILITY_TOL) -> bool:
-    """Positivity in the system's cone: membership plus PSD in the ambient space."""
-    resid = level_membership_residual(system, el.matrix)
-    if resid > tol * (1.0 + linalg.frob(el.matrix)):
-        raise InputError(f"element violates membership: residual {resid:.3e}")
-    h = linalg.ensure_hermitian(el.matrix, tol=max(tol, STRUCTURAL_TOL))
-    return float(np.linalg.eigvalsh(h)[0]) >= -tol
+    """Positivity in the system's cone: :func:`positive_elements` of one element."""
+    return bool(positive_elements(system, np.asarray(el.matrix)[None], tol)[0])
 
 
 def _bisect_cone_radius(is_feasible, upper: float) -> float:

@@ -47,6 +47,20 @@ class TestSystems:
             skew[0, 1], skew[1, 0] = -1j, 1j
             assert not contains(system, skew)
 
+    @pytest.mark.parametrize("build", [
+        catalog.trivial_system, catalog.diagonal_system, catalog.rebit_system,
+        catalog.qubit_system, lambda: catalog.real_symmetric_system(3)])
+    def test_built_once_and_read_only(self, build):
+        system = build()
+        assert build() is system
+        for array in (*system.basis, system.onb, system.onb_coeffs):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 7.0
+
+    def test_rebit_dynamics_share_the_rebit(self):
+        assert catalog.rebit_rotation(1.0).system is catalog.rebit_system()
+        assert catalog.rebit_dissipative(2.0).system is catalog.rebit_system()
+
     def test_real_symmetric_two_spans_rebit(self, rebit):
         system = catalog.real_symmetric_system(2)
         for b in rebit.basis:

@@ -69,6 +69,16 @@ class TestRunScenario:
         assert report["results"]["hilbert_worst"] <= 1e-9
         assert report["results"]["laplace_worst"] <= 1e-6
 
+    def test_identities_solve_each_resolvent_once(self, monkeypatch):
+        lams = []
+        resolvent = dynamics.resolvent
+        monkeypatch.setattr(dynamics, "resolvent",
+                            lambda gen, lam: lams.append(lam) or resolvent(gen, lam))
+        report = run_scenario({"command": "identities", "system": "M2", "dynamics": "g1"})
+        assert report["status"] == "ok"
+        # The default grid of five and the Laplace checks' 0.5, 1.0 and 2.0.
+        assert sorted(lams) == sorted({*np.linspace(0.5, 4.0, 5).tolist(), 1.0, 2.0})
+
     def test_validate_amplitude_damping(self):
         report = run_scenario(AMPLITUDE_DAMPING_VALIDATE)
         assert report["status"] == "ok"
@@ -480,6 +490,22 @@ class TestReports:
             a = json.dumps(run_scenario(scenario), sort_keys=True)
             b = json.dumps(run_scenario(scenario), sort_keys=True)
             assert a == b
+
+    def test_shared_systems_do_not_change_reports(self):
+        scenarios = [
+            {"command": "rigidity-probe", "system": "real_symmetric_3"},
+            {"command": "extend-group", "system": "rebit", "dynamics": "rebit_rotation"},
+            {"command": "rigidity-probe", "system": "real_symmetric_3", "options": {"tol": 10}},
+            {"command": "demo-rebit"},
+        ]
+        cold = []
+        for scenario in scenarios:
+            for build in (catalog.rebit_system, catalog.real_symmetric_system):
+                build.cache_clear()
+            cold.append(json.dumps(run_scenario(scenario), sort_keys=True))
+        warm = [json.dumps(run_scenario(s), sort_keys=True) for s in scenarios + scenarios]
+        assert warm == cold + cold
+        assert json.loads(cold[2])["status"] == "failed"  # tol 10: the rank is undecided
 
     def test_embedded_matrices_round_trip_bit_exactly(self):
         scenario = {"command": "evolve", "dynamics": "g1", "options": {"times": [0.7]}}

@@ -392,7 +392,7 @@ class TestExtensionProblem:
 
     def test_equal_system_built_twice_accepted(self):
         sub = catalog.rebit_rotation(1.0)
-        system = catalog.rebit_system()
+        system = MatricialSystem.from_basis(catalog.rebit_system().basis)
         assert system is not sub.system
         problem = ExtensionProblem.for_generator(system, sub)
         gen, report = extension.extend_generator(problem)
@@ -541,6 +541,9 @@ class TestRigidityProbe:
                                              ("rebit", True), ("M2", True)])
     def test_zero_starts_give_a_certified_verdict(self, monkeypatch, name, rigid):
         calls = counting_multi_start(monkeypatch)
+        # Nothing the starts would use is built: no generator, no identity map.
+        monkeypatch.setattr(np.random, "default_rng", no_solve)
+        monkeypatch.setattr(maps, "identity_map", no_solve)
         report = extension.rigidity_probe(serialize.system_from_json(name), n_starts=0)
         assert calls == []  # the commutant decides; no start is solved
         assert report.all_identity is rigid

@@ -119,6 +119,23 @@ class TestPositivity:
                     expected = a >= 0 and b * b + c * c <= a * a
                     assert is_positive_element(rebit, el, 1e-10) == expected
 
+    @pytest.mark.parametrize("tol", [1e-10, 1e-8])
+    def test_stacked_grid_agrees_with_one_by_one(self, rebit, pauli, tol):
+        # The demo's 125-point grid, and points on the boundary b^2 + c^2 = a^2.
+        grid = [(a, b, c) for a in range(-2, 3) for b in range(-2, 3) for c in range(-2, 3)]
+        theta = np.linspace(0.0, 2.0 * np.pi, 13)
+        boundary = [(5, 3, 4), (5, -4, 3), (1, 1, 0), (2, 0, -2)] + [
+            (a, a * np.cos(t), a * np.sin(t)) for a in (0.5, 1.0, 3.0) for t in theta]
+        for points in (grid, boundary):
+            want = [a >= 0 and b * b + c * c <= a * a + 1e-12 for a, b, c in points]
+            stack = np.array([rebit_element(pauli, a, b, c) for a, b, c in points])
+            one_by_one = [is_positive_element(rebit, LevelElement(1, m), tol) for m in stack]
+            assert systems.positive_elements(rebit, stack, tol).tolist() == one_by_one == want
+
+    def test_stacked_membership_violation_raises(self, rebit, pauli):
+        with pytest.raises(InputError, match="violates membership"):
+            systems.positive_elements(rebit, np.array([pauli.I, pauli.Y]), 1e-8)
+
     def test_wrap_validates_membership(self, rebit, pauli):
         with pytest.raises(InputError):
             LevelElement.wrap(rebit, np.kron(np.eye(2), pauli.Y))
@@ -270,6 +287,23 @@ class TestCommutant:
         comm = systems.commutant(near_reducible_system(1e-3))
         assert comm.decided and comm.dim == 2
         assert comm.gap == pytest.approx(np.sqrt(6.0) * 1e-3, rel=1e-3)
+
+    def test_one_svd_per_system_whatever_the_tol(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        system = near_reducible_system(1e-3)
+        verdicts = [(c.dim, c.decided) for c in
+                    (systems.commutant(system, tol) for tol in (1e-9, 1e-2, 1e-9, 10.0))]
+        assert verdicts == [(2, True), (2, False), (2, True), (2, False)]
+        assert len(calls) == 1
+
+    def test_undecided_tol_after_a_default_call_on_a_cached_system(self):
+        system = catalog.real_symmetric_system(3)
+        assert systems.commutant(system).decided
+        comm = systems.commutant(system, tol=10.0)
+        assert not comm.decided and comm.gap < 10.0
+        assert systems.commutant(system).decided
 
     @pytest.mark.parametrize("name", ["span_I", "diagonal"])
     def test_projection_is_a_nontrivial_projection_in_the_commutant(self, name):
