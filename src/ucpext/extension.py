@@ -9,10 +9,12 @@ Hermitian d^2 x d^2 Choi matrices:
 where phi_C is the map with Choi matrix C, v_k runs over the system's basis
 (v_0 = I, so unitality / kernel-of-unit is the k = 0 constraint), and
 P = I - omega omega* (``maps.ccp_projector``) projects orthogonally to the
-maximally entangled vector omega.  C -> PCP is an orthogonal projection and
-C - PCP is unconstrained, so Pi_K(C) = C - PCP + Pi_+(PCP) is the exact cone
-projection, Pi_+ the PSD clip (P = I in the map case).  Both projections return
-exactly Hermitian matrices, so every extension returned is exactly Hermitian.
+maximally entangled vector omega.  With F an orthonormal basis of the range
+of P as columns (F F* = P), C -> PCP = F (F* C F) F* is an orthogonal
+projection and C - PCP is unconstrained, so Pi_K(C) = C - PCP + F Pi_+(F* C F) F*
+is the exact cone projection, Pi_+ the PSD clip (Pi_K = Pi_+ in the map case).
+Both projections return exactly Hermitian matrices, so every extension
+returned is exactly Hermitian.
 
 The solver aims at the projection of a starting point x0 onto the feasible
 set.  That makes multi-start behaviour meaningful: distinct randomized starts
@@ -52,16 +54,39 @@ is convex, with Hessian the identity wherever Pi_K is locally the identity,
 so unit steps are natural.  At the minimiser X is the projection of x0 (the
 limit of Dykstra's alternating projections).  X lies exactly in the cone and
 L is an isometry, so ||grad f|| is the distance from X to the affine
-subspace; the run stops when it reaches 0.2 tol.  L-BFGS minimises f,
-backtracking from the unit step and accepting a step on the Armijo test for
-f or on <grad f(W + t p), p> <= c <grad f(W), p>, which for convex f implies
-it and, unlike it, is not hidden by the roundoff of f (about 1e-16 ||X||^2)
-once the residual is near 1e-8.  ``iterations`` counts evaluations of f,
-line-search trials included; each is one cone projection (one d^2 x d^2
-eigh) plus O(|V| d^4), so ``max_iter`` is a budget of cone projections.
-Set-up factorises nothing: Q and R^-T are the system's own.  The best point
-found is projected onto the affine subspace, then onto the cone, and the
-residuals are measured on the result.
+subspace; the run stops when it reaches 0.2 tol, or the roundoff of grad f
+(d^2 eps ||X||), below which no direction computed from it can be trusted.
+
+f is minimised by a regularised semismooth Newton-CG method (Qi & Sun, SIAM
+J. Matrix Anal. Appl. 28, 2006; Zhao, Sun & Toh, SIAM J. Optim. 20, 2010).
+The PSD clip at Z = U diag(w) U* has the generalized Jacobian element
+H -> U (Omega o U* H U) U*, Omega the divided differences
+(w_i+ - w_j+) / (w_i - w_j): 1 where both eigenvalues are positive, 0 where
+both are not.  It is read off the eigendecomposition the cone projection
+already computed; for the ccp cone it acts as H -> H - PHP + F J_+ (F* H F) F*,
+J_+ that element at F* Z F.  V = L* J L is then a generalized Hessian of f,
+with spectrum in [0, 1], and CG solves (V + eps I) p = -grad f with
+eps = min(c, ||grad f||^1.5) to the relative tolerance min(eta, ||grad f||^tau),
+in at most the dual dimension of steps; each CG step applies L, the
+conjugation by the eigenbasis there and back, and L*.  The exponent 1.5
+matters when the feasible set has no positive-definite point: then f has no
+minimiser and decreases along flat directions (along f ~ a/s, f'' ~ |f'|^1.5),
+and eps ~ ||grad f|| would hold the steps along them to unit length.  A step
+is accepted by backtracking from the unit step, halving it, on the Armijo
+test for f or on <grad f(W + t p), p> <= c <grad f(W), p>, which for convex f
+implies it and, unlike it, is not hidden by the roundoff of f (about
+1e-16 ||X||^2) once the residual is near 1e-8.  A run also stops at once on a
+non-finite dual value or gradient, and on a plateau: when, after 50 Newton
+steps, a residual still above 100 tol has not halved its best over the last
+50, the sets look disjoint or the problem is degenerate, and the verdict is
+left to the polish.
+
+``iterations`` counts evaluations of f, line-search trials included; each is
+one cone projection (one d^2 x d^2 eigh) plus O(|V| d^4), so ``max_iter`` is
+a budget of cone projections; CG steps are not counted.  Set-up factorises
+nothing: Q and R^-T are the system's own.  The best point found is projected
+onto the affine subspace, then onto the cone, and the residuals are measured
+on the result.
 
 Starting points.  The generator problem starts from the affine projection of
 zero.  The map problem starts from the affine projection of the identity
@@ -81,6 +106,7 @@ extensions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -235,29 +261,50 @@ class RigidityReport:
 # Dual projection solver
 # ---------------------------------------------------------------------------
 
-_STALL_WINDOW = 2000
-_STALL_IMPROVEMENT = 1e-2
-# L-BFGS on the dual: the number of curvature pairs kept, the constant of both
-# step acceptance tests, and the accepted step length below which the pairs
-# are dropped (flat dual directions of degenerate problems inflate them).
-_LBFGS_MEMORY = 5
+# Semismooth Newton-CG on the dual (module docstring): the cap c of the
+# regularisation eps = min(c, ||grad f||^1.5), the forcing constant eta and
+# exponent tau of the CG tolerance min(eta, ||grad f||^tau) ||grad f||, and the
+# constant of both step acceptance tests.
+_NEWTON_REG = 1e-2
+_CG_FORCING = 0.1
+_CG_EXPONENT = 0.5
 _ARMIJO = 1e-4
-_RESET_STEP = 1e-3
+# The plateau rule: every _STALL_WINDOW Newton steps, a run whose residual is
+# still above 100 tol stops when its best residual fell by less than the
+# fraction _STALL_IMPROVEMENT over the window.
+_STALL_WINDOW = 50
+_STALL_IMPROVEMENT = 0.5
+_EPS = float(np.finfo(float).eps)
 
 
-def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
-    """-H g for the L-BFGS inverse Hessian H of the pairs (s, y, 1/s.y, scale)."""
-    q = g
-    alphas = []
-    for s, y, rho, _ in reversed(pairs):
-        alpha = rho * float(s @ q)
-        alphas.append(alpha)
-        q = q - alpha * y
-    if pairs:
-        q = pairs[-1][3] * q
-    for (s, y, rho, _), alpha in zip(pairs, reversed(alphas)):
-        q = q + (alpha - rho * float(y @ q)) * s
-    return -q
+def _clip_weights(w: np.ndarray) -> np.ndarray:
+    """The divided differences (w_i+ - w_j+) / (w_i - w_j) of the PSD clip at
+    a Hermitian matrix with eigenvalues w: 1 where both are positive, 0 where
+    both are nonpositive."""
+    pos = np.maximum(w, 0.0)
+    num = pos[:, None] - pos[None, :]
+    both = (w > 0.0)[:, None] & (w > 0.0)[None, :]
+    return np.divide(num, w[:, None] - w[None, :], out=both.astype(float),
+                     where=num != 0.0)
+
+
+@dataclass(frozen=True)
+class _DualPoint:
+    """The dual at W: X = Pi_K(x0 + L W), f(W), grad f(W) and its norm, the
+    roundoff of that norm (d^2 eps ||X||), and the eigendecomposition (w, u)
+    that Pi_K clipped."""
+
+    w: np.ndarray
+    x: np.ndarray
+    value: float
+    grad: np.ndarray
+    residual: float
+    floor: float
+    spectrum: tuple
+
+    @property
+    def finite(self) -> bool:
+        return math.isfinite(self.value) and math.isfinite(self.residual)
 
 
 class _FeasibilitySolver:
@@ -279,14 +326,20 @@ class _FeasibilitySolver:
         self.basis_rows = np.array(system.basis).reshape(len(system), n)
         self.target_rows = np.array(self.targets).reshape(len(system), n)
         # whiten = R^-T with G = R^T R, the system's orthonormalization
-        # coefficients.  lift W is L(W) = sum_k conj(Q_k) (x) W_k relaid out,
-        # Q = R^-T basis the orthonormal basis; dual_adjoint = lift @ whiten
-        # holds the rows of conj(D), D = G^-1 basis the dual basis, transposed.
+        # coefficients, and onb_rows the orthonormal basis Q = R^-T basis as
+        # rows.  lift W is L(W) = sum_k conj(Q_k) (x) W_k relaid out, and
+        # onb_rows @ M its adjoint L*; dual_adjoint = lift @ whiten holds the
+        # rows of conj(D), D = G^-1 basis the dual basis, transposed.
         self.whiten = system.onb_coeffs
-        self.lift = np.conj(system.onb.reshape(len(system), n)).T
+        self.onb_rows = system.onb.reshape(len(system), n)
+        self.lift = np.conj(self.onb_rows).T
         self.dual_adjoint = self.lift @ self.whiten
         self.dual_targets = (self.whiten @ self.target_rows).view(float).ravel()
-        self.proj = maps.ccp_projector(d) if ccp else None
+        self.cg_steps = len(system) * n
+        # The ccp cone clips F* C F, F an orthonormal basis of the range of
+        # P = I - omega omega* as columns (F F* = P); the map cone clips C.
+        self.frame = np.linalg.eigh(maps.ccp_projector(d))[1][:, 1:] if ccp else None
+        self.frame_h = None if self.frame is None else linalg.dagger(self.frame)
         self.base = np.zeros((n, n), dtype=complex) if ccp else maps.identity_map(d).choi
         offset = self.project_affine(np.zeros((n, n), dtype=complex))
         inconsistency = self.affine_residual(offset)
@@ -304,12 +357,19 @@ class _FeasibilitySolver:
         """The agreement defect A(C) - T, rows k, of C relaid out as m."""
         return self.basis_rows @ m - self.target_rows
 
+    def _cone_point(self, c: np.ndarray):
+        """Pi_K(C) and the eigendecomposition (w, u) of the matrix it clipped,
+        F* C F for the ccp cone."""
+        if self.frame is None:
+            x, w, u = linalg.psd_clip(c, spectrum=True)
+            return x, (w, u)
+        m = self.frame_h @ c @ self.frame
+        clipped, w, u = linalg.psd_clip(m, spectrum=True)
+        return linalg.hermitian_part(c + self.frame @ (clipped - m) @ self.frame_h), (w, u)
+
     def project_cone(self, c: np.ndarray) -> np.ndarray:
-        """Pi_K(C) = C - PCP + Pi_+(PCP) (module docstring); Pi_+(C) for maps."""
-        if self.proj is None:
-            return linalg.psd_clip(c)
-        m = self.proj @ c @ self.proj
-        return linalg.hermitian_part(c - m + linalg.psd_clip(m))
+        """Pi_K(C) = C - PCP + F Pi_+(F* C F) F* (module docstring); Pi_+(C) for maps."""
+        return self._cone_point(c)[0]
 
     def project_affine(self, c: np.ndarray) -> np.ndarray:
         """P(C) = C - sum_k conj(D_k) (x) (A(C)_k - target_k)."""
@@ -326,33 +386,87 @@ class _FeasibilitySolver:
             raw = raw + linalg.random_hermitian(self.d * self.d, rng)
         return self.project_affine(raw)
 
-    def _dual_point(self, x0: np.ndarray, w: np.ndarray):
-        """X = Pi_K(x0 + L W), the dual value f(W) and its gradient R^-T (A X - T)."""
-        lifted = self.lift @ w.view(complex).reshape(self.target_rows.shape)
-        x = self.project_cone(x0 + self._relayout(lifted))
-        grad = self.whiten @ self._defect(self._relayout(x))
-        value = 0.5 * float(np.vdot(x, x).real) - float(self.dual_targets @ w)
-        return x, value, grad.view(float).ravel()
+    def _lifted(self, w: np.ndarray) -> np.ndarray:
+        """L(W), W a flat real vector, as a d^2 x d^2 Choi matrix."""
+        return self._relayout(self.lift @ w.view(complex).reshape(self.onb_rows.shape))
 
-    def _line_search(self, x0, w, value, direction, slope, budget):
-        """Backtrack from the unit step along ``direction``.
+    def _dual_point(self, x0: np.ndarray, w: np.ndarray) -> _DualPoint:
+        """X = Pi_K(x0 + L W), the dual value f(W) and its gradient L* X - R^-T T."""
+        x, spectrum = self._cone_point(x0 + self._lifted(w))
+        grad = (self.onb_rows @ self._relayout(x)).view(float).ravel() - self.dual_targets
+        squared = float(np.vdot(x, x).real)
+        value = 0.5 * squared - float(self.dual_targets @ w)
+        floor = x.shape[0] * _EPS * math.sqrt(squared)
+        return _DualPoint(w, x, value, grad, math.sqrt(float(grad @ grad)), floor, spectrum)
 
-        Returns the evaluations spent and the accepted (step, W, X, f, grad),
-        or None in its place when the budget runs out first.
+    def _jacobian_defect(self, spectrum: tuple):
+        """H -> (J - I) H for the element J of the generalized Jacobian of Pi_K
+        at the point whose clipped matrix has the eigendecomposition
+        ``spectrum`` (:meth:`_cone_point`).
+
+        For the PSD clip of U diag(w) U*, J H = U (Omega o U* H U) U* with Omega
+        the divided differences of :func:`_clip_weights`; for the ccp cone,
+        J H = H - PHP plus that at F* H F, conjugated back by F.  With E = U or
+        F U both are J H = H + E ((Omega - 1) o E* H E) E*.
         """
+        w, u = spectrum
+        weights = _clip_weights(w) - 1.0
+        e = u if self.frame is None else self.frame @ u
+        e_h = linalg.dagger(e)
+        return lambda h: e @ (weights * (e_h @ h @ e)) @ e_h
+
+    def _newton_direction(self, point: _DualPoint) -> np.ndarray:
+        """CG on (L* J L + eps I) p = -grad f, J at ``point``'s spectrum.
+
+        L is an isometry, so L* J L p = p + L* (J - I) L p.  The system is
+        solved for p / ||grad f||, a unit right-hand side, to the relative
+        tolerance min(eta, ||grad f||^tau), so no square overflows.  CG runs at
+        most the dual dimension of steps.
+        """
+        residual = point.residual
+        diagonal = 1.0 + min(_NEWTON_REG, residual * math.sqrt(residual))
+        defect = self._jacobian_defect(point.spectrum)
+        rows = self.onb_rows
+
+        def product(p):
+            jh = defect(self._lifted(p))
+            return (rows @ self._relayout(jh)).view(float).ravel() + diagonal * p
+
+        target = min(_CG_FORCING, residual ** _CG_EXPONENT) ** 2
+        r = point.grad / -residual
+        p = r
+        step = np.zeros_like(r)
+        rr = float(r @ r)
+        for _ in range(self.cg_steps):
+            q = product(p)
+            alpha = rr / float(p @ q)
+            step = step + alpha * p
+            r = r - alpha * q
+            rr_new = float(r @ r)
+            if rr_new <= target:
+                break
+            p = r + (rr_new / rr) * p
+            rr = rr_new
+        return residual * step
+
+    def _line_search(self, x0, point: _DualPoint, direction, budget):
+        """Backtrack from the unit step along ``direction``, halving it.
+
+        Returns the evaluations spent and the accepted point, or None in its
+        place when the budget runs out first or the dual is not finite there.
+        """
+        slope = float(point.grad @ direction)
         step = 1.0
         for spent in range(1, budget + 1):
-            w_new = w + step * direction
-            x, value_new, grad = self._dual_point(x0, w_new)
-            slope_new = float(grad @ direction)
+            trial = self._dual_point(x0, point.w + step * direction)
+            if not trial.finite:
+                return spent, None
             # For convex f, f(t) - f(0) <= t f'(t): the derivative test is a
             # sufficient decrease that the roundoff of f cannot hide.
-            if (value_new <= value + _ARMIJO * step * slope
-                    or slope_new <= _ARMIJO * slope):
-                return spent, (step, w_new, x, value_new, grad)
-            # Secant estimate of f'(t) = 0, kept within [0.1, 0.5] of the step
-            # (slope_new > c slope > slope here, so the ratio is finite).
-            step *= min(0.5, max(0.1, slope / (slope - slope_new)))
+            if (trial.value <= point.value + _ARMIJO * step * slope
+                    or float(trial.grad @ direction) <= _ARMIJO * slope):
+                return spent, trial
+            step *= 0.5
         return budget, None
 
     def solve(self, options: ExtensionOptions):
@@ -360,48 +474,31 @@ class _FeasibilitySolver:
         tol = options.tol
         inner_tol = 0.2 * tol
         x0 = self.start_point(options)
-        w = np.zeros_like(self.dual_targets)
-        x, value, grad = self._dual_point(x0, w)
+        point = self._dual_point(x0, np.zeros_like(self.dual_targets))
         iterations = 1
-        residual = linalg.frob(grad)  # distance from X to the affine subspace
-        best, best_x = residual, x
-        window_best = np.inf
-        window_end = _STALL_WINDOW
-        pairs = []
-        while residual > inner_tol and iterations < options.max_iter:
-            direction = _lbfgs_direction(grad, pairs)
-            slope = float(grad @ direction)
-            if slope >= 0.0:
-                pairs.clear()
-                direction, slope = -grad, -residual * residual
-            spent, accepted = self._line_search(x0, w, value, direction, slope,
-                                                options.max_iter - iterations)
+        best = point
+        window_best = math.inf
+        steps = 0
+        while (point.finite and point.residual > max(inner_tol, point.floor)
+               and iterations < options.max_iter):
+            spent, point = self._line_search(x0, point, self._newton_direction(point),
+                                             options.max_iter - iterations)
             iterations += spent
-            if accepted is None:
-                break
-            step, w_new, x, value, grad_new = accepted
-            s, y = w_new - w, grad_new - grad
-            curvature = float(s @ y)
-            if step < _RESET_STEP:
-                pairs.clear()
-            elif curvature > 0.0:
-                pairs.append((s, y, 1.0 / curvature, curvature / float(y @ y)))
-                del pairs[:-_LBFGS_MEMORY]
-            w, grad = w_new, grad_new
-            residual = linalg.frob(grad)
-            if residual < best:
-                best, best_x = residual, x
-            if iterations >= window_end:
-                if (residual > 100.0 * tol and np.isfinite(window_best)
-                        and window_best - best < _STALL_IMPROVEMENT * window_best):
-                    break  # plateau far from feasibility: sets look disjoint
-                window_best = best
-                window_end += _STALL_WINDOW
+            if point is None:
+                break  # budget spent, or a non-finite dual
+            if point.residual < best.residual:
+                best = point
+            steps += 1
+            if steps % _STALL_WINDOW == 0:
+                if (point.residual > 100.0 * tol and math.isfinite(window_best)
+                        and window_best - best.residual < _STALL_IMPROVEMENT * window_best):
+                    break  # plateau far from feasibility: disjoint sets, or no Slater point
+                window_best = best.residual
 
         # Polish the best point: affine projection, then the cone-exact point;
         # the affine defect of the result is bounded by the distance between
         # the two.  A run that reached 0.2 tol stops at its best point.
-        z = self.project_affine(best_x)
+        z = self.project_affine(best.x)
         choi = self.project_cone(z)
         cone_residual = linalg.frob(z - choi)
         affine_residual = self.affine_residual(choi)
@@ -418,8 +515,12 @@ class _FeasibilitySolver:
 
 
 def restriction_error(op: SuperOp, basis, targets) -> float:
-    """max_k ||op(v_k) - t_k||: agreement checked on the map itself."""
-    return max(linalg.frob(op.apply(v) - t) for v, t in zip(basis, targets))
+    """max_k ||op(v_k) - t_k||: agreement checked on the map itself, with the
+    action op(v) = sum_ij v_ij C[(i,.),(j,.)] of ``SuperOp.apply`` on the whole
+    stack of basis elements at once."""
+    d = op.d
+    images = np.einsum("kij,iajb->kab", np.asarray(basis), op.choi.reshape(d, d, d, d))
+    return float(np.linalg.norm(images - np.asarray(targets), axis=(1, 2)).max())
 
 
 def max_pairwise_distance(mats) -> float:

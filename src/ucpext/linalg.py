@@ -109,15 +109,18 @@ def expm(m, scale: float = 1.0) -> np.ndarray:
     return scipy.linalg.expm(scale * a)
 
 
-def psd_clip(h: np.ndarray) -> np.ndarray:
+def psd_clip(h: np.ndarray, spectrum: bool = False):
     """Frobenius-nearest positive semidefinite matrix: clip negative eigenvalues.
 
     No input validation, for hot loops: ``h`` must already be a Hermitian
     array (``eigh`` reads only its lower triangle); the result is exactly
-    Hermitian with spectrum >= 0 up to roundoff.
+    Hermitian with spectrum >= 0 up to roundoff.  With ``spectrum`` the
+    eigendecomposition ``(w, u)`` of ``h`` is returned too, as
+    ``(clipped, w, u)``.
     """
     w, u = np.linalg.eigh(h)
-    return hermitian_part((u * np.maximum(w, 0.0)) @ np.conj(u.T))
+    clipped = hermitian_part((u * np.maximum(w, 0.0)) @ np.conj(u.T))
+    return (clipped, w, u) if spectrum else clipped
 
 
 def spectral_norm(m) -> float:

@@ -27,11 +27,11 @@ SVD (:func:`commutant`).  V is self-adjoint, so V' is a C*-algebra: V is
 irreducible exactly when V' = C I, and the bicommutant V'' is C*(V), the
 C*-algebra V generates (von Neumann's bicommutant theorem).
 
-A system is a fixed, shared object: its arrays are read-only, and the SVD
-behind its commutant is computed on first use and kept with it, since it
-depends on V alone.  The catalog builds each of its systems once per process
-(``catalog``), so scenarios naming one, and every scenario of a ``--batch``
-run, reuse the same system and its SVD.
+A system is a fixed, shared object: its arrays are read-only, and the SVDs
+behind its commutant and bicommutant are computed on first use and kept with
+it, since they depend on V alone.  The catalog builds each of its systems
+once per process (``catalog``), so scenarios naming one, and every scenario
+of a ``--batch`` run, reuse the same system and its SVDs.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ _BISECTION_STEPS = 60
 _GRAM_INDEPENDENCE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatricialSystem:
     """A unital self-adjoint subspace of M_d, with an orthonormalized basis.
 
@@ -81,13 +81,15 @@ class MatricialSystem:
     makes it the inverse Cholesky factor of G.
 
     The three arrays are read-only, so a system can be shared: the catalog
-    hands the same object to every caller.
+    hands the same object to every caller.  Systems compare and hash by
+    identity; :meth:`same_basis` compares bases.
     """
 
     dim: int
     basis: tuple
     onb: np.ndarray = field(repr=False)
     onb_coeffs: np.ndarray = field(repr=False)
+    _bicommutant_svds: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def from_basis(cls, basis) -> "MatricialSystem":
@@ -130,6 +132,18 @@ class MatricialSystem:
         commutators over the orthonormal basis (:func:`commutant`), computed
         on first use and kept: they depend on V alone, not on a tolerance."""
         return _commutator_svd(self.onb)
+
+    def bicommutant_svd(self, commutant_dim: int) -> tuple:
+        """:func:`_commutator_svd` of the commutant's basis, the last
+        ``commutant_dim`` right singular vectors of :attr:`commutator_svd`:
+        computed on first use and kept per dimension, which fixes that basis;
+        no tolerance enters it."""
+        if commutant_dim not in self._bicommutant_svds:
+            d = self.dim
+            vh = self.commutator_svd[1]
+            basis = np.conj(vh[d * d - commutant_dim:]).reshape(-1, d, d)
+            self._bicommutant_svds[commutant_dim] = _commutator_svd(basis)
+        return self._bicommutant_svds[commutant_dim]
 
     def __len__(self) -> int:
         return len(self.basis)
@@ -253,9 +267,10 @@ def commutant(system: MatricialSystem, tol: float = FEASIBILITY_TOL) -> Commutan
 
 
 def cstar_dim(system: MatricialSystem, tol: float = FEASIBILITY_TOL) -> int:
-    """dim C*(V) = dim V'': the commutant of the commutant's basis."""
+    """dim C*(V) = dim V'': the commutant of the commutant's basis, from the
+    system's kept SVD of that basis (``MatricialSystem.bicommutant_svd``)."""
     comm = commutant(system, tol)
-    return _commutant_of(_commutator_svd(comm.basis), system.dim, tol).dim
+    return _commutant_of(system.bicommutant_svd(comm.dim), system.dim, tol).dim
 
 
 def is_commutative(system: MatricialSystem, tol: float = FEASIBILITY_TOL) -> bool:

@@ -260,6 +260,24 @@ class TestFailuresAndExitCodes:
             jsonschema.validate(report, REPORT_SCHEMA)
 
     @pytest.mark.parametrize("scenario", [
+        {"command": "extend-generator", "system": "rebit", "dynamics": "rebit_rotation"},
+        {"command": "extend-group", "system": "rebit", "dynamics": "rebit_rotation"},
+        {"command": "rigidity-probe", "system": "rebit", "options": {"starts": 2}},
+        {"command": "demo-rebit"},
+    ])
+    def test_negative_seed_is_invalid_input(self, tmp_path, capsys, scenario):
+        scenario = {**scenario, "options": {**scenario.get("options", {}), "seed": -1}}
+        report = run_scenario(scenario)
+        assert report["status"] == "invalid-input"
+        assert report["error"]["type"] == "input"
+        assert "minimum" in report["error"]["message"]
+        jsonschema.validate(report, REPORT_SCHEMA)
+        path = write_scenario(tmp_path, scenario)
+        capsys.readouterr()
+        assert main(["run", path]) == 2
+        assert json.loads(capsys.readouterr().out) == report
+
+    @pytest.mark.parametrize("scenario", [
         {"command": "rigidity-probe", "system": "rebit"},
         {"command": "extend-group", "system": "rebit", "dynamics": "rebit_rotation"},
         {"command": "demo-rebit"},
@@ -304,8 +322,8 @@ class TestFailuresAndExitCodes:
           "options": {"lambdas": [-1.0]}}, "invalid-input", "input"),
         ({"command": "extend-group", "system": "rebit", "dynamics": "rebit_rotation",
           "options": {"max_iter": 5, "starts": 8}}, "failed", "GroupExtensionError"),
-        ({"command": "extend-generator", "system": "rebit", "dynamics": "rebit_rotation",
-          "options": {"omega_param": 1e200}}, "failed", "LinAlgError"),
+        ({"command": "check-ccp", "dynamics": {"kind": "choi", "super": {
+            "d": 2, "choi": [[[1e308, 0.0]] * 4] * 4}}}, "failed", "LinAlgError"),
         ({"command": "extend-group", "system": "rebit", "dynamics": "rebit_rotation",
           "options": {"omega_param": 1e150}}, "failed", "GroupExtensionError"),
         ({"command": "check-cp", "dynamics": {"kind": "choi", "super": {
@@ -343,6 +361,23 @@ class TestFailuresAndExitCodes:
         report = run_scenario(scenario)
         assert report["status"] == "failed"
         assert report["error"] == {"type": error_type, "message": message}
+
+    @pytest.mark.parametrize("omega_param", [1e200, 1e300])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_dual_stops_at_once(self, tmp_path, capsys, omega_param):
+        # The dual value overflows at the start: the solve stops there, and
+        # the report is a failed, unconverged extension (once a LinAlgError
+        # at 1e200 and the whole budget at 1e300).
+        scenario = {"command": "extend-generator", "system": "rebit",
+                    "dynamics": "rebit_rotation", "options": {"omega_param": omega_param}}
+        report = run_scenario(scenario)
+        assert report["status"] == "failed" and "error" not in report
+        solve = report["results"]["report"]
+        assert not solve["converged"] and solve["iterations"] <= 2
+        path = write_scenario(tmp_path, scenario)
+        capsys.readouterr()
+        assert main(["run", path]) == 1
+        assert json.loads(capsys.readouterr().out)["status"] == "failed"
 
     def test_multiple_scenarios_require_batch(self, tmp_path):
         ok = write_scenario(tmp_path, {"command": "check-ccp", "dynamics": "g1"})

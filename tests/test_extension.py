@@ -208,6 +208,12 @@ class TestExtendUcpMap:
 
 
 class TestExtendGenerator:
+    def test_rotation_start_is_feasible(self, rebit):
+        # The affine projection of 0 is already the commutator generator.
+        problem = ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(1.0))
+        gen, report = extension.extend_generator(problem)
+        assert report.converged and report.iterations == 1
+
     def test_full_algebra_is_immediate(self):
         g1 = catalog.g1(1.0)
         problem = ExtensionProblem.for_generator(
@@ -246,7 +252,7 @@ class TestExtendGenerator:
         # 1e7: the cone projection's roundoff must stay well below tol.
         problem = ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(1e7))
         gen, report = extension.extend_generator(problem)
-        assert report.converged and report.iterations <= 100
+        assert report.converged and report.iterations <= 2
         truth = catalog.rotation_extension_generator(1e7)
         assert gen.op.distance(truth.op) <= 1e-8 * linalg.frob(truth.op.choi)
 
@@ -483,10 +489,11 @@ class TestExtendGroup:
             assert "contradicting rigidity" not in str(info.value)
 
     def test_unconverged_starts_leave_uniqueness_undecided(self, rebit):
-        # The deterministic +A solve converges within 5 evaluations; the
-        # randomized starts of the cross-check do not, so it is inconclusive.
+        # The deterministic +A solve converges in 1 evaluation; the randomized
+        # starts of the cross-check need about 6, so within 3 they do not, and
+        # the cross-check is inconclusive.
         problem = ExtensionProblem.for_generator(
-            rebit, catalog.rebit_rotation(1.0), ExtensionOptions(max_iter=5))
+            rebit, catalog.rebit_rotation(1.0), ExtensionOptions(max_iter=3))
         with pytest.raises(GroupExtensionError,
                            match="uniqueness undecided: 8 of 8 randomized starts"):
             extension.extend_group(problem, n_starts=8)
@@ -832,6 +839,81 @@ class TestConvergedIsTheResidualCheck:
             qubit, transpose, ExtensionOptions(max_iter=3000)))
         assert not report.converged
         self.assert_residual_verdict(report)
+
+
+class TestNewtonSolver:
+    """The semismooth Newton-CG loop on the dual: its Jacobian, its budget and
+    its stops."""
+
+    @pytest.mark.parametrize("ccp", [False, True], ids=["psd", "ccp"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_jacobian_matches_finite_differences(self, d, ccp):
+        system = catalog.real_symmetric_system(d)
+        solver = extension._FeasibilitySolver(
+            system, [np.zeros((d, d))] * len(system), ccp=ccp)
+        rng = np.random.default_rng([d, ccp])
+        n = d * d
+        # Points away from eigenvalue ties and from 0, where Pi_K is smooth.
+        while True:
+            c = linalg.random_hermitian(n, rng)
+            clipped = c if not ccp else solver.frame_h @ c @ solver.frame
+            w = np.linalg.eigvalsh(clipped)
+            if min(np.abs(w).min(), np.diff(w).min()) > 0.05:
+                break
+        defect = solver._jacobian_defect(solver._cone_point(c)[1])  # J - I
+        for _ in range(3):
+            h = linalg.random_hermitian(n, rng)
+            t = 1e-6
+            central = (solver.project_cone(c + t * h) - solver.project_cone(c - t * h)) / (2 * t)
+            product = h + defect(h)
+            assert linalg.frob(product - central) <= 1e-7 * linalg.frob(h)
+            # Pi_K is a projection: J is symmetric with spectrum in [0, 1].
+            g = linalg.random_hermitian(n, rng)
+            jg = g + defect(g)
+            assert np.vdot(g, product).real == pytest.approx(np.vdot(h, jg).real, abs=1e-10)
+            assert 0.0 <= np.vdot(h, product).real <= np.vdot(h, h).real + 1e-12
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(budget=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           problem=st.sampled_from(["rotation", "dissipation", "transpose", "mixture"]))
+    def test_iterations_never_exceed_the_budget(self, budget, seed, problem):
+        rebit, qubit = catalog.rebit_system(), catalog.qubit_system()
+        opts = ExtensionOptions(max_iter=budget, seed=seed)
+        if problem == "rotation":
+            prob = ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(1.0), opts)
+        elif problem == "dissipation":
+            prob = ExtensionProblem.for_generator(rebit, catalog.rebit_dissipative(1.0), opts)
+        elif problem == "transpose":
+            prob = ExtensionProblem.for_map(qubit, [v.T for v in qubit.basis], opts)
+        else:
+            prob = ExtensionProblem.for_map(*_unitary_mixture_images(3), opts)
+        _, report = extension.multi_start(prob, [seed])[0]
+        assert 1 <= report.iterations <= budget
+
+    def test_infeasible_transpose_stops_on_the_plateau(self, qubit):
+        # Far below the default budget: only the plateau rule can stop it.
+        transpose = [v.T for v in qubit.basis]
+        _, report = extension.extend_ucp_map(ExtensionProblem.for_map(qubit, transpose))
+        assert not report.converged
+        assert report.iterations <= 500 < ExtensionOptions().max_iter
+        assert report.affine_residual > 0.1
+
+    def test_resolvent_sample_on_real_symmetric_4(self):
+        # The lambda = 4 sample of the shared_system validate: 960 evaluations
+        # of the dual with L-BFGS, 28 with Newton-CG.
+        sub = _real_gksl_subsystems()[4]
+        images = dynamics.subsystem_resolvent_images(sub, 4.0)
+        _, report = extension.extend_ucp_map(
+            ExtensionProblem.for_map(sub.system, images, ExtensionOptions(max_iter=2500)))
+        assert report.converged and report.iterations <= 100
+
+    @pytest.mark.parametrize("omega_param", [1e150, 1e200, 1e300])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_dual_stops_at_once(self, rebit, omega_param):
+        # At 1e300 the run once spent its whole 200 000-evaluation budget.
+        problem = ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(omega_param))
+        _, report = extension.multi_start(problem, [None])[0]
+        assert not report.converged and report.iterations <= 2
 
 
 class TestNoFalseNotUcp:

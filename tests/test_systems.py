@@ -37,6 +37,14 @@ class TestConstruction:
         assert not rebit.same_basis(catalog.qubit_system())
         assert not rebit.same_basis(catalog.real_symmetric_system(3))
 
+    def test_equality_and_hash_are_identity(self, pauli, rebit):
+        twin = MatricialSystem.from_basis([pauli.I, pauli.X, pauli.Z])
+        assert rebit == rebit and rebit != twin
+        assert hash(rebit) == hash(rebit)
+        assert len({rebit, twin, rebit}) == 2
+        assert {rebit: 1}[rebit] == 1
+        assert rebit.same_basis(twin)  # the basis comparison stays same_basis
+
     def test_orthonormalization(self, rebit):
         rng = np.random.default_rng(17)
         conjugated = []
@@ -297,6 +305,14 @@ class TestCommutant:
                     (systems.commutant(system, tol) for tol in (1e-9, 1e-2, 1e-9, 10.0))]
         assert verdicts == [(2, True), (2, False), (2, True), (2, False)]
         assert len(calls) == 1
+
+    def test_one_bicommutant_svd_per_system_whatever_the_tol(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        system = near_reducible_system(1e-3)  # C*(V) = M_2 + C
+        assert [systems.cstar_dim(system, tol) for tol in (1e-9, 1e-2, 1e-9, 10.0)] == [5] * 4
+        assert len(calls) == 2  # the commutant's SVD and its basis's, once each
 
     def test_undecided_tol_after_a_default_call_on_a_cached_system(self):
         system = catalog.real_symmetric_system(3)
