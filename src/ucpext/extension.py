@@ -79,7 +79,8 @@ implies it and, unlike it, is not hidden by the roundoff of f (about
 non-finite dual value or gradient, and on a plateau: when, after 50 Newton
 steps, a residual still above 100 tol has not halved its best over the last
 50, the sets look disjoint or the problem is degenerate, and the verdict is
-left to the polish.
+left to the polish.  A dual that is not finite already at the start leaves
+no point to polish and raises :class:`NumericalError`.
 
 ``iterations`` counts evaluations of f, line-search trials included; each is
 one cone projection (one d^2 x d^2 eigh) plus O(|V| d^4), so ``max_iter`` is
@@ -361,10 +362,10 @@ class _FeasibilitySolver:
         """Pi_K(C) and the eigendecomposition (w, u) of the matrix it clipped,
         F* C F for the ccp cone."""
         if self.frame is None:
-            x, w, u = linalg.psd_clip(c, spectrum=True)
+            x, w, u = linalg.psd_clip(c)
             return x, (w, u)
         m = self.frame_h @ c @ self.frame
-        clipped, w, u = linalg.psd_clip(m, spectrum=True)
+        clipped, w, u = linalg.psd_clip(m)
         return linalg.hermitian_part(c + self.frame @ (clipped - m) @ self.frame_h), (w, u)
 
     def project_cone(self, c: np.ndarray) -> np.ndarray:
@@ -495,6 +496,8 @@ class _FeasibilitySolver:
                     break  # plateau far from feasibility: disjoint sets, or no Slater point
                 window_best = best.residual
 
+        if not best.finite:
+            raise NumericalError("the dual overflowed at the start point")
         # Polish the best point: affine projection, then the cone-exact point;
         # the affine defect of the result is bounded by the distance between
         # the two.  A run that reached 0.2 tol stops at its best point.
@@ -515,12 +518,8 @@ class _FeasibilitySolver:
 
 
 def restriction_error(op: SuperOp, basis, targets) -> float:
-    """max_k ||op(v_k) - t_k||: agreement checked on the map itself, with the
-    action op(v) = sum_ij v_ij C[(i,.),(j,.)] of ``SuperOp.apply`` on the whole
-    stack of basis elements at once."""
-    d = op.d
-    images = np.einsum("kij,iajb->kab", np.asarray(basis), op.choi.reshape(d, d, d, d))
-    return float(np.linalg.norm(images - np.asarray(targets), axis=(1, 2)).max())
+    """max_k ||op(v_k) - t_k||: agreement checked on the map itself."""
+    return max(linalg.frob(op.apply(v) - t) for v, t in zip(basis, targets))
 
 
 def max_pairwise_distance(mats) -> float:

@@ -109,18 +109,16 @@ def expm(m, scale: float = 1.0) -> np.ndarray:
     return scipy.linalg.expm(scale * a)
 
 
-def psd_clip(h: np.ndarray, spectrum: bool = False):
+def psd_clip(h: np.ndarray):
     """Frobenius-nearest positive semidefinite matrix: clip negative eigenvalues.
 
     No input validation, for hot loops: ``h`` must already be a Hermitian
     array (``eigh`` reads only its lower triangle); the result is exactly
-    Hermitian with spectrum >= 0 up to roundoff.  With ``spectrum`` the
-    eigendecomposition ``(w, u)`` of ``h`` is returned too, as
-    ``(clipped, w, u)``.
+    Hermitian with spectrum >= 0 up to roundoff.  Returns
+    ``(clipped, w, u)``, with ``(w, u)`` the eigendecomposition of ``h``.
     """
     w, u = np.linalg.eigh(h)
-    clipped = hermitian_part((u * np.maximum(w, 0.0)) @ np.conj(u.T))
-    return (clipped, w, u) if spectrum else clipped
+    return hermitian_part((u * np.maximum(w, 0.0)) @ np.conj(u.T)), w, u
 
 
 def spectral_norm(m) -> float:

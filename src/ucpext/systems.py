@@ -89,7 +89,6 @@ class MatricialSystem:
     basis: tuple
     onb: np.ndarray = field(repr=False)
     onb_coeffs: np.ndarray = field(repr=False)
-    _bicommutant_svds: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def from_basis(cls, basis) -> "MatricialSystem":
@@ -133,17 +132,15 @@ class MatricialSystem:
         on first use and kept: they depend on V alone, not on a tolerance."""
         return _commutator_svd(self.onb)
 
-    def bicommutant_svd(self, commutant_dim: int) -> tuple:
-        """:func:`_commutator_svd` of the commutant's basis, the last
-        ``commutant_dim`` right singular vectors of :attr:`commutator_svd`:
-        computed on first use and kept per dimension, which fixes that basis;
-        no tolerance enters it."""
-        if commutant_dim not in self._bicommutant_svds:
-            d = self.dim
-            vh = self.commutator_svd[1]
-            basis = np.conj(vh[d * d - commutant_dim:]).reshape(-1, d, d)
-            self._bicommutant_svds[commutant_dim] = _commutator_svd(basis)
-        return self._bicommutant_svds[commutant_dim]
+    @cached_property
+    def bicommutant_svd(self) -> tuple:
+        """:func:`_commutator_svd` of the commutant's basis, the right singular
+        vectors of :attr:`commutator_svd` past its rank: computed on first use
+        and kept, since that rank is read off the roundoff floor and no
+        tolerance enters it."""
+        d = self.dim
+        _, vh, rank = self.commutator_svd
+        return _commutator_svd(np.conj(vh[rank:]).reshape(-1, d, d))
 
     def __len__(self) -> int:
         return len(self.basis)
@@ -269,8 +266,7 @@ def commutant(system: MatricialSystem, tol: float = FEASIBILITY_TOL) -> Commutan
 def cstar_dim(system: MatricialSystem, tol: float = FEASIBILITY_TOL) -> int:
     """dim C*(V) = dim V'': the commutant of the commutant's basis, from the
     system's kept SVD of that basis (``MatricialSystem.bicommutant_svd``)."""
-    comm = commutant(system, tol)
-    return _commutant_of(system.bicommutant_svd(comm.dim), system.dim, tol).dim
+    return _commutant_of(system.bicommutant_svd, system.dim, tol).dim
 
 
 def is_commutative(system: MatricialSystem, tol: float = FEASIBILITY_TOL) -> bool:

@@ -365,19 +365,24 @@ class TestFailuresAndExitCodes:
     @pytest.mark.parametrize("omega_param", [1e200, 1e300])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_dual_stops_at_once(self, tmp_path, capsys, omega_param):
-        # The dual value overflows at the start: the solve stops there, and
-        # the report is a failed, unconverged extension (once a LinAlgError
-        # at 1e200 and the whole budget at 1e300).
+        # The dual value overflows at the start: the solve raises there, and
+        # the report is a failed one in strict JSON, with no non-finite number
+        # (once the whole 200 000-evaluation budget at 1e300).
         scenario = {"command": "extend-generator", "system": "rebit",
                     "dynamics": "rebit_rotation", "options": {"omega_param": omega_param}}
         report = run_scenario(scenario)
-        assert report["status"] == "failed" and "error" not in report
-        solve = report["results"]["report"]
-        assert not solve["converged"] and solve["iterations"] <= 2
+        assert report["status"] == "failed"
+        assert report["error"] == {"type": "NumericalError",
+                                   "message": "the dual overflowed at the start point"}
+        jsonschema.validate(report, REPORT_SCHEMA)
         path = write_scenario(tmp_path, scenario)
         capsys.readouterr()
         assert main(["run", path]) == 1
-        assert json.loads(capsys.readouterr().out)["status"] == "failed"
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        assert json.loads(capsys.readouterr().out, parse_constant=reject) == report
 
     def test_multiple_scenarios_require_batch(self, tmp_path):
         ok = write_scenario(tmp_path, {"command": "check-ccp", "dynamics": "g1"})

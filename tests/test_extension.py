@@ -907,13 +907,26 @@ class TestNewtonSolver:
             ExtensionProblem.for_map(sub.system, images, ExtensionOptions(max_iter=2500)))
         assert report.converged and report.iterations <= 100
 
-    @pytest.mark.parametrize("omega_param", [1e150, 1e200, 1e300])
+    @pytest.mark.parametrize("omega_param, overflows",
+                             [(1e150, False), (1e200, True), (1e300, True)])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowing_dual_stops_at_once(self, rebit, omega_param):
-        # At 1e300 the run once spent its whole 200 000-evaluation budget.
+    def test_overflowing_dual_stops_at_once(self, rebit, omega_param, overflows,
+                                            monkeypatch):
+        # At 1e300 the run once spent its whole 200 000-evaluation budget.  At
+        # 1e150 the dual is finite and the run stops unconverged; beyond it the
+        # dual overflows at the start and the solve raises.
+        evaluations = []
+        dual_point = extension._FeasibilitySolver._dual_point
+        monkeypatch.setattr(extension._FeasibilitySolver, "_dual_point",
+                            lambda *a: evaluations.append(1) or dual_point(*a))
         problem = ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(omega_param))
-        _, report = extension.multi_start(problem, [None])[0]
-        assert not report.converged and report.iterations <= 2
+        if overflows:
+            with pytest.raises(NumericalError, match="dual overflowed"):
+                extension.multi_start(problem, [None])
+        else:
+            _, report = extension.multi_start(problem, [None])[0]
+            assert not report.converged and report.iterations <= 2
+        assert len(evaluations) <= 2
 
 
 class TestNoFalseNotUcp:

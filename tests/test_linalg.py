@@ -64,17 +64,17 @@ class TestPsdProject:
     """The PSD projection is ``psd_clip``, the solver's cone kernel."""
 
     def test_clips_negative_eigenvalue(self, pauli):
-        np.testing.assert_allclose(linalg.psd_clip(pauli.Z),
+        np.testing.assert_allclose(linalg.psd_clip(pauli.Z)[0],
                                    np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_fixed_point_on_psd(self):
         rng = np.random.default_rng(3)
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         p = g @ np.conj(g.T)
-        np.testing.assert_allclose(linalg.psd_clip(p), p, atol=1e-12)
+        np.testing.assert_allclose(linalg.psd_clip(p)[0], p, atol=1e-12)
 
     def test_all_negative_spectrum(self):
-        np.testing.assert_allclose(linalg.psd_clip(-np.eye(3)),
+        np.testing.assert_allclose(linalg.psd_clip(-np.eye(3))[0],
                                    np.zeros((3, 3)), atol=1e-15)
 
     def test_idempotent_and_nearest(self):
@@ -82,10 +82,10 @@ class TestPsdProject:
         for _ in range(25):
             dim = int(rng.integers(2, 7))
             h = linalg.random_hermitian(dim, rng, scale=2.0)
-            proj = linalg.psd_clip(h)
+            proj = linalg.psd_clip(h)[0]
             assert np.array_equal(proj, np.conj(proj.T))
             assert np.linalg.eigvalsh(proj)[0] >= -1e-12
-            np.testing.assert_allclose(linalg.psd_clip(proj), proj, atol=1e-12)
+            np.testing.assert_allclose(linalg.psd_clip(proj)[0], proj, atol=1e-12)
             # Frobenius-nearest: no sampled PSD matrix is closer.
             for _ in range(5):
                 g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
