@@ -12,6 +12,9 @@ residuals to three significant digits.
 
 The scenario schema is the one input gate, compiled once per process: its
 ``command`` enum names the handlers, its ``options`` properties the option keys.
+Its numbers are finite: Python's ``json`` reads the ``NaN`` and ``Infinity``
+tokens, and ``--tol nan`` parses, but neither passes the gate, and the echo of
+a rejected input spells them as strings, so every report is strict JSON.
 Options are decoded once, by their schema types, and ``null`` means unset;
 handlers pass on only the options a scenario sets, so an unset option takes the
 default of the library function that uses it.
@@ -26,6 +29,7 @@ import argparse
 import functools
 import inspect
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -48,12 +52,20 @@ def load_scenario_schema() -> dict:
     return json.loads((_SCHEMA_DIR / "scenario.schema.json").read_text())
 
 
+def _is_finite_number(checker, instance) -> bool:
+    return (checker.is_type(instance, "integer")
+            or isinstance(instance, float) and math.isfinite(instance))
+
+
 @functools.cache
 def _scenario_validator():
-    """The scenario schema, read and compiled once per process."""
+    """The scenario schema, read and compiled once per process; its "number"
+    excludes NaN and the infinities."""
     import jsonschema
 
-    return jsonschema.Draft7Validator(load_scenario_schema())
+    draft7 = jsonschema.Draft7Validator
+    finite = draft7.TYPE_CHECKER.redefine("number", _is_finite_number)
+    return jsonschema.validators.extend(draft7, type_checker=finite)(load_scenario_schema())
 
 
 def _option_schemas() -> dict:
@@ -67,6 +79,10 @@ def validate_scenario(scenario) -> None:
 
     error = best_match(_scenario_validator().iter_errors(scenario))
     if error is not None:
+        if isinstance(error.instance, float) and not math.isfinite(error.instance):
+            where = "/".join(str(key) for key in error.absolute_path)
+            raise InputError(f"scenario schema violation: {_json_safe(error.instance)} "
+                             f"at {where} is not a finite number")
         raise InputError(f"scenario schema violation: {error.message}")
     unknown = scenario.get("options", {}).keys() - _option_schemas().keys()
     if unknown:
@@ -352,14 +368,17 @@ def _cmd_rigidity_probe(scenario, options):
 
 
 def _cmd_demo_rebit(scenario, options):
+    # One start count for both uniqueness checks: the rotation group's
+    # cross-check and the dissipative non-uniqueness evidence.
+    starts = options.get("starts", DEFAULT_STARTS)
+    if starts < 2:
+        raise InputError(f"demo-rebit needs at least 2 starts, got {starts}: its "
+                         "dissipative check shows non-uniqueness by two starts that disagree")
     delta = options.get("delta_param", 1.0)
     omega = options.get("omega_param", 1.0)
     prefactor = options.get("g2_prefactor",
                             inspect.signature(catalog.g2).parameters["prefactor"].default)
     tol_kw = _given(options, "tol")
-    # One start count for both uniqueness checks: the rotation group's
-    # cross-check and the dissipative non-uniqueness evidence.
-    starts = options.get("starts", DEFAULT_STARTS)
     checks = []
 
     def record(name, passed, **details):
@@ -458,7 +477,25 @@ def _envelope(command, options: dict) -> dict:
                            "choi_convention": CHOI_CONVENTION}}
 
 
+def _json_safe(value):
+    """``value`` with each non-finite float spelled as its JSON-like token, the
+    string "NaN", "Infinity" or "-Infinity"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_json_safe(item) for item in value]
+    return value
+
+
 def _invalid_input(report: dict, message: str) -> dict:
+    """Mark ``report`` invalid input.  Its echo of the input becomes strict
+    JSON, and a seed that is not an integer is echoed in the options only."""
+    provenance = report["provenance"]
+    if not _scenario_validator().is_type(provenance["seed"], "integer"):
+        provenance["seed"] = None
+    provenance["options"] = _json_safe(provenance["options"])
     report.update(status="invalid-input", results={},
                   error={"type": "input", "message": message})
     return report

@@ -84,10 +84,11 @@ no point to polish and raises :class:`NumericalError`.
 
 ``iterations`` counts evaluations of f, line-search trials included; each is
 one cone projection (one d^2 x d^2 eigh) plus O(|V| d^4), so ``max_iter`` is
-a budget of cone projections; CG steps are not counted.  Set-up factorises
-nothing: Q and R^-T are the system's own.  The best point found is projected
-onto the affine subspace, then onto the cone, and the residuals are measured
-on the result.
+a budget of cone projections; CG steps are not counted.  In a batch (below)
+each member counts its own evaluations against its own budget.  Set-up
+factorises nothing: Q and R^-T are the system's own.  The best point found is
+projected onto the affine subspace, then onto the cone, and the residuals are
+measured on the result.
 
 Starting points.  The generator problem starts from the affine projection of
 zero.  The map problem starts from the affine projection of the identity
@@ -103,13 +104,27 @@ solves one problem from a list of seeds on one set-up: the seed ``None``
 solves with the problem's options as given, and an int ``s`` solves from the
 randomized start with ``seed = s``, so equal seeds give bit-identical
 extensions.
+
+Multi-start.  All the starts of :func:`multi_start` are solved as one batch,
+in one lockstep Newton-CG loop: the start points, each dual evaluation (one
+stacked eigh and stacked lift and relayout products), the CG steps, the line
+search and the polish act on arrays with a leading member axis.  Each member
+keeps its own stopping rules, step length, best point, ``iterations`` and
+report (``restriction_error`` is measured on its returned map), and leaves
+the batch, of its CG or of the loop, only when it stops.  Every operation acts
+on each member alone, so a member's extension and report are bit-identical to
+those of the batch of one from its seed; a single solve is such a batch.  At
+d = 2 the arrays are 3 x 3 or 4 x 4, so numpy's per-call cost, not
+arithmetic, sets the time of a step: eight seeded starts of the rebit
+rotation or dissipation take about 2.5 times as long as one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -155,8 +170,8 @@ class ExtensionOptions:
     seed: Optional[int] = None  # None: deterministic start; an int: seeded random start
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iter <= 0:
-            raise InputError("tol and max_iter must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0) or self.max_iter <= 0:
+            raise InputError("tol must be finite and positive, and max_iter positive")
 
 
 @dataclass(frozen=True)
@@ -280,42 +295,93 @@ _EPS = float(np.finfo(float).eps)
 
 def _clip_weights(w: np.ndarray) -> np.ndarray:
     """The divided differences (w_i+ - w_j+) / (w_i - w_j) of the PSD clip at
-    a Hermitian matrix with eigenvalues w: 1 where both are positive, 0 where
-    both are nonpositive."""
+    a Hermitian matrix with eigenvalues w, or at each of a stack: 1 where both
+    are positive, 0 where both are nonpositive."""
     pos = np.maximum(w, 0.0)
-    num = pos[:, None] - pos[None, :]
-    both = (w > 0.0)[:, None] & (w > 0.0)[None, :]
-    return np.divide(num, w[:, None] - w[None, :], out=both.astype(float),
+    num = pos[..., :, None] - pos[..., None, :]
+    positive = w > 0.0
+    both = positive[..., :, None] & positive[..., None, :]
+    return np.divide(num, w[..., :, None] - w[..., None, :], out=both.astype(float),
                      where=num != 0.0)
 
 
-@dataclass(frozen=True)
-class _DualPoint:
-    """The dual at W: X = Pi_K(x0 + L W), f(W), grad f(W) and its norm, the
-    roundoff of that norm (d^2 eps ||X||), and the eigendecomposition (w, u)
-    that Pi_K clipped."""
+def _column(size: int) -> tuple:
+    """The shape that gives each of ``size`` members a scalar for its row: a
+    column, or () for one member, which numpy then applies as a scalar."""
+    return (-1, 1) if size > 1 else ()
+
+
+@functools.cache
+def _cone_constants(d: int, ccp: bool) -> tuple:
+    """The base of the start points and, for the ccp cone, the frame F and F*
+    (module docstring).  They depend on d alone, so they are computed once
+    per dimension and shared read-only by every solver."""
+    n = d * d
+    if ccp:
+        frame = np.linalg.eigh(maps.ccp_projector(d))[1][:, 1:]
+        constants = (np.zeros((n, n), dtype=complex), frame, linalg.dagger(frame))
+    else:
+        constants = (maps.identity_map(d).choi, None, None)
+    for a in constants:
+        if a is not None:
+            a.setflags(write=False)
+    return constants
+
+
+class _DualPoint(NamedTuple):
+    """The dual at a batch of points W, one row per member: X = Pi_K(x0 + L W),
+    grad f(W) and the eigendecomposition that Pi_K clipped as arrays, and f(W),
+    ||grad f(W)|| and its roundoff d^2 eps ||X|| as lists of floats, which the
+    stopping rules read member by member."""
 
     w: np.ndarray
     x: np.ndarray
-    value: float
     grad: np.ndarray
-    residual: float
-    floor: float
-    spectrum: tuple
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    value: list
+    residual: list
+    floor: list
 
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.value) and math.isfinite(self.residual)
+    def take(self, rows) -> "_DualPoint":
+        return _DualPoint(*(field[rows] for field in self[:5]),
+                          *([field[k] for k in rows] for field in self[5:]))
+
+    @staticmethod
+    def concatenate(points) -> "_DualPoint":
+        fields = list(zip(*points))
+        return _DualPoint(*(np.concatenate(field) for field in fields[:5]),
+                          *([s for part in field for s in part] for field in fields[5:]))
+
+
+class _JacobianDefect(NamedTuple):
+    """H -> (J - I) H = E ((Omega - 1) o E* H E) E*, on one matrix or on each
+    matrix of a stack with its own E and Omega (:meth:`_FeasibilitySolver._jacobian_defect`)."""
+
+    e: np.ndarray
+    e_h: np.ndarray
+    weights: np.ndarray
+
+    def __call__(self, h: np.ndarray) -> np.ndarray:
+        e, e_h, weights = self
+        return e @ (weights * (e_h @ h @ e)) @ e_h
+
+    def take(self, rows) -> "_JacobianDefect":
+        return _JacobianDefect(*(field[rows] for field in self))
 
 
 class _FeasibilitySolver:
-    """Shared precomputation for one feasibility problem (reused across starts).
+    """Shared precomputation for one feasibility problem, solved from a batch
+    of starts.
 
     Iterates are Hermitian d^2 x d^2 Choi matrices; the affine projection is
     the matrix-free one of the module docstring, and the dual variables are
     |V| x d^2 arrays whose rows are Hermitian d x d matrices, handled as flat
     real vectors (a complex array viewed as its real and imaginary parts), so
-    that plain dot products are the real inner product Re tr(a* b).
+    that plain dot products are the real inner product Re tr(a* b).  The
+    methods act on one matrix or on a stack along a leading batch axis, one
+    member per start, and every operation acts on each member alone, so a
+    member's iterates do not depend on the rest of its batch.
     """
 
     def __init__(self, system: MatricialSystem, targets, ccp: bool = False):
@@ -337,11 +403,11 @@ class _FeasibilitySolver:
         self.dual_adjoint = self.lift @ self.whiten
         self.dual_targets = (self.whiten @ self.target_rows).view(float).ravel()
         self.cg_steps = len(system) * n
+        self.dual_shape = (-1, len(system), n)  # a stack of duals as complex |V| x d^2
+        self.blocks = (-1, d, d, d, d)  # a stack of Choi matrices as [i, a, j, b]
         # The ccp cone clips F* C F, F an orthonormal basis of the range of
         # P = I - omega omega* as columns (F F* = P); the map cone clips C.
-        self.frame = np.linalg.eigh(maps.ccp_projector(d))[1][:, 1:] if ccp else None
-        self.frame_h = None if self.frame is None else linalg.dagger(self.frame)
-        self.base = np.zeros((n, n), dtype=complex) if ccp else maps.identity_map(d).choi
+        self.base, self.frame, self.frame_h = _cone_constants(d, ccp)
         offset = self.project_affine(np.zeros((n, n), dtype=complex))
         inconsistency = self.affine_residual(offset)
         if inconsistency > FEASIBILITY_TOL * (1.0 + linalg.frob(self.target_rows)):
@@ -351,8 +417,7 @@ class _FeasibilitySolver:
 
     def _relayout(self, c: np.ndarray) -> np.ndarray:
         """C[(i,a),(j,b)] <-> M[(i,j),(a,b)]; the swap is its own inverse."""
-        d = self.d
-        return c.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        return c.reshape(self.blocks).swapaxes(2, 3).reshape(c.shape)
 
     def _defect(self, m: np.ndarray) -> np.ndarray:
         """The agreement defect A(C) - T, rows k, of C relaid out as m."""
@@ -380,27 +445,37 @@ class _FeasibilitySolver:
     def affine_residual(self, c: np.ndarray) -> float:
         return linalg.frob(self._defect(self._relayout(c)))
 
-    def start_point(self, options: ExtensionOptions) -> np.ndarray:
-        raw = self.base
-        if options.seed is not None:
-            rng = np.random.default_rng(options.seed)
-            raw = raw + linalg.random_hermitian(self.d * self.d, rng)
+    def start_points(self, seeds) -> np.ndarray:
+        """The start point of each seed (module docstring), stacked."""
+        n = self.d * self.d
+        raw = np.array([self.base if seed is None
+                        else self.base + linalg.random_hermitian(n, np.random.default_rng(seed))
+                        for seed in seeds])
         return self.project_affine(raw)
 
     def _lifted(self, w: np.ndarray) -> np.ndarray:
-        """L(W), W a flat real vector, as a d^2 x d^2 Choi matrix."""
-        return self._relayout(self.lift @ w.view(complex).reshape(self.onb_rows.shape))
+        """L(W) for each row W of ``w``, as d^2 x d^2 Choi matrices."""
+        return self._relayout(self.lift @ w.view(complex).reshape(self.dual_shape))
+
+    def _adjoint(self, m: np.ndarray) -> np.ndarray:
+        """L*(M) for each matrix M of the stack ``m``, as rows of flat duals."""
+        return (self.onb_rows @ self._relayout(m)).view(float).reshape(len(m), -1)
 
     def _dual_point(self, x0: np.ndarray, w: np.ndarray) -> _DualPoint:
-        """X = Pi_K(x0 + L W), the dual value f(W) and its gradient L* X - R^-T T."""
-        x, spectrum = self._cone_point(x0 + self._lifted(w))
-        grad = (self.onb_rows @ self._relayout(x)).view(float).ravel() - self.dual_targets
-        squared = float(np.vdot(x, x).real)
-        value = 0.5 * squared - float(self.dual_targets @ w)
-        floor = x.shape[0] * _EPS * math.sqrt(squared)
-        return _DualPoint(w, x, value, grad, math.sqrt(float(grad @ grad)), floor, spectrum)
+        """X = Pi_K(x0 + L W), the dual value f(W) and its gradient L* X - R^-T T,
+        for each row W of ``w``."""
+        x, (eigenvalues, eigenvectors) = self._cone_point(x0 + self._lifted(w))
+        grad = self._adjoint(x) - self.dual_targets
+        flat = x.reshape(len(w), -1)
+        squares = np.vecdot(flat, flat).real.tolist()
+        pairings = np.vecdot(w, self.dual_targets).tolist()
+        roundoff = x.shape[-1] * _EPS
+        return _DualPoint(w, x, grad, eigenvalues, eigenvectors,
+                          [0.5 * s - t for s, t in zip(squares, pairings)],
+                          [math.sqrt(g) for g in np.vecdot(grad, grad).tolist()],
+                          [roundoff * math.sqrt(s) for s in squares])
 
-    def _jacobian_defect(self, spectrum: tuple):
+    def _jacobian_defect(self, spectrum: tuple) -> _JacobianDefect:
         """H -> (J - I) H for the element J of the generalized Jacobian of Pi_K
         at the point whose clipped matrix has the eigendecomposition
         ``spectrum`` (:meth:`_cone_point`).
@@ -411,110 +486,183 @@ class _FeasibilitySolver:
         F U both are J H = H + E ((Omega - 1) o E* H E) E*.
         """
         w, u = spectrum
-        weights = _clip_weights(w) - 1.0
         e = u if self.frame is None else self.frame @ u
-        e_h = linalg.dagger(e)
-        return lambda h: e @ (weights * (e_h @ h @ e)) @ e_h
+        return _JacobianDefect(e, linalg.dagger(e), _clip_weights(w) - 1.0)
 
     def _newton_direction(self, point: _DualPoint) -> np.ndarray:
-        """CG on (L* J L + eps I) p = -grad f, J at ``point``'s spectrum.
+        """CG on (L* J L + eps I) p = -grad f for each member, J at its spectrum.
 
-        L is an isometry, so L* J L p = p + L* (J - I) L p.  The system is
+        L is an isometry, so L* J L p = p + L* (J - I) L p.  Each system is
         solved for p / ||grad f||, a unit right-hand side, to the relative
         tolerance min(eta, ||grad f||^tau), so no square overflows.  CG runs at
-        most the dual dimension of steps.
+        most the dual dimension of steps; a member leaves the batch when its
+        CG stops.  The per-member scalars are shaped by :func:`_column`.
         """
-        residual = point.residual
-        diagonal = 1.0 + min(_NEWTON_REG, residual * math.sqrt(residual))
-        defect = self._jacobian_defect(point.spectrum)
-        rows = self.onb_rows
-
-        def product(p):
-            jh = defect(self._lifted(p))
-            return (rows @ self._relayout(jh)).view(float).ravel() + diagonal * p
-
-        target = min(_CG_FORCING, residual ** _CG_EXPONENT) ** 2
-        r = point.grad / -residual
+        residuals = point.residual
+        column = _column(len(residuals))
+        scale = np.array(residuals).reshape(column)
+        shift = np.array([1.0 + min(_NEWTON_REG, s * math.sqrt(s))
+                          for s in residuals]).reshape(column)
+        targets = [min(_CG_FORCING, s ** _CG_EXPONENT) ** 2 for s in residuals]
+        defect = self._jacobian_defect((point.eigenvalues, point.eigenvectors))
+        r = point.grad / -scale
         p = r
         step = np.zeros_like(r)
-        rr = float(r @ r)
+        rr = np.vecdot(r, r)
+        members = list(range(len(residuals)))  # the member of each CG row
+        stopped = []  # (members, their steps), as CG stops them
         for _ in range(self.cg_steps):
-            q = product(p)
-            alpha = rr / float(p @ q)
-            step = step + alpha * p
+            q = self._adjoint(defect(self._lifted(p))) + shift * p
+            alpha = (rr / np.vecdot(p, q)).reshape(column)
+            step += alpha * p
             r = r - alpha * q
-            rr_new = float(r @ r)
-            if rr_new <= target:
-                break
-            p = r + (rr_new / rr) * p
+            rr_new = np.vecdot(r, r)
+            done = [k for k, s in enumerate(rr_new.tolist()) if s <= targets[k]]
+            if done:
+                if len(done) == len(members):
+                    break
+                stopped.append(([members[k] for k in done], step[done]))
+                keep = [k for k in range(len(members)) if k not in done]
+                members = [members[k] for k in keep]
+                targets = [targets[k] for k in keep]
+                r, p, step, rr, rr_new, shift = (
+                    a[keep] for a in (r, p, step, rr, rr_new, shift.reshape(-1)))
+                defect = defect.take(keep)
+                column = _column(len(keep))
+                shift = shift.reshape(column)
+            p = r + (rr_new / rr).reshape(column) * p
             rr = rr_new
-        return residual * step
+        if not stopped:
+            return scale * step
+        direction = np.empty_like(point.grad)
+        for rows, steps in stopped + [(members, step)]:
+            direction[rows] = steps
+        return scale * direction
 
-    def _line_search(self, x0, point: _DualPoint, direction, budget):
-        """Backtrack from the unit step along ``direction``, halving it.
+    def _line_search(self, x0, point: _DualPoint, direction, budgets):
+        """Backtrack from the unit step along each member's direction, halving it.
 
-        Returns the evaluations spent and the accepted point, or None in its
-        place when the budget runs out first or the dual is not finite there.
+        A member stops at its first trial that passes a test, at a non-finite
+        trial, or when its budget runs out.  Returns the evaluations each
+        member spent, the members (rows of ``point``) that moved, and their
+        accepted points in that order (None when none moved).
         """
-        slope = float(point.grad @ direction)
+        slopes = np.vecdot(point.grad, direction).tolist()
+        spent = [0] * len(budgets)
+        trying = list(range(len(budgets)))  # the member of each trial row
+        parts = []  # (trial, its accepted rows)
+        moved = []
         step = 1.0
-        for spent in range(1, budget + 1):
+        for trials in range(1, max(budgets) + 1):
             trial = self._dual_point(x0, point.w + step * direction)
-            if not trial.finite:
-                return spent, None
-            # For convex f, f(t) - f(0) <= t f'(t): the derivative test is a
-            # sufficient decrease that the roundoff of f cannot hide.
-            if (trial.value <= point.value + _ARMIJO * step * slope
-                    or float(trial.grad @ direction) <= _ARMIJO * slope):
-                return spent, trial
+            derivatives = None
+            accepted, searching = [], []
+            for k, i in enumerate(trying):
+                value = trial.value[k]
+                if math.isfinite(value) and math.isfinite(trial.residual[k]):
+                    passed = value <= point.value[k] + _ARMIJO * step * slopes[k]
+                    if not passed:
+                        # For convex f, f(t) - f(0) <= t f'(t): the derivative
+                        # test is a sufficient decrease that the roundoff of f
+                        # cannot hide.
+                        if derivatives is None:
+                            derivatives = np.vecdot(trial.grad, direction).tolist()
+                        passed = derivatives[k] <= _ARMIJO * slopes[k]
+                    if passed:
+                        accepted.append(k)
+                        moved.append(i)
+                    elif trials < budgets[i]:
+                        searching.append(k)
+                        continue
+                spent[i] = trials  # accepted, non-finite, or its budget spent
+            if accepted:
+                parts.append((trial, accepted))
+            if len(searching) < len(trying):
+                if not searching:
+                    break
+                trying = [trying[k] for k in searching]
+                slopes = [slopes[k] for k in searching]
+                x0, point, direction = x0[searching], point.take(searching), direction[searching]
             step *= 0.5
-        return budget, None
+        if not parts:
+            return spent, moved, None
+        if len(parts) == 1 and len(parts[0][1]) == len(parts[0][0].residual):
+            return spent, moved, parts[0][0]
+        return spent, moved, _DualPoint.concatenate([trial.take(rows) for trial, rows in parts])
 
-    def solve(self, options: ExtensionOptions):
-        """Project the start point onto the feasible set (module docstring)."""
-        tol = options.tol
+    def solve(self, options: ExtensionOptions, seeds) -> list:
+        """Project the start point of each seed onto the feasible set (module
+        docstring), all starts in one lockstep loop, with the tolerance and
+        budget of ``options``.  Each member stops by its own rules and counts
+        its own evaluations.  Returns one ``(superop, report)`` per seed.
+        """
+        if not seeds:
+            return []
+        tol, max_iter = options.tol, options.max_iter
         inner_tol = 0.2 * tol
-        x0 = self.start_point(options)
-        point = self._dual_point(x0, np.zeros_like(self.dual_targets))
-        iterations = 1
-        best = point
-        window_best = math.inf
+        size = len(seeds)
+        x0 = self.start_points(seeds)
+        point = self._dual_point(x0, np.zeros((size, self.dual_targets.size)))
+        if not all(map(math.isfinite, point.value + point.residual)):
+            raise NumericalError("the dual overflowed at the start point")
+        iterations = [1] * size
+        best_residual, best_x = list(point.residual), list(point.x)
+        window_best = [math.inf] * size
+        stalled = [False] * size
+        everyone = list(range(size))
+        live = everyone  # the member of each row of point
         steps = 0
-        while (point.finite and point.residual > max(inner_tol, point.floor)
-               and iterations < options.max_iter):
-            spent, point = self._line_search(x0, point, self._newton_direction(point),
-                                             options.max_iter - iterations)
-            iterations += spent
-            if point is None:
-                break  # budget spent, or a non-finite dual
-            if point.residual < best.residual:
-                best = point
+        while True:
+            going = [k for k, i in enumerate(live)
+                     if point.residual[k] > max(inner_tol, point.floor[k])
+                     and iterations[i] < max_iter and not stalled[i]]
+            if len(going) < len(live):
+                if not going:
+                    break
+                live = [live[k] for k in going]
+                point = point.take(going)
+            spent, moved, point = self._line_search(
+                x0 if live == everyone else x0[live], point, self._newton_direction(point),
+                [max_iter - iterations[i] for i in live])
+            for i, s in zip(live, spent):
+                iterations[i] += s
+            # the others spent their budget, or met a non-finite dual
+            live = [live[k] for k in moved]
+            if not live:
+                break
+            residuals = point.residual
+            for k, i in enumerate(live):
+                if residuals[k] < best_residual[i]:
+                    best_residual[i], best_x[i] = residuals[k], point.x[k]
             steps += 1
             if steps % _STALL_WINDOW == 0:
-                if (point.residual > 100.0 * tol and math.isfinite(window_best)
-                        and window_best - best.residual < _STALL_IMPROVEMENT * window_best):
-                    break  # plateau far from feasibility: disjoint sets, or no Slater point
-                window_best = best.residual
+                for k, i in enumerate(live):
+                    window = window_best[i]
+                    # a plateau far from feasibility: disjoint sets, or no Slater point
+                    stalled[i] = (residuals[k] > 100.0 * tol and math.isfinite(window)
+                                  and window - best_residual[i] < _STALL_IMPROVEMENT * window)
+                    window_best[i] = best_residual[i]
 
-        if not best.finite:
-            raise NumericalError("the dual overflowed at the start point")
-        # Polish the best point: affine projection, then the cone-exact point;
+        # Polish each best point: affine projection, then the cone-exact point;
         # the affine defect of the result is bounded by the distance between
         # the two.  A run that reached 0.2 tol stops at its best point.
-        z = self.project_affine(best.x)
-        choi = self.project_cone(z)
-        cone_residual = linalg.frob(z - choi)
-        affine_residual = self.affine_residual(choi)
-        result = SuperOp(self.d, choi)
-        restriction = restriction_error(result, self.system.basis, self.targets)
-        report = ExtensionReport(
-            iterations=iterations,
-            cone_residual=cone_residual,
-            affine_residual=affine_residual,
-            restriction_error=restriction,
-            converged=max(cone_residual, affine_residual, restriction) <= tol,
-        )
-        return result, report
+        z = self.project_affine(np.array(best_x))
+        chois = self.project_cone(z)
+        gaps = z - chois
+        defects = self._defect(self._relayout(chois))
+        runs = []
+        for choi, gap, defect, evaluations in zip(chois, gaps, defects, iterations):
+            result = SuperOp(self.d, choi)
+            cone_residual, affine_residual = linalg.frob(gap), linalg.frob(defect)
+            restriction = restriction_error(result, self.system.basis, self.targets)
+            runs.append((result, ExtensionReport(
+                iterations=evaluations,
+                cone_residual=cone_residual,
+                affine_residual=affine_residual,
+                restriction_error=restriction,
+                converged=max(cone_residual, affine_residual, restriction) <= tol,
+            )))
+        return runs
 
 
 def restriction_error(op: SuperOp, basis, targets) -> float:
@@ -545,9 +693,7 @@ def multi_start(problem: ExtensionProblem, seeds):
     targets = problem.generator.action if ccp else problem.map_targets
     solver = _FeasibilitySolver(problem.system, targets, ccp)
     options = problem.options
-    return [solver.solve(options if seed is None
-                         else replace(options, seed=seed))
-            for seed in seeds]
+    return solver.solve(options, [options.seed if seed is None else seed for seed in seeds])
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ def as_matrix(m, shape=None, name: str = "matrix") -> np.ndarray:
 
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix of a stack."""
-    return np.conj(np.swapaxes(m, -1, -2))
+    return np.conj(m.swapaxes(-1, -2))
 
 
 def frob(m: np.ndarray) -> float:
@@ -110,7 +110,8 @@ def expm(m, scale: float = 1.0) -> np.ndarray:
 
 
 def psd_clip(h: np.ndarray):
-    """Frobenius-nearest positive semidefinite matrix: clip negative eigenvalues.
+    """Frobenius-nearest positive semidefinite matrix: clip negative eigenvalues
+    of a matrix, or of each matrix of a stack.
 
     No input validation, for hot loops: ``h`` must already be a Hermitian
     array (``eigh`` reads only its lower triangle); the result is exactly
@@ -118,7 +119,7 @@ def psd_clip(h: np.ndarray):
     ``(clipped, w, u)``, with ``(w, u)`` the eigendecomposition of ``h``.
     """
     w, u = np.linalg.eigh(h)
-    return hermitian_part((u * np.maximum(w, 0.0)) @ np.conj(u.T)), w, u
+    return hermitian_part((u * np.maximum(w, 0.0)[..., None, :]) @ dagger(u)), w, u
 
 
 def spectral_norm(m) -> float:

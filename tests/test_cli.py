@@ -23,6 +23,13 @@ def write_scenario(tmp_path, scenario, name="scenario.json"):
     return str(path)
 
 
+def strict_json(text):
+    """Parse ``text`` as JSON proper: NaN and the infinities are not JSON."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 # Amplitude damping: one jump |0><1| at rate 1, which leaves the rebit invariant.
 AMPLITUDE_DAMPING_VALIDATE = {
     "command": "validate", "system": "rebit",
@@ -243,6 +250,56 @@ class TestFailuresAndExitCodes:
         assert main(["run", "--batch", ok, bad, fail]) == 2
         assert main(["run", str(tmp_path / "missing.json")]) == 2
 
+    @pytest.mark.parametrize("text, where", [
+        ('{"command": "validate", "system": "rebit", "dynamics": "rebit_rotation", '
+         '"options": {"times": [NaN]}}', "options/times/0"),
+        ('{"command": "validate", "system": "rebit", "dynamics": "rebit_rotation", '
+         '"options": {"lambdas": [Infinity]}}', "options/lambdas/0"),
+        ('{"command": "check-ccp", "dynamics": "g1", "options": {"tol": NaN}}', "options/tol"),
+        ('{"command": "check-ccp", "dynamics": "g1", "options": {"seed": NaN}}', "options/seed"),
+        ('{"command": "check-ccp", "dynamics": {"kind": "gksl", "jumps": [{"op": '
+         '[[[0, 0], [1, 0]], [[0, 0], [0, 0]]], "rate": -Infinity}]}}', "dynamics/jumps/0/rate"),
+    ])
+    def test_non_finite_numbers_are_invalid_input(self, tmp_path, capsys, text, where):
+        # Python's json reads NaN and Infinity; the gate refuses them, and the
+        # report, which echoes the options, stays strict JSON.
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        capsys.readouterr()
+        assert main(["run", str(path)]) == 2
+        out = capsys.readouterr()
+        report = strict_json(out.out)
+        assert report["status"] == "invalid-input"
+        assert f"at {where} is not a finite number" in report["error"]["message"]
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert out.err == ""
+
+    def test_non_finite_flag_is_invalid_input(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {"command": "check-ccp", "dynamics": "g1"})
+        capsys.readouterr()
+        assert main(["run", "--tol", "nan", path]) == 2
+        report = strict_json(capsys.readouterr().out)
+        assert report["status"] == "invalid-input"
+        assert report["provenance"]["options"] == {"tol": "NaN"}
+        jsonschema.validate(report, REPORT_SCHEMA)
+
+    @pytest.mark.parametrize("scenario", [
+        {"command": "extend-group", "system": "rebit", "dynamics": "rebit_rotation"},
+        {"command": "rigidity-probe", "system": "real_symmetric_3"},
+    ])
+    def test_zero_starts_is_the_default(self, scenario):
+        report = run_scenario({**scenario, "options": {"starts": 0}})
+        assert report["status"] == "ok"
+        assert report["results"] == run_scenario(scenario)["results"]
+
+    @pytest.mark.parametrize("starts", [0, 1])
+    def test_demo_needs_two_starts(self, capsys, starts):
+        assert main(["demo-rebit", "--starts", str(starts)]) == 2
+        report = strict_json(capsys.readouterr().out)
+        assert report["status"] == "invalid-input"
+        assert "at least 2 starts" in report["error"]["message"]
+        jsonschema.validate(report, REPORT_SCHEMA)
+
     @pytest.mark.parametrize("options", [5, "ab", [1, 2], None])
     def test_options_not_an_object(self, tmp_path, capsys, options):
         scenario = {"command": "check-ccp", "dynamics": "g1", "options": options}
@@ -276,6 +333,15 @@ class TestFailuresAndExitCodes:
         capsys.readouterr()
         assert main(["run", path]) == 2
         assert json.loads(capsys.readouterr().out) == report
+
+    @pytest.mark.parametrize("seed", ["abc", 2.5, True, [1], float("inf")])
+    def test_non_integer_seed_is_echoed_in_the_options_only(self, seed):
+        report = run_scenario({"command": "check-ccp", "dynamics": "g1",
+                               "options": {"seed": seed}})
+        assert report["status"] == "invalid-input"
+        assert report["provenance"]["seed"] is None
+        assert report["provenance"]["options"] == {"seed": cli._json_safe(seed)}
+        jsonschema.validate(report, REPORT_SCHEMA)
 
     @pytest.mark.parametrize("scenario", [
         {"command": "rigidity-probe", "system": "rebit"},

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -389,8 +388,65 @@ class TestMultiStart:
                 ExtensionProblem.for_generator(rebit, diss, opts))
             self._assert_same(outcome, (gen.op, report))
 
+    @staticmethod
+    def _problem(d, ccp, options):
+        """A feasible problem on real_symmetric_d: a random UCP map (psd), or
+        a real GKSL generator, which leaves the real symmetric matrices
+        invariant (ccp)."""
+        rng = np.random.default_rng([d, ccp])
+        system = catalog.real_symmetric_system(d)
+        if ccp:
+            a = rng.normal(size=(d, d))
+            jumps = [(rng.normal(size=(d, d)) + 0j, float(rng.uniform(0.2, 1.0)))
+                     for _ in range(2)]
+            gen = dynamics.gksl_generator(d, 1j * (a - a.T) / 2.0, jumps)
+            sub = SubsystemGenerator.from_action(system, [gen.op.apply(v) for v in system.basis])
+            return ExtensionProblem.for_generator(system, sub, options)
+        phi = random_ucp_map(d, rng)
+        return ExtensionProblem.for_map(system, [phi.apply(v) for v in system.basis], options)
+
+    @pytest.mark.parametrize("ccp", [False, True], ids=["psd", "ccp"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_members_match_solo_runs(self, d, ccp):
+        # A member's iterates do not depend on the rest of its batch: each
+        # equals, bit for bit, the batch of one from its seed.
+        problem = self._problem(d, ccp, ExtensionOptions(max_iter=200))
+        seeds = [None, 3, 11, 3]
+        batch = extension.multi_start(problem, seeds)
+        assert len(batch) == len(seeds)
+        for seed, outcome in zip(seeds, batch):
+            self._assert_same(outcome, extension.multi_start(problem, [seed])[0])
+        assert batch[1][1] == batch[3][1]
+
+    def test_members_stop_for_different_reasons(self, rebit):
+        # The deterministic start of the rotation is feasible at once; the
+        # seeded ones spend the whole budget of 3 evaluations.
+        problem = ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(1.0),
+                                                 ExtensionOptions(max_iter=3))
+        seeds = [1, None, 2]
+        batch = extension.multi_start(problem, seeds)
+        assert [report.iterations for _, report in batch] == [3, 1, 3]
+        assert batch[1][1].converged
+        for seed, outcome in zip(seeds, batch):
+            self._assert_same(outcome, extension.multi_start(problem, [seed])[0])
+
+    def test_no_seeds_no_runs(self, rebit):
+        problem = ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(1.0))
+        assert extension.multi_start(problem, []) == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_dual_overflowing_at_a_start_fails_the_batch(self, rebit):
+        problem = ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(1e300))
+        with pytest.raises(NumericalError, match="dual overflowed"):
+            extension.multi_start(problem, [None, 1])
+
 
 class TestExtensionProblem:
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-8])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(InputError, match="tol must be finite and positive"):
+            ExtensionOptions(tol=tol)
+
     def test_generator_on_other_basis_rejected(self, pauli):
         other = MatricialSystem.from_basis([pauli.I, pauli.X, pauli.Y])
         with pytest.raises(InputError, match="different system"):
@@ -739,10 +795,8 @@ class TestProjectionProperty:
         # (ROADMAP item 4); the budget keeps such draws cheap.
         opts = ExtensionOptions(max_iter=2000)
         start_x, start_z = (int(s) for s in rng.integers(0, 2**32 - 1, size=2))
-        opts_x, opts_z = replace(opts, seed=start_x), replace(opts, seed=start_z)
-        x0 = solver.start_point(opts_x)
-        x, report_x = solver.solve(opts_x)
-        z, report_z = solver.solve(opts_z)
+        x0 = solver.start_points([start_x])[0]
+        (x, report_x), (z, report_z) = solver.solve(opts, [start_x, start_z])
         assume(report_x.converged and report_z.converged)
         inner = float(np.vdot(x0 - x.choi, z.choi - x.choi).real)
         assert inner <= 1e-6 * (1.0 + linalg.frob(x0))
