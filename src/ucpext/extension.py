@@ -9,12 +9,16 @@ Hermitian d^2 x d^2 Choi matrices:
 where phi_C is the map with Choi matrix C, v_k runs over the system's basis
 (v_0 = I, so unitality / kernel-of-unit is the k = 0 constraint), and
 P = I - omega omega* (``maps.ccp_projector``) projects orthogonally to the
-maximally entangled vector omega.  With F an orthonormal basis of the range
-of P as columns (F F* = P), C -> PCP = F (F* C F) F* is an orthogonal
-projection and C - PCP is unconstrained, so Pi_K(C) = C - PCP + F Pi_+(F* C F) F*
-is the exact cone projection, Pi_+ the PSD clip (Pi_K = Pi_+ in the map case).
-Both projections return exactly Hermitian matrices, so every extension
-returned is exactly Hermitian.
+maximally entangled vector omega.  Both cones are the PSD cone seen through a
+frame: an orthonormal set F of columns, F = I for maps and F an orthonormal
+basis of the range of P for generators (F F* = P).  C -> F (F* C F) F* is an
+orthogonal projection, and the rest of C is unconstrained, so
+
+  Pi_K(C) = C + F (Pi_+(F* C F) - F* C F) F*,   Pi_+ the PSD clip,
+
+is the exact cone projection of both problems.  It returns exactly Hermitian
+matrices, and so does the affine projection, so every extension returned is
+exactly Hermitian.
 
 The solver aims at the projection of a starting point x0 onto the feasible
 set.  That makes multi-start behaviour meaningful: distinct randomized starts
@@ -62,13 +66,13 @@ J. Matrix Anal. Appl. 28, 2006; Zhao, Sun & Toh, SIAM J. Optim. 20, 2010).
 The PSD clip at Z = U diag(w) U* has the generalized Jacobian element
 H -> U (Omega o U* H U) U*, Omega the divided differences
 (w_i+ - w_j+) / (w_i - w_j): 1 where both eigenvalues are positive, 0 where
-both are not.  It is read off the eigendecomposition the cone projection
-already computed; for the ccp cone it acts as H -> H - PHP + F J_+ (F* H F) F*,
-J_+ that element at F* Z F.  V = L* J L is then a generalized Hessian of f,
-with spectrum in [0, 1], and CG solves (V + eps I) p = -grad f with
+both are not.  Pi_K clips Z = F* C F, whose eigendecomposition the cone
+projection already computed, so H -> H + E ((Omega - 1) o E* H E) E*, with
+E = F U, is an element J for Pi_K.  V = L* J L is then a generalized Hessian
+of f, with spectrum in [0, 1], and CG solves (V + eps I) p = -grad f with
 eps = min(c, ||grad f||^1.5) to the relative tolerance min(eta, ||grad f||^tau),
 in at most the dual dimension of steps; each CG step applies L, the
-conjugation by the eigenbasis there and back, and L*.  The exponent 1.5
+conjugation by E there and back, and L*.  The exponent 1.5
 matters when the feasible set has no positive-definite point: then f has no
 minimiser and decreases along flat directions (along f ~ a/s, f'' ~ |f'|^1.5),
 and eps ~ ||grad f|| would hold the steps along them to unit length.  A step
@@ -313,18 +317,20 @@ def _column(size: int) -> tuple:
 
 @functools.cache
 def _cone_constants(d: int, ccp: bool) -> tuple:
-    """The base of the start points and, for the ccp cone, the frame F and F*
-    (module docstring).  They depend on d alone, so they are computed once
-    per dimension and shared read-only by every solver."""
+    """``(base, F, F*)``: the base of the start points and the frame of the
+    cone (module docstring), F = I for the PSD cone of maps and an orthonormal
+    basis of the range of P for the ccp cone of generators.  The one place
+    that tells the two cones apart.  They depend on d alone, so they are
+    computed once per dimension and shared read-only by every solver."""
     n = d * d
     if ccp:
+        base = np.zeros((n, n), dtype=complex)
         frame = np.linalg.eigh(maps.ccp_projector(d))[1][:, 1:]
-        constants = (np.zeros((n, n), dtype=complex), frame, linalg.dagger(frame))
     else:
-        constants = (maps.identity_map(d).choi, None, None)
+        base, frame = maps.identity_map(d).choi, np.eye(n, dtype=complex)
+    constants = (base, frame, linalg.dagger(frame))
     for a in constants:
-        if a is not None:
-            a.setflags(write=False)
+        a.setflags(write=False)
     return constants
 
 
@@ -355,8 +361,9 @@ class _DualPoint(NamedTuple):
 
 
 class _JacobianDefect(NamedTuple):
-    """H -> (J - I) H = E ((Omega - 1) o E* H E) E*, on one matrix or on each
-    matrix of a stack with its own E and Omega (:meth:`_FeasibilitySolver._jacobian_defect`)."""
+    """H -> (J - I) H = E ((Omega - 1) o E* H E) E*, E = F U, on one matrix or
+    on each matrix of a stack with its own E and Omega
+    (:meth:`_FeasibilitySolver._jacobian_defect`)."""
 
     e: np.ndarray
     e_h: np.ndarray
@@ -405,8 +412,7 @@ class _FeasibilitySolver:
         self.cg_steps = len(system) * n
         self.dual_shape = (-1, len(system), n)  # a stack of duals as complex |V| x d^2
         self.blocks = (-1, d, d, d, d)  # a stack of Choi matrices as [i, a, j, b]
-        # The ccp cone clips F* C F, F an orthonormal basis of the range of
-        # P = I - omega omega* as columns (F F* = P); the map cone clips C.
+        # The cone clips F* C F, F the frame of the cone as columns.
         self.base, self.frame, self.frame_h = _cone_constants(d, ccp)
         offset = self.project_affine(np.zeros((n, n), dtype=complex))
         inconsistency = self.affine_residual(offset)
@@ -425,16 +431,13 @@ class _FeasibilitySolver:
 
     def _cone_point(self, c: np.ndarray):
         """Pi_K(C) and the eigendecomposition (w, u) of the matrix it clipped,
-        F* C F for the ccp cone."""
-        if self.frame is None:
-            x, w, u = linalg.psd_clip(c)
-            return x, (w, u)
+        F* C F."""
         m = self.frame_h @ c @ self.frame
         clipped, w, u = linalg.psd_clip(m)
         return linalg.hermitian_part(c + self.frame @ (clipped - m) @ self.frame_h), (w, u)
 
     def project_cone(self, c: np.ndarray) -> np.ndarray:
-        """Pi_K(C) = C - PCP + F Pi_+(F* C F) F* (module docstring); Pi_+(C) for maps."""
+        """Pi_K(C) = C + F (Pi_+(F* C F) - F* C F) F* (module docstring)."""
         return self._cone_point(c)[0]
 
     def project_affine(self, c: np.ndarray) -> np.ndarray:
@@ -480,13 +483,13 @@ class _FeasibilitySolver:
         at the point whose clipped matrix has the eigendecomposition
         ``spectrum`` (:meth:`_cone_point`).
 
-        For the PSD clip of U diag(w) U*, J H = U (Omega o U* H U) U* with Omega
-        the divided differences of :func:`_clip_weights`; for the ccp cone,
-        J H = H - PHP plus that at F* H F, conjugated back by F.  With E = U or
-        F U both are J H = H + E ((Omega - 1) o E* H E) E*.
+        For the PSD clip of U diag(w) U*, J_+ H = U (Omega o U* H U) U* with
+        Omega the divided differences of :func:`_clip_weights`; through the
+        frame, J H = H + F (J_+ (F* H F) - F* H F) F*, that is
+        J H = H + E ((Omega - 1) o E* H E) E* with E = F U.
         """
         w, u = spectrum
-        e = u if self.frame is None else self.frame @ u
+        e = self.frame @ u
         return _JacobianDefect(e, linalg.dagger(e), _clip_weights(w) - 1.0)
 
     def _newton_direction(self, point: _DualPoint) -> np.ndarray:
@@ -666,8 +669,10 @@ class _FeasibilitySolver:
 
 
 def restriction_error(op: SuperOp, basis, targets) -> float:
-    """max_k ||op(v_k) - t_k||: agreement checked on the map itself."""
-    return max(linalg.frob(op.apply(v) - t) for v, t in zip(basis, targets))
+    """max_k ||op(v_k) - t_k||: agreement checked on the map itself, all the
+    images op(v_k) in one product (each bit-identical to ``op.apply(v_k)``)."""
+    images = np.einsum("kij,iajb->kab", np.asarray(basis), op._choi4)
+    return max(linalg.frob(image - t) for image, t in zip(images, targets))
 
 
 def max_pairwise_distance(mats) -> float:
@@ -687,7 +692,8 @@ def multi_start(problem: ExtensionProblem, seeds):
     solves from the randomized start ``replace(problem.options, seed=s)``.
     Returns one ``(superop, report)`` per seed, in order; the superop is the
     raw Choi-matrix solution (map problems use the PSD cone, generator
-    problems the ccp cone { C : P C P >= 0 } of the module docstring).
+    problems the ccp cone { C : P C P >= 0 }, both projected through their
+    frame as in the module docstring).
     """
     ccp = problem.generator is not None
     targets = problem.generator.action if ccp else problem.map_targets

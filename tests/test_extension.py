@@ -807,18 +807,23 @@ class TestProjectionProperty:
 # ---------------------------------------------------------------------------
 
 
-class TestCcpConeProjection:
+class TestConeProjection:
+    """Pi_K of the map cone (PSD, frame F = I) and of the generator cone
+    ({C : PCP >= 0}, F F* = P), against a projector P built here."""
+
+    @pytest.mark.parametrize("ccp", [False, True], ids=["psd", "ccp"])
     @settings(max_examples=40, deadline=None, database=None)
     @given(d=st.integers(2, 4), scale=st.sampled_from([1e-3, 1.0, 1e3]),
            seed=st.integers(0, 2**32 - 1))
-    def test_is_the_projection(self, d, scale, seed):
+    def test_is_the_projection(self, ccp, d, scale, seed):
         system = catalog.real_symmetric_system(d)
         solver = extension._FeasibilitySolver(
-            system, [np.zeros((d, d))] * len(system), ccp=True)
+            system, [np.zeros((d, d))] * len(system), ccp=ccp)
         rng = np.random.default_rng(seed)
         n = d * d
         unit = np.eye(d).reshape(n) / np.sqrt(d)
-        proj = np.eye(n) - np.outer(unit, unit)  # independent of maps.ccp_projector
+        # independent of maps.ccp_projector and of the solver's frame
+        proj = np.eye(n) - np.outer(unit, unit) if ccp else np.eye(n)
         c = linalg.random_hermitian(n, rng, scale=scale)
         x = solver.project_cone(c)
         norm = linalg.frob(c)
@@ -827,6 +832,8 @@ class TestCcpConeProjection:
         assert np.linalg.eigvalsh(proj @ x @ proj)[0] >= -1e-12 * (1.0 + norm)
         assert linalg.frob((x - proj @ x @ proj) - (c - proj @ c @ proj)) <= 1e-12 * (1.0 + norm)
         assert linalg.frob(solver.project_cone(x) - x) <= 1e-12 * (1.0 + norm)
+        if not ccp:  # through F = I, the cone point is the PSD clip up to roundoff
+            assert linalg.frob(x - linalg.psd_clip(c)[0]) <= 1e-14 * (1.0 + norm)
         # Variational inequality against cone points Y = H - PHP + P G G* P.
         for _ in range(4):
             h = linalg.random_hermitian(n, rng, scale=scale)
@@ -910,8 +917,7 @@ class TestNewtonSolver:
         # Points away from eigenvalue ties and from 0, where Pi_K is smooth.
         while True:
             c = linalg.random_hermitian(n, rng)
-            clipped = c if not ccp else solver.frame_h @ c @ solver.frame
-            w = np.linalg.eigvalsh(clipped)
+            w = np.linalg.eigvalsh(solver.frame_h @ c @ solver.frame)
             if min(np.abs(w).min(), np.diff(w).min()) > 0.05:
                 break
         defect = solver._jacobian_defect(solver._cone_point(c)[1])  # J - I
