@@ -114,8 +114,12 @@ in one lockstep Newton-CG loop: the start points, each dual evaluation (one
 stacked eigh and stacked lift and relayout products), the CG steps, the line
 search and the polish act on arrays with a leading member axis.  Each member
 keeps its own stopping rules, step length, best point, ``iterations`` and
-report (``restriction_error`` is measured on its returned map), and leaves
-the batch, of its CG or of the loop, only when it stops.  Every operation acts
+report (``restriction_error`` is measured on its returned map).  A member
+leaves the batch at one place, the top of each Newton step, where every
+member that stopped is dropped.  Within a step no member leaves: a row whose
+CG has converged leaves only the CG arrays, and a member that stops
+backtracking keeps its step, accepted or 0, while the others backtrack, so
+each trial of the line search evaluates the whole batch.  Every operation acts
 on each member alone, so a member's extension and report are bit-identical to
 those of the batch of one from its seed; a single solve is such a batch.  At
 d = 2 the arrays are 3 x 3 or 4 x 4, so numpy's per-call cost, not
@@ -353,12 +357,6 @@ class _DualPoint(NamedTuple):
         return _DualPoint(*(field[rows] for field in self[:5]),
                           *([field[k] for k in rows] for field in self[5:]))
 
-    @staticmethod
-    def concatenate(points) -> "_DualPoint":
-        fields = list(zip(*points))
-        return _DualPoint(*(np.concatenate(field) for field in fields[:5]),
-                          *([s for part in field for s in part] for field in fields[5:]))
-
 
 class _JacobianDefect(NamedTuple):
     """H -> (J - I) H = E ((Omega - 1) o E* H E) E*, E = F U, on one matrix or
@@ -498,8 +496,10 @@ class _FeasibilitySolver:
         L is an isometry, so L* J L p = p + L* (J - I) L p.  Each system is
         solved for p / ||grad f||, a unit right-hand side, to the relative
         tolerance min(eta, ||grad f||^tau), so no square overflows.  CG runs at
-        most the dual dimension of steps; a member leaves the batch when its
-        CG stops.  The per-member scalars are shaped by :func:`_column`.
+        most the dual dimension of steps.  A row whose CG has converged leaves
+        the CG arrays, its step written into its row of the direction; that is
+        no stop of the member.  The per-member scalars are shaped by
+        :func:`_column`.
         """
         residuals = point.residual
         column = _column(len(residuals))
@@ -511,9 +511,9 @@ class _FeasibilitySolver:
         r = point.grad / -scale
         p = r
         step = np.zeros_like(r)
+        direction = np.empty_like(r)
         rr = np.vecdot(r, r)
         members = list(range(len(residuals)))  # the member of each CG row
-        stopped = []  # (members, their steps), as CG stops them
         for _ in range(self.cg_steps):
             q = self._adjoint(defect(self._lifted(p))) + shift * p
             alpha = (rr / np.vecdot(p, q)).reshape(column)
@@ -521,10 +521,10 @@ class _FeasibilitySolver:
             r = r - alpha * q
             rr_new = np.vecdot(r, r)
             done = [k for k, s in enumerate(rr_new.tolist()) if s <= targets[k]]
+            if len(done) == len(members):
+                break
             if done:
-                if len(done) == len(members):
-                    break
-                stopped.append(([members[k] for k in done], step[done]))
+                direction[[members[k] for k in done]] = step[done]
                 keep = [k for k in range(len(members)) if k not in done]
                 members = [members[k] for k in keep]
                 targets = [targets[k] for k in keep]
@@ -535,69 +535,61 @@ class _FeasibilitySolver:
                 shift = shift.reshape(column)
             p = r + (rr_new / rr).reshape(column) * p
             rr = rr_new
-        if not stopped:
-            return scale * step
-        direction = np.empty_like(point.grad)
-        for rows, steps in stopped + [(members, step)]:
-            direction[rows] = steps
+        direction[members] = step
         return scale * direction
 
     def _line_search(self, x0, point: _DualPoint, direction, budgets):
         """Backtrack from the unit step along each member's direction, halving it.
 
-        A member stops at its first trial that passes a test, at a non-finite
-        trial, or when its budget runs out.  Returns the evaluations each
-        member spent, the members (rows of ``point``) that moved, and their
-        accepted points in that order (None when none moved).
+        Each trial evaluates every member at its own step.  A member stops at
+        its first trial that passes a test, at a non-finite trial, or when its
+        budget runs out, and keeps its step from then on: the accepted step,
+        or 0 if it did not move.  Returns the evaluations each member spent,
+        whether it moved, and the last trial, in which the row of each member
+        that moved is its accepted point.
         """
         slopes = np.vecdot(point.grad, direction).tolist()
-        spent = [0] * len(budgets)
-        trying = list(range(len(budgets)))  # the member of each trial row
-        parts = []  # (trial, its accepted rows)
-        moved = []
-        step = 1.0
-        for trials in range(1, max(budgets) + 1):
-            trial = self._dual_point(x0, point.w + step * direction)
+        column = _column(len(budgets))
+        steps = [1.0] * len(budgets)
+        spent = [0] * len(budgets)  # 0 while the member searches
+        moved = [False] * len(budgets)
+        trials = 0
+        while not all(spent):
+            trials += 1
+            trial = self._dual_point(x0, point.w + np.array(steps).reshape(column) * direction)
             derivatives = None
-            accepted, searching = [], []
-            for k, i in enumerate(trying):
+            for k, budget in enumerate(budgets):
+                if spent[k]:
+                    continue
                 value = trial.value[k]
                 if math.isfinite(value) and math.isfinite(trial.residual[k]):
-                    passed = value <= point.value[k] + _ARMIJO * step * slopes[k]
-                    if not passed:
+                    moved[k] = value <= point.value[k] + _ARMIJO * steps[k] * slopes[k]
+                    if not moved[k]:
                         # For convex f, f(t) - f(0) <= t f'(t): the derivative
                         # test is a sufficient decrease that the roundoff of f
                         # cannot hide.
                         if derivatives is None:
                             derivatives = np.vecdot(trial.grad, direction).tolist()
-                        passed = derivatives[k] <= _ARMIJO * slopes[k]
-                    if passed:
-                        accepted.append(k)
-                        moved.append(i)
-                    elif trials < budgets[i]:
-                        searching.append(k)
+                        moved[k] = derivatives[k] <= _ARMIJO * slopes[k]
+                    if not moved[k] and trials < budget:
+                        steps[k] *= 0.5
                         continue
-                spent[i] = trials  # accepted, non-finite, or its budget spent
-            if accepted:
-                parts.append((trial, accepted))
-            if len(searching) < len(trying):
-                if not searching:
-                    break
-                trying = [trying[k] for k in searching]
-                slopes = [slopes[k] for k in searching]
-                x0, point, direction = x0[searching], point.take(searching), direction[searching]
-            step *= 0.5
-        if not parts:
-            return spent, moved, None
-        if len(parts) == 1 and len(parts[0][1]) == len(parts[0][0].residual):
-            return spent, moved, parts[0][0]
-        return spent, moved, _DualPoint.concatenate([trial.take(rows) for trial, rows in parts])
+                if not moved[k]:
+                    steps[k] = 0.0  # a non-finite trial, or its budget spent
+                spent[k] = trials
+        return spent, moved, trial
 
     def solve(self, options: ExtensionOptions, seeds) -> list:
         """Project the start point of each seed onto the feasible set (module
         docstring), all starts in one lockstep loop, with the tolerance and
         budget of ``options``.  Each member stops by its own rules and counts
-        its own evaluations.  Returns one ``(superop, report)`` per seed.
+        its own evaluations.  This is the one place where a member leaves the
+        batch: at the top of each Newton step, the members that met the
+        tolerance or the roundoff floor, spent their budget, stalled, or did
+        not move in the last line search (with budget left, only a non-finite
+        trial stops one there) are dropped from the rows of the dual point and
+        of the start points together.  Returns one ``(superop, report)`` per
+        seed.
         """
         if not seeds:
             return []
@@ -612,30 +604,25 @@ class _FeasibilitySolver:
         best_residual, best_x = list(point.residual), list(point.x)
         window_best = [math.inf] * size
         stalled = [False] * size
-        everyone = list(range(size))
-        live = everyone  # the member of each row of point
+        live = list(range(size))  # the member of each row of point and x0
+        moved = [True] * size
         steps = 0
         while True:
             going = [k for k, i in enumerate(live)
-                     if point.residual[k] > max(inner_tol, point.floor[k])
+                     if moved[k] and point.residual[k] > max(inner_tol, point.floor[k])
                      and iterations[i] < max_iter and not stalled[i]]
             if len(going) < len(live):
                 if not going:
                     break
                 live = [live[k] for k in going]
-                point = point.take(going)
+                point, x0 = point.take(going), x0[going]
             spent, moved, point = self._line_search(
-                x0 if live == everyone else x0[live], point, self._newton_direction(point),
+                x0, point, self._newton_direction(point),
                 [max_iter - iterations[i] for i in live])
-            for i, s in zip(live, spent):
-                iterations[i] += s
-            # the others spent their budget, or met a non-finite dual
-            live = [live[k] for k in moved]
-            if not live:
-                break
             residuals = point.residual
             for k, i in enumerate(live):
-                if residuals[k] < best_residual[i]:
+                iterations[i] += spent[k]
+                if moved[k] and residuals[k] < best_residual[i]:
                     best_residual[i], best_x[i] = residuals[k], point.x[k]
             steps += 1
             if steps % _STALL_WINDOW == 0:

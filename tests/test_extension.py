@@ -1,3 +1,5 @@
+import warnings
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -433,6 +435,58 @@ class TestMultiStart:
     def test_no_seeds_no_runs(self, rebit):
         problem = ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(1.0))
         assert extension.multi_start(problem, []) == []
+
+    def test_a_member_with_a_non_finite_trial_stops_alone(self, rebit, monkeypatch):
+        # From its second Newton step on, every trial of the seed-3 member has
+        # a non-finite dual value: it stops at the first of them and keeps
+        # step 0 while the seed-26 member backtracks in that step.
+        images = dynamics.subsystem_evolve_images(catalog.rebit_dissipative(1.0), 1.0)
+        problem = ExtensionProblem.for_map(rebit, images)
+        seeds, poisoned = [None, 7, 3, 26], 2
+        solo = [extension.multi_start(problem, [seed])[0] for seed in seeds]
+        start = extension._FeasibilitySolver(rebit, images).start_points([3])[0]
+        # The member's duals W: those it evaluated before its second step, and
+        # those of its trials from then on.
+        newton_steps, evaluated, after = [], set(), []
+        direction = extension._FeasibilitySolver._newton_direction
+        dual_point = extension._FeasibilitySolver._dual_point
+
+        def counting(solver, point):
+            newton_steps.append(len(point.residual))
+            return direction(solver, point)
+
+        def poisoning(solver, x0, w):
+            point = dual_point(solver, x0, w)
+            for k, x in enumerate(x0):
+                if np.array_equal(x, start):
+                    if len(newton_steps) >= 2:
+                        point.value[k] = np.nan
+                        after.append(w[k].tobytes())
+                    else:
+                        evaluated.add(w[k].tobytes())
+            return point
+
+        monkeypatch.setattr(extension._FeasibilitySolver, "_newton_direction", counting)
+        monkeypatch.setattr(extension._FeasibilitySolver, "_dual_point", poisoning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            batch = extension.multi_start(problem, seeds)
+        monkeypatch.undo()
+
+        assert newton_steps[:3] == [3, 3, 2]  # it leaves the batch after its second step
+        # Its second trial of that step is at step 0, its first step's point.
+        assert len(after) == 2 and after[0] not in evaluated and after[1] in evaluated
+        op, report = batch[poisoned]
+        assert report.iterations == len(evaluated) + 1 < solo[poisoned][1].iterations
+        # Its best point is the one of its first step: the solve stopped by
+        # the budget right after that step polishes the same point.
+        stopped = ExtensionProblem.for_map(
+            rebit, images, ExtensionOptions(seed=3, max_iter=report.iterations - 1))
+        self._assert_same((op, replace(report, iterations=report.iterations - 1)),
+                          extension.extend_ucp_map(stopped))
+        for k, (outcome, expected) in enumerate(zip(batch, solo)):
+            if k != poisoned:
+                self._assert_same(outcome, expected)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_dual_overflowing_at_a_start_fails_the_batch(self, rebit):
@@ -1010,6 +1064,17 @@ class TestNoFalseNotUcp:
         system, images = _unitary_mixture_images(3)
         feasible, _ = extension.ucp_extension_feasible(system, images)
         assert feasible
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "undecided: seeded starts of a feasible generator problem stop on the "
+        "plateau with residuals 1e-6 to 5e-5 (ROADMAP item 4)"))
+    def test_seeded_generator_starts_converge(self):
+        # The deterministic start converges in 18 evaluations; seeds 1-5 stop
+        # unconverged after 174 to 856.
+        sub = _real_gksl_subsystems()[3]
+        runs = extension.multi_start(ExtensionProblem.for_generator(sub.system, sub),
+                                     [1, 2, 3, 4, 5])
+        assert all(report.converged for _, report in runs)
 
 
 # ---------------------------------------------------------------------------
