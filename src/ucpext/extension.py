@@ -313,12 +313,6 @@ def _clip_weights(w: np.ndarray) -> np.ndarray:
                      where=num != 0.0)
 
 
-def _column(size: int) -> tuple:
-    """The shape that gives each of ``size`` members a scalar for its row: a
-    column, or () for one member, which numpy then applies as a scalar."""
-    return (-1, 1) if size > 1 else ()
-
-
 @functools.cache
 def _cone_constants(d: int, ccp: bool) -> tuple:
     """``(base, F, F*)``: the base of the start points and the frame of the
@@ -431,7 +425,8 @@ class _FeasibilitySolver:
         """Pi_K(C) and the eigendecomposition (w, u) of the matrix it clipped,
         F* C F."""
         m = self.frame_h @ c @ self.frame
-        clipped, w, u = linalg.psd_clip(m)
+        w, u = np.linalg.eigh(m)
+        clipped = linalg.hermitian_part((u * np.maximum(w, 0.0)[..., None, :]) @ linalg.dagger(u))
         return linalg.hermitian_part(c + self.frame @ (clipped - m) @ self.frame_h), (w, u)
 
     def project_cone(self, c: np.ndarray) -> np.ndarray:
@@ -498,14 +493,11 @@ class _FeasibilitySolver:
         tolerance min(eta, ||grad f||^tau), so no square overflows.  CG runs at
         most the dual dimension of steps.  A row whose CG has converged leaves
         the CG arrays, its step written into its row of the direction; that is
-        no stop of the member.  The per-member scalars are shaped by
-        :func:`_column`.
+        no stop of the member.  Each per-member scalar is a row of a column.
         """
         residuals = point.residual
-        column = _column(len(residuals))
-        scale = np.array(residuals).reshape(column)
-        shift = np.array([1.0 + min(_NEWTON_REG, s * math.sqrt(s))
-                          for s in residuals]).reshape(column)
+        scale = np.array(residuals)[:, None]
+        shift = np.array([1.0 + min(_NEWTON_REG, s * math.sqrt(s)) for s in residuals])[:, None]
         targets = [min(_CG_FORCING, s ** _CG_EXPONENT) ** 2 for s in residuals]
         defect = self._jacobian_defect((point.eigenvalues, point.eigenvectors))
         r = point.grad / -scale
@@ -516,7 +508,7 @@ class _FeasibilitySolver:
         members = list(range(len(residuals)))  # the member of each CG row
         for _ in range(self.cg_steps):
             q = self._adjoint(defect(self._lifted(p))) + shift * p
-            alpha = (rr / np.vecdot(p, q)).reshape(column)
+            alpha = (rr / np.vecdot(p, q))[:, None]
             step += alpha * p
             r = r - alpha * q
             rr_new = np.vecdot(r, r)
@@ -528,12 +520,9 @@ class _FeasibilitySolver:
                 keep = [k for k in range(len(members)) if k not in done]
                 members = [members[k] for k in keep]
                 targets = [targets[k] for k in keep]
-                r, p, step, rr, rr_new, shift = (
-                    a[keep] for a in (r, p, step, rr, rr_new, shift.reshape(-1)))
+                r, p, step, rr, rr_new, shift = (a[keep] for a in (r, p, step, rr, rr_new, shift))
                 defect = defect.take(keep)
-                column = _column(len(keep))
-                shift = shift.reshape(column)
-            p = r + (rr_new / rr).reshape(column) * p
+            p = r + (rr_new / rr)[:, None] * p
             rr = rr_new
         direction[members] = step
         return scale * direction
@@ -549,14 +538,13 @@ class _FeasibilitySolver:
         that moved is its accepted point.
         """
         slopes = np.vecdot(point.grad, direction).tolist()
-        column = _column(len(budgets))
         steps = [1.0] * len(budgets)
         spent = [0] * len(budgets)  # 0 while the member searches
         moved = [False] * len(budgets)
         trials = 0
         while not all(spent):
             trials += 1
-            trial = self._dual_point(x0, point.w + np.array(steps).reshape(column) * direction)
+            trial = self._dual_point(x0, point.w + np.array(steps)[:, None] * direction)
             derivatives = None
             for k, budget in enumerate(budgets):
                 if spent[k]:

@@ -4,13 +4,12 @@ The two matrix gates the other modules call: :func:`as_matrix` (a finite
 2-d complex array, of an expected shape when one is given) and
 :func:`ensure_hermitian` (Hermitian symmetry to a tolerance scaled by the
 entries, of one matrix or of each matrix of a stack).  Besides them: the
-matrix exponential, the PSD clip the feasibility solver calls once per
-iteration, and the spectral norm.  All matrices are
-dense complex ``numpy`` arrays; Hermitian inputs are validated, never assumed,
-except by ``psd_clip``, the unvalidated kernel of the hot loop.
+matrix exponential and the spectral norm.  All matrices are dense complex
+``numpy`` arrays; Hermitian inputs are validated, never assumed.  The PSD clip
+of the feasibility solver's hot loop is part of its cone projection
+(``extension._FeasibilitySolver._cone_point``).
 
-Eigendecomposition and the exponential are delegated to LAPACK via
-``numpy.linalg.eigh`` / ``scipy.linalg.expm`` (the latter is the usual
+The exponential is delegated to ``scipy.linalg.expm`` (the usual
 scaling-and-squaring Pade-13 scheme).
 """
 
@@ -31,7 +30,6 @@ __all__ = [
     "ensure_hermitian",
     "check_nonsingular",
     "expm",
-    "psd_clip",
     "spectral_norm",
     "random_hermitian",
     "random_unitary",
@@ -107,19 +105,6 @@ def expm(m, scale: float = 1.0) -> np.ndarray:
     """exp(scale * m) for a square matrix."""
     a = ensure_square(m)
     return scipy.linalg.expm(scale * a)
-
-
-def psd_clip(h: np.ndarray):
-    """Frobenius-nearest positive semidefinite matrix: clip negative eigenvalues
-    of a matrix, or of each matrix of a stack.
-
-    No input validation, for hot loops: ``h`` must already be a Hermitian
-    array (``eigh`` reads only its lower triangle); the result is exactly
-    Hermitian with spectrum >= 0 up to roundoff.  Returns
-    ``(clipped, w, u)``, with ``(w, u)`` the eigendecomposition of ``h``.
-    """
-    w, u = np.linalg.eigh(h)
-    return hermitian_part((u * np.maximum(w, 0.0)[..., None, :]) @ dagger(u)), w, u
 
 
 def spectral_norm(m) -> float:

@@ -1,9 +1,11 @@
+import functools
+import math
 import re
 
 import numpy as np
 import pytest
 
-from ucpext import dynamics, linalg, maps, systems
+from ucpext import catalog, dynamics, extension, linalg, maps, systems
 from ucpext.dynamics import SubsystemGenerator
 from ucpext.errors import InputError
 from ucpext.extension import ExtensionProblem
@@ -60,32 +62,41 @@ class TestExpm:
             assert linalg.frob(lhs - rhs) <= 1e-9 * (1.0 + linalg.frob(rhs))
 
 
+@functools.cache
+def psd_project(n: int):
+    """The PSD projection of n x n Hermitian matrices, n = d^2: the cone
+    projection of a map-cone solver (frame F = I) on ``real_symmetric_d``."""
+    system = catalog.real_symmetric_system(math.isqrt(n))
+    return extension._FeasibilitySolver(system, system.basis).project_cone
+
+
 class TestPsdProject:
-    """The PSD projection is ``psd_clip``, the solver's cone kernel."""
+    """The PSD projection is the solver's map-cone projection, the toolkit's
+    one PSD clip."""
 
     def test_clips_negative_eigenvalue(self, pauli):
-        np.testing.assert_allclose(linalg.psd_clip(pauli.Z)[0],
-                                   np.diag([1.0, 0.0]), atol=1e-14)
+        np.testing.assert_allclose(psd_project(4)(np.kron(pauli.Z, pauli.I)),
+                                   np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-14)
 
     def test_fixed_point_on_psd(self):
         rng = np.random.default_rng(3)
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         p = g @ np.conj(g.T)
-        np.testing.assert_allclose(linalg.psd_clip(p)[0], p, atol=1e-12)
+        np.testing.assert_allclose(psd_project(4)(p), p, atol=1e-12)
 
     def test_all_negative_spectrum(self):
-        np.testing.assert_allclose(linalg.psd_clip(-np.eye(3))[0],
-                                   np.zeros((3, 3)), atol=1e-15)
+        np.testing.assert_allclose(psd_project(9)(-np.eye(9)),
+                                   np.zeros((9, 9)), atol=1e-15)
 
     def test_idempotent_and_nearest(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
-            dim = int(rng.integers(2, 7))
+            dim = int(rng.integers(2, 4)) ** 2
             h = linalg.random_hermitian(dim, rng, scale=2.0)
-            proj = linalg.psd_clip(h)[0]
+            proj = psd_project(dim)(h)
             assert np.array_equal(proj, np.conj(proj.T))
             assert np.linalg.eigvalsh(proj)[0] >= -1e-12
-            np.testing.assert_allclose(linalg.psd_clip(proj)[0], proj, atol=1e-12)
+            np.testing.assert_allclose(psd_project(dim)(proj), proj, atol=1e-12)
             # Frobenius-nearest: no sampled PSD matrix is closer.
             for _ in range(5):
                 g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
