@@ -423,10 +423,15 @@ class _FeasibilitySolver:
 
     def _cone_point(self, c: np.ndarray):
         """Pi_K(C) and the eigendecomposition (w, u) of the matrix it clipped,
-        F* C F."""
+        F* C F: the toolkit's one PSD clip.
+
+        ``eigh`` reads only the lower triangle of m = F* C F, which roundoff
+        leaves not exactly Hermitian; subtracting that same m in
+        C + F (clipped - m) F* cancels its anti-Hermitian part, and the one
+        ``hermitian_part`` makes the cone point exactly Hermitian."""
         m = self.frame_h @ c @ self.frame
         w, u = np.linalg.eigh(m)
-        clipped = linalg.hermitian_part((u * np.maximum(w, 0.0)[..., None, :]) @ linalg.dagger(u))
+        clipped = (u * np.maximum(w, 0.0)[..., None, :]) @ linalg.dagger(u)
         return linalg.hermitian_part(c + self.frame @ (clipped - m) @ self.frame_h), (w, u)
 
     def project_cone(self, c: np.ndarray) -> np.ndarray:
