@@ -198,10 +198,11 @@ def _cmd_check_cp(scenario, options):
     phi = _resolve_superop(scenario, options)
     tol_kw = _given(options, "tol")
     report = maps.is_completely_positive(phi, **tol_kw)
+    is_unital = maps.is_unital(phi, **tol_kw)
     results = {
         "is_cp": report.is_cp,
-        "is_unital": maps.is_unital(phi, **tol_kw),
-        "is_ucp": maps.is_ucp(phi, **tol_kw),
+        "is_unital": is_unital,
+        "is_ucp": is_unital and report.is_cp,
         "min_choi_eigenvalue": report.min_choi_eigenvalue,
         "map": _report_superop(phi),
     }

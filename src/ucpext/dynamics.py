@@ -323,7 +323,10 @@ def validate_subsystem_semigroup(sub: SubsystemGenerator,
     on the full matrix algebra; feasibility of the extension problem is the
     certificate, and each check records the feasibility residuals.  Samples
     outside the semigroup (t < 0 or lambda <= 0), and an empty sample set, are
-    rejected before any solve.
+    rejected before any solve.  A singular resolvent sample is a failed check:
+    at lambda > 0, a UCP semigroup's generator has lambda in its resolvent
+    set.  An evolution sample whose exponential overflows is no evidence; its
+    :class:`NumericalError` ends the validation.
     """
     from . import extension  # local import: extension builds on this module
 
@@ -339,7 +342,9 @@ def validate_subsystem_semigroup(sub: SubsystemGenerator,
         check = {"kind": kind, "parameter": float(parameter)}
         try:
             images = images_of(sub, parameter)
-        except NumericalError as exc:  # a singular resolvent sample
+        except NumericalError as exc:
+            if kind == "evolution":
+                raise
             checks.append({**check, "feasible": False, "residuals": None, "error": str(exc)})
             continue
         feasible, residuals = extension.ucp_extension_feasible(

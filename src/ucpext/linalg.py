@@ -102,9 +102,12 @@ def check_nonsingular(m: np.ndarray, message: str) -> None:
 
 
 def expm(m, scale: float = 1.0) -> np.ndarray:
-    """exp(scale * m) for a square matrix."""
-    a = ensure_square(m)
-    return scipy.linalg.expm(scale * a)
+    """exp(scale * m) for a square matrix; an exponential that overflowed
+    raises :class:`NumericalError`."""
+    e = scipy.linalg.expm(scale * ensure_square(m))
+    if not np.all(np.isfinite(e)):
+        raise NumericalError(f"the matrix exponential overflowed at scale {scale:.3e}")
+    return e
 
 
 def spectral_norm(m) -> float:

@@ -18,6 +18,7 @@ normalization; trace preservation plays no role here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -25,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .systems import LevelElement
 from .tolerances import FEASIBILITY_TOL
 
@@ -210,11 +211,14 @@ def is_completely_positive(phi: SuperOp, tol: float = FEASIBILITY_TOL) -> CPRepo
     Level-d certification decides complete positivity for maps on M_d, and the
     Choi matrix is exactly the image of the unnormalized maximally entangled
     projector under the d-th amplification; that projector is returned as a
-    PSD witness whenever the check fails.
+    PSD witness whenever the check fails.  A Choi matrix whose Hermitian part
+    overflows leaves no verdict and raises :class:`NumericalError`.
     """
     hermitized = linalg.hermitian_part(phi.choi)
     min_eig = float(np.linalg.eigvalsh(hermitized)[0])
     defect = linalg.frob(phi.choi - hermitized)
+    if not (math.isfinite(min_eig) and math.isfinite(defect)):
+        raise NumericalError("the Choi spectrum is not finite: no complete-positivity verdict")
     # A non-Hermitian Choi can hide negativity from eigvalsh; fold the defect in.
     effective = min_eig - defect
     threshold = -tol * (1.0 + linalg.frob(phi.choi))

@@ -394,6 +394,22 @@ class TestFailuresAndExitCodes:
           "options": {"omega_param": 1e150}}, "failed", "GroupExtensionError"),
         ({"command": "check-cp", "dynamics": {"kind": "choi", "super": {
             "d": 2, "choi": [[[1e308, 0.0]] * 4] * 4}}}, "failed", "LinAlgError"),
+        # PSD, so CP; its Hermitian part overflows and its spectrum is NaN
+        ({"command": "check-cp", "dynamics": {"kind": "choi", "super": {
+            "d": 2, "choi": [[[1e308 if i == j and i in (0, 3) else 0.0, 0.0]
+                              for j in range(4)] for i in range(4)]}}},
+         "failed", "NumericalError"),
+        # an exponential that overflows is no evidence, never "not UCP"
+        ({"command": "validate", "system": "rebit", "dynamics": "rebit_dissipative",
+          "options": {"times": [1e100]}}, "failed", "NumericalError"),
+        ({"command": "evolve", "dynamics": "g1", "options": {"times": [1e300]}},
+         "failed", "NumericalError"),
+        ({"command": "check-cp", "dynamics": "g1", "options": {"time": 1e300}},
+         "failed", "NumericalError"),
+        ({"command": "extend-map", "system": "rebit", "dynamics": "g1",
+          "options": {"time": 1e300}}, "failed", "NumericalError"),
+        ({"command": "extend-discrete", "system": "rebit", "dynamics": "g1",
+          "options": {"time": 1e300}}, "failed", "NumericalError"),
     ])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_verdicts_need_decided_evidence(self, tmp_path, capsys, scenario, status,
@@ -401,11 +417,12 @@ class TestFailuresAndExitCodes:
         report = run_scenario(scenario)
         assert report["status"] == status
         assert report["error"]["type"] == error_type
+        assert "not a UCP subsystem semigroup" not in json.dumps(report)
         jsonschema.validate(report, REPORT_SCHEMA)
         path = write_scenario(tmp_path, scenario)
         capsys.readouterr()
         assert main(["run", path]) == {"failed": 1, "invalid-input": 2}[status]
-        assert json.loads(capsys.readouterr().out) == report
+        assert strict_json(capsys.readouterr().out) == report
 
     @pytest.mark.parametrize("scenario, error_type, message", [
         ({"command": "extend-group", "system": "rebit", "dynamics": "rebit_rotation",

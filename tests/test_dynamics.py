@@ -379,3 +379,17 @@ class TestValidation:
         assert "singular" in singular["error"]
         assert all("error" not in c for c in report.checks[1:])
         assert not report.valid
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_evolution_sample_is_no_verdict(self, monkeypatch):
+        # exp(t A) is NaN at t = 1e100: no evidence either way, so no report.
+        from ucpext import extension
+
+        solved = []
+        feasible = extension.ucp_extension_feasible
+        monkeypatch.setattr(extension, "ucp_extension_feasible",
+                            lambda *a, **k: solved.append(1) or feasible(*a, **k))
+        with pytest.raises(NumericalError, match="overflowed"):
+            dynamics.validate_subsystem_semigroup(
+                catalog.rebit_dissipative(1.0), sample_ts=(0.5, 1e100))
+        assert len(solved) == 3  # the two resolvent samples and t = 0.5

@@ -898,6 +898,26 @@ class TestConeProjection:
             inner = float(np.vdot(c - x, y - x).real)
             assert inner <= 1e-10 * (1.0 + norm * norm)
 
+    @pytest.mark.parametrize("ccp", [False, True], ids=["psd", "ccp"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_anti_hermitian_input_gives_a_cone_point(self, ccp, d):
+        # eigh reads one triangle of F* C F; the form C + F (clipped - m) F*
+        # subtracts the same m, so the anti-Hermitian part cancels.  The form
+        # C - E diag(min(w, 0)) E* (E = F U) gives -4.4e-4 (1 + ||c||) here.
+        system = catalog.real_symmetric_system(d)
+        solver = extension._FeasibilitySolver(
+            system, [np.zeros((d, d))] * len(system), ccp=ccp)
+        rng = np.random.default_rng([d, ccp])
+        n = d * d
+        unit = np.eye(d).reshape(n) / np.sqrt(d)
+        proj = np.eye(n) - np.outer(unit, unit) if ccp else np.eye(n)
+        for _ in range(10):
+            c = (linalg.random_hermitian(n, rng)
+                 + 1e-3j * linalg.random_hermitian(n, rng))
+            x = solver.project_cone(c)
+            assert np.array_equal(x, linalg.dagger(x))
+            assert np.linalg.eigvalsh(proj @ x @ proj)[0] >= -1e-12 * (1.0 + linalg.frob(c))
+
 
 # ---------------------------------------------------------------------------
 # Feasible problems once reported as not UCP

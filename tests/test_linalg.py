@@ -7,7 +7,7 @@ import pytest
 
 from ucpext import catalog, dynamics, extension, linalg, maps, systems
 from ucpext.dynamics import SubsystemGenerator
-from ucpext.errors import InputError
+from ucpext.errors import InputError, NumericalError
 from ucpext.extension import ExtensionProblem
 
 
@@ -39,6 +39,14 @@ class TestExpm:
         expected = np.array([[np.cos(omega * t), -np.sin(omega * t)],
                              [np.sin(omega * t), np.cos(omega * t)]])
         np.testing.assert_allclose(got, expected, atol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_is_a_numerical_error(self):
+        # finite at scale 1e20, NaN inside scipy's squaring at 1e100
+        dissipation = np.array([[0.0, 0.0], [1.0, -1.0]])
+        assert np.all(np.isfinite(linalg.expm(dissipation, 1e20)))
+        with pytest.raises(NumericalError, match="overflowed"):
+            linalg.expm(dissipation, 1e100)
 
     def test_agrees_with_eigendecomposition_for_hermitian(self):
         rng = np.random.default_rng(11)

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_ucp_map
 from ucpext import linalg, maps
-from ucpext.errors import InputError
+from ucpext.errors import InputError, NumericalError
 from ucpext.maps import SuperOp
 
 
@@ -108,6 +108,13 @@ class TestCpUnital:
         image = maps.amplification_apply(phi, witness.level, witness.matrix)
         image_min = np.linalg.eigvalsh(linalg.hermitian_part(image))[0]
         assert image_min <= report.min_choi_eigenvalue + 1e-10
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_choi_has_no_verdict(self):
+        # PSD, so CP; its Hermitian part overflows and eigvalsh returns NaN.
+        phi = SuperOp(2, np.diag([1e308, 0.0, 0.0, 1e308]))
+        with pytest.raises(NumericalError, match="not finite"):
+            maps.is_completely_positive(phi)
 
     def test_unitality(self, pauli):
         assert maps.is_unital(maps.identity_map(2))
