@@ -16,9 +16,12 @@ orthogonal projection, and the rest of C is unconstrained, so
 
   Pi_K(C) = C + F (Pi_+(F* C F) - F* C F) F*,   Pi_+ the PSD clip,
 
-is the exact cone projection of both problems.  It returns exactly Hermitian
-matrices, and so does the affine projection, so every extension returned is
-exactly Hermitian.
+is the exact cone projection of both problems, and the toolkit's one PSD
+clip: with m = F* C F = U diag(w) U*, the point C + F (U max(w, 0) U* - m) F*
+is made exactly Hermitian once.  It keeps the difference with the same m that
+eigh read (one triangle of it), which cancels the anti-Hermitian part that
+roundoff leaves in m.  The affine projection also returns exactly Hermitian
+matrices, so every extension returned is exactly Hermitian.
 
 The solver aims at the projection of a starting point x0 onto the feasible
 set.  That makes multi-start behaviour meaningful: distinct randomized starts
@@ -121,10 +124,11 @@ CG has converged leaves only the CG arrays, and a member that stops
 backtracking keeps its step, accepted or 0, while the others backtrack, so
 each trial of the line search evaluates the whole batch.  Every operation acts
 on each member alone, so a member's extension and report are bit-identical to
-those of the batch of one from its seed; a single solve is such a batch.  At
-d = 2 the arrays are 3 x 3 or 4 x 4, so numpy's per-call cost, not
-arithmetic, sets the time of a step: eight seeded starts of the rebit
-rotation or dissipation take about 2.5 times as long as one.
+those of the batch of one from its seed; a single solve is such a batch,
+with the same (B, 1) per-member columns as any other.  At d = 2 the arrays
+are 3 x 3 or 4 x 4, so numpy's per-call cost, not arithmetic, sets the time
+of a step: eight seeded starts of the rebit rotation or dissipation take
+about 2.5 times as long as one.
 """
 
 from __future__ import annotations
@@ -423,12 +427,8 @@ class _FeasibilitySolver:
 
     def _cone_point(self, c: np.ndarray):
         """Pi_K(C) and the eigendecomposition (w, u) of the matrix it clipped,
-        F* C F: the toolkit's one PSD clip.
-
-        ``eigh`` reads only the lower triangle of m = F* C F, which roundoff
-        leaves not exactly Hermitian; subtracting that same m in
-        C + F (clipped - m) F* cancels its anti-Hermitian part, and the one
-        ``hermitian_part`` makes the cone point exactly Hermitian."""
+        m = F* C F.  The form C + F (clipped - m) F* is what keeps the point in
+        the cone when m is not exactly Hermitian (module docstring)."""
         m = self.frame_h @ c @ self.frame
         w, u = np.linalg.eigh(m)
         clipped = (u * np.maximum(w, 0.0)[..., None, :]) @ linalg.dagger(u)
@@ -498,7 +498,7 @@ class _FeasibilitySolver:
         tolerance min(eta, ||grad f||^tau), so no square overflows.  CG runs at
         most the dual dimension of steps.  A row whose CG has converged leaves
         the CG arrays, its step written into its row of the direction; that is
-        no stop of the member.  Each per-member scalar is a row of a column.
+        no stop of the member.  Per-member scalars are (B, 1) columns.
         """
         residuals = point.residual
         scale = np.array(residuals)[:, None]
