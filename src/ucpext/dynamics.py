@@ -149,12 +149,10 @@ def evolve(gen: Generator, t: float) -> SuperOp:
 
 
 def resolvent(gen: Generator, lam: complex) -> SuperOp:
-    """R(lam, A) = (lam - A)^{-1} as a SuperOp (solve at the transfer level)."""
-    n = gen.d * gen.d
-    system = complex(lam) * np.eye(n) - gen.op.transfer
-    linalg.check_nonsingular(
-        system, f"resolvent system is singular at lam={lam}: condition estimate {{cond:.3e}}")
-    return SuperOp.from_transfer(gen.d, np.linalg.solve(system, np.eye(n, dtype=complex)))
+    """R(lam, A) = (lam - A)^{-1} as a SuperOp (inverted at the transfer level)."""
+    system = complex(lam) * np.eye(gen.d * gen.d) - gen.op.transfer
+    return SuperOp.from_transfer(gen.d, linalg.inverse(
+        system, f"resolvent system is singular at lam={lam}: condition estimate {{cond:.3e}}"))
 
 
 def hilbert_identity_residual(gen: Generator, lam: complex, mu: complex,
@@ -290,10 +288,9 @@ def subsystem_resolvent_images(sub: SubsystemGenerator, lam: float):
     """Images of the user basis under lam * R(lam, A), computed on V's coordinates."""
     m = len(sub.system)
     system_matrix = float(lam) * np.eye(m) - sub.coordinate_matrix
-    linalg.check_nonsingular(
+    return _basis_images(sub, float(lam) * linalg.inverse(
         system_matrix,
-        f"subsystem resolvent singular at lam={lam}: condition estimate {{cond:.3e}}")
-    return _basis_images(sub, float(lam) * np.linalg.inv(system_matrix))
+        f"subsystem resolvent singular at lam={lam}: condition estimate {{cond:.3e}}"))
 
 
 def subsystem_evolve_images(sub: SubsystemGenerator, t: float):

@@ -761,11 +761,10 @@ def rescale_resolvent(phi: SuperOp, beta: float, mode: str = "closed",
             k += 1
         return SuperOp.from_transfer(phi.d, out)
     if mode == "closed":
-        m = np.eye(n) - (1.0 - beta) * t
-        linalg.check_nonsingular(
-            m, "id - (1-beta) phi is numerically singular (cond {cond:.3e}); "
-               "the input was not a valid UCP map")
-        return SuperOp.from_transfer(phi.d, beta * (t @ np.linalg.inv(m)))
+        inv = linalg.inverse(np.eye(n) - (1.0 - beta) * t,
+                             "id - (1-beta) phi is numerically singular (cond {cond:.3e}); "
+                             "the input was not a valid UCP map")
+        return SuperOp.from_transfer(phi.d, beta * (t @ inv))
     raise InputError(f"unknown mode {mode!r}")
 
 
@@ -798,10 +797,9 @@ def extend_generator(problem: ExtensionProblem):
 def _recover_generator(f_lam: SuperOp, lam: float) -> SuperOp:
     """G = lam * (id - F(lam)^{-1}) at the transfer level."""
     t = f_lam.transfer
-    linalg.check_nonsingular(
+    inv = linalg.inverse(
         t, f"family member at lam={lam} is numerically singular (cond {{cond:.3e}})")
-    n = t.shape[0]
-    return SuperOp.from_transfer(f_lam.d, lam * (np.eye(n) - np.linalg.inv(t)))
+    return SuperOp.from_transfer(f_lam.d, lam * (np.eye(t.shape[0]) - inv))
 
 
 def extend_via_resolvent_family(problem: ExtensionProblem, omega: float,

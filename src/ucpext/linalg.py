@@ -4,7 +4,9 @@ The two matrix gates the other modules call: :func:`as_matrix` (a finite
 2-d complex array, of an expected shape when one is given) and
 :func:`ensure_hermitian` (Hermitian symmetry to a tolerance scaled by the
 entries, of one matrix or of each matrix of a stack).  Besides them: the
-matrix exponential and the spectral norm.  All matrices are dense complex
+checked inverse :func:`inverse`, the one place the resolvent computations
+decide that a matrix is too ill-conditioned to invert (``SINGULAR_COND``),
+the matrix exponential and the spectral norm.  All matrices are dense complex
 ``numpy`` arrays; Hermitian inputs are validated, never assumed.  The PSD clip
 of the feasibility solver's hot loop is part of its cone projection
 (``extension._FeasibilitySolver._cone_point``).
@@ -28,7 +30,7 @@ __all__ = [
     "hermitian_part",
     "ensure_square",
     "ensure_hermitian",
-    "check_nonsingular",
+    "inverse",
     "expm",
     "spectral_norm",
     "random_hermitian",
@@ -93,12 +95,14 @@ def ensure_hermitian(m, tol: float = STRUCTURAL_TOL, name: str = "matrix") -> np
     return hermitian_part(a)
 
 
-def check_nonsingular(m: np.ndarray, message: str) -> None:
-    """Raise :class:`NumericalError` when m's condition number is not finite
-    or exceeds ``SINGULAR_COND``; ``message`` is formatted with ``cond``."""
+def inverse(m: np.ndarray, message: str) -> np.ndarray:
+    """The inverse of a square matrix.  Raises :class:`NumericalError` when
+    m's condition number is not finite or exceeds ``SINGULAR_COND``;
+    ``message`` is formatted with ``cond``."""
     cond = float(np.linalg.cond(m))
     if not np.isfinite(cond) or cond > SINGULAR_COND:
         raise NumericalError(message.format(cond=cond))
+    return np.linalg.inv(m)
 
 
 def expm(m, scale: float = 1.0) -> np.ndarray:

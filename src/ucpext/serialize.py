@@ -59,6 +59,17 @@ def matrix_from_json(data) -> np.ndarray:
     return linalg.as_matrix(pairs.view(complex)[..., 0])
 
 
+def _number(value, what: str) -> float:
+    """A JSON number as a float; a string, a boolean or any other value is
+    invalid input."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputError(f"{what} is too large for a float") from None
+
+
 def superop_to_json(phi: SuperOp, tagged: bool = False) -> dict:
     out = {"d": int(phi.d), "choi": matrix_to_json(phi.choi)}
     if tagged:
@@ -72,7 +83,10 @@ def superop_from_json(data) -> SuperOp:
     convention = data.get("convention", CHOI_CONVENTION)
     if convention != CHOI_CONVENTION:
         raise InputError(f"unsupported Choi convention {convention!r}")
-    return SuperOp(d=int(data["d"]), choi=matrix_from_json(data["choi"]))
+    d = _number(data["d"], "SuperOp d")
+    if not d.is_integer():
+        raise InputError(f"SuperOp d must be an integer, got {data['d']!r}")
+    return SuperOp(d=int(d), choi=matrix_from_json(data["choi"]))
 
 
 def generator_to_json(gen: Generator) -> dict:
@@ -85,9 +99,11 @@ def generator_from_json(data) -> Generator:
     kind = data["kind"]
     if kind == "gksl":
         ham = matrix_from_json(data["H"]) if data.get("H") is not None else None
-        jumps = []
-        for entry in data.get("jumps", []):
-            jumps.append((matrix_from_json(entry["op"]), float(entry["rate"])))
+        entries = data.get("jumps", [])
+        if not isinstance(entries, list) or not all(
+                isinstance(e, dict) and "op" in e and "rate" in e for e in entries):
+            raise InputError('gksl jumps must be a list of {"op": <matrix>, "rate": r}')
+        jumps = [(matrix_from_json(e["op"]), _number(e["rate"], "jump rate")) for e in entries]
         if ham is not None:
             d = ham.shape[0]
         elif jumps:
@@ -120,6 +136,6 @@ def system_from_json(data) -> MatricialSystem:
                 raise InputError(f"bad system name {data!r}") from None
             return catalog.real_symmetric_system(d)
         raise InputError(f"unknown system name {data!r}")
-    if isinstance(data, dict) and "basis" in data:
+    if isinstance(data, dict) and isinstance(data.get("basis"), list):
         return MatricialSystem.from_basis([matrix_from_json(b) for b in data["basis"]])
     raise InputError('system must be a catalog name or {"basis": [...]}')

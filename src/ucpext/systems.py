@@ -12,6 +12,11 @@ basis and its coefficients on the user basis, the inverse Cholesky factor of
 the Gram matrix, which the extension solver reuses.  Coordinates against the
 orthonormal basis are taken of one matrix or of a whole stack at once.
 
+Membership in M_k(V) has one test, blockwise projection onto span(V) of a
+stack of one level followed by a relative residual bound
+(``_first_outside``); :func:`contains`, ``LevelElement.wrap`` and
+:func:`positive_elements` all go through it.
+
 Two norms are exposed, both computed by bisection on PSD tests against the
 system's cone:
 
@@ -56,7 +61,6 @@ __all__ = [
     "is_commutative",
     "project_onto",
     "contains",
-    "level_membership_residual",
     "project_level",
     "is_positive_element",
     "positive_elements",
@@ -179,8 +183,8 @@ class LevelElement:
         if m.shape[0] != m.shape[1] or m.shape[0] % d != 0:
             raise InputError(f"level element shape {m.shape} is not a multiple of ambient dim {d}")
         k = m.shape[0] // d
-        resid = level_membership_residual(system, m)
-        if resid > FEASIBILITY_TOL * (1.0 + linalg.frob(m)):
+        resid = _first_outside(system, m[None], FEASIBILITY_TOL)
+        if resid is not None:
             raise InputError(
                 f"matrix is not in M_{k}(V): membership residual {resid:.3e}"
             )
@@ -278,17 +282,13 @@ def is_commutative(system: MatricialSystem, tol: float = FEASIBILITY_TOL) -> boo
 
 def project_onto(system: MatricialSystem, m) -> np.ndarray:
     """Orthogonal projection of an ambient matrix onto span(V)."""
-    a = linalg.as_matrix(m, (system.dim, system.dim), "input")
-    return system.from_coords(system.coords(a))
+    return project_level(system, linalg.as_matrix(m, (system.dim, system.dim), "input"))
 
 
 def contains(system: MatricialSystem, m, tol: float = FEASIBILITY_TOL) -> bool:
-    """Membership test, relative: ||m - proj(m)||_F <= tol * (1 + ||m||_F)."""
+    """Whether a d x d matrix lies in span(V) (:func:`_first_outside`)."""
     a = linalg.as_matrix(m)
-    if a.shape != (system.dim, system.dim):
-        return False
-    resid = linalg.frob(a - project_onto(system, a))
-    return resid <= tol * (1.0 + linalg.frob(a))
+    return a.shape == (system.dim, system.dim) and _first_outside(system, a[None], tol) is None
 
 
 def project_level(system: MatricialSystem, m) -> np.ndarray:
@@ -302,9 +302,14 @@ def project_level(system: MatricialSystem, m) -> np.ndarray:
     return out.swapaxes(-3, -2).reshape(a.shape)
 
 
-def level_membership_residual(system: MatricialSystem, m) -> float:
-    a = linalg.as_matrix(m)
-    return linalg.frob(a - project_level(system, a))
+def _first_outside(system: MatricialSystem, a: np.ndarray, tol: float) -> Optional[float]:
+    """The one membership test of M_k(V), relative: a matrix m of the stack
+    ``a`` (shape (n, k*d, k*d)) lies in M_k(V) when
+    ||m - proj(m)||_F <= tol * (1 + ||m||_F).  Returns the residual of the
+    first matrix outside, or None when every matrix lies in M_k(V)."""
+    resid = np.linalg.norm(a - project_level(system, a), axis=(-2, -1))
+    outside = resid > tol * (1.0 + np.linalg.norm(a, axis=(-2, -1)))
+    return float(resid[outside][0]) if outside.any() else None
 
 
 def positive_elements(system: MatricialSystem, matrices,
@@ -314,10 +319,9 @@ def positive_elements(system: MatricialSystem, matrices,
     projection and one ``eigvalsh`` of the whole stack.  An element outside
     M_k(V) raises :class:`InputError`."""
     a = np.asarray(matrices, dtype=complex)
-    resid = np.linalg.norm(a - project_level(system, a), axis=(-2, -1))
-    outside = resid > tol * (1.0 + np.linalg.norm(a, axis=(-2, -1)))
-    if np.any(outside):
-        raise InputError(f"element violates membership: residual {resid[outside][0]:.3e}")
+    resid = _first_outside(system, a, tol)
+    if resid is not None:
+        raise InputError(f"element violates membership: residual {resid:.3e}")
     h = linalg.ensure_hermitian(a, tol=max(tol, STRUCTURAL_TOL))
     return np.linalg.eigvalsh(h)[..., 0] >= -tol
 

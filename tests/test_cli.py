@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import ucpext
-from ucpext import catalog, cli, dynamics, extension, serialize
+from ucpext import catalog, cli, dynamics, extension, maps, serialize
 from ucpext.cli import load_scenario_schema, main, run_scenario
+from ucpext.errors import ResolventFamilyError
 
 REPORT_SCHEMA = json.loads(
     (load_scenario_schema.__globals__["_SCHEMA_DIR"] / "report.schema.json").read_text())
@@ -45,6 +46,17 @@ class TestRunScenario:
         assert gen_report["status"] == "ok"
         assert gen_report["results"]["is_cp"] is True
         assert gen_report["results"]["is_ucp"] is True
+
+    def test_check_cp_of_the_transpose_map_has_a_witness(self):
+        transpose = serialize.superop_to_json(maps.transpose_map(2))
+        report = run_scenario({"command": "check-cp",
+                               "dynamics": {"kind": "choi", "super": transpose}})
+        assert report["status"] == "ok"
+        assert report["results"]["is_cp"] is False
+        witness = report["results"]["witness"]
+        assert witness["level"] == 2
+        assert np.shape(witness["matrix"]) == (4, 4, 2)
+        jsonschema.validate(report, REPORT_SCHEMA)
 
     def test_check_ccp(self):
         report = run_scenario({"command": "check-ccp", "dynamics": "g2"})
@@ -238,6 +250,35 @@ class TestFailuresAndExitCodes:
         assert report["error"]["type"] == "GroupExtensionError"
         assert "uniqueness in M_d is not claimed" in report["error"]["message"]
         assert "contradicting rigidity" not in report["error"]["message"]
+
+    def test_resolvent_family_failure_keeps_omega_and_failure(self, monkeypatch):
+        attempts = [{"omega": 4.0, "failure": "not ccp", "defect": 0.5},
+                    {"omega": 8.0, "failure": "not ccp", "grid": [1.0, 2.0]}]
+
+        def fail(*args, **kwargs):
+            raise ResolventFamilyError("no ccp generator on the grid", attempts=attempts)
+
+        monkeypatch.setattr(extension, "extend_via_resolvent_family", fail)
+        report = run_scenario({"command": "extend-resolvent-family", "system": "rebit",
+                               "dynamics": "rebit_rotation"})
+        assert report["status"] == "failed"
+        assert report["results"] == {}
+        assert report["error"] == {
+            "type": "ResolventFamilyError", "message": "no ccp generator on the grid",
+            "advice": "extend_generator",
+            "attempts": [{"omega": 4.0, "failure": "not ccp"},
+                         {"omega": 8.0, "failure": "not ccp"}]}
+        jsonschema.validate(report, REPORT_SCHEMA)
+
+    def test_scenario_not_an_object_is_invalid_input(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        capsys.readouterr()
+        assert main(["run", str(path)]) == 2
+        report = strict_json(capsys.readouterr().out)
+        assert report["status"] == "invalid-input"
+        assert report["command"] is None
+        jsonschema.validate(report, REPORT_SCHEMA)
 
     def test_exit_codes(self, tmp_path):
         ok = write_scenario(tmp_path, {"command": "check-ccp", "dynamics": "g1"}, "a.json")
@@ -637,6 +678,22 @@ class TestReports:
         from ucpext import catalog, dynamics
         direct = dynamics.evolve(catalog.g1(1.0), 0.7)
         assert np.array_equal(embedded.choi, direct.choi)
+
+    def test_text_report_renders_lists(self, tmp_path, capsys):
+        # A list of more than 8 entries is counted; scalar items are "- value".
+        identities = write_scenario(tmp_path, {"command": "identities", "dynamics": "g1"},
+                                    "identities.json")
+        family = write_scenario(tmp_path, {"command": "extend-resolvent-family",
+                                           "system": "rebit", "dynamics": "rebit_rotation"},
+                                "family.json")
+        capsys.readouterr()
+        assert main(["run", identities, "--report", "text"]) == 0
+        assert "\n  hilbert:\n    [20 entries]\n" in capsys.readouterr().out
+        assert main(["run", family, "--report", "text"]) == 0
+        grid = run_scenario(json.loads(Path(family).read_text()))["results"]["grid"]
+        assert len(grid) == 8
+        rendered = "".join(f"    - {lam:.3e}\n" for lam in grid)
+        assert f"\n  grid:\n{rendered}  family:\n" in capsys.readouterr().out
 
     def test_reports_validate_against_schema(self, tmp_path, capsys):
         scenarios = [

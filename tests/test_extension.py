@@ -185,6 +185,15 @@ class TestExtendUcpMap:
         with pytest.raises(InputError):
             ExtensionProblem.for_map(rebit, [0.5 * pauli.I, pauli.X, pauli.Z])
 
+    def test_inconsistent_targets_rejected(self, rebit, pauli):
+        # Built directly, past for_map's Hermitian gate: X -> X + 1e-3 i Z has
+        # no Hermitian-preserving extension, so the agreement system has none.
+        problem = ExtensionProblem(system=rebit,
+                                   map_targets=(pauli.I, pauli.X + 1e-3j * pauli.Z, pauli.Z))
+        with pytest.raises(InputError, match="agreement targets are inconsistent: "
+                                             "residual 1.414e-03"):
+            extension.extend_ucp_map(problem)
+
     def test_infeasible_map_does_not_converge(self, rebit, pauli):
         # X -> 2X has norm 2 on a unital map: impossible, the solver must
         # stall and report failure rather than fabricate an extension.

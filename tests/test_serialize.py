@@ -80,6 +80,26 @@ class TestGeneratorRoundTrip:
             serialize.generator_from_json({"kind": "kraus"})
 
 
+_SIGMA_MINUS = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+
+
+@pytest.mark.parametrize("decode, payload", [
+    (serialize.generator_from_json, {"kind": "gksl", "jumps": [{"rate": 1.0}]}),
+    (serialize.generator_from_json,
+     {"kind": "gksl", "jumps": [{"op": _SIGMA_MINUS, "rate": "x"}]}),
+    (serialize.generator_from_json,
+     {"kind": "gksl", "jumps": [{"op": _SIGMA_MINUS, "rate": 10 ** 400}]}),
+    (serialize.superop_from_json,
+     {"d": "two", "choi": serialize.matrix_to_json(np.eye(4))}),
+    (serialize.system_from_json, {"basis": 5}),
+], ids=["jump-without-op", "rate-not-a-number", "rate-too-large", "d-not-a-number",
+        "basis-not-a-list"])
+def test_malformed_payload_is_input_error(decode, payload):
+    # Outside the scenario schema, which rejects these before they are decoded.
+    with pytest.raises(InputError):
+        decode(payload)
+
+
 class TestSystemFromJson:
     def test_catalog_names(self):
         for name, dim in (("span_I", 1), ("diagonal", 2), ("rebit", 3), ("M2", 4)):
