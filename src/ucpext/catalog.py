@@ -50,6 +50,11 @@ __all__ = [
 
 # real_symmetric_system keeps this many dimensions built.
 _REAL_SYMMETRIC_CACHED = 8
+# The largest d of real_symmetric_system.  The largest arrays built on
+# real_symmetric_d are the stacked commutators behind the commutant, d^5 (d + 1) / 2
+# complex numbers, and extend-group's multiplicativity defects, d^6: 143 MB and
+# 268 MB at d = 16, but 8.9 GB and 17 GB at d = 32.
+_REAL_SYMMETRIC_MAX_DIM = 16
 
 
 @dataclass(frozen=True)
@@ -199,11 +204,14 @@ def real_symmetric_system(d: int) -> MatricialSystem:
     """The span of real symmetric matrices inside M_d (dimension d(d+1)/2).
 
     For d = 2 this is the rebit in another basis.  No envelope descriptor is
-    attached for d > 2.
+    attached for d > 2.  d is at most ``_REAL_SYMMETRIC_MAX_DIM``; a larger d
+    is refused before anything is allocated.
     """
     d = int(d)
     if d < 1:
         raise InputError("d must be positive")
+    if d > _REAL_SYMMETRIC_MAX_DIM:
+        raise InputError(f"d must be at most {_REAL_SYMMETRIC_MAX_DIM}, got {d}")
     basis = [np.eye(d, dtype=complex)]
     for i in range(d - 1):
         e = np.zeros((d, d), dtype=complex)

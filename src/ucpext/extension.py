@@ -242,7 +242,7 @@ class ResolventFamily:
 
     def at(self, lam: float) -> SuperOp:
         """F(lam) for any lam in (0, omega], transported from F(omega)."""
-        if not 0.0 < lam <= self.omega + 1e-12:
+        if not _in_rescaling_range(lam / self.omega):
             raise InputError(f"lam must lie in (0, {self.omega}], got {lam}")
         return rescale_resolvent(self.f_omega, lam / self.omega)
 
@@ -727,6 +727,12 @@ def ucp_extension_feasible(system: MatricialSystem, images,
 # ---------------------------------------------------------------------------
 
 
+def _in_rescaling_range(beta: float) -> bool:
+    """Whether beta lies in (0, 1]: the one test of a parameter lam in (0, omega],
+    made on beta = lam / omega, the ratio :func:`rescale_resolvent` is given."""
+    return 0.0 < beta <= 1.0
+
+
 def rescale_resolvent(phi: SuperOp, beta: float, mode: str = "closed",
                       tol: float = FEASIBILITY_TOL) -> SuperOp:
     """The nonlinear map  phi -> sum_{k>=0} beta (1-beta)^k phi^(k+1).
@@ -741,7 +747,7 @@ def rescale_resolvent(phi: SuperOp, beta: float, mode: str = "closed",
     form  beta * phi o (id - (1-beta) phi)^(-1).
     """
     beta = float(beta)
-    if not 0.0 < beta <= 1.0:
+    if not _in_rescaling_range(beta):
         raise InputError(f"beta must lie in (0, 1], got {beta}")
     if not maps.is_ucp(phi, max(tol, 1e-6)):
         raise InputError("rescale_resolvent requires a UCP input map")
@@ -828,7 +834,7 @@ def extend_via_resolvent_family(problem: ExtensionProblem, omega: float,
     if grid is None:
         grid = np.linspace(omega / 8.0, omega, 8)
     grid = sorted(float(g) for g in grid)
-    if not grid or grid[0] <= 0 or grid[-1] > omega * (1 + 1e-12):
+    if not grid or not all(_in_rescaling_range(lam / omega) for lam in grid):
         raise InputError("grid must be a nonempty subset of (0, omega]")
 
     opts = problem.options
@@ -888,12 +894,28 @@ def extend_via_resolvent_family(problem: ExtensionProblem, omega: float,
 _GROUP_SAMPLE_TS = (0.4, 1.1)
 
 
-def _start_seeds(rng: Optional[np.random.Generator], n_starts: int) -> list:
-    """Seeds of the randomized starts of a cross-check (none by default; then
-    ``rng`` may be None)."""
+def _start_seeds(seed: Optional[int], n_starts: int) -> list:
+    """Seeds of the randomized starts of a cross-check, drawn from ``seed``;
+    no random generator is built for none, the default."""
     if n_starts < 0:
         raise InputError(f"n_starts must be nonnegative, got {n_starts}")
+    rng = np.random.default_rng(seed) if n_starts else None
     return [int(rng.integers(0, 2**32 - 1)) for _ in range(n_starts)]
+
+
+def _multiplicativity_residual(op: SuperOp) -> float:
+    """max ||phi(ab) - phi(a) phi(b)||_F / (1 + ||a||_F ||b||_F) over the pairs
+    of matrix units a = E_ij, b = E_kl, so the scale is 2.  The defect is
+    bilinear, so it vanishes on every pair exactly when it vanishes on these.
+
+    With B_ij = phi(E_ij), block (i, j) of the Choi matrix, the defect of the
+    pair is delta_jk B_il - B_ij B_kl.
+    """
+    d = op.d
+    blocks = op.choi.reshape(d, d, d, d)  # [i, a, j, b] = phi(E_ij)[a, b]
+    defects = np.einsum("jk,ialc->ijklac", np.eye(d), blocks)
+    defects -= np.einsum("iajb,kblc->ijklac", blocks, blocks)
+    return float(np.linalg.norm(defects, axis=(-2, -1)).max()) / 2.0
 
 
 def _decided_commutant(system: MatricialSystem, tol: float, error, claim: str):
@@ -935,8 +957,10 @@ def extend_group(problem: ExtensionProblem, n_starts: int = 0, seed: int = 0):
     The result must also satisfy, at sampled times and within 100 x tol:
 
       * inversion:        exp(t G+) o exp(-t G+) = id,
-      * multiplicativity: exp(t G+) is an algebra homomorphism on sampled
-        pairs (a UCP map with a UCP inverse is a *-automorphism).
+      * multiplicativity: exp(t G+) is an algebra homomorphism on every pair
+        of matrix units, the largest defect being ``multiplicativity_residual``
+        (:func:`_multiplicativity_residual`; a UCP map with a UCP inverse is a
+        *-automorphism).
 
     ``n_starts`` randomized runs of +A are an opt-in cross-check: each must
     converge and agree with G+ within 10 x tol, or the certificate and the
@@ -951,9 +975,7 @@ def extend_group(problem: ExtensionProblem, n_starts: int = 0, seed: int = 0):
     opts = problem.options
     check_tol = 100.0 * opts.tol
 
-    # The rng draws the start seeds first and the multiplicativity samples after.
-    rng = np.random.default_rng(seed)
-    run_seeds = _start_seeds(rng, n_starts)
+    run_seeds = _start_seeds(seed, n_starts)
     comm = _decided_commutant(sub.system, opts.tol, GroupExtensionError, "uniqueness")
     if comm.dim > 1:
         raise GroupExtensionError(
@@ -989,16 +1011,7 @@ def extend_group(problem: ExtensionProblem, n_starts: int = 0, seed: int = 0):
             f"randomized starts disagree (spread {spread:.3e}) although the "
             f"certificate says the extension is unique (ccp defect of -G+ {witness:.3e})")
 
-    d = sub.system.dim
-    mult_residual = 0.0
-    for step in steps:
-        for _ in range(4):
-            a = linalg.random_hermitian(d, rng) + 1j * linalg.random_hermitian(d, rng)
-            b = linalg.random_hermitian(d, rng) + 1j * linalg.random_hermitian(d, rng)
-            lhs = step.apply(a @ b)
-            rhs = step.apply(a) @ step.apply(b)
-            scale = 1.0 + linalg.frob(a) * linalg.frob(b)
-            mult_residual = max(mult_residual, linalg.frob(lhs - rhs) / scale)
+    mult_residual = max(_multiplicativity_residual(step) for step in steps)
     if mult_residual > check_tol:
         raise GroupExtensionError(
             f"extension is not multiplicative (residual {mult_residual:.3e})"
@@ -1042,7 +1055,7 @@ def rigidity_probe(system: MatricialSystem, n_starts: int = 0,
     all land on the identity; they cannot refute the witness.
     """
     options = ExtensionOptions(tol=tol, max_iter=max_iter)
-    seeds = _start_seeds(np.random.default_rng(seed) if n_starts > 0 else None, n_starts)
+    seeds = _start_seeds(seed, n_starts)
     comm = _decided_commutant(system, tol, NumericalError, "rigidity")
     ops = (_cross_check(ExtensionProblem.for_map(system, system.basis, options),
                         seeds, NumericalError, "rigidity") if seeds else [])

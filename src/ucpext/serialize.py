@@ -130,8 +130,12 @@ def system_from_json(data) -> MatricialSystem:
         if data in _SYSTEM_BUILDERS:
             return _SYSTEM_BUILDERS[data]()
         if data.startswith("real_symmetric_"):
+            digits = data[len("real_symmetric_"):]
             try:
-                d = int(data.rsplit("_", 1)[1])
+                # ASCII digits only: int() also reads a sign, blanks and other scripts' digits.
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ValueError(digits)
+                d = int(digits)
             except ValueError:
                 raise InputError(f"bad system name {data!r}") from None
             return catalog.real_symmetric_system(d)

@@ -61,6 +61,14 @@ class TestSystems:
         assert catalog.rebit_rotation(1.0).system is catalog.rebit_system()
         assert catalog.rebit_dissipative(2.0).system is catalog.rebit_system()
 
+    def test_real_symmetric_dimension_has_a_ceiling(self):
+        # Refused before allocating: np.eye(10**9) alone would need 16 EB.
+        ceiling = catalog._REAL_SYMMETRIC_MAX_DIM
+        assert len(catalog.real_symmetric_system(ceiling)) == ceiling * (ceiling + 1) // 2
+        for d in (ceiling + 1, 10**9):
+            with pytest.raises(InputError, match=f"d must be at most {ceiling}, got {d}"):
+                catalog.real_symmetric_system(d)
+
     def test_real_symmetric_two_spans_rebit(self, rebit):
         system = catalog.real_symmetric_system(2)
         for b in rebit.basis:

@@ -405,6 +405,24 @@ class TestFailuresAndExitCodes:
             assert report["results"] == unseeded["results"]
             jsonschema.validate(report, REPORT_SCHEMA)
 
+    @pytest.mark.parametrize("scenario, message", [
+        ({"command": "rigidity-probe", "system": "real_symmetric_1000000000"},
+         "d must be at most 16, got 1000000000"),
+        ({"command": "rigidity-probe", "system": "real_symmetric_+3"},
+         "bad system name 'real_symmetric_+3'"),
+        ({"command": "extend-resolvent-family", "system": "rebit", "dynamics": "rebit_rotation",
+          "options": {"omega": 4.0, "grid": [1.0, 4.000000000000001]}},
+         "grid must be a nonempty subset of (0, omega]"),
+    ], ids=["system-above-the-ceiling", "signed-system-dimension", "grid-above-omega"])
+    def test_refused_before_any_solve(self, tmp_path, capsys, monkeypatch, scenario, message):
+        monkeypatch.setattr(extension, "multi_start", None)  # no solve may run
+        report = run_scenario(scenario)
+        assert report["status"] == "invalid-input"
+        assert report["error"]["message"] == message
+        path = write_scenario(tmp_path, scenario)
+        capsys.readouterr()
+        assert main(["run", path]) == 2
+
     @pytest.mark.parametrize("command, system", [
         ("check-cp", None), ("extend-map", "rebit"), ("check-ccp", None)])
     def test_choi_dynamics_without_super(self, tmp_path, capsys, command, system):

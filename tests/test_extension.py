@@ -349,6 +349,22 @@ class TestResolventFamilyRoute:
         with pytest.raises(InputError):
             extension.extend_via_resolvent_family(problem, omega=2.0, grid=[1.0, 3.0])
 
+    def test_grid_one_ulp_above_omega_rejected_before_any_solve(self, rebit, monkeypatch):
+        # 4.000000000000001 / 4.0 = 1 + 2^-52: no rescaling reaches it from F(4).
+        calls = counting_multi_start(monkeypatch)
+        problem = ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(1.0))
+        with pytest.raises(InputError, match=r"grid must be a nonempty subset of \(0, omega\]"):
+            extension.extend_via_resolvent_family(problem, omega=4.0,
+                                                  grid=[1.0, 4.000000000000001])
+        assert calls == []
+
+    def test_family_at_above_omega_names_lam(self, rebit):
+        problem = ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(1.0))
+        _, family, _ = extension.extend_via_resolvent_family(problem, omega=4.0)
+        assert family.at(4.0).distance(family.f_omega) <= 1e-12
+        with pytest.raises(InputError, match=r"lam must lie in \(0, 4\.0\], got 4\.0000000000001"):
+            family.at(4.0 + 1e-13)
+
     def test_structured_failure_advises_direct_route(self):
         # Restricted depolarizing dynamics on the real symmetric 3x3 system:
         # the projection-selected extension of the scaled resolvent keeps the
@@ -570,14 +586,27 @@ class TestExtendGroup:
 
     def test_zero_starts_give_a_certified_verdict(self, rebit, monkeypatch):
         calls = counting_multi_start(monkeypatch)
+        monkeypatch.setattr(np.random, "default_rng", no_solve)  # nothing random is drawn
         problem = ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(1.0))
-        gen, report = extension.extend_group(problem, n_starts=0)
+        gen, report = extension.extend_group(problem, n_starts=0, seed=5)
         assert calls == [[None]]  # the +A solve only
         assert gen.op.distance(catalog.rotation_extension_generator(1.0).op) <= 1e-6
         assert report.n_starts == 0 and report.uniqueness_spread == 0.0
+        assert report.multiplicativity_residual <= 1e-12
         assert report.certificate.commutant_dim == 1
         assert report.certificate.commutant_gap > 1.0
         assert report.certificate.inverse_witness <= 100.0 * FEASIBILITY_TOL
+
+    @pytest.mark.parametrize("seed", [0, 7, 29])
+    def test_start_seeds_are_drawn_one_at_a_time_from_the_seed(self, rebit, monkeypatch,
+                                                                seed):
+        rng = np.random.default_rng(seed)
+        expected = [int(rng.integers(0, 2**32 - 1)) for _ in range(4)]
+        calls = counting_multi_start(monkeypatch)
+        problem = ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(1.0))
+        extension.extend_group(problem, n_starts=4, seed=seed)
+        extension.rigidity_probe(rebit, n_starts=4, seed=seed)
+        assert calls == [[None], expected, expected]
 
     @pytest.mark.parametrize("n_starts", [-3])
     def test_negative_start_count_rejected(self, rebit, monkeypatch, n_starts):
@@ -650,6 +679,41 @@ class TestExtendGroup:
             problem, omega=6.0)
         assert family_report.converged
         assert via_family.op.distance(full.op) <= 1e-6
+
+
+def sampled_multiplicativity_residual(op, rng, pairs=8):
+    """max ||phi(ab) - phi(a) phi(b)||_F / (1 + ||a||_F ||b||_F) over random
+    complex pairs, as extend_group estimated it before it checked matrix units."""
+    d = op.d
+    worst = 0.0
+    for _ in range(pairs):
+        a, b = (linalg.random_hermitian(d, rng) + 1j * linalg.random_hermitian(d, rng)
+                for _ in range(2))
+        defect = op.apply(a @ b) - op.apply(a) @ op.apply(b)
+        worst = max(worst, linalg.frob(defect) / (1.0 + linalg.frob(a) * linalg.frob(b)))
+    return worst
+
+
+class TestMultiplicativityResidual:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_automorphism_has_no_defect(self, d):
+        u = linalg.random_unitary(d, np.random.default_rng([d, 11]))
+        assert extension._multiplicativity_residual(maps.conjugation_map(u)) <= 1e-14
+
+    def test_dissipation_is_not_multiplicative(self):
+        step = dynamics.evolve(catalog.g1(1.0), 1.0)
+        assert extension._multiplicativity_residual(step) > 100.0 * FEASIBILITY_TOL
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bounds_the_sampled_residual(self, d, seed):
+        # phi(ab) - phi(a) phi(b) = sum a_ij b_kl D_ijkl over the matrix-unit
+        # defects D, and sum |a_ij| <= d ||a||_F, so a sampled residual is at
+        # most d^2 max ||D||_F = 2 d^2 times the matrix-unit residual.
+        rng = np.random.default_rng([d, seed, 12])
+        phi = random_ucp_map(d, rng, n_kraus=2 + seed)
+        exact = extension._multiplicativity_residual(phi)
+        assert 0.0 < sampled_multiplicativity_residual(phi, rng) <= 2 * d * d * exact
 
 
 class TestRigidityProbe:

@@ -115,3 +115,10 @@ class TestSystemFromJson:
     def test_unknown_name(self):
         with pytest.raises(InputError):
             serialize.system_from_json("qutrit")
+
+    @pytest.mark.parametrize("name", ["real_symmetric_ 3", "real_symmetric_+3",
+                                      "real_symmetric_\uff13", "real_symmetric_3_4",
+                                      "real_symmetric_", "real_symmetric_" + "1" * 5000])
+    def test_real_symmetric_takes_ascii_digits_only(self, name):
+        with pytest.raises(InputError, match="bad system name"):
+            serialize.system_from_json(name)
