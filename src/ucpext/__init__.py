@@ -18,8 +18,8 @@ from .dynamics import (Generator, GeneratorCertificates, SubsystemGenerator,
                        hilbert_identity_residual,
                        is_conditionally_completely_positive, laplace_resolvent,
                        resolvent, spectral_bound, validate_subsystem_semigroup)
-from .errors import (ExtensionInfeasible, GroupExtensionError, InputError,
-                     NumericalError, ResolventFamilyError)
+from .errors import (ExtensionInfeasible, Failure, GroupExtensionError,
+                     InputError, NumericalError, ResolventFamilyError)
 from .extension import (ExtensionOptions, ExtensionProblem, ExtensionReport,
                         ResolventFamily, RigidityReport, extend_discrete,
                         extend_generator, extend_group, extend_ucp_map,

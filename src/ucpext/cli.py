@@ -39,8 +39,7 @@ import numpy as np
 
 from . import __version__, catalog, dynamics, extension, maps, serialize, systems
 from .dynamics import SubsystemGenerator
-from .errors import (ExtensionInfeasible, GroupExtensionError, InputError,
-                     NumericalError, ResolventFamilyError)
+from .errors import Failure, GroupExtensionError, InputError
 from .extension import ExtensionOptions, ExtensionProblem
 from .serialize import CHOI_CONVENTION
 from .tolerances import DEFAULT_STARTS
@@ -127,20 +126,23 @@ def _resolve_system(scenario):
 
 
 def _resolve_generator(scenario, options):
-    """A full-algebra generator from a catalog name or a generator spec."""
+    """A full-algebra generator from a catalog name or a generator spec, its
+    certificates computed at the scenario's ``tol`` when it sets one."""
     dyn = scenario.get("dynamics")
     if dyn is None:
         raise InputError("this command requires a 'dynamics' field")
-    if isinstance(dyn, str):
-        if dyn == "g1":
-            return catalog.g1(options.get("delta_param", 1.0))
-        if dyn == "g2":
-            return catalog.g2(options.get("delta_param", 1.0),
-                              **_given(options, g2_prefactor="prefactor"))
-        if dyn == "rotation_extension":
-            return catalog.rotation_extension_generator(options.get("omega_param", 1.0))
+    if dyn == "g1":
+        gen = catalog.g1(options.get("delta_param", 1.0))
+    elif dyn == "g2":
+        gen = catalog.g2(options.get("delta_param", 1.0),
+                         **_given(options, g2_prefactor="prefactor"))
+    elif dyn == "rotation_extension":
+        gen = catalog.rotation_extension_generator(options.get("omega_param", 1.0))
+    elif isinstance(dyn, str):
         raise InputError(f"unknown generator name {dyn!r}")
-    return serialize.generator_from_json(dyn)
+    else:
+        gen = serialize.generator_from_json(dyn)
+    return dynamics.certify(gen.op, options["tol"]) if "tol" in options else gen
 
 
 def _resolve_subsystem_generator(scenario, system, options) -> SubsystemGenerator:
@@ -191,7 +193,7 @@ def _report_superop(phi) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each returns (status, results)
+# Command handlers: each returns (holds, results)
 # ---------------------------------------------------------------------------
 
 def _cmd_check_cp(scenario, options):
@@ -211,18 +213,18 @@ def _cmd_check_cp(scenario, options):
             "level": report.witness.level,
             "matrix": serialize.matrix_to_json(report.witness.matrix),
         }
-    return "ok", results
+    return True, results
 
 
 def _cmd_check_ccp(scenario, options):
     gen = _resolve_generator(scenario, options)
     certs = gen.certificates
-    return "ok", {
+    return True, {
         "hermiticity_preserving": certs.hermiticity_preserving,
         "unital_kernel": certs.unital_kernel,
         "ccp": certs.ccp,
         "certified": certs.certified,
-        "group_certificate": dynamics.has_group_certificate(gen),
+        "group_certificate": dynamics.has_group_certificate(gen, **_given(options, "tol")),
         "spectral_bound": dynamics.spectral_bound(gen) if certs.hermiticity_preserving else None,
     }
 
@@ -234,7 +236,7 @@ def _cmd_validate(scenario, options):
         sub, **_given(options, "tol", "max_iter", times="sample_ts", lambdas="sample_lambdas"))
     results = {"valid": verdict.valid, "message": verdict.message,
                "checks": list(verdict.checks)}
-    return ("ok" if verdict.valid else "failed"), results
+    return verdict.valid, results
 
 
 def _sample_maps(scenario, options, grid_key, image_of, keys):
@@ -250,8 +252,8 @@ def _sample_maps(scenario, options, grid_key, image_of, keys):
         entries.append({param_key: value, ucp_key: maps.is_ucp(phi, **tol_kw),
                         map_key: _report_superop(phi)})
     certified = gen.certificates.certified
-    ok = not certified or all(entry[ucp_key] for entry in entries)
-    return ("ok" if ok else "failed"), {entries_key: entries, "certified": certified}
+    holds = not certified or all(entry[ucp_key] for entry in entries)
+    return holds, {entries_key: entries, "certified": certified}
 
 
 def _cmd_evolve(scenario, options):
@@ -288,8 +290,7 @@ def _cmd_identities(scenario, options):
         laplace_worst = max(laplace_worst, err)
         laplace.append({"lambda": lam, "quadrature_error": err,
                         "truncation_bound": bound})
-    ok = worst <= tol and laplace_worst <= laplace_tol
-    return ("ok" if ok else "failed"), {
+    return worst <= tol and laplace_worst <= laplace_tol, {
         "hilbert": hilbert, "hilbert_worst": worst, "hilbert_tol": tol,
         "laplace": laplace, "laplace_worst": laplace_worst, "laplace_tol": laplace_tol,
     }
@@ -301,7 +302,7 @@ def _cmd_extend_map(scenario, options):
     problem = ExtensionProblem.for_map(system, images, _extension_options(options))
     phi, report = extension.extend_ucp_map(problem)
     results = {"report": asdict(report), "map": _report_superop(phi)}
-    return ("ok" if report.converged else "failed"), results
+    return report.converged, results
 
 
 def _cmd_extend_generator(scenario, options):
@@ -314,8 +315,7 @@ def _cmd_extend_generator(scenario, options):
         "generator": serialize.generator_to_json(gen),
         "certificates": asdict(gen.certificates),
     }
-    status = "ok" if (report.converged and gen.certificates.certified) else "failed"
-    return status, results
+    return report.converged and gen.certificates.certified, results
 
 
 def _cmd_extend_resolvent_family(scenario, options):
@@ -331,13 +331,16 @@ def _cmd_extend_resolvent_family(scenario, options):
         "grid": list(family.grid),
         "family": [{"lambda": lam, "map": _report_superop(f)} for lam, f in family.members],
     }
-    return "ok", results
+    return True, results
 
 
 def _cmd_extend_group(scenario, options):
     system = _resolve_system(scenario)
     sub = _resolve_subsystem_generator(scenario, system, options)
-    problem = ExtensionProblem.for_generator(system, sub, _extension_options(options))
+    # The seed draws only the cross-check seeds: the one +A solve starts from
+    # the deterministic point, seeded or not.
+    problem = ExtensionProblem.for_generator(
+        system, sub, ExtensionOptions(**_given(options, "tol", "max_iter")))
     gen, report = extension.extend_group(
         problem, **_given(options, "seed", starts="n_starts"))
     results = {
@@ -349,7 +352,7 @@ def _cmd_extend_group(scenario, options):
         "n_starts": report.n_starts,
         "certificate": asdict(report.certificate),
     }
-    return "ok", results
+    return True, results
 
 
 def _cmd_extend_discrete(scenario, options):
@@ -357,7 +360,7 @@ def _cmd_extend_discrete(scenario, options):
     images = _resolve_map(scenario, system, options)
     horizon = options.get("horizon", 4)
     powers = extension.extend_discrete(system, images, horizon, _extension_options(options))
-    return "ok", {"horizon": horizon,
+    return True, {"horizon": horizon,
                   "powers": [_report_superop(p) for p in powers]}
 
 
@@ -365,7 +368,7 @@ def _cmd_rigidity_probe(scenario, options):
     system = _resolve_system(scenario)
     report = extension.rigidity_probe(
         system, **_given(options, "seed", "tol", "max_iter", starts="n_starts"))
-    return "ok", asdict(report)
+    return True, asdict(report)
 
 
 def _cmd_demo_rebit(scenario, options):
@@ -456,9 +459,8 @@ def _cmd_demo_rebit(scenario, options):
     record("evolutions-differ", diff > 0.1, frobenius_difference=diff, t=t_probe)
 
     failed = [c["name"] for c in checks if not c["passed"]]
-    status = "ok" if not failed else "failed"
-    return status, {"delta": delta, "omega": omega, "g2_prefactor": prefactor,
-                    "checks": checks, "failed_checks": failed}
+    return not failed, {"delta": delta, "omega": omega, "g2_prefactor": prefactor,
+                        "checks": checks, "failed_checks": failed}
 
 
 # "check-cp" -> _cmd_check_cp, ...; a test holds these to the schema's command enum.
@@ -509,21 +511,14 @@ def run_scenario(scenario: dict) -> dict:
     base = _envelope(scenario.get("command"), options)
     try:
         validate_scenario(scenario)
-        status, results = _HANDLERS[base["command"]](scenario, _decode_options(options))
-        base.update(status=status, results=results)
+        holds, results = _HANDLERS[base["command"]](scenario, _decode_options(options))
+        base.update(status="ok" if holds else "failed", results=results)
     except InputError as exc:
         _invalid_input(base, str(exc))
-    except (NumericalError, np.linalg.LinAlgError, ExtensionInfeasible,
-            GroupExtensionError) as exc:
+    except (Failure, np.linalg.LinAlgError) as exc:
         base.update(status="failed", results={},
-                    error={"type": type(exc).__name__, "message": str(exc)})
-    except ResolventFamilyError as exc:
-        base.update(status="failed", results={},
-                    error={"type": "ResolventFamilyError", "message": str(exc),
-                           "advice": exc.advice,
-                           "attempts": [{"omega": a.get("omega"),
-                                         "failure": a.get("failure")}
-                                        for a in exc.attempts]})
+                    error={"type": type(exc).__name__, "message": str(exc),
+                           **getattr(exc, "fields", {})})
     return base
 
 

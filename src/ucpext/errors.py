@@ -5,21 +5,34 @@ class InputError(ValueError):
     """Raised when an argument violates a documented precondition."""
 
 
-class NumericalError(RuntimeError):
+class Failure(RuntimeError):
+    """Raised when a computation on valid input ends without its result: a
+    numerical breakdown, an infeasible map, or a claim left unproved.
+
+    A CLI report records it as ``failed`` with the error block ``{"type",
+    "message", **fields}``; ``fields`` holds a subclass's extra entries.
+    """
+
+    @property
+    def fields(self) -> dict:
+        return {}
+
+
+class NumericalError(Failure):
     """Raised when a linear-algebra step fails (singular solve, bad conditioning)."""
 
 
-class ExtensionInfeasible(RuntimeError):
+class ExtensionInfeasible(Failure):
     """Raised when a feasibility-certified operation is given an infeasible map."""
 
 
-class GroupExtensionError(RuntimeError):
+class GroupExtensionError(Failure):
     """Raised when group extension fails: the dynamics is not a group on V,
     uniqueness is not certified (V is reducible, or the certificate fails),
     or randomized starts of the cross-check disagree with the certificate."""
 
 
-class ResolventFamilyError(RuntimeError):
+class ResolventFamilyError(Failure):
     """Raised when the resolvent-family route exhausts its parameter escalation
     without producing a conditionally completely positive generator.
 
@@ -27,7 +40,14 @@ class ResolventFamilyError(RuntimeError):
     (one record per tried parameter value).
     """
 
-    def __init__(self, message, advice="extend_generator", attempts=None):
+    advice = "extend_generator"
+
+    def __init__(self, message, attempts=None):
         super().__init__(message)
-        self.advice = advice
         self.attempts = attempts if attempts is not None else []
+
+    @property
+    def fields(self) -> dict:
+        return {"advice": self.advice,
+                "attempts": [{"omega": a.get("omega"), "failure": a.get("failure")}
+                             for a in self.attempts]}

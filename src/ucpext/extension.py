@@ -808,9 +808,12 @@ def _recover_generator(f_lam: SuperOp, lam: float) -> SuperOp:
     return SuperOp.from_transfer(f_lam.d, lam * (np.eye(t.shape[0]) - inv))
 
 
+# How often extend_via_resolvent_family doubles omega before it gives up.
+_MAX_DOUBLINGS = 10
+
+
 def extend_via_resolvent_family(problem: ExtensionProblem, omega: float,
-                                grid: Optional[Sequence[float]] = None,
-                                max_doublings: int = 10):
+                                grid: Optional[Sequence[float]] = None):
     """Extend a subsystem generator through a family of extended resolvents.
 
     At parameter omega the map omega * R(omega, A) on V is extended to a UCP
@@ -820,7 +823,7 @@ def extend_via_resolvent_family(problem: ExtensionProblem, omega: float,
     candidate must be conditionally completely positive.  If it is not, omega
     is doubled and the construction repeats: growing omega shrinks the set of
     admissible families and prunes invalid extensions.  After
-    ``max_doublings`` failures a structured error advises the direct
+    ``_MAX_DOUBLINGS`` failures a structured error advises the direct
     feasibility route (:func:`extend_generator`).
 
     Returns ``(generator, family, report)``.
@@ -844,7 +847,7 @@ def extend_via_resolvent_family(problem: ExtensionProblem, omega: float,
 
     attempts = []
     current = omega
-    for _ in range(max_doublings + 1):
+    for _ in range(_MAX_DOUBLINGS + 1):
         images = dynamics.subsystem_resolvent_images(sub, current)
         map_problem = ExtensionProblem.for_map(sub.system, images, inner)
         f_omega, map_report = extend_ucp_map(map_problem)
@@ -878,9 +881,8 @@ def extend_via_resolvent_family(problem: ExtensionProblem, omega: float,
 
     raise ResolventFamilyError(
         f"no conditionally completely positive generator recovered up to "
-        f"omega = {current / 2.0} ({max_doublings} doublings from {omega}); "
+        f"omega = {current / 2.0} ({_MAX_DOUBLINGS} doublings from {omega}); "
         "fall back to extend_generator",
-        advice="extend_generator",
         attempts=attempts,
     )
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -12,10 +13,15 @@ import pytest
 import ucpext
 from ucpext import catalog, cli, dynamics, extension, maps, serialize
 from ucpext.cli import load_scenario_schema, main, run_scenario
-from ucpext.errors import ResolventFamilyError
+from ucpext.errors import Failure, ResolventFamilyError
 
 REPORT_SCHEMA = json.loads(
     (load_scenario_schema.__globals__["_SCHEMA_DIR"] / "report.schema.json").read_text())
+
+
+def failure_types(cls=Failure):
+    """Every subclass of ``cls``, at any depth."""
+    return [sub for direct in cls.__subclasses__() for sub in (direct, *failure_types(direct))]
 
 
 def write_scenario(tmp_path, scenario, name="scenario.json"):
@@ -121,6 +127,35 @@ class TestRunScenario:
         gen = serialize.generator_from_json(report["results"]["generator"])
         expected = 1j * 0.5 * (pauli.Y @ pauli.X - pauli.X @ pauli.Y)
         np.testing.assert_allclose(gen.op.apply(pauli.X), expected, atol=1e-6)
+
+    def test_seeded_group_solves_from_the_deterministic_start(self):
+        # The seed only draws the cross-check seeds: with no starts, a seeded
+        # run is the unseeded one, bit for bit.
+        reports = [run_scenario({"command": "extend-group", "system": "rebit",
+                                 "dynamics": "rebit_rotation", "options": options})
+                   for options in ({}, {"seed": 7})]
+        assert [r["status"] for r in reports] == ["ok", "ok"]
+        unseeded, seeded = (r["results"] for r in reports)
+        assert seeded["generator"] == unseeded["generator"]
+        assert seeded["report"] == unseeded["report"]
+        assert seeded["report"]["iterations"] == 1
+
+    @pytest.mark.parametrize("command, verdicts", [
+        ("check-ccp", lambda r: [r["ccp"], r["certified"], r["group_certificate"]]),
+        ("evolve", lambda r: [r["certified"], r["evolutions"][0]["is_ucp"]]),
+        ("resolvent", lambda r: [r["certified"], r["resolvents"][0]["scaled_is_ucp"]]),
+    ])
+    def test_certificates_at_the_scenario_tol(self, command, verdicts):
+        # -1e-6 g1 has a ccp eigenvalue of -1e-6: not ccp at the default tol,
+        # ccp at tol 1e-3, and every verdict of a report is read at one tol.
+        dynamics_spec = {"kind": "choi",
+                         "super": serialize.superop_to_json(-1e-6 * catalog.g1(1.0).op)}
+        default, loose = (run_scenario({"command": command, "dynamics": dynamics_spec,
+                                        "options": options})
+                          for options in ({}, {"tol": 1e-3}))
+        assert default["status"] == loose["status"] == "ok"
+        assert not any(verdicts(default["results"]))
+        assert all(verdicts(loose["results"]))
 
     def test_extend_generator_seeds_differ_on_y(self, pauli):
         reports = [run_scenario({"command": "extend-generator", "system": "rebit",
@@ -269,6 +304,87 @@ class TestFailuresAndExitCodes:
             "attempts": [{"omega": 4.0, "failure": "not ccp"},
                          {"omega": 8.0, "failure": "not ccp"}]}
         jsonschema.validate(report, REPORT_SCHEMA)
+
+    @pytest.mark.parametrize("error_type", [*failure_types(), np.linalg.LinAlgError],
+                             ids=lambda cls: cls.__name__)
+    def test_every_failure_is_one_failed_report(self, tmp_path, capsys, monkeypatch,
+                                                error_type):
+        exc = error_type("boom")
+
+        def fail(scenario, options):
+            raise exc
+
+        monkeypatch.setitem(cli._HANDLERS, "check-ccp", fail)
+        scenario = {"command": "check-ccp", "dynamics": "g1"}
+        report = run_scenario(scenario)
+        assert report["status"] == "failed"
+        assert report["results"] == {}
+        assert report["error"] == {"type": error_type.__name__, "message": "boom",
+                                   **getattr(exc, "fields", {})}
+        jsonschema.validate(report, REPORT_SCHEMA)
+        path = write_scenario(tmp_path, scenario)
+        capsys.readouterr()
+        assert main(["run", path]) == 1
+        assert strict_json(capsys.readouterr().out) == report
+
+    def test_the_library_failures_share_one_base(self):
+        assert {"NumericalError", "ExtensionInfeasible", "GroupExtensionError",
+                "ResolventFamilyError"} <= {cls.__name__ for cls in failure_types()}
+
+    def test_infeasible_discrete_step(self, tmp_path, capsys):
+        transpose = serialize.superop_to_json(maps.transpose_map(2))
+        scenario = {"command": "extend-discrete", "system": "M2",
+                    "dynamics": {"kind": "choi", "super": transpose}}
+        path = write_scenario(tmp_path, scenario)
+        capsys.readouterr()
+        assert main(["run", path]) == 1
+        report = strict_json(capsys.readouterr().out)
+        assert report["status"] == "failed"
+        assert report["error"]["type"] == "ExtensionInfeasible"
+        assert report["error"]["message"].startswith(
+            "the given map is not extendably UCP on V")
+        jsonschema.validate(report, REPORT_SCHEMA)
+
+    def test_resolvent_family_exhausts_its_doublings(self):
+        # B -> -(B - tr B I / 3) restricted to real_symmetric_3: no doubling of
+        # omega recovers a ccp generator (see test_extension's direct route).
+        depolarizing = maps.from_action(3, lambda b: -(b - np.trace(b) * np.eye(3) / 3.0))
+        report = run_scenario({
+            "command": "extend-resolvent-family", "system": "real_symmetric_3",
+            "dynamics": {"kind": "choi", "super": serialize.superop_to_json(depolarizing)},
+            "options": {"omega": 8.0}})
+        assert report["status"] == "failed"
+        error = report["error"]
+        assert error["type"] == "ResolventFamilyError"
+        assert error["advice"] == "extend_generator"
+        assert [a["omega"] for a in error["attempts"]] == [8.0 * 2**k for k in range(11)]
+        assert error["message"] == (
+            "no conditionally completely positive generator recovered up to omega = "
+            "8192.0 (10 doublings from 8.0); fall back to extend_generator")
+        jsonschema.validate(report, REPORT_SCHEMA)
+
+    def test_status_is_written_in_one_place(self):
+        # Handlers return a verdict; only run_scenario turns it into a status,
+        # and only _EXIT_BY_STATUS turns a status into an exit code.
+        tree = ast.parse(Path(cli.__file__).read_text())
+        owners = set()
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Constant) and node.value in ("ok", "failed"):
+                    owners.add(ast.unparse(stmt.targets[0]) if isinstance(stmt, ast.Assign)
+                               else getattr(stmt, "name", ast.unparse(stmt)))
+        assert owners == {"run_scenario", "_EXIT_BY_STATUS"}
+
+    @pytest.mark.parametrize("omega_param", [
+        1e4, 1e6,
+        pytest.param(1e8, marks=pytest.mark.xfail(strict=True, reason=(
+            "the residuals are absolute, so a valid group generator fails at "
+            "this scale (ROADMAP item 6, generator scale)")))])
+    def test_rotation_generator_extends_at_any_scale(self, omega_param):
+        report = run_scenario({"command": "extend-generator", "system": "rebit",
+                               "dynamics": "rebit_rotation",
+                               "options": {"omega_param": omega_param}})
+        assert report["status"] == "ok"
 
     def test_scenario_not_an_object_is_invalid_input(self, tmp_path, capsys):
         path = tmp_path / "list.json"

@@ -365,7 +365,7 @@ class TestResolventFamilyRoute:
         with pytest.raises(InputError, match=r"lam must lie in \(0, 4\.0\], got 4\.0000000000001"):
             family.at(4.0 + 1e-13)
 
-    def test_structured_failure_advises_direct_route(self):
+    def test_structured_failure_advises_direct_route(self, monkeypatch):
         # Restricted depolarizing dynamics on the real symmetric 3x3 system:
         # the projection-selected extension of the scaled resolvent keeps the
         # antisymmetric part fixed, which is not completely positive at d = 3,
@@ -375,8 +375,9 @@ class TestResolventFamilyRoute:
         action = [-(v - np.trace(v) / 3.0 * np.eye(3)) for v in system.basis]
         sub = SubsystemGenerator.from_action(system, action)
         problem = ExtensionProblem.for_generator(system, sub)
+        monkeypatch.setattr(extension, "_MAX_DOUBLINGS", 2)
         with pytest.raises(ResolventFamilyError) as excinfo:
-            extension.extend_via_resolvent_family(problem, omega=8.0, max_doublings=2)
+            extension.extend_via_resolvent_family(problem, omega=8.0)
         assert excinfo.value.advice == "extend_generator"
         assert len(excinfo.value.attempts) == 3
         gen, report = extension.extend_generator(problem)
@@ -1175,6 +1176,28 @@ class TestNoFalseNotUcp:
 # ---------------------------------------------------------------------------
 # Uniqueness from the commutant: the pinching witness and ||G+ + G-||
 # ---------------------------------------------------------------------------
+
+
+# Seeds of random_ucp_map(2, ., n_kraus=2) whose extension on the rebit basis
+# scaled to {I, 1e6 X, 1e6 Z} does not converge: the Choi matrix is the one of
+# {I, X, Z}, but restriction_error is absolute and reads 6.9e-7 to 3.0e-5.
+_SCALED_BASIS_UNCONVERGED = {1, 2, 4, 5, 7}
+
+
+class TestBasisScale:
+    @pytest.mark.parametrize("scale, seed", [
+        *((1.0, seed) for seed in range(8)),
+        *(pytest.param(1e6, seed, marks=pytest.mark.xfail(strict=True, reason=(
+            "the residuals are absolute, so the verdict depends on the scale of "
+            "V's basis (ROADMAP item 6)")))
+          if seed in _SCALED_BASIS_UNCONVERGED else (1e6, seed) for seed in range(8)),
+    ])
+    def test_map_extension_converges_at_any_basis_scale(self, pauli, scale, seed):
+        system = MatricialSystem.from_basis([pauli.I, scale * pauli.X, scale * pauli.Z])
+        phi = random_ucp_map(2, np.random.default_rng(seed), n_kraus=2)
+        _, report = extension.extend_ucp_map(
+            ExtensionProblem.for_map(system, [phi.apply(v) for v in system.basis]))
+        assert report.converged
 
 
 class TestUniquenessCertificate:
