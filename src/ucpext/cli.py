@@ -170,7 +170,8 @@ def _resolve_superop(scenario, options):
     dyn = scenario.get("dynamics")
     if isinstance(dyn, dict) and dyn.get("kind") == "choi" and "time" not in options:
         return serialize.superop_from_json(dyn.get("super"))
-    return dynamics.evolve(_resolve_generator(scenario, options), options.get("time", 1.0))
+    return dynamics.evolve(_resolve_generator(scenario, options), options.get("time", 1.0),
+                           **_given(options, "tol"))
 
 
 def _resolve_map(scenario, system, options):
@@ -257,7 +258,8 @@ def _sample_maps(scenario, options, grid_key, image_of, keys):
 
 
 def _cmd_evolve(scenario, options):
-    return _sample_maps(scenario, options, "times", dynamics.evolve,
+    return _sample_maps(scenario, options, "times",
+                        functools.partial(dynamics.evolve, **_given(options, "tol")),
                         ("evolutions", "t", "is_ucp", "map"))
 
 

@@ -137,13 +137,14 @@ def gksl_generator(d: int, hamiltonian=None, jumps: Sequence = ()) -> Generator:
     return certify(maps.from_action(d, action))
 
 
-def evolve(gen: Generator, t: float) -> SuperOp:
+def evolve(gen: Generator, t: float, tol: float = FEASIBILITY_TOL) -> SuperOp:
     """The semigroup element exp(t * A) as a SuperOp.
 
-    Negative t requires the group certificate (both +A and -A ccp).
+    Negative t requires the group certificate (both +A and -A ccp), decided
+    at ``tol``.
     """
     t = float(t)
-    if t < 0 and not has_group_certificate(gen):
+    if t < 0 and not has_group_certificate(gen, tol):
         raise InputError("t < 0 requires a group certificate (both +A and -A ccp)")
     return SuperOp.from_transfer(gen.d, linalg.expm(gen.op.transfer, scale=t))
 
@@ -320,10 +321,13 @@ def validate_subsystem_semigroup(sub: SubsystemGenerator,
     on the full matrix algebra; feasibility of the extension problem is the
     certificate, and each check records the feasibility residuals.  Samples
     outside the semigroup (t < 0 or lambda <= 0), and an empty sample set, are
-    rejected before any solve.  A singular resolvent sample is a failed check:
+    rejected before any solve.  Every sample's images are computed first, and
+    then all samples are solved as one batch
+    (:func:`extension.ucp_extensions_feasible`), each with the verdict it gets
+    alone.  A singular resolvent sample is a failed check and is not solved:
     at lambda > 0, a UCP semigroup's generator has lambda in its resolvent
     set.  An evolution sample whose exponential overflows is no evidence; its
-    :class:`NumericalError` ends the validation.
+    :class:`NumericalError` ends the validation before any solve.
     """
     from . import extension  # local import: extension builds on this module
 
@@ -334,19 +338,20 @@ def validate_subsystem_semigroup(sub: SubsystemGenerator,
                + [("evolution", t, subsystem_evolve_images) for t in sample_ts])
     if not samples:
         raise InputError("no samples: a verdict needs at least one t or lambda")
-    checks = []
+    checks, solved, images = [], [], []
     for kind, parameter, images_of in samples:
         check = {"kind": kind, "parameter": float(parameter)}
         try:
-            images = images_of(sub, parameter)
+            images.append(images_of(sub, parameter))
+            solved.append(check)
         except NumericalError as exc:
             if kind == "evolution":
                 raise
-            checks.append({**check, "feasible": False, "residuals": None, "error": str(exc)})
-            continue
-        feasible, residuals = extension.ucp_extension_feasible(
-            sub.system, images, tol=tol, max_iter=max_iter)
-        checks.append({**check, "feasible": feasible, "residuals": residuals})
+            check.update(feasible=False, residuals=None, error=str(exc))
+        checks.append(check)
+    verdicts = extension.ucp_extensions_feasible(sub.system, images, tol=tol, max_iter=max_iter)
+    for check, (feasible, residuals) in zip(solved, verdicts):
+        check.update(feasible=feasible, residuals=residuals)
     valid = all(check["feasible"] for check in checks)
     message = "UCP subsystem semigroup" if valid else "not a UCP subsystem semigroup"
     return SubsystemValidationReport(valid=valid, checks=tuple(checks), message=message)

@@ -112,27 +112,33 @@ solves with the problem's options as given, and an int ``s`` solves from the
 randomized start with ``seed = s``, so equal seeds give bit-identical
 extensions.
 
-Multi-start.  All the starts of :func:`multi_start` are solved as one batch,
-in one lockstep Newton-CG loop: the start points, each dual evaluation (one
-stacked eigh and stacked lift and relayout products), the CG steps, the line
-search and the polish act on arrays with a leading member axis.  Each member
-keeps its own stopping rules, step length, best point, ``iterations`` and
-report (``restriction_error`` is measured on its returned map).  A member
-leaves the batch at one place, the top of each Newton step, where every
-member that stopped is dropped.  Within a step no member leaves: a row whose
-CG has converged leaves only the CG arrays, and a member that stops
-backtracking keeps its step, accepted or 0, while the others backtrack, so
-each trial of the line search evaluates the whole batch.  Every operation acts
-on each member alone, so a member's extension and report are bit-identical to
-those of the batch of one from its seed; a single solve is such a batch,
-with the same (B, 1) per-member columns as any other.  At d = 2 the arrays
-are 3 x 3 or 4 x 4, so numpy's per-call cost, not arithmetic, sets the time
-of a step: eight seeded starts of the rebit rotation or dissipation take
-about 2.5 times as long as one.
+Batches.  A batch is a set of problems on one system and one cone, each
+member with its own start and its own agreement targets, solved in one
+lockstep Newton-CG loop: the start points, each dual evaluation (one stacked
+eigh and stacked lift and relayout products), the CG steps, the line search
+and the polish act on arrays with a leading member axis, and each member's
+rows of the targets T and R^-T T travel with its start point.  All the
+starts of :func:`multi_start` are one batch that shares its problem's
+targets; the samples of a validation are another, one map per member
+(:func:`ucp_extensions_feasible`).  Each member keeps its own stopping
+rules, step length, best point, ``iterations`` and report
+(``restriction_error`` is measured on its returned map).  A member leaves
+the batch at one place, the top of each Newton step, where every member
+that stopped is dropped.  Within a step no member leaves: a row whose CG has
+converged leaves only the CG arrays, and a member that stops backtracking
+keeps its step, accepted or 0, while the others backtrack, so each trial of
+the line search evaluates the whole batch.  Every operation acts on each
+member alone, so a member's extension and report are bit-identical to those
+of the batch of one from its seed and targets; a single solve is such a
+batch, with the same (B, 1) per-member columns as any other.  At d = 2 the
+arrays are 3 x 3 or 4 x 4, so numpy's per-call cost, not arithmetic, sets
+the time of a step: eight seeded starts of the rebit rotation or dissipation
+take about 2.5 times as long as one.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass, field, replace
@@ -160,6 +166,7 @@ __all__ = [
     "RigidityReport",
     "extend_ucp_map",
     "ucp_extension_feasible",
+    "ucp_extensions_feasible",
     "rescale_resolvent",
     "extend_generator",
     "extend_via_resolvent_family",
@@ -374,17 +381,20 @@ class _JacobianDefect(NamedTuple):
 
 
 class _FeasibilitySolver:
-    """Shared precomputation for one feasibility problem, solved from a batch
-    of starts.
+    """Shared precomputation for a batch of feasibility problems on one system
+    and one cone, solved from one start each.
 
+    ``targets`` holds the agreement targets: one set of |V| matrices, which
+    every member of a batch shares, or a stack of such sets, one per member.
     Iterates are Hermitian d^2 x d^2 Choi matrices; the affine projection is
     the matrix-free one of the module docstring, and the dual variables are
     |V| x d^2 arrays whose rows are Hermitian d x d matrices, handled as flat
     real vectors (a complex array viewed as its real and imaginary parts), so
     that plain dot products are the real inner product Re tr(a* b).  The
     methods act on one matrix or on a stack along a leading batch axis, one
-    member per start, and every operation acts on each member alone, so a
-    member's iterates do not depend on the rest of its batch.
+    member per row, each row against its own targets (:meth:`take`), and
+    every operation acts on each member alone, so a member's iterates do not
+    depend on the rest of its batch.
     """
 
     def __init__(self, system: MatricialSystem, targets, ccp: bool = False):
@@ -392,9 +402,10 @@ class _FeasibilitySolver:
         n = d * d
         self.system = system
         self.d = d
-        self.targets = [linalg.as_matrix(t) for t in targets]
+        self.targets = np.asarray(targets, dtype=complex)
+        members = self.targets.shape[:-3]  # () for a shared set, (B,) for one per member
         self.basis_rows = np.array(system.basis).reshape(len(system), n)
-        self.target_rows = np.array(self.targets).reshape(len(system), n)
+        self.target_rows = self.targets.reshape(members + (len(system), n))
         # whiten = R^-T with G = R^T R, the system's orthonormalization
         # coefficients, and onb_rows the orthonormal basis Q = R^-T basis as
         # rows.  lift W is L(W) = sum_k conj(Q_k) (x) W_k relaid out, and
@@ -404,18 +415,31 @@ class _FeasibilitySolver:
         self.onb_rows = system.onb.reshape(len(system), n)
         self.lift = np.conj(self.onb_rows).T
         self.dual_adjoint = self.lift @ self.whiten
-        self.dual_targets = (self.whiten @ self.target_rows).view(float).ravel()
+        self.dual_targets = (self.whiten @ self.target_rows).view(float).reshape(members + (-1,))
         self.cg_steps = len(system) * n
         self.dual_shape = (-1, len(system), n)  # a stack of duals as complex |V| x d^2
         self.blocks = (-1, d, d, d, d)  # a stack of Choi matrices as [i, a, j, b]
         # The cone clips F* C F, F the frame of the cone as columns.
         self.base, self.frame, self.frame_h = _cone_constants(d, ccp)
-        offset = self.project_affine(np.zeros((n, n), dtype=complex))
-        inconsistency = self.affine_residual(offset)
-        if inconsistency > FEASIBILITY_TOL * (1.0 + linalg.frob(self.target_rows)):
-            raise InputError(
-                f"agreement targets are inconsistent: residual {inconsistency:.3e}"
-            )
+        offsets = self.project_affine(np.zeros((n, n), dtype=complex))
+        defects = self._defect(self._relayout(offsets)).reshape(self.dual_shape)
+        for defect, rows in zip(defects, self.target_rows.reshape(self.dual_shape)):
+            inconsistency = linalg.frob(defect)
+            if inconsistency > FEASIBILITY_TOL * (1.0 + linalg.frob(rows)):
+                raise InputError(
+                    f"agreement targets are inconsistent: residual {inconsistency:.3e}"
+                )
+
+    def take(self, rows) -> "_FeasibilitySolver":
+        """The solver of the members ``rows`` of a batch: the same system and
+        cone, with those members' rows of the targets.  A shared set serves
+        any members as it is."""
+        if self.targets.ndim == 3:
+            return self
+        taken = copy.copy(self)
+        taken.targets, taken.target_rows, taken.dual_targets = (
+            a[rows] for a in (self.targets, self.target_rows, self.dual_targets))
+        return taken
 
     def _relayout(self, c: np.ndarray) -> np.ndarray:
         """C[(i,a),(j,b)] <-> M[(i,j),(a,b)]; the swap is its own inverse."""
@@ -442,9 +466,6 @@ class _FeasibilitySolver:
         """P(C) = C - sum_k conj(D_k) (x) (A(C)_k - target_k)."""
         m = self._relayout(c)
         return linalg.hermitian_part(self._relayout(m - self.dual_adjoint @ self._defect(m)))
-
-    def affine_residual(self, c: np.ndarray) -> float:
-        return linalg.frob(self._defect(self._relayout(c)))
 
     def start_points(self, seeds) -> np.ndarray:
         """The start point of each seed (module docstring), stacked."""
@@ -573,16 +594,17 @@ class _FeasibilitySolver:
         return spent, moved, trial
 
     def solve(self, options: ExtensionOptions, seeds) -> list:
-        """Project the start point of each seed onto the feasible set (module
-        docstring), all starts in one lockstep loop, with the tolerance and
-        budget of ``options``.  Each member stops by its own rules and counts
-        its own evaluations.  This is the one place where a member leaves the
-        batch: at the top of each Newton step, the members that met the
-        tolerance or the roundoff floor, spent their budget, stalled, or did
-        not move in the last line search (with budget left, only a non-finite
-        trial stops one there) are dropped from the rows of the dual point and
-        of the start points together.  Returns one ``(superop, report)`` per
-        seed.
+        """Project the start point of each seed onto its member's feasible set
+        (module docstring), all members in one lockstep loop, with the
+        tolerance and budget of ``options``: one seed per member of a stack of
+        targets, or any number of seeds on a shared set.  Each member stops by
+        its own rules and counts its own evaluations.  This is the one place
+        where a member leaves the batch: at the top of each Newton step, the
+        members that met the tolerance or the roundoff floor, spent their
+        budget, stalled, or did not move in the last line search (with budget
+        left, only a non-finite trial stops one there) are dropped from the
+        rows of the targets, of the dual point and of the start points
+        together.  Returns one ``(superop, report)`` per seed.
         """
         if not seeds:
             return []
@@ -590,14 +612,14 @@ class _FeasibilitySolver:
         inner_tol = 0.2 * tol
         size = len(seeds)
         x0 = self.start_points(seeds)
-        point = self._dual_point(x0, np.zeros((size, self.dual_targets.size)))
+        point = self._dual_point(x0, np.zeros((size, self.dual_targets.shape[-1])))
         if not all(map(math.isfinite, point.value + point.residual)):
             raise NumericalError("the dual overflowed at the start point")
         iterations = [1] * size
         best_residual, best_x = list(point.residual), list(point.x)
         window_best = [math.inf] * size
         stalled = [False] * size
-        live = list(range(size))  # the member of each row of point and x0
+        batch, live = self, list(range(size))  # the member of each row of batch, point, x0
         moved = [True] * size
         steps = 0
         while True:
@@ -608,9 +630,9 @@ class _FeasibilitySolver:
                 if not going:
                     break
                 live = [live[k] for k in going]
-                point, x0 = point.take(going), x0[going]
-            spent, moved, point = self._line_search(
-                x0, point, self._newton_direction(point),
+                batch, point, x0 = batch.take(going), point.take(going), x0[going]
+            spent, moved, point = batch._line_search(
+                x0, point, batch._newton_direction(point),
                 [max_iter - iterations[i] for i in live])
             residuals = point.residual
             for k, i in enumerate(live):
@@ -633,11 +655,13 @@ class _FeasibilitySolver:
         chois = self.project_cone(z)
         gaps = z - chois
         defects = self._defect(self._relayout(chois))
+        member_targets = np.broadcast_to(self.targets, (size,) + self.targets.shape[-3:])
         runs = []
-        for choi, gap, defect, evaluations in zip(chois, gaps, defects, iterations):
+        for choi, gap, defect, targets, evaluations in zip(
+                chois, gaps, defects, member_targets, iterations):
             result = SuperOp(self.d, choi)
             cone_residual, affine_residual = linalg.frob(gap), linalg.frob(defect)
-            restriction = restriction_error(result, self.system.basis, self.targets)
+            restriction = restriction_error(result, self.system.basis, targets)
             runs.append((result, ExtensionReport(
                 iterations=evaluations,
                 cone_residual=cone_residual,
@@ -705,21 +729,38 @@ def ucp_extension_feasible(system: MatricialSystem, images,
     """Feasibility verdict for extending the map v_k -> images[k] to a UCP map.
 
     Returns ``(feasible, residuals)``; used as the Arveson-type certificate
-    that a map given on V is UCP there.
+    that a map given on V is UCP there.  The one-member case of
+    :func:`ucp_extensions_feasible`.
     """
-    try:
-        problem = ExtensionProblem.for_map(
-            system, images, ExtensionOptions(tol=tol, max_iter=max_iter))
-    except InputError:
-        return False, None
-    result, report = extend_ucp_map(problem)
-    residuals = {
-        "cone": report.cone_residual,
-        "affine": report.affine_residual,
-        "restriction": report.restriction_error,
-        "iterations": report.iterations,
-    }
-    return report.converged, residuals
+    return ucp_extensions_feasible(system, [images], tol, max_iter)[0]
+
+
+def ucp_extensions_feasible(system: MatricialSystem, image_sets,
+                            tol: float = FEASIBILITY_TOL,
+                            max_iter: int = VALIDATE_MAX_ITER) -> list:
+    """The verdict of :func:`ucp_extension_feasible` for each of ``image_sets``,
+    all maps on one system, solved as one batch from their deterministic
+    starts; each member's verdict is the one it gets alone.  A set of images
+    that is no unital map on V gets ``(False, None)`` and is not solved.
+    """
+    options = ExtensionOptions(tol=tol, max_iter=max_iter)
+    posed = {}  # the targets of each set of images that is a unital map on V
+    for k, images in enumerate(image_sets):
+        try:
+            posed[k] = ExtensionProblem.for_map(system, images, options).map_targets
+        except InputError:
+            pass
+    runs = (_FeasibilitySolver(system, list(posed.values())).solve(options, [None] * len(posed))
+            if posed else [])
+    verdicts = [(False, None)] * len(image_sets)
+    for k, (_, report) in zip(posed, runs):
+        verdicts[k] = (report.converged, {
+            "cone": report.cone_residual,
+            "affine": report.affine_residual,
+            "restriction": report.restriction_error,
+            "iterations": report.iterations,
+        })
+    return verdicts
 
 
 # ---------------------------------------------------------------------------

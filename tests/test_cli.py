@@ -157,6 +157,23 @@ class TestRunScenario:
         assert not any(verdicts(default["results"]))
         assert all(verdicts(loose["results"]))
 
+    @pytest.mark.parametrize("command, options", [
+        ("evolve", {"times": [-1.0]}), ("check-cp", {"time": -1.0})])
+    def test_negative_times_at_the_scenario_tol(self, command, options):
+        # -1e-6 g1 is ccp at tol 1e-3 only, as check-ccp's group_certificate
+        # says: exp(-t 1e-6 g1) is defined at that tol, and refused at the default.
+        dynamics_spec = {"kind": "choi",
+                         "super": serialize.superop_to_json(1e-6 * catalog.g1(1.0).op)}
+        default, loose = (run_scenario({"command": command, "dynamics": dynamics_spec,
+                                        "options": {**options, **tol}})
+                          for tol in ({}, {"tol": 1e-3}))
+        assert default["status"] == "invalid-input"
+        assert "group certificate" in default["error"]["message"]
+        assert loose["status"] == "ok"
+        certificate = run_scenario({"command": "check-ccp", "dynamics": dynamics_spec,
+                                    "options": {"tol": 1e-3}})
+        assert certificate["results"]["group_certificate"] is True
+
     def test_extend_generator_seeds_differ_on_y(self, pauli):
         reports = [run_scenario({"command": "extend-generator", "system": "rebit",
                                  "dynamics": "rebit_dissipative",

@@ -129,6 +129,14 @@ class TestEvolve:
         back = dynamics.evolve(g, -0.5)
         assert maps.is_ucp(back)
 
+    def test_negative_time_at_the_given_tol(self):
+        # -1e-6 g1 is ccp at tol 1e-3 only, so the group certificate that
+        # t < 0 needs holds at that tol alone.
+        g = dynamics.certify(1e-6 * catalog.g1(1.0).op)
+        with pytest.raises(InputError, match="group certificate"):
+            dynamics.evolve(g, -1.0)
+        assert maps.is_ucp(dynamics.evolve(g, -1.0, tol=1e-3), 1e-3)
+
     def test_certified_evolution_is_ucp(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
@@ -350,7 +358,7 @@ class TestValidation:
         def no_solve(*args, **kwargs):
             raise AssertionError("no sample may be solved")
 
-        monkeypatch.setattr(extension, "ucp_extension_feasible", no_solve)
+        monkeypatch.setattr(extension._FeasibilitySolver, "solve", no_solve)
         with pytest.raises(InputError, match="samples must lie in the semigroup"):
             dynamics.validate_subsystem_semigroup(catalog.rebit_rotation(1.0), **samples)
 
@@ -360,7 +368,7 @@ class TestValidation:
         def no_solve(*args, **kwargs):
             raise AssertionError("no sample may be solved")
 
-        monkeypatch.setattr(extension, "ucp_extension_feasible", no_solve)
+        monkeypatch.setattr(extension._FeasibilitySolver, "solve", no_solve)
         with pytest.raises(InputError, match="no samples"):
             dynamics.validate_subsystem_semigroup(
                 catalog.rebit_rotation(1.0), sample_ts=(), sample_lambdas=())
@@ -386,10 +394,11 @@ class TestValidation:
         from ucpext import extension
 
         solved = []
-        feasible = extension.ucp_extension_feasible
-        monkeypatch.setattr(extension, "ucp_extension_feasible",
-                            lambda *a, **k: solved.append(1) or feasible(*a, **k))
+        solve = extension._FeasibilitySolver.solve
+        monkeypatch.setattr(extension._FeasibilitySolver, "solve",
+                            lambda solver, options, seeds: solved.extend(seeds)
+                            or solve(solver, options, seeds))
         with pytest.raises(NumericalError, match="overflowed"):
             dynamics.validate_subsystem_semigroup(
                 catalog.rebit_dissipative(1.0), sample_ts=(0.5, 1e100))
-        assert len(solved) == 3  # the two resolvent samples and t = 0.5
+        assert solved == []  # every sample's images come before the one batch solve
