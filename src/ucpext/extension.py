@@ -134,6 +134,27 @@ batch, with the same (B, 1) per-member columns as any other.  At d = 2 the
 arrays are 3 x 3 or 4 x 4, so numpy's per-call cost, not arithmetic, sets
 the time of a step: eight seeded starts of the rebit rotation or dissipation
 take about 2.5 times as long as one.
+
+Real arithmetic.  A member whose own data is real is solved in float64, the
+others in complex128.  Its data is real when the system's basis has no
+imaginary part at all (``MatricialSystem.real``), nor have its targets, and
+its start is the deterministic one; no tolerance enters.  Then the basis, Q
+and the target rows, the lift and dual_adjoint, the base of the start and
+the cone's frame (from the eigh of the real P) are real; the dual W is the
+real |V| d^2 vector of real symmetric rows, each clip a real eigh and each
+CG step real products.  It computes the same point: complex conjugation
+maps the cone, the real basis and the real targets to themselves, so it maps
+the feasible set onto itself, and it fixes the real start and preserves
+distances, so it fixes the start's projection, which is therefore real.
+From a real start every iterate of the complex solve is real as well, so
+the two solves take the same steps in exact arithmetic and differ by
+roundoff.  Seeded starts stay complex: a real random start would change the
+distribution of the starts, and with it the spreads that randomized starts
+report.  A batch that mixes the two is solved as one lockstep loop per
+arithmetic, the complex members first; every operation acts on each member
+alone, so each member still gets the result it gets alone.  Every solve
+returns a complex ``SuperOp``; the Choi matrix of one solved in real
+arithmetic has an imaginary part of exactly 0.
 """
 
 from __future__ import annotations
@@ -325,18 +346,23 @@ def _clip_weights(w: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _cone_constants(d: int, ccp: bool) -> tuple:
+def _cone_constants(d: int, ccp: bool, dtype: np.dtype) -> tuple:
     """``(base, F, F*)``: the base of the start points and the frame of the
     cone (module docstring), F = I for the PSD cone of maps and an orthonormal
     basis of the range of P for the ccp cone of generators.  The one place
-    that tells the two cones apart.  They depend on d alone, so they are
-    computed once per dimension and shared read-only by every solver."""
+    that tells the two cones apart.  They depend on d and the arithmetic
+    alone, so they are computed once per dimension and dtype and shared
+    read-only by every solver; in real arithmetic the base is real and the
+    frame comes from the eigh of the real P."""
     n = d * d
+    real = dtype == np.float64
     if ccp:
-        base = np.zeros((n, n), dtype=complex)
-        frame = np.linalg.eigh(maps.ccp_projector(d))[1][:, 1:]
+        base = np.zeros((n, n), dtype=dtype)
+        projector = maps.ccp_projector(d)
+        frame = np.linalg.eigh(projector.real if real else projector)[1][:, 1:]
     else:
-        base, frame = maps.identity_map(d).choi, np.eye(n, dtype=complex)
+        base, frame = maps.identity_map(d).choi, np.eye(n, dtype=dtype)
+        base = np.ascontiguousarray(base.real) if real else base
     constants = (base, frame, linalg.dagger(frame))
     for a in constants:
         a.setflags(write=False)
@@ -389,12 +415,17 @@ class _FeasibilitySolver:
     Iterates are Hermitian d^2 x d^2 Choi matrices; the affine projection is
     the matrix-free one of the module docstring, and the dual variables are
     |V| x d^2 arrays whose rows are Hermitian d x d matrices, handled as flat
-    real vectors (a complex array viewed as its real and imaginary parts), so
-    that plain dot products are the real inner product Re tr(a* b).  The
-    methods act on one matrix or on a stack along a leading batch axis, one
-    member per row, each row against its own targets (:meth:`take`), and
-    every operation acts on each member alone, so a member's iterates do not
-    depend on the rest of its batch.
+    real vectors (a complex array viewed as its real and imaginary parts, or
+    in real arithmetic the real array itself), so that plain dot products are
+    the real inner product Re tr(a* b).  The methods act on one matrix or on
+    a stack along a leading batch axis, one member per row, each row against
+    its own targets (:meth:`take`), and every operation acts on each member
+    alone, so a member's iterates do not depend on the rest of its batch.
+
+    A solver is built in complex arithmetic.  :meth:`solve` solves the
+    members whose data is real (:meth:`_real_members`) in a copy of it whose
+    arrays are float64 (:meth:`_set_arithmetic`): the same point, found with
+    real eigh and real products (module docstring).
     """
 
     def __init__(self, system: MatricialSystem, targets, ccp: bool = False):
@@ -402,25 +433,14 @@ class _FeasibilitySolver:
         n = d * d
         self.system = system
         self.d = d
-        self.targets = np.asarray(targets, dtype=complex)
-        members = self.targets.shape[:-3]  # () for a shared set, (B,) for one per member
-        self.basis_rows = np.array(system.basis).reshape(len(system), n)
-        self.target_rows = self.targets.reshape(members + (len(system), n))
+        self.ccp = ccp
         # whiten = R^-T with G = R^T R, the system's orthonormalization
-        # coefficients, and onb_rows the orthonormal basis Q = R^-T basis as
-        # rows.  lift W is L(W) = sum_k conj(Q_k) (x) W_k relaid out, and
-        # onb_rows @ M its adjoint L*; dual_adjoint = lift @ whiten holds the
-        # rows of conj(D), D = G^-1 basis the dual basis, transposed.
+        # coefficients.
         self.whiten = system.onb_coeffs
-        self.onb_rows = system.onb.reshape(len(system), n)
-        self.lift = np.conj(self.onb_rows).T
-        self.dual_adjoint = self.lift @ self.whiten
-        self.dual_targets = (self.whiten @ self.target_rows).view(float).reshape(members + (-1,))
         self.cg_steps = len(system) * n
-        self.dual_shape = (-1, len(system), n)  # a stack of duals as complex |V| x d^2
+        self.dual_shape = (-1, len(system), n)  # a stack of duals as |V| x d^2 rows
         self.blocks = (-1, d, d, d, d)  # a stack of Choi matrices as [i, a, j, b]
-        # The cone clips F* C F, F the frame of the cone as columns.
-        self.base, self.frame, self.frame_h = _cone_constants(d, ccp)
+        self._set_arithmetic(np.asarray(targets, dtype=complex))
         offsets = self.project_affine(np.zeros((n, n), dtype=complex))
         defects = self._defect(self._relayout(offsets)).reshape(self.dual_shape)
         for defect, rows in zip(defects, self.target_rows.reshape(self.dual_shape)):
@@ -429,6 +449,43 @@ class _FeasibilitySolver:
                 raise InputError(
                     f"agreement targets are inconsistent: residual {inconsistency:.3e}"
                 )
+
+    def _set_arithmetic(self, targets: np.ndarray) -> None:
+        """Set the targets, and every array of the solve, in the dtype of
+        ``targets``: complex128, or float64 for real arithmetic, where the
+        system and the targets have no imaginary part (module docstring)."""
+        system, n = self.system, self.d * self.d
+        self.dtype = targets.dtype
+        cast = np.real if self.dtype == np.float64 else np.asarray
+        members = targets.shape[:-3]  # () for a shared set, (B,) for one per member
+        self.targets = targets
+        self.basis_rows = np.ascontiguousarray(cast(np.array(system.basis))).reshape(
+            len(system), n)
+        self.target_rows = targets.reshape(members + (len(system), n))
+        # onb_rows is the orthonormal basis Q = R^-T basis as rows.  lift W is
+        # L(W) = sum_k conj(Q_k) (x) W_k relaid out, and onb_rows @ M its
+        # adjoint L*; dual_adjoint = lift @ whiten holds the rows of conj(D),
+        # D = G^-1 basis the dual basis, transposed.
+        self.onb_rows = np.ascontiguousarray(cast(system.onb)).reshape(len(system), n)
+        self.lift = np.conj(self.onb_rows).T
+        self.dual_adjoint = self.lift @ self.whiten
+        # The flat real duals: complex rows viewed as their real and
+        # imaginary parts, real rows as they are.
+        self.dual_targets = (self.whiten @ self.target_rows).view(float).reshape(members + (-1,))
+        # The cone clips F* C F, F the frame of the cone as columns.
+        self.base, self.frame, self.frame_h = _cone_constants(self.d, self.ccp, self.dtype)
+
+    def _real_members(self, seeds) -> list:
+        """Whether each member, one per seed, is solved in real arithmetic:
+        the system is real, the member's targets have no imaginary part, and
+        its start is deterministic (module docstring)."""
+        if not self.system.real:
+            return [False] * len(seeds)
+        imag = self.target_rows.imag
+        complex_targets = imag.reshape(-1, imag.shape[-2] * imag.shape[-1]).any(axis=1).tolist()
+        if self.targets.ndim == 3:  # one set, shared by every member
+            complex_targets *= len(seeds)
+        return [seed is None and not c for seed, c in zip(seeds, complex_targets)]
 
     def take(self, rows) -> "_FeasibilitySolver":
         """The solver of the members ``rows`` of a batch: the same system and
@@ -477,7 +534,7 @@ class _FeasibilitySolver:
 
     def _lifted(self, w: np.ndarray) -> np.ndarray:
         """L(W) for each row W of ``w``, as d^2 x d^2 Choi matrices."""
-        return self._relayout(self.lift @ w.view(complex).reshape(self.dual_shape))
+        return self._relayout(self.lift @ w.view(self.dtype).reshape(self.dual_shape))
 
     def _adjoint(self, m: np.ndarray) -> np.ndarray:
         """L*(M) for each matrix M of the stack ``m``, as rows of flat duals."""
@@ -595,19 +652,36 @@ class _FeasibilitySolver:
 
     def solve(self, options: ExtensionOptions, seeds) -> list:
         """Project the start point of each seed onto its member's feasible set
-        (module docstring), all members in one lockstep loop, with the
-        tolerance and budget of ``options``: one seed per member of a stack of
-        targets, or any number of seeds on a shared set.  Each member stops by
-        its own rules and counts its own evaluations.  This is the one place
-        where a member leaves the batch: at the top of each Newton step, the
-        members that met the tolerance or the roundoff floor, spent their
-        budget, stalled, or did not move in the last line search (with budget
-        left, only a non-finite trial stops one there) are dropped from the
-        rows of the targets, of the dual point and of the start points
-        together.  Returns one ``(superop, report)`` per seed.
+        (module docstring), with the tolerance and budget of ``options``: one
+        seed per member of a stack of targets, or any number of seeds on a
+        shared set.  The members solved in complex arithmetic go in one
+        lockstep loop, then those solved in real arithmetic in another
+        (:meth:`_real_members`).  Returns one ``(superop, report)`` per seed.
         """
-        if not seeds:
-            return []
+        real = self._real_members(seeds)
+        runs = [None] * len(seeds)
+        for arithmetic in (False, True):
+            rows = [k for k, r in enumerate(real) if r is arithmetic]
+            if not rows:
+                continue
+            batch = self if len(rows) == len(seeds) else self.take(rows)
+            if arithmetic:
+                batch = copy.copy(batch)
+                batch._set_arithmetic(np.ascontiguousarray(batch.targets.real))
+            for k, run in zip(rows, batch._lockstep(options, [seeds[k] for k in rows])):
+                runs[k] = run
+        return runs
+
+    def _lockstep(self, options: ExtensionOptions, seeds) -> list:
+        """:meth:`solve` of all members in one lockstep loop, in this solver's
+        arithmetic.  Each member stops by its own rules and counts its own
+        evaluations.  This is the one place where a member leaves the batch:
+        at the top of each Newton step, the members that met the tolerance or
+        the roundoff floor, spent their budget, stalled, or did not move in
+        the last line search (with budget left, only a non-finite trial stops
+        one there) are dropped from the rows of the targets, of the dual point
+        and of the start points together.
+        """
         tol, max_iter = options.tol, options.max_iter
         inner_tol = 0.2 * tol
         size = len(seeds)
@@ -655,14 +729,13 @@ class _FeasibilitySolver:
         chois = self.project_cone(z)
         gaps = z - chois
         defects = self._defect(self._relayout(chois))
-        member_targets = np.broadcast_to(self.targets, (size,) + self.targets.shape[-3:])
+        restrictions = restriction_errors(
+            chois, self.basis_rows.reshape(-1, self.d, self.d), self.targets).tolist()
         runs = []
-        for choi, gap, defect, targets, evaluations in zip(
-                chois, gaps, defects, member_targets, iterations):
-            result = SuperOp(self.d, choi)
+        for choi, gap, defect, restriction, evaluations in zip(
+                chois, gaps, defects, restrictions, iterations):
             cone_residual, affine_residual = linalg.frob(gap), linalg.frob(defect)
-            restriction = restriction_error(result, self.system.basis, targets)
-            runs.append((result, ExtensionReport(
+            runs.append((SuperOp(self.d, choi), ExtensionReport(
                 iterations=evaluations,
                 cone_residual=cone_residual,
                 affine_residual=affine_residual,
@@ -672,11 +745,21 @@ class _FeasibilitySolver:
         return runs
 
 
+def restriction_errors(chois: np.ndarray, basis, targets) -> np.ndarray:
+    """max_k ||phi_C(v_k) - t_k|| for each Choi matrix C of the stack
+    ``chois``: agreement checked on the maps themselves, all the images
+    phi_C(v_k) in one product (each bit-identical to ``op.apply(v_k)``) and
+    their distances in one norm.  ``targets`` is one set of |V| matrices that
+    every map shares, or a stack of such sets, one per map."""
+    basis = np.asarray(basis)
+    d = basis.shape[-1]
+    images = np.einsum("kij,miajb->mkab", basis, chois.reshape(-1, d, d, d, d))
+    return linalg.frob_each(images - targets).max(axis=-1)
+
+
 def restriction_error(op: SuperOp, basis, targets) -> float:
-    """max_k ||op(v_k) - t_k||: agreement checked on the map itself, all the
-    images op(v_k) in one product (each bit-identical to ``op.apply(v_k)``)."""
-    images = np.einsum("kij,iajb->kab", np.asarray(basis), op._choi4)
-    return max(linalg.frob(image - t) for image, t in zip(images, targets))
+    """:func:`restriction_errors` of one map."""
+    return float(restriction_errors(op.choi[None], basis, targets)[0])
 
 
 def max_pairwise_distance(mats) -> float:

@@ -9,8 +9,12 @@ This module is the one place V's basis is orthonormalized: one QR
 factorisation of the stacked basis (Hermitian matrices as real vectors, so
 the Hilbert-Schmidt inner product is the dot product) gives the orthonormal
 basis and its coefficients on the user basis, the inverse Cholesky factor of
-the Gram matrix, which the extension solver reuses.  Coordinates against the
-orthonormal basis are taken of one matrix or of a whole stack at once.
+the Gram matrix, which the extension solver reuses.  A basis with no
+imaginary part at all is stacked as its real parts alone, so its orthonormal
+basis is exactly real too; the system records that it is ``real``, and the
+extension solver reads the flag to solve in real arithmetic.  Coordinates
+against the orthonormal basis are taken of one matrix or of a whole stack at
+once.
 
 Membership in M_k(V) has one test, blockwise projection onto span(V) of a
 stack of one level followed by a relative residual bound
@@ -82,7 +86,8 @@ class MatricialSystem:
     ``onb_coeffs`` expresses ``onb[j] = sum_k onb_coeffs[j, k] * basis[k]``.
     ``onb_coeffs`` is real and lower-triangular with positive diagonal, so
     with G the Gram matrix of the basis, ``onb_coeffs @ G @ onb_coeffs.T = I``
-    makes it the inverse Cholesky factor of G.
+    makes it the inverse Cholesky factor of G.  ``real`` says whether the
+    basis has no imaginary part at all; then ``onb`` has none either.
 
     The three arrays are read-only, so a system can be shared: the catalog
     hands the same object to every caller.  Systems compare and hash by
@@ -93,6 +98,7 @@ class MatricialSystem:
     basis: tuple
     onb: np.ndarray = field(repr=False)
     onb_coeffs: np.ndarray = field(repr=False)
+    real: bool
 
     @classmethod
     def from_basis(cls, basis) -> "MatricialSystem":
@@ -106,10 +112,13 @@ class MatricialSystem:
         if not np.allclose(mats[0], np.eye(d), atol=STRUCTURAL_TOL):
             raise InputError("basis[0] must be the identity matrix")
 
-        # Hermitian matrices as real vectors (real and imaginary parts): the
-        # Hilbert-Schmidt inner product is the plain dot product of the rows.
+        # Hermitian matrices as real vectors (real and imaginary parts, or the
+        # real parts alone of a real basis): the Hilbert-Schmidt inner product
+        # is the plain dot product of the rows.
         m = len(mats)
-        rows = np.array(mats).reshape(m, d * d).view(float)
+        stacked = np.array(mats).reshape(m, d * d)
+        real = not np.any(stacked.imag)
+        rows = np.ascontiguousarray(stacked.real) if real else stacked.view(float)
         gram = rows @ rows.T
         # Linear independence via the smallest Gram eigenvalue.
         gmin = float(np.linalg.eigvalsh(gram)[0])
@@ -124,10 +133,12 @@ class MatricialSystem:
         signs = np.sign(np.diag(r))
         q, r = q * signs, r * signs[:, None]
         coeffs = scipy.linalg.solve_triangular(r, np.eye(m)).T
-        onb = linalg.hermitian_part(np.ascontiguousarray(q.T).view(complex).reshape(m, d, d))
+        onb_rows = np.ascontiguousarray(q.T)
+        onb = linalg.hermitian_part(
+            (onb_rows.astype(complex) if real else onb_rows.view(complex)).reshape(m, d, d))
         for a in (*mats, onb, coeffs):
             a.flags.writeable = False
-        return cls(dim=d, basis=tuple(mats), onb=onb, onb_coeffs=coeffs)
+        return cls(dim=d, basis=tuple(mats), onb=onb, onb_coeffs=coeffs, real=real)
 
     @cached_property
     def commutator_svd(self) -> tuple:

@@ -1235,6 +1235,129 @@ class TestBatchedValidation:
         assert not report.valid
 
 
+# ---------------------------------------------------------------------------
+# Real data is solved in real arithmetic
+# ---------------------------------------------------------------------------
+
+
+def _real_problem(name, generator):
+    """``(system, targets)`` of a feasible problem whose data is real: the
+    images of a UCP map with two real Kraus operators, or the action of a real
+    GKSL generator, on the rebit or on ``real_symmetric_d``."""
+    system = (catalog.rebit_system() if name == "rebit"
+              else catalog.real_symmetric_system(int(name.rsplit("_", 1)[1])))
+    d = system.dim
+    rng = np.random.default_rng([d, generator])
+    if generator:
+        a = rng.normal(size=(d, d))
+        jumps = [(rng.normal(size=(d, d)) / np.sqrt(d) + 0j, float(rng.uniform(0.2, 1.0)))
+                 for _ in range(2)]
+        op = dynamics.gksl_generator(d, 1j * (a - a.T) / 2.0, jumps).op
+    else:
+        q = np.linalg.qr(rng.normal(size=(2 * d, d)))[0]  # K1* K1 + K2* K2 = I
+        op = maps.from_kraus(d, [q[:d], q[d:]])
+    return system, [op.apply(v).real for v in system.basis]
+
+
+def _extension(system, targets, generator):
+    """``(superop, report)`` of the map or generator extension of ``targets``."""
+    if generator:
+        gen, report = extension.extend_generator(ExtensionProblem.for_generator(
+            system, SubsystemGenerator.from_action(system, targets)))
+        return gen.op, report
+    return extension.extend_ucp_map(ExtensionProblem.for_map(system, targets))
+
+
+def recording_lockstep(monkeypatch):
+    """Record the dtype and seeds of every lockstep loop of a solve."""
+    loops = []
+    lockstep = extension._FeasibilitySolver._lockstep
+
+    def recording(solver, options, seeds):
+        loops.append((solver.dtype, list(seeds)))
+        return lockstep(solver, options, seeds)
+
+    monkeypatch.setattr(extension._FeasibilitySolver, "_lockstep", recording)
+    return loops
+
+
+class TestRealArithmetic:
+    """A member whose system, targets and start are real is solved in
+    float64, every other member in complex128 (``extension`` module
+    docstring)."""
+
+    @pytest.mark.parametrize("generator", [False, True], ids=["map", "generator"])
+    @pytest.mark.parametrize("name", ["rebit", "real_symmetric_3", "real_symmetric_4"])
+    def test_phase_twin_has_the_conjugated_extension(self, name, generator, monkeypatch):
+        # Conjugating by a diagonal phase unitary D makes the basis complex,
+        # so the twin is solved in complex128.  The problems correspond under
+        # C -> W C W*, W = conj(D) (x) D, which fixes both cones and the
+        # deterministic start, so the extensions do as well.
+        system, targets = _real_problem(name, generator)
+        d = system.dim
+        phase = np.diag(np.exp(1j * np.random.default_rng(d).uniform(0.0, 2.0 * np.pi, d)))
+        twin = MatricialSystem.from_basis(
+            [phase @ v @ linalg.dagger(phase) for v in system.basis])
+        twin_targets = [phase @ t @ linalg.dagger(phase) for t in targets]
+        loops = recording_lockstep(monkeypatch)
+        op, report = _extension(system, targets, generator)
+        op_twin, report_twin = _extension(twin, twin_targets, generator)
+        assert [dtype for dtype, _ in loops] == [np.float64, np.complex128]
+        assert report.converged and report_twin.converged
+        w = np.kron(np.conj(phase), phase)
+        distance = linalg.frob(op_twin.choi - w @ op.choi @ linalg.dagger(w))
+        assert distance <= 1e-8 * (1.0 + linalg.frob(op.choi))
+
+    def test_a_mixed_batch_is_one_loop_per_arithmetic(self, monkeypatch):
+        # The deterministic starts of real data go to the float64 loop, and
+        # their Choi matrices have no imaginary part at all; seeded starts
+        # stay complex.
+        system, targets = _real_problem("real_symmetric_3", False)
+        problem = ExtensionProblem.for_map(system, targets)
+        seeds = [None, 3, None, 5]
+        loops = recording_lockstep(monkeypatch)
+        runs = extension.multi_start(problem, seeds)
+        assert loops == [(np.complex128, [3, 5]), (np.float64, [None, None])]
+        assert all(report.converged for _, report in runs)
+        for seed, (op, _) in zip(seeds, runs):
+            assert op.choi.dtype == np.complex128
+            assert np.all(op.choi.imag == 0.0) == (seed is None)
+
+    def test_complex_targets_stay_complex(self, rebit, monkeypatch):
+        # Real data means every target real: one complex member of a batch
+        # of targets on a real system is solved apart, in complex128.
+        _, real_images = _real_problem("rebit", False)
+        phi = random_ucp_map(2, np.random.default_rng(0))
+        complex_images = [phi.apply(v) for v in rebit.basis]
+        assert np.any(np.array(complex_images).imag)
+        loops = recording_lockstep(monkeypatch)
+        verdicts = extension.ucp_extensions_feasible(rebit, [real_images, complex_images])
+        assert [dtype for dtype, _ in loops] == [np.complex128, np.float64]
+        assert [feasible for feasible, _ in verdicts] == [True, True]
+
+    def test_validation_samples_of_real_symmetric_4_are_real(self, monkeypatch):
+        # The system's orthonormal basis is exactly real, so the images of
+        # every sample are too, and the whole batch is solved in float64.
+        loops = recording_lockstep(monkeypatch)
+        verdict = dynamics.validate_subsystem_semigroup(_real_gksl_subsystems()[4],
+                                                        max_iter=2500)
+        assert verdict.valid
+        assert [(dtype, len(seeds)) for dtype, seeds in loops] == [(np.float64, 4)]
+
+    def test_restriction_errors_of_a_stack(self, qubit):
+        # One product and one norm for the stack, each bit-identical to the
+        # error of its map alone and to its images applied one at a time.
+        rng = np.random.default_rng(1)
+        ops = [random_ucp_map(2, rng) for _ in range(3)]
+        targets = np.array([[linalg.random_hermitian(2, rng) for _ in qubit.basis]
+                            for _ in ops])
+        stack = extension.restriction_errors(np.array([op.choi for op in ops]),
+                                             qubit.basis, targets)
+        for op, own, error in zip(ops, targets, stack.tolist()):
+            assert error == extension.restriction_error(op, qubit.basis, own)
+            assert error == max(linalg.frob(op.apply(v) - t) for v, t in zip(qubit.basis, own))
+
+
 # (d, Kraus rank) -> the seeds whose restriction stops unconverged with the
 # default options: after 101 to 202 evaluations, residuals 2.3e-5 to 1.9e-4,
 # at d = 3; after 151, residual 3.7e-5, at d = 4.

@@ -131,6 +131,19 @@ class TestSpectralNorm:
                 np.linalg.norm(m, 2), rel=1e-10)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [2, 3, 4, 9, 16])
+def test_frob_each_is_frob_of_each(n, dtype):
+    rng = np.random.default_rng(n)
+    stack = rng.normal(size=(3, 5, n, n)).astype(dtype)
+    if dtype is complex:
+        stack += 1j * rng.normal(size=stack.shape)
+    norms = linalg.frob_each(stack)
+    assert norms.shape == (3, 5)
+    for idx in np.ndindex(3, 5):
+        assert norms[idx] == linalg.frob(stack[idx])
+
+
 def test_matrix_rejects_nan():
     with pytest.raises(InputError):
         linalg.as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))

@@ -80,6 +80,43 @@ class TestConstruction:
                 np.testing.assert_allclose(back[idx], system.from_coords(coords[idx]),
                                            atol=1e-12)
 
+    @pytest.mark.parametrize("name", ["rebit", *(f"real_symmetric_{d}" for d in range(2, 7))])
+    def test_real_basis_has_an_exactly_real_onb(self, name):
+        # The QR runs on the real parts alone: no imaginary roundoff, which
+        # reached 1.2e-16 at d = 6 when it ran on real and imaginary parts.
+        system = (catalog.rebit_system() if name == "rebit"
+                  else catalog.real_symmetric_system(int(name.rsplit("_", 1)[1])))
+        assert system.real
+        assert not np.any(system.onb.imag)
+        gram = np.einsum("kij,lij->kl", np.conj(system.onb), system.onb)
+        np.testing.assert_allclose(gram, np.eye(len(system)), atol=1e-14)
+        recon = np.einsum("jk,kab->jab", system.onb_coeffs, np.array(system.basis))
+        np.testing.assert_allclose(recon, system.onb, atol=1e-14)
+
+    def test_realness_is_exact(self, pauli):
+        assert not catalog.qubit_system().real
+        # an imaginary part far below any tolerance still makes a basis complex
+        tilted = MatricialSystem.from_basis([pauli.I, pauli.X + 1e-300 * pauli.Y, pauli.Z])
+        assert not tilted.real and tilted.same_basis(catalog.rebit_system())
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_complex_basis_keeps_its_onb(self, pauli, seed):
+        # A complex basis is orthonormalized as real and imaginary parts
+        # interleaved, bit for bit as this reference does it.
+        rng = np.random.default_rng(seed)
+        u = linalg.random_unitary(3, rng)
+        bases = [[pauli.I, pauli.X, pauli.Y, pauli.Z],
+                 [u @ b @ linalg.dagger(u) for b in catalog.real_symmetric_system(3).basis]]
+        for basis in bases:
+            system = MatricialSystem.from_basis(basis)
+            assert not system.real
+            m, d = len(system), system.dim
+            rows = np.array(system.basis).reshape(m, d * d).view(float)
+            q, r = np.linalg.qr(rows.T)
+            q = q * np.sign(np.diag(r))
+            onb = linalg.hermitian_part(np.ascontiguousarray(q.T).view(complex).reshape(m, d, d))
+            assert np.array_equal(system.onb, onb)
+
 
 class TestProjection:
     def test_y_projects_to_zero(self, rebit, pauli):
