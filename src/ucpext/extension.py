@@ -61,10 +61,14 @@ is convex, with Hessian the identity wherever Pi_K is locally the identity,
 so unit steps are natural.  At the minimiser X is the projection of x0 (the
 limit of Dykstra's alternating projections).  X lies exactly in the cone and
 L is an isometry, so ||grad f|| is the distance from X to the affine
-subspace; the run stops when it reaches 0.2 tol, or the roundoff of grad f
-(d^2 eps ||X||), below which no direction computed from it can be trusted.
+subspace.  The run stops when the affine defect that the verdict reads,
+||A(X) - T|| in V's own basis, reaches 0.2 tol, or when ||grad f|| reaches
+its roundoff (d^2 eps ||X||), below which no direction computed from it can
+be trusted; the best point and the plateau rule read the same defect.  The
+two norms differ by R: on a basis scaled by s, ||A(X) - T|| is about
+s ||grad f||, so a stop on ||grad f|| would leave a defect s times too large.
 
-f is minimised by a regularised semismooth Newton-CG method (Qi & Sun, SIAM
+f is minimised by a regularised semismooth Newton method (Qi & Sun, SIAM
 J. Matrix Anal. Appl. 28, 2006; Zhao, Sun & Toh, SIAM J. Optim. 20, 2010).
 The PSD clip at Z = U diag(w) U* has the generalized Jacobian element
 H -> U (Omega o U* H U) U*, Omega the divided differences
@@ -72,10 +76,19 @@ H -> U (Omega o U* H U) U*, Omega the divided differences
 both are not.  Pi_K clips Z = F* C F, whose eigendecomposition the cone
 projection already computed, so H -> H + E ((Omega - 1) o E* H E) E*, with
 E = F U, is an element J for Pi_K.  V = L* J L is then a generalized Hessian
-of f, with spectrum in [0, 1], and CG solves (V + eps I) p = -grad f with
-eps = min(c, ||grad f||^1.5) to the relative tolerance min(eta, ||grad f||^tau),
-in at most the dual dimension of steps; each CG step applies L, the
-conjugation by E there and back, and L*.  The exponent 1.5
+of f, with spectrum in [0, 1], and each Newton step solves
+(V + eps I) p = -grad f with eps = min(c, ||grad f||^1.5).  Near a solution
+the spectrum of V spreads over orders of magnitude, so CG needs tens of steps
+there.  A dual of at most ``_DIRECT_MAX_COORDS`` = 128 coordinates m
+(|V| d(d+1)/2 in real arithmetic, |V| d^2 in complex: the rebit, d = 3, and
+real d = 4) is therefore solved directly: in an orthonormal basis b_j of the
+duals with Hermitian rows the system is (1 + eps) I + Y^T diag(Omega - 1) Y,
+Y_j = E* L(b_j) E, formed at O(m^2 d^4) and factorised.  A larger dual,
+where forming it costs more than the CG steps, is solved by CG to the
+relative tolerance min(eta, ||grad f||^tau), in at most the dual dimension of
+steps; each CG step applies L, the conjugation by E there and back, and L*.
+Exact directions also carry degenerate problems, with no positive-definite
+feasible point, past plateaus on which inexact ones stopped.  The exponent 1.5
 matters when the feasible set has no positive-definite point: then f has no
 minimiser and decreases along flat directions (along f ~ a/s, f'' ~ |f'|^1.5),
 and eps ~ ||grad f|| would hold the steps along them to unit length.  A step
@@ -93,7 +106,8 @@ no point to polish and raises :class:`NumericalError`.
 one cone projection (one d^2 x d^2 eigh) plus O(|V| d^4), so ``max_iter`` is
 a budget of cone projections; CG steps are not counted.  In a batch (below)
 each member counts its own evaluations against its own budget.  Set-up
-factorises nothing: Q and R^-T are the system's own.  The best point found is
+factorises nothing: Q and R^-T are the system's own, and L of the dual's
+basis is built by the first direct Newton step.  The best point found is
 projected onto the affine subspace, then onto the cone, and the residuals are
 measured on the result.
 
@@ -114,11 +128,12 @@ extensions.
 
 Batches.  A batch is a set of problems on one system and one cone, each
 member with its own start and its own agreement targets, solved in one
-lockstep Newton-CG loop: the start points, each dual evaluation (one stacked
-eigh and stacked lift and relayout products), the CG steps, the line search
-and the polish act on arrays with a leading member axis, and each member's
-rows of the targets T and R^-T T travel with its start point.  All the
-starts of :func:`multi_start` are one batch that shares its problem's
+lockstep Newton loop: the start points, each dual evaluation (one stacked
+eigh and stacked lift and relayout products), the Newton steps (a direct one
+forms each member's system in turn), the line search and the polish act on
+arrays with a leading member axis, and each member's rows of the targets T
+and R^-T T travel with its start point.  All the starts of
+:func:`multi_start` are one batch that shares its problem's
 targets; the samples of a validation are another, one map per member
 (:func:`ucp_extensions_feasible`).  Each member keeps its own stopping
 rules, step length, best point, ``iterations`` and report
@@ -141,8 +156,8 @@ imaginary part at all (``MatricialSystem.real``), nor have its targets, and
 its start is the deterministic one; no tolerance enters.  Then the basis, Q
 and the target rows, the lift and dual_adjoint, the base of the start and
 the cone's frame (from the eigh of the real P) are real; the dual W is the
-real |V| d^2 vector of real symmetric rows, each clip a real eigh and each
-CG step real products.  It computes the same point: complex conjugation
+real |V| d^2 vector of real symmetric rows, each clip a real eigh, and each
+CG step or direct Newton system real products.  It computes the same point: complex conjugation
 maps the cone, the real basis and the real targets to themselves, so it maps
 the feasible set onto itself, and it fixes the real start and preserves
 distances, so it fixes the start's projection, which is therefore real.
@@ -317,7 +332,7 @@ class RigidityReport:
 # Dual projection solver
 # ---------------------------------------------------------------------------
 
-# Semismooth Newton-CG on the dual (module docstring): the cap c of the
+# Semismooth Newton on the dual (module docstring): the cap c of the
 # regularisation eps = min(c, ||grad f||^1.5), the forcing constant eta and
 # exponent tau of the CG tolerance min(eta, ||grad f||^tau) ||grad f||, and the
 # constant of both step acceptance tests.
@@ -331,6 +346,17 @@ _ARMIJO = 1e-4
 _STALL_WINDOW = 50
 _STALL_IMPROVEMENT = 0.5
 _EPS = float(np.finfo(float).eps)
+# The largest dual, in coordinates m (|V| d(d+1)/2 in real arithmetic, |V| d^2
+# in complex), whose Newton system is formed and solved directly rather than
+# by CG.  Forming it costs O(m^2 d^4) per member and step, against O(|V| d^4)
+# per CG step, but near a solution the generalized Hessian's eigenvalues
+# spread over orders of magnitude (142 distinct ones from 1e-6 to 1 on
+# real_symmetric_4), so CG takes tens of steps there, up to its cap.  Whole
+# map solves on a 2-core x86-64 host, OpenBLAS on one thread, CG against
+# direct: m = 54 (d = 3, complex) 3.9 and 3.2 ms; m = 100 (d = 4, real)
+# 25.7 and 10.7 ms; m = 160 (d = 4, complex) 6.0 and 16.5 ms; m = 375 (d = 5,
+# complex) 15.6 and 98 ms.  The crossover lies between 100 and 160.
+_DIRECT_MAX_COORDS = 128
 
 
 def _clip_weights(w: np.ndarray) -> np.ndarray:
@@ -367,6 +393,32 @@ def _cone_constants(d: int, ccp: bool, dtype: np.dtype) -> tuple:
     for a in constants:
         a.setflags(write=False)
     return constants
+
+
+@functools.cache
+def _dual_basis(rows: int, d: int, dtype: np.dtype) -> np.ndarray:
+    """An orthonormal basis of the flat duals with ``rows`` Hermitian d x d
+    rows, as the rows of an (m, flat) array: row k of a basis dual is one of
+    E_aa, (E_ab + E_ba) / sqrt 2 and, in complex arithmetic only,
+    i (E_ab - E_ba) / sqrt 2 for a < b, and its other rows are 0, so
+    m = rows d(d+1)/2 in real arithmetic and rows d^2 in complex."""
+    units = []
+    for a in range(d):
+        for b in range(a, d):
+            unit = np.zeros((d, d), dtype=dtype)
+            unit[a, b] = unit[b, a] = 1.0 if a == b else math.sqrt(0.5)
+            units.append(unit)
+            if a < b and dtype != np.float64:
+                unit = np.zeros((d, d), dtype=dtype)
+                unit[a, b], unit[b, a] = 1j * math.sqrt(0.5), -1j * math.sqrt(0.5)
+                units.append(unit)
+    units = np.array(units).reshape(len(units), d * d)
+    basis = np.zeros((rows, len(units), rows, d * d), dtype=dtype)
+    for k in range(rows):
+        basis[k, :, k] = units
+    basis = basis.reshape(rows * len(units), rows * d * d).view(float)
+    basis.setflags(write=False)
+    return basis
 
 
 class _DualPoint(NamedTuple):
@@ -474,6 +526,10 @@ class _FeasibilitySolver:
         self.dual_targets = (self.whiten @ self.target_rows).view(float).reshape(members + (-1,))
         # The cone clips F* C F, F the frame of the cone as columns.
         self.base, self.frame, self.frame_h = _cone_constants(self.d, self.ccp, self.dtype)
+        # The dual's dimension, and L of its basis, built on the direct path only.
+        d = self.d
+        self.coords = len(system) * (d * (d + 1) // 2 if self.dtype == np.float64 else n)
+        self.lifted_basis = None
 
     def _real_members(self, seeds) -> list:
         """Whether each member, one per seed, is solved in real arithmetic:
@@ -554,6 +610,11 @@ class _FeasibilitySolver:
                           [math.sqrt(g) for g in np.vecdot(grad, grad).tolist()],
                           [roundoff * math.sqrt(s) for s in squares])
 
+    def _defect_norms(self, x: np.ndarray) -> list:
+        """||A(X) - T|| in V's own basis for each matrix X of the stack ``x``:
+        the affine defect that the verdict reads (:meth:`_lockstep`)."""
+        return linalg.frob_each(self._defect(self._relayout(x))).tolist()
+
     def _jacobian_defect(self, spectrum: tuple) -> _JacobianDefect:
         """H -> (J - I) H for the element J of the generalized Jacobian of Pi_K
         at the point whose clipped matrix has the eigendecomposition
@@ -569,20 +630,57 @@ class _FeasibilitySolver:
         return _JacobianDefect(e, linalg.dagger(e), _clip_weights(w) - 1.0)
 
     def _newton_direction(self, point: _DualPoint) -> np.ndarray:
-        """CG on (L* J L + eps I) p = -grad f for each member, J at its spectrum.
+        """The solution p of (L* J L + eps I) p = -grad f for each member, J at
+        its spectrum: solved directly for a dual of at most
+        ``_DIRECT_MAX_COORDS`` coordinates, by CG for a larger one.  L is an
+        isometry, so L* J L p = p + L* (J - I) L p; either path gets the
+        shift 1 + eps of each member and the J - I of its spectrum."""
+        shift = np.array([1.0 + min(_NEWTON_REG, s * math.sqrt(s)) for s in point.residual])
+        defect = self._jacobian_defect((point.eigenvalues, point.eigenvectors))
+        if self.coords <= _DIRECT_MAX_COORDS:
+            return self._direct_direction(point, shift, defect)
+        return self._cg_direction(point, shift, defect)
 
-        L is an isometry, so L* J L p = p + L* (J - I) L p.  Each system is
-        solved for p / ||grad f||, a unit right-hand side, to the relative
-        tolerance min(eta, ||grad f||^tau), so no square overflows.  CG runs at
-        most the dual dimension of steps.  A row whose CG has converged leaves
-        the CG arrays, its step written into its row of the direction; that is
-        no stop of the member.  Per-member scalars are (B, 1) columns.
+    def _direct_direction(self, point: _DualPoint, shift, defect: _JacobianDefect) -> np.ndarray:
+        """The Newton system in the orthonormal basis b_j of the duals
+        (:func:`_dual_basis`), formed and solved.  With Y_j = E* L(b_j) E it is
+        H = (1 + eps) I + Y^T diag(Omega - 1) Y: entry (i, j) is
+        <Y_i, (Omega - 1) o Y_j>, a sum over the upper triangle of the
+        Hermitian Y_i, Y_j with each entry off the diagonal counted twice.
+        H is formed member by member, which bounds the temporaries by one
+        member's Y, and the products taking coordinates and back are stacked
+        (B, 1, k) ones, so each member's direction is the one it gets alone."""
+        basis = _dual_basis(len(self.system), self.d, self.dtype)
+        if self.lifted_basis is None:
+            self.lifted_basis = self._lifted(basis)
+        upper = np.triu_indices(defect.e.shape[-1])
+        twice = np.where(upper[0] == upper[1], 1.0, 2.0)
+        size = len(basis)
+        h = np.empty((len(shift), size, size))
+        for k, (e, e_h, weights) in enumerate(zip(*defect)):
+            y = np.ascontiguousarray((e_h @ self.lifted_basis @ e)[:, upper[0], upper[1]])
+            weights = weights[upper] * twice
+            if self.dtype != np.float64:  # Re <y, y'> as the dot product of [re, im] pairs
+                y, weights = y.view(float), np.repeat(weights, 2)
+            h[k] = (y * weights) @ y.T
+        diagonal = np.arange(size)
+        h[:, diagonal, diagonal] += shift[:, None]
+        coefficients = linalg.solve_each(h, -(point.grad[:, None, :] @ basis.T)[:, 0])
+        return (coefficients[:, None, :] @ basis)[:, 0]
+
+    def _cg_direction(self, point: _DualPoint, shift, defect: _JacobianDefect) -> np.ndarray:
+        """CG on the Newton system of each member.
+
+        Each system is solved for p / ||grad f||, a unit right-hand side, to
+        the relative tolerance min(eta, ||grad f||^tau), so no square
+        overflows.  CG runs at most the dual dimension of steps.  A row whose
+        CG has converged leaves the CG arrays, its step written into its row
+        of the direction; that is no stop of the member.  Per-member scalars
+        are (B, 1) columns.
         """
         residuals = point.residual
-        scale = np.array(residuals)[:, None]
-        shift = np.array([1.0 + min(_NEWTON_REG, s * math.sqrt(s)) for s in residuals])[:, None]
+        scale, shift = np.array(residuals)[:, None], shift[:, None]
         targets = [min(_CG_FORCING, s ** _CG_EXPONENT) ** 2 for s in residuals]
-        defect = self._jacobian_defect((point.eigenvalues, point.eigenvectors))
         r = point.grad / -scale
         p = r
         step = np.zeros_like(r)
@@ -689,8 +787,9 @@ class _FeasibilitySolver:
         point = self._dual_point(x0, np.zeros((size, self.dual_targets.shape[-1])))
         if not all(map(math.isfinite, point.value + point.residual)):
             raise NumericalError("the dual overflowed at the start point")
+        defects = self._defect_norms(point.x)
         iterations = [1] * size
-        best_residual, best_x = list(point.residual), list(point.x)
+        best_residual, best_x = list(defects), list(point.x)
         window_best = [math.inf] * size
         stalled = [False] * size
         batch, live = self, list(range(size))  # the member of each row of batch, point, x0
@@ -698,7 +797,8 @@ class _FeasibilitySolver:
         steps = 0
         while True:
             going = [k for k, i in enumerate(live)
-                     if moved[k] and point.residual[k] > max(inner_tol, point.floor[k])
+                     if moved[k] and defects[k] > inner_tol
+                     and point.residual[k] > point.floor[k]
                      and iterations[i] < max_iter and not stalled[i]]
             if len(going) < len(live):
                 if not going:
@@ -708,17 +808,17 @@ class _FeasibilitySolver:
             spent, moved, point = batch._line_search(
                 x0, point, batch._newton_direction(point),
                 [max_iter - iterations[i] for i in live])
-            residuals = point.residual
+            defects = batch._defect_norms(point.x)
             for k, i in enumerate(live):
                 iterations[i] += spent[k]
-                if moved[k] and residuals[k] < best_residual[i]:
-                    best_residual[i], best_x[i] = residuals[k], point.x[k]
+                if moved[k] and defects[k] < best_residual[i]:
+                    best_residual[i], best_x[i] = defects[k], point.x[k]
             steps += 1
             if steps % _STALL_WINDOW == 0:
                 for k, i in enumerate(live):
                     window = window_best[i]
                     # a plateau far from feasibility: disjoint sets, or no Slater point
-                    stalled[i] = (residuals[k] > 100.0 * tol and math.isfinite(window)
+                    stalled[i] = (defects[k] > 100.0 * tol and math.isfinite(window)
                                   and window - best_residual[i] < _STALL_IMPROVEMENT * window)
                     window_best[i] = best_residual[i]
 

@@ -6,7 +6,8 @@ The two matrix gates the other modules call: :func:`as_matrix` (a finite
 entries, of one matrix or of each matrix of a stack).  Besides them: the
 checked inverse :func:`inverse`, the one place the resolvent computations
 decide that a matrix is too ill-conditioned to invert (``SINGULAR_COND``),
-the matrix exponential and the spectral norm.  All matrices are dense complex
+:func:`solve_each` for the solver's stacks of Newton systems, the matrix
+exponential and the spectral norm.  All matrices are dense complex
 ``numpy`` arrays; Hermitian inputs are validated, never assumed.  The PSD clip
 of the feasibility solver's hot loop is part of its cone projection
 (``extension._FeasibilitySolver._cone_point``).
@@ -32,6 +33,7 @@ __all__ = [
     "ensure_square",
     "ensure_hermitian",
     "inverse",
+    "solve_each",
     "expm",
     "spectral_norm",
     "random_hermitian",
@@ -114,6 +116,16 @@ def inverse(m: np.ndarray, message: str) -> np.ndarray:
     if not np.isfinite(cond) or cond > SINGULAR_COND:
         raise NumericalError(message.format(cond=cond))
     return np.linalg.inv(m)
+
+
+def solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solution x of a x = b for each square matrix of the stack ``a``
+    (shape (..., m, m)) and its own right-hand side (shape (..., m)), by one
+    LU factorisation each.  Each solution is the one its system gets alone.
+    Unlike :func:`inverse` it checks no condition number: its caller, the
+    Newton step of the feasibility solver, solves systems whose eigenvalues
+    are bounded below by their regularisation."""
+    return np.linalg.solve(a, b[..., None])[..., 0]
 
 
 def expm(m, scale: float = 1.0) -> np.ndarray:

@@ -488,10 +488,10 @@ class TestMultiStart:
     def test_a_member_with_a_non_finite_trial_stops_alone(self, rebit, monkeypatch):
         # From its second Newton step on, every trial of the seed-3 member has
         # a non-finite dual value: it stops at the first of them and keeps
-        # step 0 while the seed-26 member backtracks in that step.
+        # step 0 while the seed-49 member backtracks in that step.
         images = dynamics.subsystem_evolve_images(catalog.rebit_dissipative(1.0), 1.0)
         problem = ExtensionProblem.for_map(rebit, images)
-        seeds, poisoned = [None, 7, 3, 26], 2
+        seeds, poisoned = [None, 7, 3, 49], 2
         solo = [extension.multi_start(problem, [seed])[0] for seed in seeds]
         start = extension._FeasibilitySolver(rebit, images).start_points([3])[0]
         # The member's duals W: those it evaluated before its second step, and
@@ -1162,6 +1162,101 @@ class TestNewtonSolver:
         assert len(evaluations) <= 2
 
 
+def _newton_problem(name):
+    """``(system, targets, ccp)`` of the problems of :class:`TestDirectNewtonStep`."""
+    if name.startswith("rebit"):
+        generator = name == "rebit generator"
+        return (*_real_problem("rebit", generator), generator)
+    if name == "complex real_symmetric_3 map":
+        rng = np.random.default_rng([3, 3, 0])
+        system = _conjugated_real_symmetric(3, 5)
+        phi = random_ucp_map(3, rng, n_kraus=3)
+        return system, [phi.apply(v) for v in system.basis], False
+    sub = _real_gksl_subsystems()[4]  # the lambda = 4 sample of real_symmetric_4
+    return sub.system, dynamics.subsystem_resolvent_images(sub, 4.0), False
+
+
+class TestDirectNewtonStep:
+    """A small dual's Newton system is formed and solved directly, a larger
+    one by CG (``extension._DIRECT_MAX_COORDS``)."""
+
+    @staticmethod
+    def _points(system, targets, ccp, monkeypatch):
+        """The solver of the problem in the arithmetic it is solved in, and
+        the dual point of every Newton step of its solve."""
+        solvers, points = [], []
+        direction = extension._FeasibilitySolver._newton_direction
+
+        def recording(solver, point):
+            solvers.append(solver)
+            points.append(point)
+            return direction(solver, point)
+
+        monkeypatch.setattr(extension._FeasibilitySolver, "_newton_direction", recording)
+        solver = extension._FeasibilitySolver(system, targets, ccp)
+        _, report = solver.solve(ExtensionOptions(), [None])[0]
+        monkeypatch.undo()
+        assert report.converged and points
+        return solvers[0], points
+
+    @pytest.mark.parametrize("name, coords", [
+        ("rebit map", 9), ("rebit generator", 9),
+        ("complex real_symmetric_3 map", 54), ("real_symmetric_4 resolvent", 100)])
+    def test_direct_direction_is_the_newton_step(self, name, coords, monkeypatch):
+        # The direct solve against CG run to a relative residual of 1e-13
+        # (the solver's CG stops far earlier), at the Newton steps of the
+        # solve with ||grad f|| >= 1e-6.  Closer to the solution the system's
+        # condition number, up to 1 / eps = ||grad f||^-1.5, bounds how well
+        # either solve can agree (1e-3 relative at ||grad f|| = 6e-9).
+        solver, points = self._points(*_newton_problem(name), monkeypatch)
+        assert solver.coords == coords
+        monkeypatch.setattr(extension, "_CG_FORCING", 1e-13)
+        solver.cg_steps *= 20
+        points = [point for point in points if point.residual[0] >= 1e-6]
+        assert points
+        for point in points:
+            shift = np.array([1.0 + min(extension._NEWTON_REG, s ** 1.5)
+                              for s in point.residual])
+            defect = solver._jacobian_defect((point.eigenvalues, point.eigenvectors))
+            direct = solver._direct_direction(point, shift, defect)
+            cg = solver._cg_direction(point, shift, defect)
+            assert np.linalg.norm(direct - cg) <= 1e-6 * np.linalg.norm(cg)
+
+    @pytest.mark.parametrize("name", ["rebit map", "real_symmetric_4 resolvent"])
+    def test_direct_at_and_below_the_bound(self, name, monkeypatch):
+        system, targets, ccp = _newton_problem(name)
+        solver, points = self._points(system, targets, ccp, monkeypatch)
+        calls = []
+        for method in ("_direct_direction", "_cg_direction"):
+            original = getattr(extension._FeasibilitySolver, method)
+            monkeypatch.setattr(extension._FeasibilitySolver, method,
+                                lambda *args, method=method, original=original:
+                                calls.append(method) or original(*args))
+        for bound, expected in ((solver.coords, "_direct_direction"),
+                                (solver.coords - 1, "_cg_direction")):
+            monkeypatch.setattr(extension, "_DIRECT_MAX_COORDS", bound)
+            calls.clear()
+            solver._newton_direction(points[0])
+            assert calls == [expected]
+
+    def test_default_bound_splits_real_symmetric_4(self):
+        # real_symmetric_4 has 100 coordinates in real arithmetic, solved
+        # directly, and 160 in complex arithmetic, solved by CG.
+        system, targets, _ = _newton_problem("real_symmetric_4 resolvent")
+        solver = extension._FeasibilitySolver(system, targets)
+        assert solver.coords == 160 > extension._DIRECT_MAX_COORDS
+        solver._set_arithmetic(np.ascontiguousarray(solver.targets.real))
+        assert solver.coords == 100 <= extension._DIRECT_MAX_COORDS
+
+    def test_the_dual_basis_is_orthonormal_and_hermitian(self):
+        for dtype, m in ((np.float64, 3 * 6), (np.complex128, 3 * 9)):
+            basis = extension._dual_basis(3, 3, np.dtype(dtype))
+            assert basis.shape[0] == m
+            assert np.allclose(basis @ basis.T, np.eye(m), rtol=0.0, atol=1e-15)
+            rows = basis.view(dtype).reshape(m, 3, 3, 3)
+            assert np.array_equal(rows, np.conj(rows.swapaxes(-1, -2)))
+
+
 class TestNoFalseNotUcp:
     @pytest.mark.parametrize("d", [3, 4])
     def test_real_gksl_validates_within_small_budget(self, d):
@@ -1176,20 +1271,16 @@ class TestNoFalseNotUcp:
         assert report.converged
         assert maps.is_ucp(psi, 1e-8)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "undecided: the feasible set has no positive-definite point and the "
-        "dual plateaus near 1e-6 (ROADMAP item 4, facial reduction)"))
     def test_three_unitary_mixture(self):
+        # The feasible set has no positive-definite point: with CG's inexact
+        # directions the dual plateaued near 1e-6, and exact ones converge.
         system, images = _unitary_mixture_images(3)
         feasible, _ = extension.ucp_extension_feasible(system, images)
         assert feasible
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "undecided: seeded starts of a feasible generator problem stop on the "
-        "plateau with residuals 1e-6 to 5e-5 (ROADMAP item 4)"))
     def test_seeded_generator_starts_converge(self):
-        # The deterministic start converges in 18 evaluations; seeds 1-5 stop
-        # unconverged after 174 to 856.
+        # With CG's inexact directions, seeds 1-5 stopped unconverged after
+        # 174 to 856 evaluations; with exact ones they converge.
         sub = _real_gksl_subsystems()[3]
         runs = extension.multi_start(ExtensionProblem.for_generator(sub.system, sub),
                                      [1, 2, 3, 4, 5])
@@ -1359,9 +1450,10 @@ class TestRealArithmetic:
 
 
 # (d, Kraus rank) -> the seeds whose restriction stops unconverged with the
-# default options: after 101 to 202 evaluations, residuals 2.3e-5 to 1.9e-4,
-# at d = 3; after 151, residual 3.7e-5, at d = 4.
-_RANK_BAND_UNCONVERGED = {(3, 3): {0, 1, 2, 4, 5}, (4, 5): {1}}
+# default options: after 151 evaluations, residual 3.7e-5, at d = 4, where the
+# dual is solved by CG.  At d = 3 the Newton steps are exact, and seeds 0, 1,
+# 2, 4 and 5, which stopped after 101 to 202 evaluations under CG, converge.
+_RANK_BAND_UNCONVERGED = {(3, 3): set(), (4, 5): {1}}
 
 
 class TestRankBands:
@@ -1390,21 +1482,14 @@ class TestRankBands:
 # ---------------------------------------------------------------------------
 
 
-# Seeds of random_ucp_map(2, ., n_kraus=2) whose extension on the rebit basis
-# scaled to {I, 1e6 X, 1e6 Z} does not converge: the Choi matrix is the one of
-# {I, X, Z}, but restriction_error is absolute and reads 6.9e-7 to 3.0e-5.
-_SCALED_BASIS_UNCONVERGED = {1, 2, 4, 5, 7}
-
-
 class TestBasisScale:
-    @pytest.mark.parametrize("scale, seed", [
-        *((1.0, seed) for seed in range(8)),
-        *(pytest.param(1e6, seed, marks=pytest.mark.xfail(strict=True, reason=(
-            "the residuals are absolute, so the verdict depends on the scale of "
-            "V's basis (ROADMAP item 6)")))
-          if seed in _SCALED_BASIS_UNCONVERGED else (1e6, seed) for seed in range(8)),
-    ])
+    @pytest.mark.parametrize("scale, seed", [(scale, seed) for scale in (1.0, 1e6)
+                                             for seed in range(8)])
     def test_map_extension_converges_at_any_basis_scale(self, pauli, scale, seed):
+        # The solver stops on the affine defect in V's own basis, the one the
+        # verdict reads.  When it stopped on the whitened gradient, seeds 1,
+        # 2, 4, 5 and 7 at scale 1e6 ended with restriction errors of 6.9e-7
+        # to 3.0e-5, the Choi matrix of {I, X, Z} read against 1e6 X, 1e6 Z.
         system = MatricialSystem.from_basis([pauli.I, scale * pauli.X, scale * pauli.Z])
         phi = random_ucp_map(2, np.random.default_rng(seed), n_kraus=2)
         _, report = extension.extend_ucp_map(

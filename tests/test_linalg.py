@@ -144,6 +144,22 @@ def test_frob_each_is_frob_of_each(n, dtype):
         assert norms[idx] == linalg.frob(stack[idx])
 
 
+@pytest.mark.parametrize("m", [1, 9, 54, 100])
+def test_solve_each_solves_each_system_alone(m):
+    # Symmetric positive definite systems like the solver's Newton systems:
+    # each solution satisfies its own system, and is bit for bit the one of
+    # its system solved as a stack of one.
+    rng = np.random.default_rng(m)
+    a = rng.normal(size=(4, m, m))
+    a = a @ a.swapaxes(-1, -2) / m + 1e-3 * np.eye(m)
+    b = rng.normal(size=(4, m))
+    x = linalg.solve_each(a, b)
+    assert x.shape == (4, m)
+    for k in range(4):
+        assert np.linalg.norm(a[k] @ x[k] - b[k]) <= 1e-10 * np.linalg.norm(b[k])
+        assert np.array_equal(x[k], linalg.solve_each(a[k:k + 1], b[k:k + 1])[0])
+
+
 def test_matrix_rejects_nan():
     with pytest.raises(InputError):
         linalg.as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
