@@ -421,6 +421,19 @@ def _dual_basis(rows: int, d: int, dtype: np.dtype) -> np.ndarray:
     return basis
 
 
+@functools.cache
+def _upper_triangle(rank: int) -> tuple:
+    """``(entries, twice)``: the flat indices of the upper triangle of a
+    rank x rank matrix, and the weight of each of its entries in the real
+    inner product of two Hermitian matrices summed over it, 1 on the diagonal
+    and 2 off it.  Computed once per rank and shared read-only."""
+    rows, cols = np.triu_indices(rank)
+    triangle = (rows * rank + cols, np.where(rows == cols, 1.0, 2.0))
+    for a in triangle:
+        a.setflags(write=False)
+    return triangle
+
+
 class _DualPoint(NamedTuple):
     """The dual at a batch of points W, one row per member: X = Pi_K(x0 + L W),
     grad f(W) and the eigendecomposition that Pi_K clipped as arrays, and f(W),
@@ -474,10 +487,14 @@ class _FeasibilitySolver:
     its own targets (:meth:`take`), and every operation acts on each member
     alone, so a member's iterates do not depend on the rest of its batch.
 
-    A solver is built in complex arithmetic.  :meth:`solve` solves the
-    members whose data is real (:meth:`_real_members`) in a copy of it whose
-    arrays are float64 (:meth:`_set_arithmetic`): the same point, found with
-    real eigh and real products (module docstring).
+    ``targets`` are kept in complex128 as given.  A solver's arrays are built
+    in the arithmetic of its data: float64 when the system and every target
+    are real, complex128 otherwise, and the targets are checked for
+    consistency there.  :meth:`solve` builds the other arithmetic's arrays, in
+    a copy (:meth:`_set_arithmetic`), only for members that need it
+    (:meth:`_real_members`): seeded starts of real data, or members with real
+    data in a batch with complex targets.  In float64 a member gets the same
+    point, found with real eigh and real products (module docstring).
     """
 
     def __init__(self, system: MatricialSystem, targets, ccp: bool = False):
@@ -492,8 +509,10 @@ class _FeasibilitySolver:
         self.cg_steps = len(system) * n
         self.dual_shape = (-1, len(system), n)  # a stack of duals as |V| x d^2 rows
         self.blocks = (-1, d, d, d, d)  # a stack of Choi matrices as [i, a, j, b]
-        self._set_arithmetic(np.asarray(targets, dtype=complex))
-        offsets = self.project_affine(np.zeros((n, n), dtype=complex))
+        self.targets = np.asarray(targets, dtype=complex)
+        real = system.real and not self.targets.imag.any()
+        self._set_arithmetic(np.dtype(np.float64 if real else np.complex128))
+        offsets = self.project_affine(np.zeros((n, n), dtype=self.dtype))
         defects = self._defect(self._relayout(offsets)).reshape(self.dual_shape)
         for defect, rows in zip(defects, self.target_rows.reshape(self.dual_shape)):
             inconsistency = linalg.frob(defect)
@@ -502,18 +521,18 @@ class _FeasibilitySolver:
                     f"agreement targets are inconsistent: residual {inconsistency:.3e}"
                 )
 
-    def _set_arithmetic(self, targets: np.ndarray) -> None:
-        """Set the targets, and every array of the solve, in the dtype of
-        ``targets``: complex128, or float64 for real arithmetic, where the
-        system and the targets have no imaginary part (module docstring)."""
+    def _set_arithmetic(self, dtype: np.dtype) -> None:
+        """Build every array of the solve in ``dtype``: complex128, or float64
+        for real arithmetic, where the system and the targets have no
+        imaginary part (module docstring)."""
         system, n = self.system, self.d * self.d
-        self.dtype = targets.dtype
-        cast = np.real if self.dtype == np.float64 else np.asarray
-        members = targets.shape[:-3]  # () for a shared set, (B,) for one per member
-        self.targets = targets
+        self.dtype = dtype
+        cast = np.real if dtype == np.float64 else np.asarray
+        members = self.targets.shape[:-3]  # () for a shared set, (B,) for one per member
         self.basis_rows = np.ascontiguousarray(cast(np.array(system.basis))).reshape(
             len(system), n)
-        self.target_rows = targets.reshape(members + (len(system), n))
+        self.target_rows = np.ascontiguousarray(cast(self.targets)).reshape(
+            members + (len(system), n))
         # onb_rows is the orthonormal basis Q = R^-T basis as rows.  lift W is
         # L(W) = sum_k conj(Q_k) (x) W_k relaid out, and onb_rows @ M its
         # adjoint L*; dual_adjoint = lift @ whiten holds the rows of conj(D),
@@ -537,8 +556,7 @@ class _FeasibilitySolver:
         its start is deterministic (module docstring)."""
         if not self.system.real:
             return [False] * len(seeds)
-        imag = self.target_rows.imag
-        complex_targets = imag.reshape(-1, imag.shape[-2] * imag.shape[-1]).any(axis=1).tolist()
+        complex_targets = self.targets.imag.any(axis=(-3, -2, -1)).reshape(-1).tolist()
         if self.targets.ndim == 3:  # one set, shared by every member
             complex_targets *= len(seeds)
         return [seed is None and not c for seed, c in zip(seeds, complex_targets)]
@@ -646,23 +664,38 @@ class _FeasibilitySolver:
         (:func:`_dual_basis`), formed and solved.  With Y_j = E* L(b_j) E it is
         H = (1 + eps) I + Y^T diag(Omega - 1) Y: entry (i, j) is
         <Y_i, (Omega - 1) o Y_j>, a sum over the upper triangle of the
-        Hermitian Y_i, Y_j with each entry off the diagonal counted twice.
-        H is formed member by member, which bounds the temporaries by one
-        member's Y, and the products taking coordinates and back are stacked
+        Hermitian Y_i, Y_j with each entry off the diagonal counted twice
+        (:func:`_upper_triangle`).
+
+        The Y of all members take two stacked products and one relayout: the
+        E* of the members stacked as rows, times each L(b_j) (``lifted_basis``,
+        built on the first direct step), then each member's E* L(b_j) stacked
+        as rows, times its E; H takes one more.  Members go through in chunks
+        of max(1, _DIRECT_MAX_COORDS // m), so no chunk's Y holds more entries
+        than one member's Y at the largest direct dual: a d = 2 batch of 8 is
+        one chunk, and at real d = 4 (m = 100) each member is its own.  The
+        products stack only rows, so every entry is computed as when the
+        member is alone, and those taking coordinates and back are stacked
         (B, 1, k) ones, so each member's direction is the one it gets alone."""
         basis = _dual_basis(len(self.system), self.d, self.dtype)
+        size, n = basis.shape[0], self.d * self.d
         if self.lifted_basis is None:
             self.lifted_basis = self._lifted(basis)
-        upper = np.triu_indices(defect.e.shape[-1])
-        twice = np.where(upper[0] == upper[1], 1.0, 2.0)
-        size = len(basis)
+        rank = defect.e.shape[-1]
+        entries, twice = _upper_triangle(rank)
+        chunk = max(1, _DIRECT_MAX_COORDS // size)
         h = np.empty((len(shift), size, size))
-        for k, (e, e_h, weights) in enumerate(zip(*defect)):
-            y = np.ascontiguousarray((e_h @ self.lifted_basis @ e)[:, upper[0], upper[1]])
-            weights = weights[upper] * twice
+        for start in range(0, len(shift), chunk):
+            e, e_h, weights = defect.take(slice(start, start + chunk))
+            members = len(e)
+            y = (e_h.reshape(1, members * rank, n) @ self.lifted_basis).reshape(
+                size, members, rank, n).swapaxes(0, 1)
+            y = (y.reshape(members, size * rank, n) @ e).reshape(members, size, rank * rank)
+            y = np.take(y, entries, axis=-1)
+            weights = np.take(weights.reshape(-1, rank * rank), entries, axis=-1) * twice
             if self.dtype != np.float64:  # Re <y, y'> as the dot product of [re, im] pairs
-                y, weights = y.view(float), np.repeat(weights, 2)
-            h[k] = (y * weights) @ y.T
+                y, weights = y.view(float), np.repeat(weights, 2, axis=-1)
+            np.matmul(y * weights[:, None, :], y.swapaxes(1, 2), out=h[start:start + chunk])
         diagonal = np.arange(size)
         h[:, diagonal, diagonal] += shift[:, None]
         coefficients = linalg.solve_each(h, -(point.grad[:, None, :] @ basis.T)[:, 0])
@@ -763,9 +796,10 @@ class _FeasibilitySolver:
             if not rows:
                 continue
             batch = self if len(rows) == len(seeds) else self.take(rows)
-            if arithmetic:
+            dtype = np.dtype(np.float64 if arithmetic else np.complex128)
+            if batch.dtype != dtype:
                 batch = copy.copy(batch)
-                batch._set_arithmetic(np.ascontiguousarray(batch.targets.real))
+                batch._set_arithmetic(dtype)
             for k, run in zip(rows, batch._lockstep(options, [seeds[k] for k in rows])):
                 runs[k] = run
         return runs
@@ -830,7 +864,8 @@ class _FeasibilitySolver:
         gaps = z - chois
         defects = self._defect(self._relayout(chois))
         restrictions = restriction_errors(
-            chois, self.basis_rows.reshape(-1, self.d, self.d), self.targets).tolist()
+            chois, self.basis_rows.reshape(-1, self.d, self.d),
+            self.target_rows.reshape(self.targets.shape)).tolist()
         runs = []
         for choi, gap, defect, restriction, evaluations in zip(
                 chois, gaps, defects, restrictions, iterations):
@@ -864,11 +899,13 @@ def restriction_error(op: SuperOp, basis, targets) -> float:
 
 def max_pairwise_distance(mats) -> float:
     """The largest Frobenius distance between two of ``mats`` (0.0 for fewer
-    than two); pass ``op.choi`` to compare maps."""
+    than two); pass ``op.choi`` to compare maps.  One norm per matrix, of its
+    differences to all later ones (``linalg.frob_each``, bit-identical to
+    ``frob`` of each pair)."""
+    mats = np.asarray(mats)
     spread = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            spread = max(spread, linalg.frob(mats[i] - mats[j]))
+    for i in range(len(mats) - 1):
+        spread = max(spread, *linalg.frob_each(mats[i + 1:] - mats[i]).tolist())
     return spread
 
 

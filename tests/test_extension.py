@@ -740,6 +740,27 @@ class TestMultiplicativityResidual:
         assert 0.0 < sampled_multiplicativity_residual(phi, rng) <= 2 * d * d * exact
 
 
+class TestMaxPairwiseDistance:
+    @staticmethod
+    def _pair_loop(mats):
+        spread = 0.0
+        for i in range(len(mats)):
+            for j in range(i + 1, len(mats)):
+                spread = max(spread, linalg.frob(mats[i] - mats[j]))
+        return spread
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("count, n", [(0, 2), (1, 2), (2, 2), (8, 2), (9, 4), (5, 9)])
+    def test_equals_the_pair_loop(self, count, n, dtype):
+        # One norm per row of differences, each bit for bit the norm of its
+        # pair, and the same largest value.
+        rng = np.random.default_rng([count, n])
+        mats = [rng.normal(size=(n, n)).astype(dtype) for _ in range(count)]
+        if dtype is complex:
+            mats = [m + 1j * rng.normal(size=(n, n)) for m in mats]
+        assert extension.max_pairwise_distance(mats) == self._pair_loop(mats)
+
+
 class TestRigidityProbe:
     def test_full_algebra_rigid(self, qubit):
         report = extension.rigidity_probe(qubit, n_starts=4, seed=0)
@@ -1162,6 +1183,57 @@ class TestNewtonSolver:
         assert len(evaluations) <= 2
 
 
+    @staticmethod
+    def _newton_step(solver, members):
+        """The dual point of ``members`` random duals W, in the span of the
+        duals with Hermitian rows, from the deterministic start, and the shift
+        1 + eps and the J - I of its Newton systems."""
+        rng = np.random.default_rng(members)
+        basis = extension._dual_basis(len(solver.system), solver.d, solver.dtype)
+        w = rng.normal(size=(members, len(basis))) @ basis
+        point = solver._dual_point(solver.start_points([None] * members), w)
+        shift = 1.0 + np.minimum(extension._NEWTON_REG, np.array(point.residual) ** 1.5)
+        return point, shift, solver._jacobian_defect((point.eigenvalues, point.eigenvectors))
+
+    @pytest.mark.parametrize("name, members, chunk", [
+        ("rebit map", 8, 14), ("complex real_symmetric_3 map", 5, 2),
+        ("real_symmetric_4 resolvent", 3, 1)])
+    def test_a_member_s_direct_direction_is_its_solo_one(self, name, members, chunk):
+        # A batch forms its Newton systems in chunks of max(1, 128 // m)
+        # members: the rebit's 8 (m = 9) in one, 5 at m = 54 in chunks of 2,
+        # 2 and 1, and 3 at m = 100 one by one.  Each member's direction is,
+        # bit for bit, the one it gets alone.
+        system, targets, ccp = _newton_problem(name)
+        solver = extension._FeasibilitySolver(system, targets, ccp)
+        assert max(1, extension._DIRECT_MAX_COORDS // solver.coords) == chunk
+        point, shift, defect = self._newton_step(solver, members)
+        batch = solver._direct_direction(point, shift, defect)
+        for k in range(members):
+            alone = solver._direct_direction(point.take([k]), shift[[k]], defect.take([k]))
+            assert np.array_equal(batch[k], alone[0])
+
+    @pytest.mark.parametrize("name", ["rebit map", "rebit generator",
+                                      "complex real_symmetric_3 map"])
+    def test_the_formed_newton_matrix_is_the_dense_one(self, name, monkeypatch):
+        # H = (1 + eps) I + L* (J - I) L in the orthonormal basis b_j of the
+        # duals, assembled here column by column: entry (i, j) is
+        # <b_i, L* (J - I) L b_j>, with J - I applied to each L(b_j).
+        system, targets, ccp = _newton_problem(name)
+        solver = extension._FeasibilitySolver(system, targets, ccp)
+        point, shift, defect = self._newton_step(solver, 3)
+        formed = []
+        solve_each = linalg.solve_each
+        monkeypatch.setattr(linalg, "solve_each",
+                            lambda a, b: formed.append(a.copy()) or solve_each(a, b))
+        solver._direct_direction(point, shift, defect)
+        basis = extension._dual_basis(len(system), system.dim, solver.dtype)
+        lifted = solver._lifted(basis)
+        for k, h in enumerate(formed[0]):
+            columns = solver._adjoint(defect.take([k])(lifted))
+            dense = shift[k] * np.eye(len(basis)) + basis @ columns.T
+            assert np.abs(h - dense).max() <= 1e-13
+
+
 def _newton_problem(name):
     """``(system, targets, ccp)`` of the problems of :class:`TestDirectNewtonStep`."""
     if name.startswith("rebit"):
@@ -1241,12 +1313,14 @@ class TestDirectNewtonStep:
 
     def test_default_bound_splits_real_symmetric_4(self):
         # real_symmetric_4 has 100 coordinates in real arithmetic, solved
-        # directly, and 160 in complex arithmetic, solved by CG.
+        # directly, and 160 in complex arithmetic, solved by CG.  Its real
+        # data builds the solver in real arithmetic.
         system, targets, _ = _newton_problem("real_symmetric_4 resolvent")
         solver = extension._FeasibilitySolver(system, targets)
-        assert solver.coords == 160 > extension._DIRECT_MAX_COORDS
-        solver._set_arithmetic(np.ascontiguousarray(solver.targets.real))
+        assert solver.dtype == np.float64
         assert solver.coords == 100 <= extension._DIRECT_MAX_COORDS
+        solver._set_arithmetic(np.dtype(np.complex128))
+        assert solver.coords == 160 > extension._DIRECT_MAX_COORDS
 
     def test_the_dual_basis_is_orthonormal_and_hermitian(self):
         for dtype, m in ((np.float64, 3 * 6), (np.complex128, 3 * 9)):
