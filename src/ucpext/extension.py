@@ -131,8 +131,9 @@ member with its own start and its own agreement targets, solved in one
 lockstep Newton loop: the start points, each dual evaluation (one stacked
 eigh and stacked lift and relayout products), the Newton steps (a direct one
 forms the systems of up to 128 / m members in one set of stacked products),
-the line search and the polish act on arrays with a leading member axis, and each member's rows of the targets T
-and R^-T T travel with its start point.  All the starts of
+the line search and the polish act on arrays with a leading member axis,
+and each member's rows of the targets T and R^-T T travel with its start
+point.  All the starts of
 :func:`multi_start` are one batch that shares its problem's
 targets; the samples of a validation are another, one map per member
 (:func:`ucp_extensions_feasible`).  Each member keeps its own stopping
