@@ -1182,7 +1182,6 @@ class TestNewtonSolver:
             assert not report.converged and report.iterations <= 2
         assert len(evaluations) <= 2
 
-
     @staticmethod
     def _newton_step(solver, members):
         """The dual point of ``members`` random duals W, in the span of the
@@ -1235,7 +1234,8 @@ class TestNewtonSolver:
 
 
 def _newton_problem(name):
-    """``(system, targets, ccp)`` of the problems of :class:`TestDirectNewtonStep`."""
+    """``(system, targets, ccp)`` of the Newton-step problems of
+    :class:`TestNewtonSolver` and :class:`TestDirectNewtonStep`."""
     if name.startswith("rebit"):
         generator = name == "rebit generator"
         return (*_real_problem("rebit", generator), generator)
