@@ -146,7 +146,8 @@ def _resolve_generator(scenario, options):
 
 
 def _resolve_subsystem_generator(scenario, system, options) -> SubsystemGenerator:
-    """A generator on V: catalog subsystem dynamics, or a full generator restricted."""
+    """A generator on V: catalog subsystem dynamics, or a full generator
+    restricted, which it keeps as its ``extension``."""
     dyn = scenario.get("dynamics")
     if dyn is None:
         raise InputError("this command requires a 'dynamics' field")
@@ -159,7 +160,7 @@ def _resolve_subsystem_generator(scenario, system, options) -> SubsystemGenerato
         if gen.d != system.dim:
             raise InputError("generator dimension does not match the system")
         images = [gen.op.apply(v) for v in system.basis]
-        return SubsystemGenerator.from_action(system, images)
+        return SubsystemGenerator.from_action(system, images, extension=gen)
     if not system.same_basis(sub.system):
         raise InputError(f"dynamics {dyn!r} are defined on the rebit system only")
     return sub
@@ -243,12 +244,16 @@ def _cmd_validate(scenario, options):
 def _sample_maps(scenario, options, grid_key, image_of, keys):
     """The maps ``image_of(gen, value)`` over the ``grid_key`` grid, each with
     its UCP verdict; only a non-UCP sample of a certified generator fails.
-    ``keys`` name the report's entry list, parameter, verdict and map."""
+    An empty grid has no sample to judge.  ``keys`` name the report's entry
+    list, parameter, verdict and map."""
+    grid = options.get(grid_key, [1.0])
+    if not grid:
+        raise InputError(f"no samples: '{grid_key}' is empty")
     gen = _resolve_generator(scenario, options)
     entries_key, param_key, ucp_key, map_key = keys
     tol_kw = _given(options, "tol")
     entries = []
-    for value in options.get(grid_key, [1.0]):
+    for value in grid:
         phi = image_of(gen, value)
         entries.append({param_key: value, ucp_key: maps.is_ucp(phi, **tol_kw),
                         map_key: _report_superop(phi)})

@@ -242,18 +242,28 @@ class SubsystemGenerator:
     ``action[k]`` is A(basis[k]); each image must lie in span(V), the unit must
     be annihilated (A(I) = 0), and the induced matrix on the orthonormalized
     coordinates must be real (A preserves hermiticity on V).
+
+    ``extension`` is optional: a generator G on M_d that A was restricted
+    from, so G(basis[k]) = action[k] and G maps V into V.  It is not checked
+    beyond its dimension, because it decides nothing: when it is certified,
+    :func:`validate_subsystem_semigroup` starts each sample's solve from G's
+    own sample, and the solver still decides each verdict.
     """
 
     system: MatricialSystem
     action: tuple
     coordinate_matrix: np.ndarray = field(repr=False)
+    extension: Optional[Generator] = field(default=None, repr=False)
 
     @classmethod
-    def from_action(cls, system: MatricialSystem, action) -> "SubsystemGenerator":
+    def from_action(cls, system: MatricialSystem, action,
+                    extension: Optional[Generator] = None) -> "SubsystemGenerator":
         d = system.dim
         images = [linalg.as_matrix(a, (d, d), f"action[{k}]") for k, a in enumerate(action)]
         if len(images) != len(system):
             raise InputError(f"{len(images)} images for {len(system)} basis elements")
+        if extension is not None and extension.d != d:
+            raise InputError(f"extension acts on M_{extension.d}, the system lies in M_{d}")
         for k, img in enumerate(images):
             if not contains(system, img):
                 raise InputError(f"action[{k}] does not lie in span(V)")
@@ -271,7 +281,7 @@ class SubsystemGenerator:
                 "A does not preserve hermiticity on V"
             )
         return cls(system=system, action=tuple(images),
-                   coordinate_matrix=coord.real.copy())
+                   coordinate_matrix=coord.real.copy(), extension=extension)
 
     def apply(self, m) -> np.ndarray:
         """A(m) for m in span(V), through the coordinate matrix."""
@@ -297,6 +307,20 @@ def subsystem_resolvent_images(sub: SubsystemGenerator, lam: float):
 def subsystem_evolve_images(sub: SubsystemGenerator, t: float):
     """Images of the user basis under exp(t * A) on V's coordinates."""
     return _basis_images(sub, linalg.expm(sub.coordinate_matrix, scale=float(t)))
+
+
+def _scaled_resolvent(gen: Generator, lam: float) -> SuperOp:
+    """lam * R(lam, G): the resolvent sample of a generator on M_d."""
+    return lam * resolvent(gen, lam)
+
+
+def _sample_or_none(sample_of, gen: Generator, parameter: float) -> Optional[SuperOp]:
+    """G's sample ``sample_of(gen, parameter)``, or None when computing it
+    raises :class:`NumericalError`."""
+    try:
+        return sample_of(gen, parameter)
+    except NumericalError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -328,28 +352,43 @@ def validate_subsystem_semigroup(sub: SubsystemGenerator,
     at lambda > 0, a UCP semigroup's generator has lambda in its resolvent
     set.  An evolution sample whose exponential overflows is no evidence; its
     :class:`NumericalError` ends the validation before any solve.
+
+    Start points.  When ``sub.extension`` is a certified generator G on M_d,
+    each sample starts from G's own sample, exp(t G) or lam R(lam, G): G maps
+    V into V and agrees with A there, so that map is a UCP extension of the
+    sample, and the solver confirms it in one dual evaluation.  The start
+    decides nothing: the solver's stop rule, polish and residual check give
+    the verdict from any start.  A sample of G that raises
+    :class:`NumericalError` starts from the deterministic point, as every
+    sample does without a certified extension.
     """
     from . import extension  # local import: extension builds on this module
 
     if any(t < 0 for t in sample_ts) or any(lam <= 0 for lam in sample_lambdas):
         raise InputError("samples must lie in the semigroup: every t >= 0 and every lambda > 0")
 
-    samples = ([("resolvent", lam, subsystem_resolvent_images) for lam in sample_lambdas]
-               + [("evolution", t, subsystem_evolve_images) for t in sample_ts])
+    samples = ([("resolvent", lam, subsystem_resolvent_images, _scaled_resolvent)
+                for lam in sample_lambdas]
+               + [("evolution", t, subsystem_evolve_images, evolve) for t in sample_ts])
     if not samples:
         raise InputError("no samples: a verdict needs at least one t or lambda")
-    checks, solved, images = [], [], []
-    for kind, parameter, images_of in samples:
+    gen = sub.extension
+    if gen is not None and not gen.certificates.certified:
+        gen = None
+    checks, solved, images, starts = [], [], [], []
+    for kind, parameter, images_of, sample_of in samples:
         check = {"kind": kind, "parameter": float(parameter)}
         try:
             images.append(images_of(sub, parameter))
             solved.append(check)
+            starts.append(None if gen is None else _sample_or_none(sample_of, gen, parameter))
         except NumericalError as exc:
             if kind == "evolution":
                 raise
             check.update(feasible=False, residuals=None, error=str(exc))
         checks.append(check)
-    verdicts = extension.ucp_extensions_feasible(sub.system, images, tol=tol, max_iter=max_iter)
+    verdicts = extension.ucp_extensions_feasible(sub.system, images, tol=tol, max_iter=max_iter,
+                                                 starts=starts)
     for check, (feasible, residuals) in zip(solved, verdicts):
         check.update(feasible=feasible, residuals=residuals)
     valid = all(check["feasible"] for check in checks)

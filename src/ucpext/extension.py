@@ -124,7 +124,14 @@ deterministic one and an int the randomized one it seeds.  :func:`multi_start`
 solves one problem from a list of seeds on one set-up: the seed ``None``
 solves with the problem's options as given, and an int ``s`` solves from the
 randomized start with ``seed = s``, so equal seeds give bit-identical
-extensions.
+extensions.  A member can also be given its start, a ``SuperOp`` in place of
+its seed: the start point is then the affine projection of that map's Choi
+matrix.  :func:`ucp_extensions_feasible` takes one per sample, and a
+validation passes the sample of a certified extension of its generator
+(``dynamics.validate_subsystem_semigroup``): that map already extends the
+sample, so the solver confirms it in one dual evaluation, with the same stop
+rule, polish and residual check as from any other start.  A given start is
+deterministic: it draws no random numbers.
 
 Batches.  A batch is a set of problems on one system and one cone, each
 member with its own start and its own agreement targets, solved in one
@@ -155,7 +162,10 @@ on a 2-core x86-64 host).
 Real arithmetic.  A member whose own data is real is solved in float64, the
 others in complex128.  Its data is real when the system's basis has no
 imaginary part at all (``MatricialSystem.real``), nor have its targets, and
-its start is the deterministic one; no tolerance enters.  Then the basis, Q
+its start is the deterministic one or a given one; no tolerance enters.  A
+given start enters by its real part, which is still feasible when the given
+map is: conjugation maps the feasible set onto itself, which is convex, so
+the mean of a feasible point and its conjugate is feasible.  Then the basis, Q
 and the target rows, the lift and dual_adjoint, the base of the start and
 the cone's frame (from the eigh of the real P) are real; the dual W is the
 real |V| d^2 vector of real symmetric rows, each clip a real eigh, and each
@@ -558,13 +568,14 @@ class _FeasibilitySolver:
     def _real_members(self, seeds) -> list:
         """Whether each member, one per seed, is solved in real arithmetic:
         the system is real, the member's targets have no imaginary part, and
-        its start is deterministic (module docstring)."""
+        its start is deterministic or given (module docstring)."""
         if not self.system.real:
             return [False] * len(seeds)
         complex_targets = self.targets.imag.any(axis=(-3, -2, -1)).reshape(-1).tolist()
         if self.targets.ndim == 3:  # one set, shared by every member
             complex_targets *= len(seeds)
-        return [seed is None and not c for seed, c in zip(seeds, complex_targets)]
+        return [(seed is None or isinstance(seed, SuperOp)) and not c
+                for seed, c in zip(seeds, complex_targets)]
 
     def take(self, rows) -> "_FeasibilitySolver":
         """The solver of the members ``rows`` of a batch: the same system and
@@ -604,12 +615,20 @@ class _FeasibilitySolver:
         return linalg.hermitian_part(self._relayout(m - self.dual_adjoint @ self._defect(m)))
 
     def start_points(self, seeds) -> np.ndarray:
-        """The start point of each seed (module docstring), stacked."""
+        """The start point of each seed (module docstring), stacked: the
+        affine projection of the base for ``None``, of the base plus a seeded
+        perturbation for an int, and of a given map's Choi matrix for a
+        ``SuperOp``, of its real part in real arithmetic."""
         n = self.d * self.d
-        raw = np.array([self.base if seed is None
-                        else self.base + linalg.random_hermitian(n, np.random.default_rng(seed))
-                        for seed in seeds])
-        return self.project_affine(raw)
+        raw = []
+        for seed in seeds:
+            if seed is None:
+                raw.append(self.base)
+            elif isinstance(seed, SuperOp):
+                raw.append(seed.choi.real if self.dtype == np.float64 else seed.choi)
+            else:
+                raw.append(self.base + linalg.random_hermitian(n, np.random.default_rng(seed)))
+        return self.project_affine(np.array(raw))
 
     def _lifted(self, w: np.ndarray) -> np.ndarray:
         """L(W) for each row W of ``w``, as d^2 x d^2 Choi matrices."""
@@ -790,7 +809,9 @@ class _FeasibilitySolver:
         """Project the start point of each seed onto its member's feasible set
         (module docstring), with the tolerance and budget of ``options``: one
         seed per member of a stack of targets, or any number of seeds on a
-        shared set.  The members solved in complex arithmetic go in one
+        shared set.  A seed is ``None`` for the deterministic start, an int
+        for a seeded random one, or a ``SuperOp``, the member's given start
+        (:meth:`start_points`).  The members solved in complex arithmetic go in one
         lockstep loop, then those solved in real arithmetic in another
         (:meth:`_real_members`).  Returns one ``(superop, report)`` per seed.
         """
@@ -962,12 +983,22 @@ def ucp_extension_feasible(system: MatricialSystem, images,
 
 def ucp_extensions_feasible(system: MatricialSystem, image_sets,
                             tol: float = FEASIBILITY_TOL,
-                            max_iter: int = VALIDATE_MAX_ITER) -> list:
+                            max_iter: int = VALIDATE_MAX_ITER,
+                            starts: Optional[Sequence] = None) -> list:
     """The verdict of :func:`ucp_extension_feasible` for each of ``image_sets``,
-    all maps on one system, solved as one batch from their deterministic
-    starts; each member's verdict is the one it gets alone.  A set of images
-    that is no unital map on V gets ``(False, None)`` and is not solved.
+    all maps on one system, solved as one batch; each member's verdict is the
+    one it gets alone.  ``starts`` gives each set its start: ``None`` for the
+    deterministic one, or a map on M_d (a ``SuperOp``).  A given map that
+    already extends its images to a UCP map is confirmed in one dual
+    evaluation; any other is only a start, and the verdict is the solver's
+    either way (module docstring).  Without ``starts`` every set starts from
+    the deterministic point.  A set of images that is no unital map on V gets
+    ``(False, None)`` and is not solved.
     """
+    starts = [None] * len(image_sets) if starts is None else list(starts)
+    if len(starts) != len(image_sets) or any(
+            start is not None and start.d != system.dim for start in starts):
+        raise InputError("starts must give one map on M_d, or None, per set of images")
     options = ExtensionOptions(tol=tol, max_iter=max_iter)
     posed = {}  # the targets of each set of images that is a unital map on V
     for k, images in enumerate(image_sets):
@@ -975,7 +1006,8 @@ def ucp_extensions_feasible(system: MatricialSystem, image_sets,
             posed[k] = ExtensionProblem.for_map(system, images, options).map_targets
         except InputError:
             pass
-    runs = (_FeasibilitySolver(system, list(posed.values())).solve(options, [None] * len(posed))
+    runs = (_FeasibilitySolver(system, list(posed.values())).solve(
+                options, [starts[k] for k in posed])
             if posed else [])
     verdicts = [(False, None)] * len(image_sets)
     for k, (_, report) in zip(posed, runs):

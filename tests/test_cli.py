@@ -44,6 +44,20 @@ AMPLITUDE_DAMPING_VALIDATE = {
                  "jumps": [{"op": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]], "rate": 1.0}]}}
 
 
+def pauli_generator_validate():
+    """ROADMAP item 13's false positive: ``validate`` on M2 of the Pauli
+    generator G(B) = sum_i gamma_i (s_i B s_i - B), gamma = (1, 1, -0.5), as
+    Choi dynamics.  Its semigroup is not CP at t = 0.5, but each of these
+    samples extends to a UCP map."""
+    p = catalog.pauli_basis()
+    rates = (1.0, 1.0, -0.5)
+    op = maps.from_action(2, lambda b: sum(rate * (s @ b @ s - b)
+                                           for rate, s in zip(rates, (p.X, p.Y, p.Z))))
+    return {"command": "validate", "system": "M2",
+            "dynamics": {"kind": "choi", "super": serialize.superop_to_json(op)},
+            "options": {"times": [1.0, 1.5], "lambdas": [0.1]}}
+
+
 class TestRunScenario:
     def test_check_cp_on_choi_map(self):
         gen_report = run_scenario({"command": "check-cp",
@@ -108,6 +122,57 @@ class TestRunScenario:
         report = run_scenario(AMPLITUDE_DAMPING_VALIDATE)
         assert report["status"] == "ok"
         assert [c["feasible"] for c in report["results"]["checks"]] == [True] * 4
+
+    def test_validate_starts_from_the_generator_s_samples(self):
+        # The generator is certified, so each sample starts from its own
+        # sample, which the solver confirms in one evaluation.
+        report = run_scenario(AMPLITUDE_DAMPING_VALIDATE)
+        assert [c["residuals"]["iterations"] for c in report["results"]["checks"]] == [1] * 4
+
+    @pytest.mark.parametrize("samples, kinds", [
+        ({"times": []}, ["resolvent", "resolvent"]),
+        ({"lambdas": []}, ["evolution", "evolution"]),
+    ], ids=["resolvent-only", "evolution-only"])
+    def test_one_sided_validation(self, samples, kinds):
+        report = run_scenario({**AMPLITUDE_DAMPING_VALIDATE, "options": samples})
+        assert report["status"] == "ok"
+        assert [c["kind"] for c in report["results"]["checks"]] == kinds
+        jsonschema.validate(report, REPORT_SCHEMA)
+
+    def test_validation_without_samples_is_invalid_input(self):
+        report = run_scenario({**AMPLITUDE_DAMPING_VALIDATE,
+                               "options": {"times": [], "lambdas": []}})
+        assert report["status"] == "invalid-input"
+        assert report["error"]["message"] == (
+            "no samples: a verdict needs at least one t or lambda")
+
+    @pytest.mark.parametrize("command, key", [("evolve", "times"), ("resolvent", "lambdas")])
+    def test_an_empty_sample_grid_is_invalid_input(self, command, key):
+        # The schema allows empty lists for validate's sake; these commands
+        # have only the one grid, so an empty one still judges nothing.
+        report = run_scenario({"command": command, "dynamics": "g1", "options": {key: []}})
+        assert report["status"] == "invalid-input"
+        assert report["error"]["message"] == f"no samples: '{key}' is empty"
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "a sampled validate calls this non-UCP semigroup UCP: none of its samples "
+        "fails, although exp(0.5 G) is not CP (ROADMAP item 13)"))
+    def test_sampled_false_positive_is_not_ucp(self):
+        report = run_scenario(pauli_generator_validate())
+        assert report["status"] == "failed"
+        assert report["results"]["message"] == "not a UCP subsystem semigroup"
+
+    def test_an_uncertified_generator_keeps_the_cold_start(self, qubit):
+        scenario = pauli_generator_validate()
+        gen = serialize.generator_from_json(scenario["dynamics"])
+        assert not gen.certificates.ccp
+        sub = dynamics.SubsystemGenerator.from_action(
+            qubit, [gen.op.apply(v) for v in qubit.basis])
+        cold = dynamics.validate_subsystem_semigroup(sub, sample_ts=(1.0, 1.5),
+                                                     sample_lambdas=(0.1,))
+        checks = run_scenario(scenario)["results"]["checks"]
+        assert json.dumps(checks, sort_keys=True) == json.dumps(list(cold.checks),
+                                                                sort_keys=True)
 
     def test_check_ccp_of_extended_generator(self):
         extended = run_scenario({"command": "extend-generator", "system": "rebit",

@@ -313,6 +313,11 @@ class TestSubsystemGenerator:
             SubsystemGenerator.from_action(
                 rebit, [np.zeros((2, 2)), 1j * pauli.X, pauli.Z])
 
+    def test_extension_must_act_on_the_system_s_algebra(self, rebit):
+        with pytest.raises(InputError, match="extension acts on M_3"):
+            SubsystemGenerator.from_action(rebit, [np.zeros((2, 2))] * 3,
+                                           extension=dynamics.gksl_generator(3))
+
     def test_coordinate_action_matches(self, pauli):
         sub = catalog.rebit_rotation(1.0)
         np.testing.assert_allclose(sub.apply(pauli.X), pauli.Z, atol=1e-12)

@@ -1042,21 +1042,33 @@ class TestConeProjection:
 # ---------------------------------------------------------------------------
 
 
-def _real_gksl_subsystems():
-    """Real GKSL generators with 2 jumps on real_symmetric_3 and _4, drawn in
-    that order as the shared_system benchmark draws its validate scenarios."""
+def _real_gksl_terms():
+    """``{d: (hamiltonian, jumps)}`` of real GKSL generators with 2 jumps for
+    real_symmetric_3 and _4, drawn in that order as the shared_system
+    benchmark draws its validate scenarios."""
     pool = np.random.default_rng([20220620, 3])
-    subs = {}
+    terms = {}
     for d in (3, 4):
         a = pool.normal(size=(d, d))
-        ham = 1j * (a - a.T) / 2.0
         jumps = [(pool.normal(size=(d, d)) / np.sqrt(d) + 0j, float(pool.uniform(0.2, 1.0)))
                  for _ in range(2)]
-        gen = dynamics.gksl_generator(d, ham, jumps)
-        system = catalog.real_symmetric_system(d)
-        subs[d] = SubsystemGenerator.from_action(
-            system, [gen.op.apply(v) for v in system.basis])
-    return subs
+        terms[d] = (1j * (a - a.T) / 2.0, jumps)
+    return terms
+
+
+def _restricted(system, gen, extension=None):
+    """The generator ``gen`` on M_d restricted to ``system``."""
+    return SubsystemGenerator.from_action(system, [gen.op.apply(v) for v in system.basis],
+                                          extension=extension)
+
+
+def _real_gksl_subsystems():
+    """The generators of :func:`_real_gksl_terms` restricted to
+    real_symmetric_3 and _4, with no extension: a validation solves each of
+    their samples from the deterministic start."""
+    return {d: _restricted(catalog.real_symmetric_system(d),
+                           dynamics.gksl_generator(d, ham, jumps))
+            for d, (ham, jumps) in _real_gksl_terms().items()}
 
 
 def _unitary_mixture_images(n_unitaries):
@@ -1521,6 +1533,131 @@ class TestRealArithmetic:
         for op, own, error in zip(ops, targets, stack.tolist()):
             assert error == extension.restriction_error(op, qubit.basis, own)
             assert error == max(linalg.frob(op.apply(v) - t) for v, t in zip(qubit.basis, own))
+
+
+# ---------------------------------------------------------------------------
+# A validation starts each sample from its extension's own sample
+# ---------------------------------------------------------------------------
+
+
+_PHASE_4 = np.diag(np.exp(1j * np.array([0.0, 0.7, 1.9, 3.1])))
+
+
+def _extended_and_cold(name):
+    """``(extended, cold)``: the real GKSL generator G of
+    :func:`_real_gksl_terms` restricted to its system, with G as its
+    extension and with none.  ``phase_twin_4`` conjugates the real_symmetric_4
+    system and G's terms by a diagonal phase unitary, so its data is complex."""
+    d = int(name[-1])
+    ham, jumps = _real_gksl_terms()[d]
+    system = catalog.real_symmetric_system(d)
+    if name.startswith("phase_twin"):
+        def conjugate(m):
+            return _PHASE_4 @ m @ linalg.dagger(_PHASE_4)
+        system = MatricialSystem.from_basis([conjugate(v) for v in system.basis])
+        ham, jumps = conjugate(ham), [(conjugate(op), rate) for op, rate in jumps]
+    gen = dynamics.gksl_generator(d, ham, jumps)
+    return _restricted(system, gen, extension=gen), _restricted(system, gen)
+
+
+def recording_solve(monkeypatch):
+    """Record the seeds of every ``_FeasibilitySolver.solve`` call."""
+    calls = []
+    solve = extension._FeasibilitySolver.solve
+
+    def recording(solver, options, seeds):
+        calls.append(list(seeds))
+        return solve(solver, options, seeds)
+
+    monkeypatch.setattr(extension._FeasibilitySolver, "solve", recording)
+    return calls
+
+
+class TestGivenStarts:
+    """A validation whose generator carries a certified extension G starts
+    each sample from G's own sample, which the solver confirms; any other
+    sample starts from the deterministic point."""
+
+    SAMPLES = TestBatchedValidation.SAMPLES
+
+    @pytest.mark.parametrize("name", ["real_symmetric_3", "real_symmetric_4", "phase_twin_4"])
+    def test_a_certified_extension_is_confirmed_in_one_evaluation(self, name):
+        extended, cold = _extended_and_cold(name)
+        assert extended.extension.certificates.certified
+        report = dynamics.validate_subsystem_semigroup(extended, max_iter=2500)
+        alone = dynamics.validate_subsystem_semigroup(cold, max_iter=2500)
+        assert report.valid and alone.valid
+        assert [c["feasible"] for c in report.checks] == [c["feasible"] for c in alone.checks]
+        for check in report.checks:
+            residuals = check["residuals"]
+            assert residuals["iterations"] == 1
+            assert max(residuals["cone"], residuals["affine"],
+                       residuals["restriction"]) <= FEASIBILITY_TOL
+        assert all(c["residuals"]["iterations"] > 1 for c in alone.checks)
+
+    def test_a_given_start_of_real_data_is_solved_in_float64(self, monkeypatch):
+        # A given start is deterministic, so a member with real data goes to
+        # the float64 loop, from the real part of the given Choi matrix: an
+        # imaginary part added to a real extension changes nothing.
+        system = catalog.real_symmetric_system(3)
+        q = np.linalg.qr(np.random.default_rng(3).normal(size=(6, 3)))[0]
+        phi = maps.from_kraus(3, [q[:3], q[3:]])
+        targets = [phi.apply(v).real for v in system.basis]
+        a = np.random.default_rng(4).normal(size=(9, 9))
+        tilted = maps.SuperOp(3, phi.choi + 0.1j * (a - a.T))
+        real = maps.SuperOp(3, phi.choi.real)
+        loops = recording_lockstep(monkeypatch)
+        verdicts = [extension.ucp_extensions_feasible(system, [targets], starts=[start])[0]
+                    for start in (tilted, real)]
+        assert loops == [(np.float64, [tilted]), (np.float64, [real])]
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[0][0] and verdicts[0][1]["iterations"] == 1
+
+    def test_a_sample_of_g_that_raises_starts_cold(self, monkeypatch):
+        # Amplitude damping plus dephasing at rate 1e10 on the diagonal
+        # system: the dephasing vanishes there, but lam = 1e-4 - G has
+        # condition number about 2e14, so G's resolvent sample raises while
+        # the subsystem's is regular.  That sample starts from the
+        # deterministic point and gets the check it gets without G.
+        system = catalog.diagonal_system()
+        damping = np.array([[0, 1], [0, 0]], dtype=complex)
+        gen = dynamics.gksl_generator(2, jumps=[(damping, 1.0),
+                                                (np.diag([1.0, -1.0]) + 0j, 1e10)])
+        assert gen.certificates.certified
+        with pytest.raises(NumericalError):
+            dynamics.resolvent(gen, 1e-4)
+        samples = {"sample_lambdas": (1e-4, 1.0), "sample_ts": (0.5,)}
+        calls = recording_solve(monkeypatch)
+        report = dynamics.validate_subsystem_semigroup(
+            _restricted(system, gen, extension=gen), **samples)
+        (seeds,) = calls
+        assert seeds[0] is None and all(isinstance(s, maps.SuperOp) for s in seeds[1:])
+        alone = dynamics.validate_subsystem_semigroup(
+            _restricted(system, gen), sample_lambdas=(1e-4,), sample_ts=())
+        assert report.valid and report.checks[0] == alone.checks[0]
+        assert [c["residuals"]["iterations"] for c in report.checks[1:]] == [1, 1]
+
+    def test_a_given_member_of_a_batch_is_its_solo_run(self):
+        # Given and deterministic starts mixed in one batch: each member's
+        # check is the one it gets alone.
+        extended, _ = _extended_and_cold("real_symmetric_3")
+        gen, system = extended.extension, extended.system
+        image_sets = TestBatchedValidation._images(extended, **self.SAMPLES)
+        starts = [1.0 * dynamics.resolvent(gen, 1.0), None, None,
+                  dynamics.evolve(gen, 1.5)]
+        batch = extension.ucp_extensions_feasible(system, image_sets, starts=starts)
+        solo = [extension.ucp_extensions_feasible(system, [images], starts=[start])[0]
+                for images, start in zip(image_sets, starts)]
+        assert batch == solo
+        assert [residuals["iterations"] == 1 for _, residuals in batch] == [
+            True, False, False, True]
+
+    def test_starts_must_match_the_image_sets(self, rebit):
+        images = list(rebit.basis)
+        with pytest.raises(InputError, match="starts"):
+            extension.ucp_extensions_feasible(rebit, [images], starts=[None, None])
+        with pytest.raises(InputError, match="starts"):
+            extension.ucp_extensions_feasible(rebit, [images], starts=[maps.identity_map(3)])
 
 
 # (d, Kraus rank) -> the seeds whose restriction stops unconverged with the

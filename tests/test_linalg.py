@@ -42,9 +42,11 @@ class TestExpm:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_is_a_numerical_error(self):
-        # finite at scale 1e20, NaN inside scipy's squaring at 1e100
+        # exact at scale 1e20, NaN inside scipy's squaring at 1e100; an
+        # over-scaled squaring gives 0.99999976 for 1 at 1e10 (ROADMAP item 14)
         dissipation = np.array([[0.0, 0.0], [1.0, -1.0]])
-        assert np.all(np.isfinite(linalg.expm(dissipation, 1e20)))
+        np.testing.assert_allclose(linalg.expm(dissipation, 1e20), [[1.0, 0.0], [1.0, 0.0]],
+                                   rtol=0.0, atol=1e-12)
         with pytest.raises(NumericalError, match="overflowed"):
             linalg.expm(dissipation, 1e100)
 
