@@ -21,15 +21,18 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from . import linalg, maps
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, Undecided
 from .maps import SuperOp
-from .systems import MatricialSystem, contains
+from .systems import MatricialSystem, commutant, contains
 from .tolerances import FEASIBILITY_TOL, VALIDATE_MAX_ITER
+
+if TYPE_CHECKING:
+    from .extension import ExtensionReport
 
 __all__ = [
     "GeneratorCertificates",
@@ -246,8 +249,9 @@ class SubsystemGenerator:
     ``extension`` is optional: a generator G on M_d that A was restricted
     from, so G(basis[k]) = action[k] and G maps V into V.  It is not checked
     beyond its dimension, because it decides nothing: when it is certified,
-    :func:`validate_subsystem_semigroup` starts each sample's solve from G's
-    own sample, and the solver still decides each verdict.
+    :func:`validate_subsystem_semigroup` starts its generator solve from G
+    (irreducible V) or each sample's solve from G's own sample (reducible V),
+    and the solver still decides each verdict.
     """
 
     system: MatricialSystem
@@ -309,88 +313,228 @@ def subsystem_evolve_images(sub: SubsystemGenerator, t: float):
     return _basis_images(sub, linalg.expm(sub.coordinate_matrix, scale=float(t)))
 
 
+# The samples of a validation on a reducible V when it names none; on an
+# irreducible V they join the counterexample search.
+DEFAULT_SAMPLE_TS = (0.5, 1.5)
+DEFAULT_SAMPLE_LAMBDAS = (1.0, 4.0)
+# The counterexample search halves the smallest evolution time this often.
+_HALVINGS = 10
+
+
 def _scaled_resolvent(gen: Generator, lam: float) -> SuperOp:
     """lam * R(lam, G): the resolvent sample of a generator on M_d."""
     return lam * resolvent(gen, lam)
 
 
-def _sample_or_none(sample_of, gen: Generator, parameter: float) -> Optional[SuperOp]:
-    """G's sample ``sample_of(gen, parameter)``, or None when computing it
-    raises :class:`NumericalError`."""
+def _sample_images(sub: SubsystemGenerator, kind: str, parameter: float):
+    """The images of V's basis under the ``kind`` sample of A at ``parameter``."""
+    images_of = subsystem_resolvent_images if kind == "resolvent" else subsystem_evolve_images
+    return images_of(sub, parameter)
+
+
+def _sample_of(gen: Generator, check: dict) -> Optional[SuperOp]:
+    """G's own sample of ``check``, or None when computing it raises
+    :class:`NumericalError`."""
+    sample_of = _scaled_resolvent if check["kind"] == "resolvent" else evolve
     try:
-        return sample_of(gen, parameter)
+        return sample_of(gen, check["parameter"])
     except NumericalError:
         return None
 
 
-@dataclass(frozen=True)
-class SubsystemValidationReport:
-    valid: bool
-    checks: tuple
-    message: str
-
-    def failures(self):
-        return [c for c in self.checks if not c["feasible"]]
-
-
-def validate_subsystem_semigroup(sub: SubsystemGenerator,
-                                 sample_ts: Sequence[float] = (0.5, 1.5),
-                                 sample_lambdas: Sequence[float] = (1.0, 4.0),
-                                 tol: float = FEASIBILITY_TOL,
-                                 max_iter: int = VALIDATE_MAX_ITER) -> SubsystemValidationReport:
-    """Certify that A generates a UCP semigroup on V.
-
-    For each sampled lambda the map lam * R(lam, A) and for each sampled t the
-    map exp(t * A), both computed on V's coordinates, must extend to a UCP map
-    on the full matrix algebra; feasibility of the extension problem is the
-    certificate, and each check records the feasibility residuals.  Samples
-    outside the semigroup (t < 0 or lambda <= 0), and an empty sample set, are
-    rejected before any solve.  Every sample's images are computed first, and
-    then all samples are solved as one batch
-    (:func:`extension.ucp_extensions_feasible`), each with the verdict it gets
-    alone.  A singular resolvent sample is a failed check and is not solved:
-    at lambda > 0, a UCP semigroup's generator has lambda in its resolvent
-    set.  An evolution sample whose exponential overflows is no evidence; its
-    :class:`NumericalError` ends the validation before any solve.
-
-    Start points.  When ``sub.extension`` is a certified generator G on M_d,
-    each sample starts from G's own sample, exp(t G) or lam R(lam, G): G maps
-    V into V and agrees with A there, so that map is a UCP extension of the
-    sample, and the solver confirms it in one dual evaluation.  The start
-    decides nothing: the solver's stop rule, polish and residual check give
-    the verdict from any start.  A sample of G that raises
-    :class:`NumericalError` starts from the deterministic point, as every
-    sample does without a certified extension.
-    """
-    from . import extension  # local import: extension builds on this module
-
-    if any(t < 0 for t in sample_ts) or any(lam <= 0 for lam in sample_lambdas):
-        raise InputError("samples must lie in the semigroup: every t >= 0 and every lambda > 0")
-
-    samples = ([("resolvent", lam, subsystem_resolvent_images, _scaled_resolvent)
-                for lam in sample_lambdas]
-               + [("evolution", t, subsystem_evolve_images, evolve) for t in sample_ts])
-    if not samples:
-        raise InputError("no samples: a verdict needs at least one t or lambda")
-    gen = sub.extension
-    if gen is not None and not gen.certificates.certified:
-        gen = None
-    checks, solved, images, starts = [], [], [], []
-    for kind, parameter, images_of, sample_of in samples:
-        check = {"kind": kind, "parameter": float(parameter)}
+def _sample_checks(sub: SubsystemGenerator, samples) -> tuple:
+    """``(checks, images)``: one check per ``(kind, parameter)`` sample, and
+    the images of each check that has them, by its index.  A singular
+    resolvent sample is a check with ``feasible`` False and its ``error``; an
+    evolution sample whose exponential overflows raises
+    :class:`NumericalError`."""
+    checks, images = [], {}
+    for kind, parameter in samples:
+        check = {"kind": kind, "parameter": parameter}
         try:
-            images.append(images_of(sub, parameter))
-            solved.append(check)
-            starts.append(None if gen is None else _sample_or_none(sample_of, gen, parameter))
+            images[len(checks)] = _sample_images(sub, kind, parameter)
         except NumericalError as exc:
             if kind == "evolution":
                 raise
             check.update(feasible=False, residuals=None, error=str(exc))
         checks.append(check)
-    verdicts = extension.ucp_extensions_feasible(sub.system, images, tol=tol, max_iter=max_iter,
-                                                 starts=starts)
+    return checks, images
+
+
+def _solve_checks(sub: SubsystemGenerator, checks, images: dict, tol: float, max_iter: int,
+                  gen: Optional[Generator] = None) -> None:
+    """Solve the checks that have images as one batch
+    (:func:`extension.ucp_extensions_feasible`), each from ``gen``'s own
+    sample when ``gen`` is given, and record each verdict in its check."""
+    from . import extension  # local import: extension builds on this module
+
+    solved = [checks[k] for k in images]
+    starts = None if gen is None else [_sample_of(gen, check) for check in solved]
+    verdicts = extension.ucp_extensions_feasible(sub.system, list(images.values()), tol=tol,
+                                                 max_iter=max_iter, starts=starts)
     for check, (feasible, residuals) in zip(solved, verdicts):
         check.update(feasible=feasible, residuals=residuals)
-    valid = all(check["feasible"] for check in checks)
-    message = "UCP subsystem semigroup" if valid else "not a UCP subsystem semigroup"
-    return SubsystemValidationReport(valid=valid, checks=tuple(checks), message=message)
+
+
+def _sample_name(check: dict) -> str:
+    symbol = "lambda" if check["kind"] == "resolvent" else "t"
+    return f"the {check['kind']} sample at {symbol} = {check['parameter']:g}"
+
+
+def _samples(sample_lambdas, sample_ts) -> list:
+    """The ``(kind, parameter)`` samples, resolvents first."""
+    return ([("resolvent", float(lam)) for lam in sample_lambdas]
+            + [("evolution", float(t)) for t in sample_ts])
+
+
+def _cross_check(sub: SubsystemGenerator, checks, images: dict, tol: float, max_iter: int,
+                 gen_plus: Generator) -> None:
+    """Solve the named samples from the samples of the certified extension
+    G+; raise :class:`Undecided` on the first that does not pass."""
+    _solve_checks(sub, checks, images, tol, max_iter, gen_plus)
+    for check in checks:
+        if check["feasible"]:
+            continue
+        head = ("validation undecided: the generator extension is certified, but "
+                + _sample_name(check))
+        if "error" in check:
+            raise Undecided(f"{head} cannot be computed: {check['error']}",
+                            reason="cross-check not computed")
+        raise Undecided(f"{head} does not extend to a UCP map", reason="cross-check failed")
+
+
+def _counterexample(sub: SubsystemGenerator, named, checks, images: dict, tol: float,
+                    max_iter: int) -> Optional[dict]:
+    """Solve the named samples, the default ones and t0 / 2^k, k = 1..10, as
+    one cold batch, and return the first sample whose solve stopped
+    unconverged before its budget, or None.  The order: the named samples,
+    then t0 and its halvings from t0 down, then the other evolution times,
+    then the resolvents."""
+    t0 = min([t for kind, t in named if kind == "evolution" and t > 0] + list(DEFAULT_SAMPLE_TS))
+    others = set(_samples(DEFAULT_SAMPLE_LAMBDAS,
+                          DEFAULT_SAMPLE_TS + tuple(t0 / 2 ** k for k in range(1, _HALVINGS + 1))))
+    search, search_images = list(checks), dict(images)
+    for kind, parameter in sorted(others - set(named),
+                                  key=lambda s: (s[0] != "evolution", s[1] > t0, -s[1])):
+        try:
+            search_images[len(search)] = _sample_images(sub, kind, parameter)
+        except NumericalError:
+            continue  # no evidence either way
+        search.append({"kind": kind, "parameter": parameter})
+    _solve_checks(sub, search, search_images, tol, max_iter)
+    return next((check for check in search
+                 if not check["feasible"] and check["residuals"] is not None
+                 and check["residuals"]["iterations"] < max_iter), None)
+
+
+@dataclass(frozen=True)
+class SubsystemValidationReport:
+    """``generator`` is the report of the generator extension that decided
+    an irreducible V, None on a reducible V, where the samples decide."""
+
+    valid: bool
+    checks: tuple
+    message: str
+    generator: Optional[ExtensionReport] = None
+
+    def failures(self):
+        return [c for c in self.checks if not c["feasible"]]
+
+
+_VALID, _INVALID = "UCP subsystem semigroup", "not a UCP subsystem semigroup"
+
+
+def validate_subsystem_semigroup(sub: SubsystemGenerator,
+                                 sample_ts: Optional[Sequence[float]] = None,
+                                 sample_lambdas: Optional[Sequence[float]] = None,
+                                 tol: float = FEASIBILITY_TOL,
+                                 max_iter: int = VALIDATE_MAX_ITER) -> SubsystemValidationReport:
+    """Decide whether A generates a UCP semigroup on V.
+
+    A sample is the map lam * R(lam, A) for a sampled lambda, or exp(t * A)
+    for a sampled t, computed on V's coordinates; it passes when it extends
+    to a UCP map on M_d (:func:`extension.ucp_extensions_feasible`), and its
+    check records the feasibility residuals.  Samples outside the semigroup
+    (t < 0 or lambda <= 0) are rejected before any solve.  The images of the
+    named samples are computed before any solve: an evolution sample whose
+    exponential overflows is no evidence, and its :class:`NumericalError`
+    ends the validation.  A singular resolvent sample is a failed check that
+    is not solved.
+
+    Irreducible V (``systems.commutant`` decided, of dimension 1).  Then M_d
+    is the injective envelope of V, and A generates a UCP semigroup on V
+    exactly when it has a ccp extension G on M_d: exp(t G) is UCP and equals
+    exp(t A) on V, because G maps V into V.  One generator extension
+    (:func:`extension.multi_start` on ``ExtensionProblem.for_generator``, at
+    ``tol`` and ``max_iter``) therefore decides every t and lambda.  It
+    starts from ``sub.extension`` when that generator is certified, where it
+    takes one dual evaluation, and from the deterministic point otherwise;
+    ``generator`` reports it.
+
+      * A converged solve whose result G+ is certified decides "UCP".  The
+        named samples, none by default, are cross-checks: each starts from
+        G+'s own sample, exp(t G+) or lam R(lam, G+) (from the deterministic
+        point when that sample raises), and must pass.  One that fails or
+        cannot be computed raises :class:`Undecided`, never "not UCP".
+      * Otherwise the validation searches a counterexample.  A semigroup
+        that fails at t fails at every t / 2^k, so one cold batch solves the
+        named samples, ``DEFAULT_SAMPLE_TS``, ``DEFAULT_SAMPLE_LAMBDAS`` and
+        t0 / 2^k for k = 1..10, t0 the smallest positive evolution time
+        among them.  A sample whose solve stops unconverged before its
+        budget decides "not UCP"; ``checks`` holds the named samples, and
+        the first such sample when it is not one of them.  The named samples
+        come first, then t0 and its halvings from t0 down, then the other
+        evolution times and the resolvents.  A sample that exhausts its
+        budget, or that cannot be computed, is no counterexample.  Without
+        one the validation raises :class:`Undecided`.
+
+    Reducible V, or an undecided commutant: M_d need not be the envelope
+    (ROADMAP item 7), and the samples decide.  ``None`` samples mean
+    ``DEFAULT_SAMPLE_TS`` and ``DEFAULT_SAMPLE_LAMBDAS``, and a validation
+    with no sample is rejected.  All samples are solved as one batch, each
+    with the verdict it gets alone, and the validation is valid when every
+    sample passes.  When ``sub.extension`` is a certified generator G, each
+    sample starts from G's own sample, which the solver confirms in one dual
+    evaluation; the start decides nothing, since the solver's stop rule,
+    polish and residual check give the verdict from any start.
+    """
+    from . import extension  # local import: extension builds on this module
+
+    named = _samples(sample_lambdas or (), sample_ts or ())
+    if any(p < 0 if kind == "evolution" else p <= 0 for kind, p in named):
+        raise InputError("samples must lie in the semigroup: every t >= 0 and every lambda > 0")
+    comm = commutant(sub.system, tol)
+    given = sub.extension
+    if given is not None and not given.certificates.certified:
+        given = None
+
+    if not (comm.decided and comm.dim == 1):
+        named = _samples(DEFAULT_SAMPLE_LAMBDAS if sample_lambdas is None else sample_lambdas,
+                         DEFAULT_SAMPLE_TS if sample_ts is None else sample_ts)
+        if not named:
+            raise InputError("no samples: a verdict needs at least one t or lambda")
+        checks, images = _sample_checks(sub, named)
+        _solve_checks(sub, checks, images, tol, max_iter, given)
+        valid = all(check["feasible"] for check in checks)
+        return SubsystemValidationReport(valid=valid, checks=tuple(checks),
+                                         message=_VALID if valid else _INVALID)
+
+    checks, images = _sample_checks(sub, named)
+    problem = extension.ExtensionProblem.for_generator(
+        sub.system, sub, extension.ExtensionOptions(tol=tol, max_iter=max_iter))
+    ((op, report),) = extension.multi_start(problem, [None if given is None else given.op])
+    gen_plus = certify(op, tol)
+    if report.converged and gen_plus.certificates.certified:
+        _cross_check(sub, checks, images, tol, max_iter, gen_plus)
+        return SubsystemValidationReport(valid=True, checks=tuple(checks), message=_VALID,
+                                         generator=report)
+    failing = _counterexample(sub, named, checks, images, tol, max_iter)
+    if failing is None:
+        raise Undecided(
+            f"validation undecided: the generator extension "
+            f"{'is not certified' if report.converged else 'did not converge'}, and no "
+            f"sample solved is a counterexample", reason="no counterexample")
+    if failing not in checks:
+        checks.append(failing)
+    return SubsystemValidationReport(valid=False, checks=tuple(checks), message=_INVALID,
+                                     generator=report)

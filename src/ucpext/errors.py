@@ -32,6 +32,23 @@ class GroupExtensionError(Failure):
     or randomized starts of the cross-check disagree with the certificate."""
 
 
+class Undecided(Failure):
+    """Raised when the evidence computed decides neither way: a claim that is
+    neither proved nor refuted.  It is never a rejection of the input.
+
+    ``reason`` names the case in a few words (``fields``), for example
+    ``"cross-check failed"``; the message names the sample or solve behind it.
+    """
+
+    def __init__(self, message, reason=None):
+        super().__init__(message)
+        self.reason = reason
+
+    @property
+    def fields(self) -> dict:
+        return {} if self.reason is None else {"reason": self.reason}
+
+
 class ResolventFamilyError(Failure):
     """Raised when the resolvent-family route exhausts its parameter escalation
     without producing a conditionally completely positive generator.

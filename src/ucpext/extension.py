@@ -126,12 +126,16 @@ solves with the problem's options as given, and an int ``s`` solves from the
 randomized start with ``seed = s``, so equal seeds give bit-identical
 extensions.  A member can also be given its start, a ``SuperOp`` in place of
 its seed: the start point is then the affine projection of that map's Choi
-matrix.  :func:`ucp_extensions_feasible` takes one per sample, and a
-validation passes the sample of a certified extension of its generator
-(``dynamics.validate_subsystem_semigroup``): that map already extends the
-sample, so the solver confirms it in one dual evaluation, with the same stop
-rule, polish and residual check as from any other start.  A given start is
-deterministic: it draws no random numbers.
+matrix.  :func:`multi_start` passes such a seed on as it is, and
+:func:`ucp_extensions_feasible` takes one per sample.  A validation
+(``dynamics.validate_subsystem_semigroup``) uses both: on an irreducible V
+its one generator solve starts from a certified extension of its generator,
+and its cross-check samples from the samples of the certified extension G+
+that solve returns; on a reducible V each sample starts from the sample of a
+certified extension.  Each start already lies in its feasible set, so the
+solver confirms it in one dual evaluation, with the same stop rule, polish
+and residual check as from any other start.  A given start is deterministic:
+it draws no random numbers.
 
 Batches.  A batch is a set of problems on one system and one cone, each
 member with its own start and its own agreement targets, solved in one
@@ -939,7 +943,9 @@ def multi_start(problem: ExtensionProblem, seeds):
     """Solve ``problem`` once per entry of ``seeds``, on one shared set-up.
 
     The seed ``None`` solves with ``problem.options`` as given; an int ``s``
-    solves from the randomized start ``replace(problem.options, seed=s)``.
+    solves from the randomized start ``replace(problem.options, seed=s)``;
+    a ``SuperOp`` is the member's given start, the affine projection of its
+    Choi matrix (module docstring), which draws no random numbers.
     Returns one ``(superop, report)`` per seed, in order; the superop is the
     raw Choi-matrix solution (map problems use the PSD cone, generator
     problems the ccp cone { C : P C P >= 0 }, both projected through their

@@ -47,6 +47,14 @@ def random_gksl(d, rng, ham_scale=0.7, max_jumps=3, rate_range=(0.2, 1.5)):
     return dynamics.gksl_generator(d, ham, jumps)
 
 
+def diagonal_damping():
+    """Amplitude damping |0><1| at rate 1 restricted to span{I, Z}, a reducible V."""
+    system = catalog.diagonal_system()
+    gen = dynamics.gksl_generator(2, jumps=[(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)])
+    return dynamics.SubsystemGenerator.from_action(system,
+                                                   [gen.op.apply(v) for v in system.basis])
+
+
 def random_involution_lift(d, rng, mu_range=(0.6, 1.4)):
     """G = mu * (id - conjugation by a Hermitian involution W != +-I).
 

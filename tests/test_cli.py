@@ -42,6 +42,8 @@ AMPLITUDE_DAMPING_VALIDATE = {
     "command": "validate", "system": "rebit",
     "dynamics": {"kind": "gksl",
                  "jumps": [{"op": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]], "rate": 1.0}]}}
+# The samples a validation on a reducible V takes when it names none.
+FOUR_SAMPLES = {"lambdas": [1.0, 4.0], "times": [0.5, 1.5]}
 
 
 def pauli_generator_validate():
@@ -119,19 +121,31 @@ class TestRunScenario:
         assert sorted(lams) == sorted({*np.linspace(0.5, 4.0, 5).tolist(), 1.0, 2.0})
 
     def test_validate_amplitude_damping(self):
-        report = run_scenario(AMPLITUDE_DAMPING_VALIDATE)
+        report = run_scenario({**AMPLITUDE_DAMPING_VALIDATE, "options": FOUR_SAMPLES})
         assert report["status"] == "ok"
         assert [c["feasible"] for c in report["results"]["checks"]] == [True] * 4
 
     def test_validate_starts_from_the_generator_s_samples(self):
-        # The generator is certified, so each sample starts from its own
-        # sample, which the solver confirms in one evaluation.
-        report = run_scenario(AMPLITUDE_DAMPING_VALIDATE)
+        # The generator is certified, so the generator solve starts from it
+        # and each named sample from the sample of the certified result; the
+        # solver confirms each in one evaluation.
+        report = run_scenario({**AMPLITUDE_DAMPING_VALIDATE, "options": FOUR_SAMPLES})
+        assert report["results"]["generator"]["iterations"] == 1
         assert [c["residuals"]["iterations"] for c in report["results"]["checks"]] == [1] * 4
 
+    def test_an_irreducible_v_is_decided_by_the_generator_alone(self):
+        # The rebit is irreducible: one generator solve decides every t and
+        # lambda, and no sample is solved unless named.
+        report = run_scenario(AMPLITUDE_DAMPING_VALIDATE)
+        assert report["status"] == "ok"
+        results = report["results"]
+        assert results["checks"] == [] and results["message"] == "UCP subsystem semigroup"
+        assert results["generator"]["iterations"] == 1 and results["generator"]["converged"]
+        jsonschema.validate(report, REPORT_SCHEMA)
+
     @pytest.mark.parametrize("samples, kinds", [
-        ({"times": []}, ["resolvent", "resolvent"]),
-        ({"lambdas": []}, ["evolution", "evolution"]),
+        ({"times": [], "lambdas": [1.0, 4.0]}, ["resolvent", "resolvent"]),
+        ({"lambdas": [], "times": [0.5, 1.5]}, ["evolution", "evolution"]),
     ], ids=["resolvent-only", "evolution-only"])
     def test_one_sided_validation(self, samples, kinds):
         report = run_scenario({**AMPLITUDE_DAMPING_VALIDATE, "options": samples})
@@ -140,7 +154,8 @@ class TestRunScenario:
         jsonschema.validate(report, REPORT_SCHEMA)
 
     def test_validation_without_samples_is_invalid_input(self):
-        report = run_scenario({**AMPLITUDE_DAMPING_VALIDATE,
+        # On a reducible V (span{I, Z}) the samples decide, so one is needed.
+        report = run_scenario({**AMPLITUDE_DAMPING_VALIDATE, "system": "diagonal",
                                "options": {"times": [], "lambdas": []}})
         assert report["status"] == "invalid-input"
         assert report["error"]["message"] == (
@@ -154,13 +169,20 @@ class TestRunScenario:
         assert report["status"] == "invalid-input"
         assert report["error"]["message"] == f"no samples: '{key}' is empty"
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "a sampled validate calls this non-UCP semigroup UCP: none of its samples "
-        "fails, although exp(0.5 G) is not CP (ROADMAP item 13)"))
     def test_sampled_false_positive_is_not_ucp(self):
+        # None of the named samples fails, but the generator solve finds no
+        # ccp extension, and the counterexample search finds exp(0.5 G).
         report = run_scenario(pauli_generator_validate())
         assert report["status"] == "failed"
-        assert report["results"]["message"] == "not a UCP subsystem semigroup"
+        results = report["results"]
+        assert results["message"] == "not a UCP subsystem semigroup"
+        assert results["generator"]["converged"] is False
+        named, failing = results["checks"][:3], results["checks"][3:]
+        assert all(check["feasible"] for check in named)
+        (failing,) = failing
+        assert failing["kind"] == "evolution" and failing["parameter"] <= 0.5
+        assert failing["feasible"] is False
+        jsonschema.validate(report, REPORT_SCHEMA)
 
     def test_an_uncertified_generator_keeps_the_cold_start(self, qubit):
         scenario = pauli_generator_validate()
@@ -318,7 +340,8 @@ class TestRunScenario:
                                "dynamics": "rebit_dissipative"})
         verdict = dynamics.validate_subsystem_semigroup(catalog.rebit_dissipative(1.0))
         assert report["results"] == {"valid": verdict.valid, "message": verdict.message,
-                                     "checks": list(verdict.checks)}
+                                     "checks": list(verdict.checks),
+                                     "generator": asdict(verdict.generator)}
         report = run_scenario({"command": "rigidity-probe", "system": "M2"})
         assert report["results"] == asdict(extension.rigidity_probe(catalog.qubit_system()))
 
@@ -411,7 +434,25 @@ class TestFailuresAndExitCodes:
 
     def test_the_library_failures_share_one_base(self):
         assert {"NumericalError", "ExtensionInfeasible", "GroupExtensionError",
-                "ResolventFamilyError"} <= {cls.__name__ for cls in failure_types()}
+                "ResolventFamilyError", "Undecided"} <= {cls.__name__ for cls in failure_types()}
+
+    def test_an_uncomputable_cross_check_is_undecided(self, tmp_path, capsys):
+        # g1 generates a UCP semigroup, and its certified extension decides
+        # so; the named sample lambda = 1e-300 has a resolvent of condition
+        # number 1e300, which is no evidence against it.
+        scenario = {"command": "validate", "system": "rebit", "dynamics": "g1",
+                    "options": {"lambdas": [1e-300]}}
+        report = run_scenario(scenario)
+        assert report["status"] == "failed" and report["results"] == {}
+        error = report["error"]
+        assert error["type"] == "Undecided" and error["reason"] == "cross-check not computed"
+        assert "resolvent sample at lambda = 1e-300" in error["message"]
+        assert "not a UCP" not in json.dumps(report)
+        jsonschema.validate(report, REPORT_SCHEMA)
+        path = write_scenario(tmp_path, scenario)
+        capsys.readouterr()
+        assert main(["run", path]) == 1
+        assert strict_json(capsys.readouterr().out) == report
 
     def test_infeasible_discrete_step(self, tmp_path, capsys):
         transpose = serialize.superop_to_json(maps.transpose_map(2))
@@ -659,6 +700,9 @@ class TestFailuresAndExitCodes:
         # an exponential that overflows is no evidence, never "not UCP"
         ({"command": "validate", "system": "rebit", "dynamics": "rebit_dissipative",
           "options": {"times": [1e100]}}, "failed", "NumericalError"),
+        # g1 is ccp, and an ill-conditioned resolvent sample does not refute it
+        ({"command": "validate", "system": "rebit", "dynamics": "g1",
+          "options": {"lambdas": [1e-300]}}, "failed", "Undecided"),
         ({"command": "evolve", "dynamics": "g1", "options": {"times": [1e300]}},
          "failed", "NumericalError"),
         ({"command": "check-cp", "dynamics": "g1", "options": {"time": 1e300}},
@@ -921,6 +965,14 @@ class TestReports:
         ]
         for scenario in scenarios:
             jsonschema.validate(run_scenario(scenario), REPORT_SCHEMA)
+        # validate's generator block: a solve's report, or null on a reducible V
+        for system in ("rebit", "diagonal"):
+            report = run_scenario({**AMPLITUDE_DAMPING_VALIDATE, "system": system})
+            assert (report["results"]["generator"] is None) is (system == "diagonal")
+            jsonschema.validate(report, REPORT_SCHEMA)
+            report["results"]["generator"] = {"iterations": 1}
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(report, REPORT_SCHEMA)
         # Reports that main builds before any scenario runs: an unparseable
         # file, and several files without --batch.
         unparseable = tmp_path / "broken.json"

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_gksl, random_involution_lift
+from conftest import diagonal_damping, random_gksl, random_involution_lift
 from ucpext import catalog, dynamics, linalg, maps
 from ucpext.dynamics import SubsystemGenerator
 from ucpext.errors import InputError, NumericalError
+from ucpext.tolerances import VALIDATE_MAX_ITER
 
 
 def pauli_coefficient(result, direction):
@@ -368,6 +369,7 @@ class TestValidation:
             dynamics.validate_subsystem_semigroup(catalog.rebit_rotation(1.0), **samples)
 
     def test_empty_sample_set_rejected(self, monkeypatch):
+        # On a reducible V the samples decide, so a validation needs one.
         from ucpext import extension
 
         def no_solve(*args, **kwargs):
@@ -375,8 +377,43 @@ class TestValidation:
 
         monkeypatch.setattr(extension._FeasibilitySolver, "solve", no_solve)
         with pytest.raises(InputError, match="no samples"):
-            dynamics.validate_subsystem_semigroup(
-                catalog.rebit_rotation(1.0), sample_ts=(), sample_lambdas=())
+            dynamics.validate_subsystem_semigroup(diagonal_damping(), sample_ts=(),
+                                                  sample_lambdas=())
+
+    def test_empty_sample_set_is_decided_on_an_irreducible_v(self):
+        # The rebit is irreducible: the generator extension decides alone.
+        report = dynamics.validate_subsystem_semigroup(
+            catalog.rebit_rotation(1.0), sample_ts=(), sample_lambdas=())
+        assert report.valid and report.checks == ()
+        assert report.generator.converged and report.generator.iterations == 1
+
+    def test_a_reducible_v_takes_the_sampled_path(self, monkeypatch):
+        # span{I, Z} is reducible: no generator solve, and the default
+        # samples are solved as one batch, as before.
+        from ucpext import extension
+
+        calls = []
+        solve = extension._FeasibilitySolver.solve
+        monkeypatch.setattr(extension._FeasibilitySolver, "solve",
+                            lambda solver, options, seeds: calls.append((solver.ccp, len(seeds)))
+                            or solve(solver, options, seeds))
+        report = dynamics.validate_subsystem_semigroup(diagonal_damping())
+        assert calls == [(False, 4)]
+        assert report.valid and report.generator is None
+        assert [(c["kind"], c["parameter"]) for c in report.checks] == [
+            ("resolvent", 1.0), ("resolvent", 4.0), ("evolution", 0.5), ("evolution", 1.5)]
+
+    def test_non_ccp_generator_is_not_ucp_by_a_counterexample(self, rebit, pauli):
+        # The X-coordinate grows, so no ccp extension exists and the generator
+        # solve does not converge; the search finds the first failing sample
+        # at the smallest default time, t0 = 0.5.
+        grow = SubsystemGenerator.from_action(
+            rebit, [np.zeros((2, 2)), 1.0 * pauli.X, -1.0 * pauli.Z])
+        report = dynamics.validate_subsystem_semigroup(grow)
+        assert not report.valid and not report.generator.converged
+        (check,) = report.checks
+        assert (check["kind"], check["parameter"], check["feasible"]) == ("evolution", 0.5, False)
+        assert check["residuals"]["iterations"] < VALIDATE_MAX_ITER
 
     def test_sample_order_and_singular_resolvent(self, rebit, pauli):
         # The coordinate action has eigenvalue 1, so lam = 1 is a singular

@@ -4,13 +4,13 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, example, given, settings, strategies as st
 
-from conftest import near_reducible_system, random_ucp_map
+from conftest import diagonal_damping, near_reducible_system, random_ucp_map
 from ucpext import catalog, dynamics, extension, linalg, maps, serialize, systems
 from ucpext.dynamics import SubsystemGenerator
 from ucpext.errors import (ExtensionInfeasible, GroupExtensionError, InputError,
-                           NumericalError, ResolventFamilyError)
+                           NumericalError, ResolventFamilyError, Undecided)
 from ucpext.extension import ExtensionOptions, ExtensionProblem
 from ucpext.systems import Commutant, MatricialSystem
 from ucpext.tolerances import FEASIBILITY_TOL, VALIDATE_MAX_ITER
@@ -1062,6 +1062,15 @@ def _restricted(system, gen, extension=None):
                                           extension=extension)
 
 
+def _not_ccp_subsystem():
+    """The real_symmetric_3 generator of :func:`_real_gksl_terms` minus a
+    dissipator at rate 1.5, restricted to its system: no ccp extension exists."""
+    ham, jumps = _real_gksl_terms()[3]
+    loss = dynamics.gksl_generator(3, jumps=[(jumps[0][0] + jumps[1][0].T, 1.5)])
+    op = dynamics.gksl_generator(3, ham, jumps).op - loss.op
+    return _restricted(catalog.real_symmetric_system(3), dynamics.certify(op))
+
+
 def _real_gksl_subsystems():
     """The generators of :func:`_real_gksl_terms` restricted to
     real_symmetric_3 and _4, with no extension: a validation solves each of
@@ -1343,6 +1352,69 @@ class TestDirectNewtonStep:
             assert np.array_equal(rows, np.conj(rows.swapaxes(-1, -2)))
 
 
+def _random_real_gksl(d, seed, perturbed):
+    """A random real GKSL generator on M_d, a Hamiltonian i (a - a^T) / 2 and
+    two real jumps, restricted to the rebit (d = 2) or real_symmetric_3; when
+    ``perturbed``, minus the dissipator of a third real jump, which in general
+    leaves no ccp extension.  Real jumps map real symmetric matrices to real
+    symmetric ones, so the restriction is defined."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(d, d))
+    jumps = [(rng.normal(size=(d, d)) / np.sqrt(d) + 0j, float(rng.uniform(0.2, 1.0)))
+             for _ in range(2)]
+    op = dynamics.gksl_generator(d, 1j * (a - a.T) / 2.0, jumps).op
+    if perturbed:
+        loss = rng.normal(size=(d, d)) / np.sqrt(d) + 0j
+        op = op - dynamics.gksl_generator(d, jumps=[(loss, float(rng.uniform(0.2, 1.0)))]).op
+    system = catalog.rebit_system() if d == 2 else catalog.real_symmetric_system(d)
+    return _restricted(system, dynamics.certify(op))
+
+
+class TestValidationByTheGenerator:
+    """On an irreducible V, ``validate`` says UCP only when every cold
+    sample exp(t A) on the grid t = 2^-10 .. 2^4 extends to a UCP map, and
+    "not UCP" only when one of them does not (ROADMAP items 12 and 13)."""
+
+    GRID = tuple(2.0 ** k for k in range(-10, 5))
+
+    @classmethod
+    def _grid_extends(cls, sub) -> list:
+        """Whether each cold sample of the grid extends."""
+        verdicts = extension.ucp_extensions_feasible(
+            sub.system, [dynamics.subsystem_evolve_images(sub, t) for t in cls.GRID])
+        return [feasible for feasible, _ in verdicts]
+
+    @staticmethod
+    def _valid(sub):
+        """``validate``'s verdict: True, False, or None when undecided."""
+        try:
+            return dynamics.validate_subsystem_semigroup(sub).valid
+        except Undecided:
+            return None
+
+    @pytest.mark.parametrize("d", [2, pytest.param(3, marks=pytest.mark.xfail(strict=True, reason=(
+        "cold map solves of some feasible samples of real_symmetric_3 plateau unconverged: "
+        "at seed 244 those at t = 2^-10, 2^-9 and 2^-8, residuals 1.3e-8 to 1.5e-7, which "
+        "a start from G+'s sample confirms in 1 evaluation (ROADMAP item 4)")))])
+    @settings(max_examples=15, deadline=None, database=None, derandomize=True,
+              phases=[Phase.explicit, Phase.generate])
+    @given(seed=st.integers(0, 2**32 - 1), perturbed=st.booleans())
+    @example(seed=244, perturbed=False)
+    def test_ucp_only_when_every_grid_sample_extends(self, d, seed, perturbed):
+        sub = _random_real_gksl(d, seed, perturbed)
+        if self._valid(sub):
+            assert all(self._grid_extends(sub))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @settings(max_examples=15, deadline=None, database=None, derandomize=True,
+              phases=[Phase.explicit, Phase.generate])
+    @given(seed=st.integers(0, 2**32 - 1), perturbed=st.booleans())
+    def test_not_ucp_only_when_a_grid_sample_fails(self, d, seed, perturbed):
+        sub = _random_real_gksl(d, seed, perturbed)
+        if self._valid(sub) is False:
+            assert not all(self._grid_extends(sub))
+
+
 class TestNoFalseNotUcp:
     @pytest.mark.parametrize("d", [3, 4])
     def test_real_gksl_validates_within_small_budget(self, d):
@@ -1385,31 +1457,51 @@ class TestBatchedValidation:
                 + [dynamics.subsystem_evolve_images(sub, t) for t in sample_ts])
 
     def test_checks_match_solo_solves(self):
-        sub = _real_gksl_subsystems()[3]
+        # A generator with no ccp extension: the counterexample search solves
+        # the named samples cold, in one batch with its own samples, and each
+        # named check is the one its sample gets alone.
+        sub = _not_ccp_subsystem()
         report = dynamics.validate_subsystem_semigroup(sub, max_iter=2500, **self.SAMPLES)
+        assert not report.generator.converged
         solo = [extension.ucp_extension_feasible(sub.system, images, max_iter=2500)
                 for images in self._images(sub, **self.SAMPLES)]
-        assert [(c["feasible"], c["residuals"]) for c in report.checks] == solo
+        assert [(c["feasible"], c["residuals"]) for c in report.checks[:4]] == solo
         assert len({c["residuals"]["iterations"] for c in report.checks}) > 1
 
-    def test_a_sample_that_is_no_unital_map_is_not_solved(self, rebit, monkeypatch):
-        # The lam = 4 images lose unitality: that check is (False, None), and
-        # the other samples are solved as they are alone.
-        sub = catalog.rebit_dissipative(1.0)
+    @staticmethod
+    def _broken_lambda_4(monkeypatch):
+        """Make the lam = 4 resolvent images lose unitality."""
         resolvent_images = dynamics.subsystem_resolvent_images
 
         def broken(sub, lam):
             images = resolvent_images(sub, lam)
             return [2.0 * images[0], *images[1:]] if lam == 4.0 else images
 
-        solo = [extension.ucp_extension_feasible(rebit, images)
-                for images in self._images(sub, **self.SAMPLES)]
         monkeypatch.setattr(dynamics, "subsystem_resolvent_images", broken)
+
+    def test_a_sample_that_is_no_unital_map_is_not_solved(self, monkeypatch):
+        # On a reducible V the samples decide.  The lam = 4 images lose
+        # unitality: that check is (False, None), and the other samples are
+        # solved as they are alone.
+        sub = diagonal_damping()
+        solo = [extension.ucp_extension_feasible(sub.system, images)
+                for images in self._images(sub, **self.SAMPLES)]
+        self._broken_lambda_4(monkeypatch)
         report = dynamics.validate_subsystem_semigroup(sub, **self.SAMPLES)
         assert [(c["feasible"], c["residuals"]) for c in report.checks] == [
             solo[0], (False, None), *solo[2:]]
         assert all(feasible for feasible, _ in solo)
         assert not report.valid
+
+    def test_a_failed_cross_check_of_a_certified_extension_is_undecided(self, monkeypatch):
+        # On the rebit the certified generator extension decides "UCP", so a
+        # named sample that does not extend contradicts it: no verdict.
+        self._broken_lambda_4(monkeypatch)
+        with pytest.raises(Undecided, match="resolvent sample at lambda = 4 does not extend"
+                           ) as failure:
+            dynamics.validate_subsystem_semigroup(catalog.rebit_dissipative(1.0),
+                                                  **self.SAMPLES)
+        assert failure.value.fields == {"reason": "cross-check failed"}
 
 
 # ---------------------------------------------------------------------------
@@ -1513,13 +1605,16 @@ class TestRealArithmetic:
         assert [feasible for feasible, _ in verdicts] == [True, True]
 
     def test_validation_samples_of_real_symmetric_4_are_real(self, monkeypatch):
-        # The system's orthonormal basis is exactly real, so the images of
-        # every sample are too, and the whole batch is solved in float64.
+        # The system's orthonormal basis is exactly real, so the generator
+        # problem and the images of every sample are too: the generator
+        # solve, and then the whole batch of samples, are solved in float64.
         loops = recording_lockstep(monkeypatch)
         verdict = dynamics.validate_subsystem_semigroup(_real_gksl_subsystems()[4],
-                                                        max_iter=2500)
+                                                        max_iter=2500,
+                                                        **TestBatchedValidation.SAMPLES)
         assert verdict.valid
-        assert [(dtype, len(seeds)) for dtype, seeds in loops] == [(np.float64, 4)]
+        assert [(dtype, len(seeds)) for dtype, seeds in loops] == [(np.float64, 1),
+                                                                   (np.float64, 4)]
 
     def test_restriction_errors_of_a_stack(self, qubit):
         # One product and one norm for the stack, each bit-identical to the
@@ -1582,18 +1677,57 @@ class TestGivenStarts:
 
     @pytest.mark.parametrize("name", ["real_symmetric_3", "real_symmetric_4", "phase_twin_4"])
     def test_a_certified_extension_is_confirmed_in_one_evaluation(self, name):
+        # The systems are irreducible: the generator solve decides, from G
+        # in one evaluation, and from the deterministic start in more; no
+        # sample is solved.
         extended, cold = _extended_and_cold(name)
         assert extended.extension.certificates.certified
         report = dynamics.validate_subsystem_semigroup(extended, max_iter=2500)
         alone = dynamics.validate_subsystem_semigroup(cold, max_iter=2500)
         assert report.valid and alone.valid
-        assert [c["feasible"] for c in report.checks] == [c["feasible"] for c in alone.checks]
-        for check in report.checks:
-            residuals = check["residuals"]
-            assert residuals["iterations"] == 1
-            assert max(residuals["cone"], residuals["affine"],
-                       residuals["restriction"]) <= FEASIBILITY_TOL
-        assert all(c["residuals"]["iterations"] > 1 for c in alone.checks)
+        assert report.checks == alone.checks == ()
+        generator = report.generator
+        assert generator.iterations == 1
+        assert max(generator.cone_residual, generator.affine_residual,
+                   generator.restriction_error) <= FEASIBILITY_TOL
+        assert alone.generator.converged and alone.generator.iterations > 1
+
+    def test_named_samples_start_from_the_samples_of_g_plus(self, monkeypatch):
+        # With no extension the generator solve starts cold; each named
+        # sample then starts from the certified result's own sample and is
+        # confirmed in one evaluation.
+        _, cold = _extended_and_cold("real_symmetric_3")
+        gen_plus, _ = extension.extend_generator(ExtensionProblem.for_generator(
+            cold.system, cold, ExtensionOptions(max_iter=2500)))
+        calls = recording_solve(monkeypatch)
+        report = dynamics.validate_subsystem_semigroup(cold, max_iter=2500, **self.SAMPLES)
+        (generator_seeds, sample_seeds) = calls
+        assert generator_seeds == [None]
+        expected = ([lam * dynamics.resolvent(gen_plus, lam) for lam in (1.0, 4.0)]
+                    + [dynamics.evolve(gen_plus, t) for t in (0.5, 1.5)])
+        assert all(np.array_equal(seed.choi, own.choi)
+                   for seed, own in zip(sample_seeds, expected, strict=True))
+        assert report.valid
+        assert [c["residuals"]["iterations"] for c in report.checks] == [1] * 4
+
+    @pytest.mark.parametrize("sub", [catalog.rebit_rotation(1.0), catalog.rebit_dissipative(1.0)],
+                             ids=["rotation", "dissipation"])
+    def test_rebit_dynamics_are_decided_by_a_cold_generator_solve(self, monkeypatch, sub):
+        # Given on V only, with no extension: the one solve starts from the
+        # deterministic point, which already extends them.
+        calls = recording_solve(monkeypatch)
+        report = dynamics.validate_subsystem_semigroup(sub)
+        assert calls == [[None]]
+        assert report.valid and report.checks == ()
+        assert report.generator.converged and report.generator.iterations == 1
+
+    def test_a_budget_starved_validation_is_undecided(self):
+        # The cold generator solve needs 10 evaluations, and every sample of
+        # the counterexample search more than 5: no solve decides anything.
+        _, cold = _extended_and_cold("real_symmetric_3")
+        with pytest.raises(Undecided, match="did not converge") as failure:
+            dynamics.validate_subsystem_semigroup(cold, max_iter=5)
+        assert failure.value.fields == {"reason": "no counterexample"}
 
     def test_a_given_start_of_real_data_is_solved_in_float64(self, monkeypatch):
         # A given start is deterministic, so a member with real data goes to
