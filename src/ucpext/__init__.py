@@ -19,7 +19,7 @@ from .dynamics import (Generator, GeneratorCertificates, SubsystemGenerator,
                        is_conditionally_completely_positive, laplace_resolvent,
                        resolvent, spectral_bound, validate_subsystem_semigroup)
 from .errors import (ExtensionInfeasible, Failure, GroupExtensionError,
-                     InputError, NumericalError, ResolventFamilyError)
+                     InputError, NumericalError, ResolventFamilyError, Undecided)
 from .extension import (ExtensionOptions, ExtensionProblem, ExtensionReport,
                         ResolventFamily, RigidityReport, extend_discrete,
                         extend_generator, extend_group, extend_ucp_map,

@@ -237,8 +237,7 @@ def _cmd_validate(scenario, options):
     verdict = dynamics.validate_subsystem_semigroup(
         sub, **_given(options, "tol", "max_iter", times="sample_ts", lambdas="sample_lambdas"))
     results = {"valid": verdict.valid, "message": verdict.message,
-               "checks": list(verdict.checks),
-               "generator": None if verdict.generator is None else asdict(verdict.generator)}
+               "checks": list(verdict.checks), "generator": asdict(verdict.generator)}
     return verdict.valid, results
 
 

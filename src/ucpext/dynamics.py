@@ -28,7 +28,7 @@ import numpy as np
 from . import linalg, maps
 from .errors import InputError, NumericalError, Undecided
 from .maps import SuperOp
-from .systems import MatricialSystem, commutant, contains
+from .systems import MatricialSystem, contains
 from .tolerances import FEASIBILITY_TOL, VALIDATE_MAX_ITER
 
 if TYPE_CHECKING:
@@ -249,9 +249,8 @@ class SubsystemGenerator:
     ``extension`` is optional: a generator G on M_d that A was restricted
     from, so G(basis[k]) = action[k] and G maps V into V.  It is not checked
     beyond its dimension, because it decides nothing: when it is certified,
-    :func:`validate_subsystem_semigroup` starts its generator solve from G
-    (irreducible V) or each sample's solve from G's own sample (reducible V),
-    and the solver still decides each verdict.
+    :func:`validate_subsystem_semigroup` starts its generator solve from G,
+    and the solver still decides the verdict.
     """
 
     system: MatricialSystem
@@ -313,129 +312,66 @@ def subsystem_evolve_images(sub: SubsystemGenerator, t: float):
     return _basis_images(sub, linalg.expm(sub.coordinate_matrix, scale=float(t)))
 
 
-# The samples of a validation on a reducible V when it names none; on an
-# irreducible V they join the counterexample search.
+# The counterexample search solves these samples besides the named ones, and
+# halves the smallest evolution time this often.
 DEFAULT_SAMPLE_TS = (0.5, 1.5)
 DEFAULT_SAMPLE_LAMBDAS = (1.0, 4.0)
-# The counterexample search halves the smallest evolution time this often.
 _HALVINGS = 10
 
 
-def _scaled_resolvent(gen: Generator, lam: float) -> SuperOp:
-    """lam * R(lam, G): the resolvent sample of a generator on M_d."""
-    return lam * resolvent(gen, lam)
+def _sample(a, kind: str, parameter: float):
+    """The ``kind`` sample of the generator ``a`` at ``parameter``, lam R(lam, a)
+    or exp(t a): the images of V's basis when ``a`` is a SubsystemGenerator,
+    the map on M_d when it is a Generator.  The functions that compute it are
+    looked up by name at each call."""
+    if isinstance(a, SubsystemGenerator):
+        images_of = subsystem_resolvent_images if kind == "resolvent" else subsystem_evolve_images
+        return images_of(a, parameter)
+    return parameter * resolvent(a, parameter) if kind == "resolvent" else evolve(a, parameter)
 
 
-def _sample_images(sub: SubsystemGenerator, kind: str, parameter: float):
-    """The images of V's basis under the ``kind`` sample of A at ``parameter``."""
-    images_of = subsystem_resolvent_images if kind == "resolvent" else subsystem_evolve_images
-    return images_of(sub, parameter)
-
-
-def _sample_of(gen: Generator, check: dict) -> Optional[SuperOp]:
-    """G's own sample of ``check``, or None when computing it raises
-    :class:`NumericalError`."""
-    sample_of = _scaled_resolvent if check["kind"] == "resolvent" else evolve
-    try:
-        return sample_of(gen, check["parameter"])
-    except NumericalError:
-        return None
-
-
-def _sample_checks(sub: SubsystemGenerator, samples) -> tuple:
-    """``(checks, images)``: one check per ``(kind, parameter)`` sample, and
-    the images of each check that has them, by its index.  A singular
-    resolvent sample is a check with ``feasible`` False and its ``error``; an
-    evolution sample whose exponential overflows raises
-    :class:`NumericalError`."""
-    checks, images = [], {}
+def _sample_pass(a, samples) -> tuple:
+    """``(checks, values)``: one check and one sample of ``a`` (:func:`_sample`)
+    per ``(kind, parameter)``.  Where computing the sample raises
+    :class:`NumericalError`, its value is None and its check a failure,
+    ``feasible`` False with the ``error``."""
+    checks, values = [], []
     for kind, parameter in samples:
         check = {"kind": kind, "parameter": parameter}
         try:
-            images[len(checks)] = _sample_images(sub, kind, parameter)
+            values.append(_sample(a, kind, parameter))
         except NumericalError as exc:
-            if kind == "evolution":
-                raise
+            values.append(None)
             check.update(feasible=False, residuals=None, error=str(exc))
         checks.append(check)
-    return checks, images
+    return checks, values
 
 
-def _solve_checks(sub: SubsystemGenerator, checks, images: dict, tol: float, max_iter: int,
-                  gen: Optional[Generator] = None) -> None:
+def _solve(sub: SubsystemGenerator, checks, images, tol: float, max_iter: int,
+           gen: Optional[Generator] = None) -> None:
     """Solve the checks that have images as one batch
     (:func:`extension.ucp_extensions_feasible`), each from ``gen``'s own
-    sample when ``gen`` is given, and record each verdict in its check."""
+    sample when ``gen`` is given (from the deterministic point where that
+    sample raises), and record each verdict in its check."""
     from . import extension  # local import: extension builds on this module
 
-    solved = [checks[k] for k in images]
-    starts = None if gen is None else [_sample_of(gen, check) for check in solved]
-    verdicts = extension.ucp_extensions_feasible(sub.system, list(images.values()), tol=tol,
-                                                 max_iter=max_iter, starts=starts)
-    for check, (feasible, residuals) in zip(solved, verdicts):
-        check.update(feasible=feasible, residuals=residuals)
-
-
-def _sample_name(check: dict) -> str:
-    symbol = "lambda" if check["kind"] == "resolvent" else "t"
-    return f"the {check['kind']} sample at {symbol} = {check['parameter']:g}"
-
-
-def _samples(sample_lambdas, sample_ts) -> list:
-    """The ``(kind, parameter)`` samples, resolvents first."""
-    return ([("resolvent", float(lam)) for lam in sample_lambdas]
-            + [("evolution", float(t)) for t in sample_ts])
-
-
-def _cross_check(sub: SubsystemGenerator, checks, images: dict, tol: float, max_iter: int,
-                 gen_plus: Generator) -> None:
-    """Solve the named samples from the samples of the certified extension
-    G+; raise :class:`Undecided` on the first that does not pass."""
-    _solve_checks(sub, checks, images, tol, max_iter, gen_plus)
-    for check in checks:
-        if check["feasible"]:
-            continue
-        head = ("validation undecided: the generator extension is certified, but "
-                + _sample_name(check))
-        if "error" in check:
-            raise Undecided(f"{head} cannot be computed: {check['error']}",
-                            reason="cross-check not computed")
-        raise Undecided(f"{head} does not extend to a UCP map", reason="cross-check failed")
-
-
-def _counterexample(sub: SubsystemGenerator, named, checks, images: dict, tol: float,
-                    max_iter: int) -> Optional[dict]:
-    """Solve the named samples, the default ones and t0 / 2^k, k = 1..10, as
-    one cold batch, and return the first sample whose solve stopped
-    unconverged before its budget, or None.  The order: the named samples,
-    then t0 and its halvings from t0 down, then the other evolution times,
-    then the resolvents."""
-    t0 = min([t for kind, t in named if kind == "evolution" and t > 0] + list(DEFAULT_SAMPLE_TS))
-    others = set(_samples(DEFAULT_SAMPLE_LAMBDAS,
-                          DEFAULT_SAMPLE_TS + tuple(t0 / 2 ** k for k in range(1, _HALVINGS + 1))))
-    search, search_images = list(checks), dict(images)
-    for kind, parameter in sorted(others - set(named),
-                                  key=lambda s: (s[0] != "evolution", s[1] > t0, -s[1])):
-        try:
-            search_images[len(search)] = _sample_images(sub, kind, parameter)
-        except NumericalError:
-            continue  # no evidence either way
-        search.append({"kind": kind, "parameter": parameter})
-    _solve_checks(sub, search, search_images, tol, max_iter)
-    return next((check for check in search
-                 if not check["feasible"] and check["residuals"] is not None
-                 and check["residuals"]["iterations"] < max_iter), None)
+    solved = [k for k, values in enumerate(images) if values is not None]
+    starts = None if gen is None else _sample_pass(
+        gen, [(checks[k]["kind"], checks[k]["parameter"]) for k in solved])[1]
+    verdicts = extension.ucp_extensions_feasible(sub.system, [images[k] for k in solved],
+                                                 tol=tol, max_iter=max_iter, starts=starts)
+    for k, (feasible, residuals) in zip(solved, verdicts):
+        checks[k].update(feasible=feasible, residuals=residuals)
 
 
 @dataclass(frozen=True)
 class SubsystemValidationReport:
-    """``generator`` is the report of the generator extension that decided
-    an irreducible V, None on a reducible V, where the samples decide."""
+    """``generator`` is the report of the generator extension that decided."""
 
     valid: bool
     checks: tuple
     message: str
-    generator: Optional[ExtensionReport] = None
+    generator: ExtensionReport
 
     def failures(self):
         return [c for c in self.checks if not c["feasible"]]
@@ -445,90 +381,97 @@ _VALID, _INVALID = "UCP subsystem semigroup", "not a UCP subsystem semigroup"
 
 
 def validate_subsystem_semigroup(sub: SubsystemGenerator,
-                                 sample_ts: Optional[Sequence[float]] = None,
-                                 sample_lambdas: Optional[Sequence[float]] = None,
+                                 sample_ts: Sequence[float] = (),
+                                 sample_lambdas: Sequence[float] = (),
                                  tol: float = FEASIBILITY_TOL,
                                  max_iter: int = VALIDATE_MAX_ITER) -> SubsystemValidationReport:
     """Decide whether A generates a UCP semigroup on V.
 
-    A sample is the map lam * R(lam, A) for a sampled lambda, or exp(t * A)
-    for a sampled t, computed on V's coordinates; it passes when it extends
-    to a UCP map on M_d (:func:`extension.ucp_extensions_feasible`), and its
-    check records the feasibility residuals.  Samples outside the semigroup
-    (t < 0 or lambda <= 0) are rejected before any solve.  The images of the
-    named samples are computed before any solve: an evolution sample whose
-    exponential overflows is no evidence, and its :class:`NumericalError`
-    ends the validation.  A singular resolvent sample is a failed check that
-    is not solved.
-
-    Irreducible V (``systems.commutant`` decided, of dimension 1).  Then M_d
-    is the injective envelope of V, and A generates a UCP semigroup on V
-    exactly when it has a ccp extension G on M_d: exp(t G) is UCP and equals
-    exp(t A) on V, because G maps V into V.  One generator extension
-    (:func:`extension.multi_start` on ``ExtensionProblem.for_generator``, at
-    ``tol`` and ``max_iter``) therefore decides every t and lambda.  It
-    starts from ``sub.extension`` when that generator is certified, where it
-    takes one dual evaluation, and from the deterministic point otherwise;
+    One generator extension (:func:`extension.multi_start` on
+    ``ExtensionProblem.for_generator``, at ``tol`` and ``max_iter``) decides
+    "UCP" for every t and lambda: a ccp G on M_d that agrees with A on V maps
+    V into V, so exp(t G) is UCP and equals exp(t A) on V.  The solve starts
+    from ``sub.extension`` when that generator is certified, where it takes
+    one dual evaluation, and from the deterministic point otherwise;
     ``generator`` reports it.
 
-      * A converged solve whose result G+ is certified decides "UCP".  The
-        named samples, none by default, are cross-checks: each starts from
-        G+'s own sample, exp(t G+) or lam R(lam, G+) (from the deterministic
-        point when that sample raises), and must pass.  One that fails or
-        cannot be computed raises :class:`Undecided`, never "not UCP".
-      * Otherwise the validation searches a counterexample.  A semigroup
-        that fails at t fails at every t / 2^k, so one cold batch solves the
-        named samples, ``DEFAULT_SAMPLE_TS``, ``DEFAULT_SAMPLE_LAMBDAS`` and
-        t0 / 2^k for k = 1..10, t0 the smallest positive evolution time
-        among them.  A sample whose solve stops unconverged before its
-        budget decides "not UCP"; ``checks`` holds the named samples, and
-        the first such sample when it is not one of them.  The named samples
-        come first, then t0 and its halvings from t0 down, then the other
-        evolution times and the resolvents.  A sample that exhausts its
-        budget, or that cannot be computed, is no counterexample.  Without
-        one the validation raises :class:`Undecided`.
+    A sample is the map lam * R(lam, A) for a named lambda, or exp(t * A) for
+    a named t, computed on V's coordinates; it passes when it extends to a
+    UCP map on M_d (:func:`extension.ucp_extensions_feasible`), and its check
+    records the feasibility residuals.  Samples outside the semigroup (t < 0
+    or lambda <= 0) are rejected before any solve.  The images of the named
+    samples, none by default, are computed before any solve: an evolution
+    sample whose exponential overflows is no evidence, and its
+    :class:`NumericalError` ends the validation.  A singular resolvent sample
+    is a failed check that is not solved.
 
-    Reducible V, or an undecided commutant: M_d need not be the envelope
-    (ROADMAP item 7), and the samples decide.  ``None`` samples mean
-    ``DEFAULT_SAMPLE_TS`` and ``DEFAULT_SAMPLE_LAMBDAS``, and a validation
-    with no sample is rejected.  All samples are solved as one batch, each
-    with the verdict it gets alone, and the validation is valid when every
-    sample passes.  When ``sub.extension`` is a certified generator G, each
-    sample starts from G's own sample, which the solver confirms in one dual
-    evaluation; the start decides nothing, since the solver's stop rule,
-    polish and residual check give the verdict from any start.
+      * A converged solve whose result G+ is certified decides "UCP".  The
+        named samples are cross-checks: each starts from G+'s own sample,
+        exp(t G+) or lam R(lam, G+) (from the deterministic point when that
+        sample raises), and must pass.  One that fails or cannot be computed
+        raises :class:`Undecided`, never "not UCP".
+      * Otherwise the validation searches a counterexample: every UCP map on
+        V extends to a UCP map on M_d, so a sample with no such extension
+        proves that A is not UCP.  A semigroup that fails at t fails at every
+        t / 2^k, so one cold batch solves the named samples,
+        ``DEFAULT_SAMPLE_TS``, ``DEFAULT_SAMPLE_LAMBDAS`` and t0 / 2^k for
+        k = 1..10, t0 the smallest positive evolution time among them.  A
+        sample whose solve stops unconverged before its budget decides "not
+        UCP"; ``checks`` holds the named samples, and the first such sample
+        when it is not one of them.  The named samples come first, then t0
+        and its halvings from t0 down, then the other evolution times and the
+        resolvents.  A sample that exhausts its budget, that cannot be
+        computed or whose images are no unital map on V is no
+        counterexample.  Without one the validation raises
+        :class:`Undecided`.
+
+    V need not be irreducible: both verdicts hold on every V, because M_d is
+    injective.  Only when V is irreducible is M_d its injective envelope, so
+    that every UCP semigroup on V has a ccp extension there.  On a reducible
+    V a UCP semigroup without one is left :class:`Undecided` (ROADMAP item 7).
     """
     from . import extension  # local import: extension builds on this module
 
-    named = _samples(sample_lambdas or (), sample_ts or ())
+    named = ([("resolvent", float(lam)) for lam in sample_lambdas]
+             + [("evolution", float(t)) for t in sample_ts])
     if any(p < 0 if kind == "evolution" else p <= 0 for kind, p in named):
         raise InputError("samples must lie in the semigroup: every t >= 0 and every lambda > 0")
-    comm = commutant(sub.system, tol)
+    checks, images = _sample_pass(sub, named)
+    overflow = next((c for c in checks if c["kind"] == "evolution" and "error" in c), None)
+    if overflow is not None:
+        raise NumericalError(overflow["error"])
     given = sub.extension
-    if given is not None and not given.certificates.certified:
-        given = None
-
-    if not (comm.decided and comm.dim == 1):
-        named = _samples(DEFAULT_SAMPLE_LAMBDAS if sample_lambdas is None else sample_lambdas,
-                         DEFAULT_SAMPLE_TS if sample_ts is None else sample_ts)
-        if not named:
-            raise InputError("no samples: a verdict needs at least one t or lambda")
-        checks, images = _sample_checks(sub, named)
-        _solve_checks(sub, checks, images, tol, max_iter, given)
-        valid = all(check["feasible"] for check in checks)
-        return SubsystemValidationReport(valid=valid, checks=tuple(checks),
-                                         message=_VALID if valid else _INVALID)
-
-    checks, images = _sample_checks(sub, named)
     problem = extension.ExtensionProblem.for_generator(
         sub.system, sub, extension.ExtensionOptions(tol=tol, max_iter=max_iter))
-    ((op, report),) = extension.multi_start(problem, [None if given is None else given.op])
+    ((op, report),) = extension.multi_start(
+        problem, [given.op if given is not None and given.certificates.certified else None])
     gen_plus = certify(op, tol)
     if report.converged and gen_plus.certificates.certified:
-        _cross_check(sub, checks, images, tol, max_iter, gen_plus)
+        _solve(sub, checks, images, tol, max_iter, gen_plus)
+        for check in checks:
+            if check["feasible"]:
+                continue
+            symbol = "lambda" if check["kind"] == "resolvent" else "t"
+            head = (f"validation undecided: the generator extension is certified, but the "
+                    f"{check['kind']} sample at {symbol} = {check['parameter']:g}")
+            if "error" in check:
+                raise Undecided(f"{head} cannot be computed: {check['error']}",
+                                reason="cross-check not computed")
+            raise Undecided(f"{head} does not extend to a UCP map", reason="cross-check failed")
         return SubsystemValidationReport(valid=True, checks=tuple(checks), message=_VALID,
                                          generator=report)
-    failing = _counterexample(sub, named, checks, images, tol, max_iter)
+
+    t0 = min([t for kind, t in named if kind == "evolution" and t > 0] + list(DEFAULT_SAMPLE_TS))
+    others = ({("resolvent", lam) for lam in DEFAULT_SAMPLE_LAMBDAS}
+              | {("evolution", t) for t in DEFAULT_SAMPLE_TS}
+              | {("evolution", t0 / 2 ** k) for k in range(1, _HALVINGS + 1)})
+    extra_checks, extra_images = _sample_pass(sub, sorted(
+        others - set(named), key=lambda s: (s[0] != "evolution", s[1] > t0, -s[1])))
+    search = checks + extra_checks
+    _solve(sub, search, images + extra_images, tol, max_iter)
+    failing = next((check for check in search
+                    if not check["feasible"] and check["residuals"] is not None
+                    and check["residuals"]["iterations"] < max_iter), None)
     if failing is None:
         raise Undecided(
             f"validation undecided: the generator extension "

@@ -128,11 +128,10 @@ extensions.  A member can also be given its start, a ``SuperOp`` in place of
 its seed: the start point is then the affine projection of that map's Choi
 matrix.  :func:`multi_start` passes such a seed on as it is, and
 :func:`ucp_extensions_feasible` takes one per sample.  A validation
-(``dynamics.validate_subsystem_semigroup``) uses both: on an irreducible V
-its one generator solve starts from a certified extension of its generator,
-and its cross-check samples from the samples of the certified extension G+
-that solve returns; on a reducible V each sample starts from the sample of a
-certified extension.  Each start already lies in its feasible set, so the
+(``dynamics.validate_subsystem_semigroup``) uses both, on every V: its one
+generator solve starts from a certified extension of its generator, and its
+cross-check samples from the samples of the certified extension G+ that
+solve returns.  Each start already lies in its feasible set, so the
 solver confirms it in one dual evaluation, with the same stop rule, polish
 and residual check as from any other start.  A given start is deterministic:
 it draws no random numbers.
@@ -204,7 +203,7 @@ import numpy as np
 from . import dynamics, linalg, maps, systems
 from .dynamics import SubsystemGenerator
 from .errors import (ExtensionInfeasible, GroupExtensionError, InputError,
-                     NumericalError, ResolventFamilyError)
+                     NumericalError, ResolventFamilyError, Undecided)
 from .maps import SuperOp
 from .systems import MatricialSystem
 from .tolerances import FEASIBILITY_TOL, SOLVE_MAX_ITER, VALIDATE_MAX_ITER
@@ -1407,7 +1406,9 @@ def extend_discrete(system: MatricialSystem, images, horizon: int,
     A discrete semigroup is determined by its single step, so the step given
     on V is extended once and the returned list is [id, psi, psi^2, ...,
     psi^horizon].  The k-th power restricted to V matches the k-th power of
-    the given map within k * tol.
+    the given map within k * tol.  A solve that stops unconverged before its
+    budget raises :class:`ExtensionInfeasible`; one that spends its budget
+    decides nothing and raises :class:`Undecided`.
     """
     horizon = int(horizon)
     if horizon < 0:
@@ -1415,10 +1416,13 @@ def extend_discrete(system: MatricialSystem, images, horizon: int,
     problem = ExtensionProblem.for_map(system, images, options)
     psi, report = extend_ucp_map(problem)
     if not report.converged:
-        raise ExtensionInfeasible(
-            f"the given map is not extendably UCP on V (cone residual "
-            f"{report.cone_residual:.3e}, affine residual {report.affine_residual:.3e})"
-        )
+        residuals = (f"cone residual {report.cone_residual:.3e}, "
+                     f"affine residual {report.affine_residual:.3e}")
+        if report.iterations >= problem.options.max_iter:
+            raise Undecided(f"extension undecided: the solve spent its budget of "
+                            f"{problem.options.max_iter} evaluations ({residuals})",
+                            reason="budget exhausted")
+        raise ExtensionInfeasible(f"the given map is not extendably UCP on V ({residuals})")
     powers = [maps.identity_map(system.dim)]
     t = psi.transfer
     acc = np.eye(t.shape[0], dtype=complex)

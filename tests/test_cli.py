@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import ucpext
+from conftest import random_ucp_map
 from ucpext import catalog, cli, dynamics, extension, maps, serialize
 from ucpext.cli import load_scenario_schema, main, run_scenario
 from ucpext.errors import Failure, ResolventFamilyError
@@ -42,7 +43,7 @@ AMPLITUDE_DAMPING_VALIDATE = {
     "command": "validate", "system": "rebit",
     "dynamics": {"kind": "gksl",
                  "jumps": [{"op": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]], "rate": 1.0}]}}
-# The samples a validation on a reducible V takes when it names none.
+# Four named samples: the lambdas and times the counterexample search also takes.
 FOUR_SAMPLES = {"lambdas": [1.0, 4.0], "times": [0.5, 1.5]}
 
 
@@ -153,13 +154,15 @@ class TestRunScenario:
         assert [c["kind"] for c in report["results"]["checks"]] == kinds
         jsonschema.validate(report, REPORT_SCHEMA)
 
-    def test_validation_without_samples_is_invalid_input(self):
-        # On a reducible V (span{I, Z}) the samples decide, so one is needed.
+    def test_validation_without_samples_on_a_reducible_v(self):
+        # On a reducible V (span{I, Z}) the generator extension decides too,
+        # from the certified generator given, in one evaluation.
         report = run_scenario({**AMPLITUDE_DAMPING_VALIDATE, "system": "diagonal",
                                "options": {"times": [], "lambdas": []}})
-        assert report["status"] == "invalid-input"
-        assert report["error"]["message"] == (
-            "no samples: a verdict needs at least one t or lambda")
+        assert report["status"] == "ok"
+        results = report["results"]
+        assert results["checks"] == [] and results["message"] == "UCP subsystem semigroup"
+        assert results["generator"]["iterations"] == 1 and results["generator"]["converged"]
 
     @pytest.mark.parametrize("command, key", [("evolve", "times"), ("resolvent", "lambdas")])
     def test_an_empty_sample_grid_is_invalid_input(self, command, key):
@@ -436,6 +439,10 @@ class TestFailuresAndExitCodes:
         assert {"NumericalError", "ExtensionInfeasible", "GroupExtensionError",
                 "ResolventFamilyError", "Undecided"} <= {cls.__name__ for cls in failure_types()}
 
+    def test_every_failure_is_a_package_attribute(self):
+        for cls in (Failure, *failure_types()):
+            assert getattr(ucpext, cls.__name__, None) is cls, cls.__name__
+
     def test_an_uncomputable_cross_check_is_undecided(self, tmp_path, capsys):
         # g1 generates a UCP semigroup, and its certified extension decides
         # so; the named sample lambda = 1e-300 has a resolvent of condition
@@ -466,6 +473,24 @@ class TestFailuresAndExitCodes:
         assert report["error"]["type"] == "ExtensionInfeasible"
         assert report["error"]["message"].startswith(
             "the given map is not extendably UCP on V")
+        jsonschema.validate(report, REPORT_SCHEMA)
+
+    def test_a_budget_stopped_discrete_step_is_undecided(self, tmp_path, capsys):
+        # A UCP step on real_symmetric_3 whose solve needs more than 5
+        # evaluations: the budget stop is no evidence that it does not extend.
+        phi = random_ucp_map(3, np.random.default_rng(5), n_kraus=9)
+        scenario = {"command": "extend-discrete", "system": "real_symmetric_3",
+                    "dynamics": {"kind": "choi", "super": serialize.superop_to_json(phi)}}
+        assert run_scenario(scenario)["status"] == "ok"
+        scenario["options"] = {"max_iter": 5}
+        path = write_scenario(tmp_path, scenario)
+        capsys.readouterr()
+        assert main(["run", path]) == 1
+        report = strict_json(capsys.readouterr().out)
+        assert report["status"] == "failed"
+        assert report["error"]["type"] == "Undecided"
+        assert report["error"]["reason"] == "budget exhausted"
+        assert "not extendably UCP" not in report["error"]["message"]
         jsonschema.validate(report, REPORT_SCHEMA)
 
     def test_resolvent_family_exhausts_its_doublings(self):
@@ -965,14 +990,15 @@ class TestReports:
         ]
         for scenario in scenarios:
             jsonschema.validate(run_scenario(scenario), REPORT_SCHEMA)
-        # validate's generator block: a solve's report, or null on a reducible V
+        # validate's generator block: a solve's report on every V, never null
         for system in ("rebit", "diagonal"):
             report = run_scenario({**AMPLITUDE_DAMPING_VALIDATE, "system": system})
-            assert (report["results"]["generator"] is None) is (system == "diagonal")
+            assert report["results"]["generator"]["converged"]
             jsonschema.validate(report, REPORT_SCHEMA)
-            report["results"]["generator"] = {"iterations": 1}
-            with pytest.raises(jsonschema.ValidationError):
-                jsonschema.validate(report, REPORT_SCHEMA)
+            for wrong in ({"iterations": 1}, None):
+                report["results"]["generator"] = wrong
+                with pytest.raises(jsonschema.ValidationError):
+                    jsonschema.validate(report, REPORT_SCHEMA)
         # Reports that main builds before any scenario runs: an unparseable
         # file, and several files without --batch.
         unparseable = tmp_path / "broken.json"

@@ -4,7 +4,7 @@ import pytest
 from conftest import diagonal_damping, random_gksl, random_involution_lift
 from ucpext import catalog, dynamics, linalg, maps
 from ucpext.dynamics import SubsystemGenerator
-from ucpext.errors import InputError, NumericalError
+from ucpext.errors import InputError, NumericalError, Undecided
 from ucpext.tolerances import VALIDATE_MAX_ITER
 
 
@@ -368,17 +368,13 @@ class TestValidation:
         with pytest.raises(InputError, match="samples must lie in the semigroup"):
             dynamics.validate_subsystem_semigroup(catalog.rebit_rotation(1.0), **samples)
 
-    def test_empty_sample_set_rejected(self, monkeypatch):
-        # On a reducible V the samples decide, so a validation needs one.
-        from ucpext import extension
-
-        def no_solve(*args, **kwargs):
-            raise AssertionError("no sample may be solved")
-
-        monkeypatch.setattr(extension._FeasibilitySolver, "solve", no_solve)
-        with pytest.raises(InputError, match="no samples"):
-            dynamics.validate_subsystem_semigroup(diagonal_damping(), sample_ts=(),
-                                                  sample_lambdas=())
+    def test_empty_sample_set_is_decided_on_a_reducible_v(self):
+        # span{I, Z} is reducible, and the generator extension decides there
+        # too: no sample is needed.
+        report = dynamics.validate_subsystem_semigroup(diagonal_damping(), sample_ts=(),
+                                                       sample_lambdas=())
+        assert report.valid and report.checks == ()
+        assert report.generator.converged
 
     def test_empty_sample_set_is_decided_on_an_irreducible_v(self):
         # The rebit is irreducible: the generator extension decides alone.
@@ -387,9 +383,9 @@ class TestValidation:
         assert report.valid and report.checks == ()
         assert report.generator.converged and report.generator.iterations == 1
 
-    def test_a_reducible_v_takes_the_sampled_path(self, monkeypatch):
-        # span{I, Z} is reducible: no generator solve, and the default
-        # samples are solved as one batch, as before.
+    def test_a_reducible_v_is_decided_by_one_generator_solve(self, monkeypatch):
+        # span{I, Z} is reducible: one generator solve, from the deterministic
+        # point, decides; no sample is solved.
         from ucpext import extension
 
         calls = []
@@ -398,10 +394,43 @@ class TestValidation:
                             lambda solver, options, seeds: calls.append((solver.ccp, len(seeds)))
                             or solve(solver, options, seeds))
         report = dynamics.validate_subsystem_semigroup(diagonal_damping())
-        assert calls == [(False, 4)]
-        assert report.valid and report.generator is None
-        assert [(c["kind"], c["parameter"]) for c in report.checks] == [
-            ("resolvent", 1.0), ("resolvent", 4.0), ("evolution", 0.5), ("evolution", 1.5)]
+        assert calls == [(True, 1)]
+        assert report.valid and report.checks == () and report.generator.converged
+
+    @staticmethod
+    def two_state(a, b):
+        """The two-state rate generator on span{I, Z}: A(Z) = diag(-2a, 2b),
+        jumps from the first state at rate a and from the second at rate b.
+        It generates a UCP semigroup exactly when a, b >= 0."""
+        return SubsystemGenerator.from_action(catalog.diagonal_system(),
+                                              [np.zeros((2, 2)), np.diag([-2.0 * a, 2.0 * b])])
+
+    def test_two_state_rates_are_ucp_by_the_generator_extension(self):
+        report = dynamics.validate_subsystem_semigroup(self.two_state(0.7, 0.3))
+        assert report.valid and report.message == "UCP subsystem semigroup"
+        assert report.checks == ()
+        generator = report.generator
+        assert generator.converged and 1 < generator.iterations < VALIDATE_MAX_ITER
+        assert max(generator.cone_residual, generator.affine_residual,
+                   generator.restriction_error) <= 1e-8
+
+    def test_a_negative_rate_is_not_ucp_by_a_counterexample(self):
+        # exp(t A) has the negative transition probability -0.4 t + O(t^2):
+        # no ccp extension exists, and the search stops at t0 = 0.5.
+        report = dynamics.validate_subsystem_semigroup(self.two_state(-0.4, 0.9))
+        assert not report.valid and not report.generator.converged
+        (check,) = report.checks
+        assert (check["kind"], check["parameter"], check["feasible"]) == ("evolution", 0.5, False)
+        assert check["residuals"]["iterations"] < VALIDATE_MAX_ITER
+
+    def test_a_singular_resolvent_sample_is_undecided(self):
+        # lam - A has condition number about 1e15 on V: the sample cannot be
+        # computed, which is no evidence against a certified extension.
+        with pytest.raises(Undecided, match="lambda = 1e-15 cannot be computed: subsystem "
+                           "resolvent singular") as failure:
+            dynamics.validate_subsystem_semigroup(self.two_state(0.7, 0.3),
+                                                  sample_lambdas=(1e-15,))
+        assert failure.value.fields == {"reason": "cross-check not computed"}
 
     def test_non_ccp_generator_is_not_ucp_by_a_counterexample(self, rebit, pauli):
         # The X-coordinate grows, so no ccp extension exists and the generator

@@ -867,6 +867,17 @@ class TestExtendDiscrete:
                 rebit, [pauli.I, 2.0 * pauli.X, pauli.Z], 2,
                 ExtensionOptions(max_iter=20_000))
 
+    def test_a_budget_stop_is_undecided(self):
+        # A UCP step that the default budget extends in a few evaluations:
+        # stopped after 5, the solve decides nothing either way.
+        system = catalog.real_symmetric_system(3)
+        phi = random_ucp_map(3, np.random.default_rng(5), n_kraus=9)
+        images = [phi.apply(v) for v in system.basis]
+        assert len(extension.extend_discrete(system, images, 2)) == 3
+        with pytest.raises(Undecided, match="spent its budget of 5") as failure:
+            extension.extend_discrete(system, images, 2, ExtensionOptions(max_iter=5))
+        assert failure.value.fields == {"reason": "budget exhausted"}
+
 
 # ---------------------------------------------------------------------------
 # The matrix-free agreement projection against a dense least-squares reference
@@ -1480,18 +1491,16 @@ class TestBatchedValidation:
         monkeypatch.setattr(dynamics, "subsystem_resolvent_images", broken)
 
     def test_a_sample_that_is_no_unital_map_is_not_solved(self, monkeypatch):
-        # On a reducible V the samples decide.  The lam = 4 images lose
-        # unitality: that check is (False, None), and the other samples are
-        # solved as they are alone.
-        sub = diagonal_damping()
-        solo = [extension.ucp_extension_feasible(sub.system, images)
-                for images in self._images(sub, **self.SAMPLES)]
+        # The lam = 4 images lose unitality: that sample is not solved, and
+        # on a reducible V, as on any other, it is no evidence against the
+        # certified generator extension, so the claim is left undecided.
+        calls = recording_solve(monkeypatch)
         self._broken_lambda_4(monkeypatch)
-        report = dynamics.validate_subsystem_semigroup(sub, **self.SAMPLES)
-        assert [(c["feasible"], c["residuals"]) for c in report.checks] == [
-            solo[0], (False, None), *solo[2:]]
-        assert all(feasible for feasible, _ in solo)
-        assert not report.valid
+        with pytest.raises(Undecided, match="resolvent sample at lambda = 4 does not extend"
+                           ) as failure:
+            dynamics.validate_subsystem_semigroup(diagonal_damping(), **self.SAMPLES)
+        assert failure.value.fields == {"reason": "cross-check failed"}
+        assert [len(seeds) for seeds in calls] == [1, 3]
 
     def test_a_failed_cross_check_of_a_certified_extension_is_undecided(self, monkeypatch):
         # On the rebit the certified generator extension decides "UCP", so a
@@ -1751,8 +1760,9 @@ class TestGivenStarts:
         # Amplitude damping plus dephasing at rate 1e10 on the diagonal
         # system: the dephasing vanishes there, but lam = 1e-4 - G has
         # condition number about 2e14, so G's resolvent sample raises while
-        # the subsystem's is regular.  That sample starts from the
-        # deterministic point and gets the check it gets without G.
+        # the subsystem's is regular.  The generator solve starts from G and
+        # returns it as G+, so G+'s lam = 1e-4 cross-check starts from the
+        # deterministic point and gets the check it gets alone.
         system = catalog.diagonal_system()
         damping = np.array([[0, 1], [0, 0]], dtype=complex)
         gen = dynamics.gksl_generator(2, jumps=[(damping, 1.0),
@@ -1762,13 +1772,15 @@ class TestGivenStarts:
             dynamics.resolvent(gen, 1e-4)
         samples = {"sample_lambdas": (1e-4, 1.0), "sample_ts": (0.5,)}
         calls = recording_solve(monkeypatch)
-        report = dynamics.validate_subsystem_semigroup(
-            _restricted(system, gen, extension=gen), **samples)
-        (seeds,) = calls
+        sub = _restricted(system, gen, extension=gen)
+        report = dynamics.validate_subsystem_semigroup(sub, **samples)
+        (generator_seeds, seeds) = calls
+        assert generator_seeds == [gen.op]
         assert seeds[0] is None and all(isinstance(s, maps.SuperOp) for s in seeds[1:])
-        alone = dynamics.validate_subsystem_semigroup(
-            _restricted(system, gen), sample_lambdas=(1e-4,), sample_ts=())
-        assert report.valid and report.checks[0] == alone.checks[0]
+        alone = extension.ucp_extension_feasible(
+            system, dynamics.subsystem_resolvent_images(sub, 1e-4))
+        assert report.valid and report.generator.iterations == 1
+        assert (report.checks[0]["feasible"], report.checks[0]["residuals"]) == alone
         assert [c["residuals"]["iterations"] for c in report.checks[1:]] == [1, 1]
 
     def test_a_given_member_of_a_batch_is_its_solo_run(self):
