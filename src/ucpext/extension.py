@@ -124,10 +124,13 @@ deterministic one and an int the randomized one it seeds.  :func:`multi_start`
 solves one problem from a list of seeds on one set-up: the seed ``None``
 solves with the problem's options as given, and an int ``s`` solves from the
 randomized start with ``seed = s``, so equal seeds give bit-identical
-extensions.  A member can also be given its start, a ``SuperOp`` in place of
-its seed: the start point is then the affine projection of that map's Choi
-matrix.  :func:`multi_start` passes such a seed on as it is, and
-:func:`ucp_extensions_feasible` takes one per sample.  A validation
+extensions.  A member can also be given its start, a ``SuperOp`` on M_d in
+place of its seed: the start point is then the affine projection of that
+map's Choi matrix.  :func:`multi_start` passes such a seed on as it is, and
+:func:`ucp_extensions_feasible` takes one start of the same three kinds per
+sample.  A start of any other kind (a negative, non-integral or boolean seed,
+a map on another M_d) raises :class:`InputError` before anything is built
+(:func:`_solve_batch`).  A validation
 (``dynamics.validate_subsystem_semigroup``) uses both, on every V: its one
 generator solve starts from a certified extension of its generator, and its
 cross-check samples from the samples of the certified extension G+ that
@@ -180,14 +183,14 @@ From a real start every iterate of the complex solve is real as well, so
 the two solves take the same steps in exact arithmetic and differ by
 roundoff.  Seeded starts stay complex: a real random start would change the
 distribution of the starts, and with it the spreads that randomized starts
-report.  A batch that mixes the two is solved as one lockstep loop per
-arithmetic, the complex members first; every operation acts on each member
-alone, so each member still gets the result it gets alone.  A solver's
-arrays are built, and its targets checked, in the arithmetic of its data
-(float64 when the system and every target are real); the other
-arithmetic's arrays are built only when a member needs them.  Every solve
-returns a complex ``SuperOp``; the Choi matrix of one solved in real
-arithmetic has an imaginary part of exactly 0.
+report.  A batch (:func:`_solve_batch`) decides each member's arithmetic by
+this rule before anything is built, then builds one solver per arithmetic
+present, each once and in that arithmetic alone, and solves each solver's
+members in one lockstep loop, the complex members first; every operation
+acts on each member alone, so each member of a batch that mixes the two
+still gets the result it gets alone.  Every solve returns a complex
+``SuperOp``; the Choi matrix of one solved in real arithmetic has an
+imaginary part of exactly 0.
 """
 
 from __future__ import annotations
@@ -505,52 +508,31 @@ class _FeasibilitySolver:
     its own targets (:meth:`take`), and every operation acts on each member
     alone, so a member's iterates do not depend on the rest of its batch.
 
-    ``targets`` are kept in complex128 as given.  A solver's arrays are built
-    in the arithmetic of its data: float64 when the system and every target
-    are real, complex128 otherwise, and the targets are checked for
-    consistency there.  :meth:`solve` builds the other arithmetic's arrays, in
-    a copy (:meth:`_set_arithmetic`), only for members that need it
-    (:meth:`_real_members`): seeded starts of real data, or members with real
-    data in a batch with complex targets.  In float64 a member gets the same
-    point, found with real eigh and real products (module docstring).
+    Every array is built once, in float64 when ``real`` and in complex128
+    otherwise, and the targets are checked for consistency there; which
+    members may be solved in float64 is decided by :func:`_solve_batch`
+    (module docstring, "Real arithmetic").
     """
 
-    def __init__(self, system: MatricialSystem, targets, ccp: bool = False):
+    def __init__(self, system: MatricialSystem, targets, ccp: bool, real: bool):
         d = system.dim
         n = d * d
         self.system = system
         self.d = d
         self.ccp = ccp
+        self.dtype = np.dtype(np.float64 if real else np.complex128)
         # whiten = R^-T with G = R^T R, the system's orthonormalization
         # coefficients.
         self.whiten = system.onb_coeffs
         self.cg_steps = len(system) * n
         self.dual_shape = (-1, len(system), n)  # a stack of duals as |V| x d^2 rows
         self.blocks = (-1, d, d, d, d)  # a stack of Choi matrices as [i, a, j, b]
-        self.targets = np.asarray(targets, dtype=complex)
-        real = system.real and not self.targets.imag.any()
-        self._set_arithmetic(np.dtype(np.float64 if real else np.complex128))
-        offsets = self.project_affine(np.zeros((n, n), dtype=self.dtype))
-        defects = self._defect(self._relayout(offsets)).reshape(self.dual_shape)
-        for defect, rows in zip(defects, self.target_rows.reshape(self.dual_shape)):
-            inconsistency = linalg.frob(defect)
-            if inconsistency > FEASIBILITY_TOL * (1.0 + linalg.frob(rows)):
-                raise InputError(
-                    f"agreement targets are inconsistent: residual {inconsistency:.3e}"
-                )
-
-    def _set_arithmetic(self, dtype: np.dtype) -> None:
-        """Build every array of the solve in ``dtype``: complex128, or float64
-        for real arithmetic, where the system and the targets have no
-        imaginary part (module docstring)."""
-        system, n = self.system, self.d * self.d
-        self.dtype = dtype
-        cast = np.real if dtype == np.float64 else np.asarray
-        members = self.targets.shape[:-3]  # () for a shared set, (B,) for one per member
+        cast = np.real if real else np.asarray
         self.basis_rows = np.ascontiguousarray(cast(np.array(system.basis))).reshape(
             len(system), n)
-        self.target_rows = np.ascontiguousarray(cast(self.targets)).reshape(
-            members + (len(system), n))
+        targets = np.ascontiguousarray(cast(targets), dtype=self.dtype)
+        members = targets.shape[:-3]  # () for a shared set, (B,) for one per member
+        self.target_rows = targets.reshape(members + (len(system), n))
         # onb_rows is the orthonormal basis Q = R^-T basis as rows.  lift W is
         # L(W) = sum_k conj(Q_k) (x) W_k relaid out, and onb_rows @ M its
         # adjoint L*; dual_adjoint = lift @ whiten holds the rows of conj(D),
@@ -562,33 +544,27 @@ class _FeasibilitySolver:
         # imaginary parts, real rows as they are.
         self.dual_targets = (self.whiten @ self.target_rows).view(float).reshape(members + (-1,))
         # The cone clips F* C F, F the frame of the cone as columns.
-        self.base, self.frame, self.frame_h = _cone_constants(self.d, self.ccp, self.dtype)
+        self.base, self.frame, self.frame_h = _cone_constants(d, ccp, self.dtype)
         # The dual's dimension, and L of its basis, built on the direct path only.
-        d = self.d
-        self.coords = len(system) * (d * (d + 1) // 2 if self.dtype == np.float64 else n)
+        self.coords = len(system) * (d * (d + 1) // 2 if real else n)
         self.lifted_basis = None
-
-    def _real_members(self, seeds) -> list:
-        """Whether each member, one per seed, is solved in real arithmetic:
-        the system is real, the member's targets have no imaginary part, and
-        its start is deterministic or given (module docstring)."""
-        if not self.system.real:
-            return [False] * len(seeds)
-        complex_targets = self.targets.imag.any(axis=(-3, -2, -1)).reshape(-1).tolist()
-        if self.targets.ndim == 3:  # one set, shared by every member
-            complex_targets *= len(seeds)
-        return [(seed is None or isinstance(seed, SuperOp)) and not c
-                for seed, c in zip(seeds, complex_targets)]
+        offsets = self.project_affine(np.zeros((n, n), dtype=self.dtype))
+        defects = self._defect(self._relayout(offsets)).reshape(self.dual_shape)
+        for defect, rows in zip(defects, self.target_rows.reshape(self.dual_shape)):
+            inconsistency = linalg.frob(defect)
+            if inconsistency > FEASIBILITY_TOL * (1.0 + linalg.frob(rows)):
+                raise InputError(
+                    f"agreement targets are inconsistent: residual {inconsistency:.3e}"
+                )
 
     def take(self, rows) -> "_FeasibilitySolver":
         """The solver of the members ``rows`` of a batch: the same system and
         cone, with those members' rows of the targets.  A shared set serves
         any members as it is."""
-        if self.targets.ndim == 3:
+        if self.target_rows.ndim == 2:
             return self
         taken = copy.copy(self)
-        taken.targets, taken.target_rows, taken.dual_targets = (
-            a[rows] for a in (self.targets, self.target_rows, self.dual_targets))
+        taken.target_rows, taken.dual_targets = self.target_rows[rows], self.dual_targets[rows]
         return taken
 
     def _relayout(self, c: np.ndarray) -> np.ndarray:
@@ -808,34 +784,12 @@ class _FeasibilitySolver:
                 spent[k] = trials
         return spent, moved, trial
 
-    def solve(self, options: ExtensionOptions, seeds) -> list:
-        """Project the start point of each seed onto its member's feasible set
-        (module docstring), with the tolerance and budget of ``options``: one
-        seed per member of a stack of targets, or any number of seeds on a
-        shared set.  A seed is ``None`` for the deterministic start, an int
-        for a seeded random one, or a ``SuperOp``, the member's given start
-        (:meth:`start_points`).  The members solved in complex arithmetic go in one
-        lockstep loop, then those solved in real arithmetic in another
-        (:meth:`_real_members`).  Returns one ``(superop, report)`` per seed.
-        """
-        real = self._real_members(seeds)
-        runs = [None] * len(seeds)
-        for arithmetic in (False, True):
-            rows = [k for k, r in enumerate(real) if r is arithmetic]
-            if not rows:
-                continue
-            batch = self if len(rows) == len(seeds) else self.take(rows)
-            dtype = np.dtype(np.float64 if arithmetic else np.complex128)
-            if batch.dtype != dtype:
-                batch = copy.copy(batch)
-                batch._set_arithmetic(dtype)
-            for k, run in zip(rows, batch._lockstep(options, [seeds[k] for k in rows])):
-                runs[k] = run
-        return runs
-
     def _lockstep(self, options: ExtensionOptions, seeds) -> list:
-        """:meth:`solve` of all members in one lockstep loop, in this solver's
-        arithmetic.  Each member stops by its own rules and counts its own
+        """Project the start point of each seed onto its member's feasible set
+        (module docstring), all members in one lockstep loop in this solver's
+        arithmetic: one seed per member of a stack of targets, or any number
+        of seeds on a shared set (:meth:`start_points`), each checked by
+        :func:`_solve_batch`.  Each member stops by its own rules and counts its own
         evaluations.  This is the one place where a member leaves the batch:
         at the top of each Newton step, the members that met the tolerance or
         the roundoff floor, spent their budget, stalled, or did not move in
@@ -890,15 +844,13 @@ class _FeasibilitySolver:
         # the two.  A run that reached 0.2 tol stops at its best point.
         z = self.project_affine(np.array(best_x))
         chois = self.project_cone(z)
-        gaps = z - chois
-        defects = self._defect(self._relayout(chois))
         restrictions = restriction_errors(
             chois, self.basis_rows.reshape(-1, self.d, self.d),
-            self.target_rows.reshape(self.targets.shape)).tolist()
+            self.target_rows.reshape(self.target_rows.shape[:-1] + (self.d, self.d))).tolist()
         runs = []
-        for choi, gap, defect, restriction, evaluations in zip(
-                chois, gaps, defects, restrictions, iterations):
-            cone_residual, affine_residual = linalg.frob(gap), linalg.frob(defect)
+        for choi, cone_residual, affine_residual, restriction, evaluations in zip(
+                chois, linalg.frob_each(z - chois).tolist(), self._defect_norms(chois),
+                restrictions, iterations):
             runs.append((SuperOp(self.d, choi), ExtensionReport(
                 iterations=evaluations,
                 cone_residual=cone_residual,
@@ -938,13 +890,53 @@ def max_pairwise_distance(mats) -> float:
     return spread
 
 
+def _solve_batch(system: MatricialSystem, targets, ccp: bool, options: ExtensionOptions,
+                 starts) -> list:
+    """Solve one member per entry of ``starts`` on ``system`` and one cone,
+    with the tolerance and budget of ``options``; ``targets`` is one set of
+    |V| agreement targets that every member shares, or a stack of such sets,
+    one per start.  The one place that builds a :class:`_FeasibilitySolver`.
+
+    It checks every start first: ``None`` for the deterministic start, an
+    integral seed >= 0 (numpy integers too, not a bool) for the randomized
+    one it seeds, or a ``SuperOp`` on M_d, the member's given start; anything
+    else raises :class:`InputError`.  It then decides each member's
+    arithmetic (module docstring, "Real arithmetic") and builds one solver per
+    arithmetic present, each once; the complex members' loop runs first.
+    Returns one ``(superop, report)`` per start, in order.
+    """
+    d = system.dim
+    for k, start in enumerate(starts):
+        seeded = isinstance(start, (int, np.integer)) and not isinstance(start, bool) and start >= 0
+        if not (seeded or start is None or isinstance(start, SuperOp) and start.d == d):
+            kind = type(start).__name__ + (f" on M_{start.d}" if isinstance(start, SuperOp) else "")
+            raise InputError(f"starts must be None, integer seeds >= 0 or SuperOps on M_{d}; "
+                             f"start {k} is of type {kind}")
+    targets = np.asarray(targets)
+    shared = targets.ndim == 3  # one set of targets, or one set per start
+    complex_targets = np.broadcast_to(np.imag(targets).any(axis=(-3, -2, -1)), len(starts))
+    real = [system.real and not c and (start is None or isinstance(start, SuperOp))
+            for start, c in zip(starts, complex_targets.tolist())]
+    runs = [None] * len(starts)
+    for arithmetic in (False, True):  # the complex members first
+        rows = [k for k, r in enumerate(real) if r == arithmetic]
+        if rows:
+            solver = _FeasibilitySolver(
+                system, targets if shared else targets[rows], ccp, arithmetic)
+            for k, run in zip(rows, solver._lockstep(options, [starts[k] for k in rows])):
+                runs[k] = run
+    return runs
+
+
 def multi_start(problem: ExtensionProblem, seeds):
     """Solve ``problem`` once per entry of ``seeds``, on one shared set-up.
 
-    The seed ``None`` solves with ``problem.options`` as given; an int ``s``
-    solves from the randomized start ``replace(problem.options, seed=s)``;
-    a ``SuperOp`` is the member's given start, the affine projection of its
-    Choi matrix (module docstring), which draws no random numbers.
+    The seed ``None`` solves with ``problem.options`` as given; an int
+    ``s >= 0`` solves from the randomized start
+    ``replace(problem.options, seed=s)``; a ``SuperOp`` on M_d is the
+    member's given start, the affine projection of its Choi matrix (module
+    docstring), which draws no random numbers.  Any other seed raises
+    :class:`InputError` (:func:`_solve_batch`).
     Returns one ``(superop, report)`` per seed, in order; the superop is the
     raw Choi-matrix solution (map problems use the PSD cone, generator
     problems the ccp cone { C : P C P >= 0 }, both projected through their
@@ -952,9 +944,9 @@ def multi_start(problem: ExtensionProblem, seeds):
     """
     ccp = problem.generator is not None
     targets = problem.generator.action if ccp else problem.map_targets
-    solver = _FeasibilitySolver(problem.system, targets, ccp)
     options = problem.options
-    return solver.solve(options, [options.seed if seed is None else seed for seed in seeds])
+    return _solve_batch(problem.system, targets, ccp, options,
+                        [options.seed if seed is None else seed for seed in seeds])
 
 
 # ---------------------------------------------------------------------------
@@ -992,18 +984,19 @@ def ucp_extensions_feasible(system: MatricialSystem, image_sets,
                             starts: Optional[Sequence] = None) -> list:
     """The verdict of :func:`ucp_extension_feasible` for each of ``image_sets``,
     all maps on one system, solved as one batch; each member's verdict is the
-    one it gets alone.  ``starts`` gives each set its start: ``None`` for the
-    deterministic one, or a map on M_d (a ``SuperOp``).  A given map that
-    already extends its images to a UCP map is confirmed in one dual
-    evaluation; any other is only a start, and the verdict is the solver's
-    either way (module docstring).  Without ``starts`` every set starts from
-    the deterministic point.  A set of images that is no unital map on V gets
-    ``(False, None)`` and is not solved.
+    one it gets alone.  ``starts`` gives each set its start, as the seeds of
+    :func:`multi_start` do: ``None`` for the deterministic one, an int
+    ``s >= 0`` for the randomized one that ``s`` seeds, or a map on M_d (a
+    ``SuperOp``).  A given map that already extends its images to a UCP map
+    is confirmed in one dual evaluation; any other is only a start, and the
+    verdict is the solver's either way (module docstring).  Without
+    ``starts`` every set starts from the deterministic point.  A set of
+    images that is no unital map on V gets ``(False, None)`` and is not
+    solved, so its start is not read.
     """
     starts = [None] * len(image_sets) if starts is None else list(starts)
-    if len(starts) != len(image_sets) or any(
-            start is not None and start.d != system.dim for start in starts):
-        raise InputError("starts must give one map on M_d, or None, per set of images")
+    if len(starts) != len(image_sets):
+        raise InputError(f"{len(starts)} starts for {len(image_sets)} sets of images")
     options = ExtensionOptions(tol=tol, max_iter=max_iter)
     posed = {}  # the targets of each set of images that is a unital map on V
     for k, images in enumerate(image_sets):
@@ -1011,8 +1004,7 @@ def ucp_extensions_feasible(system: MatricialSystem, image_sets,
             posed[k] = ExtensionProblem.for_map(system, images, options).map_targets
         except InputError:
             pass
-    runs = (_FeasibilitySolver(system, list(posed.values())).solve(
-                options, [starts[k] for k in posed])
+    runs = (_solve_batch(system, list(posed.values()), False, options, [starts[k] for k in posed])
             if posed else [])
     verdicts = [(False, None)] * len(image_sets)
     for k, (_, report) in zip(posed, runs):

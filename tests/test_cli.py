@@ -1012,6 +1012,32 @@ class TestReports:
             jsonschema.validate(report, REPORT_SCHEMA)
 
 
+    def test_validate_reports_carry_every_key(self):
+        # Results carry valid, message, checks and generator, and each
+        # check's residuals exactly cone, affine, restriction and iterations;
+        # the empty results of a failed validation pass.
+        report = run_scenario({**AMPLITUDE_DAMPING_VALIDATE, "options": FOUR_SAMPLES})
+        jsonschema.validate(report, REPORT_SCHEMA)
+        results = report["results"]
+        for key in ("valid", "message", "checks", "generator"):
+            dropped = {k: v for k, v in results.items() if k != key}
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate({**report, "results": dropped}, REPORT_SCHEMA)
+        check = results["checks"][0]
+        residuals = check["residuals"]
+        for wrong in [{k: v for k, v in residuals.items() if k != key}
+                      for key in ("cone", "affine", "restriction", "iterations")] + [
+                          {**residuals, "extra": 0.0}]:
+            checks = [{**check, "residuals": wrong}] + results["checks"][1:]
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate({**report, "results": {**results, "checks": checks}},
+                                    REPORT_SCHEMA)
+        failed = run_scenario({"command": "validate", "system": "rebit",
+                               "dynamics": "rebit_dissipative", "options": {"times": [1e100]}})
+        assert (failed["status"], failed["results"]) == ("failed", {})
+        jsonschema.validate(failed, REPORT_SCHEMA)
+
+
 class TestDemoRebit:
     def test_default_demo_passes(self):
         report = run_scenario({"command": "demo-rebit"})

@@ -364,7 +364,7 @@ class TestValidation:
         def no_solve(*args, **kwargs):
             raise AssertionError("no sample may be solved")
 
-        monkeypatch.setattr(extension._FeasibilitySolver, "solve", no_solve)
+        monkeypatch.setattr(extension, "_solve_batch", no_solve)
         with pytest.raises(InputError, match="samples must lie in the semigroup"):
             dynamics.validate_subsystem_semigroup(catalog.rebit_rotation(1.0), **samples)
 
@@ -389,10 +389,11 @@ class TestValidation:
         from ucpext import extension
 
         calls = []
-        solve = extension._FeasibilitySolver.solve
-        monkeypatch.setattr(extension._FeasibilitySolver, "solve",
-                            lambda solver, options, seeds: calls.append((solver.ccp, len(seeds)))
-                            or solve(solver, options, seeds))
+        solve = extension._solve_batch
+        monkeypatch.setattr(extension, "_solve_batch",
+                            lambda system, targets, ccp, options, starts:
+                            calls.append((ccp, len(starts)))
+                            or solve(system, targets, ccp, options, starts))
         report = dynamics.validate_subsystem_semigroup(diagonal_damping())
         assert calls == [(True, 1)]
         assert report.valid and report.checks == () and report.generator.converged
@@ -465,10 +466,10 @@ class TestValidation:
         from ucpext import extension
 
         solved = []
-        solve = extension._FeasibilitySolver.solve
-        monkeypatch.setattr(extension._FeasibilitySolver, "solve",
-                            lambda solver, options, seeds: solved.extend(seeds)
-                            or solve(solver, options, seeds))
+        solve = extension._solve_batch
+        monkeypatch.setattr(extension, "_solve_batch",
+                            lambda system, targets, ccp, options, starts: solved.extend(starts)
+                            or solve(system, targets, ccp, options, starts))
         with pytest.raises(NumericalError, match="overflowed"):
             dynamics.validate_subsystem_semigroup(
                 catalog.rebit_dissipative(1.0), sample_ts=(0.5, 1e100))

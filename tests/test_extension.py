@@ -16,6 +16,12 @@ from ucpext.systems import Commutant, MatricialSystem
 from ucpext.tolerances import FEASIBILITY_TOL, VALIDATE_MAX_ITER
 
 
+# Starts that are neither None, an integral seed >= 0 nor a SuperOp, with the
+# type the InputError names.
+_BAD_SEEDS = [(-1, "int"), (np.int64(-1), "int64"), ("a", "str"), (1.5, "float"),
+              (True, "bool"), ([1], "list")]
+
+
 def full_algebra_subsystem(gen):
     """Wrap a generator on M_d as a SubsystemGenerator on the full algebra."""
     system = catalog.qubit_system() if gen.d == 2 else None
@@ -197,8 +203,9 @@ class TestExtendUcpMap:
         # one is named.
         worse = (pauli.I, pauli.X + 1e-2j * pauli.Z, pauli.Z)
         with pytest.raises(InputError, match="residual 1.414e-03"):
-            extension._FeasibilitySolver(
-                rebit, [(pauli.I, pauli.X, pauli.Z), problem.map_targets, worse])
+            extension._solve_batch(
+                rebit, [(pauli.I, pauli.X, pauli.Z), problem.map_targets, worse], False,
+                ExtensionOptions(), [None] * 3)
 
     def test_infeasible_map_does_not_converge(self, rebit, pauli):
         # X -> 2X has norm 2 on a unital map: impossible, the solver must
@@ -473,9 +480,9 @@ class TestMultiStart:
         problems = [ExtensionProblem.for_map(qubit, [phi.apply(v) for v in qubit.basis])
                     for phi in (random_ucp_map(2, rng, n_kraus=r) for r in (1, 2, 3))]
         problems.insert(1, ExtensionProblem.for_map(qubit, [v.T for v in qubit.basis]))
-        batch = extension._FeasibilitySolver(
-            qubit, [problem.map_targets for problem in problems]).solve(
-                ExtensionOptions(), [None] * len(problems))
+        batch = extension._solve_batch(
+            qubit, [problem.map_targets for problem in problems], False,
+            ExtensionOptions(), [None] * len(problems))
         assert [report.converged for _, report in batch] == [True, False, True, True]
         assert batch[1][1].iterations > batch[0][1].iterations
         for problem, outcome in zip(problems, batch):
@@ -493,7 +500,7 @@ class TestMultiStart:
         problem = ExtensionProblem.for_map(rebit, images)
         seeds, poisoned = [None, 7, 3, 49], 2
         solo = [extension.multi_start(problem, [seed])[0] for seed in seeds]
-        start = extension._FeasibilitySolver(rebit, images).start_points([3])[0]
+        start = extension._FeasibilitySolver(rebit, images, ccp=False, real=False).start_points([3])[0]
         # The member's duals W: those it evaluated before its second step, and
         # those of its trials from then on.
         newton_steps, evaluated, after = [], set(), []
@@ -536,6 +543,13 @@ class TestMultiStart:
         for k, (outcome, expected) in enumerate(zip(batch, solo)):
             if k != poisoned:
                 self._assert_same(outcome, expected)
+
+    @pytest.mark.parametrize("start, kind", [(maps.identity_map(3), "SuperOp on M_3")]
+                             + _BAD_SEEDS)
+    def test_a_bad_start_is_invalid_input(self, rebit, start, kind):
+        problem = ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(1.0))
+        with pytest.raises(InputError, match=f"start 1 is of type {kind}$"):
+            extension.multi_start(problem, [None, start])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_dual_overflowing_at_a_start_fails_the_batch(self, rebit):
@@ -940,7 +954,7 @@ class TestAgreementProjection:
         d = system.dim
         rng = np.random.default_rng(seed)
         targets = [linalg.random_hermitian(d, rng) for _ in system.basis]
-        solver = extension._FeasibilitySolver(system, targets)
+        solver = extension._FeasibilitySolver(system, targets, ccp=False, real=False)
         c = linalg.random_hermitian(d * d, rng)
         pc = solver.project_affine(c)
 
@@ -972,14 +986,15 @@ class TestProjectionProperty:
         rng = np.random.default_rng(seed)
         system = _conjugated_real_symmetric(d, seed)
         phi = random_ucp_map(d, rng, n_kraus=rank)
-        solver = extension._FeasibilitySolver(
-            system, [phi.apply(v) for v in system.basis])
+        targets = [phi.apply(v) for v in system.basis]
+        solver = extension._FeasibilitySolver(system, targets, ccp=False, real=False)
         # Problems without a positive-definite feasible point can plateau
         # (ROADMAP item 4); the budget keeps such draws cheap.
         opts = ExtensionOptions(max_iter=2000)
         start_x, start_z = (int(s) for s in rng.integers(0, 2**32 - 1, size=2))
         x0 = solver.start_points([start_x])[0]
-        (x, report_x), (z, report_z) = solver.solve(opts, [start_x, start_z])
+        (x, report_x), (z, report_z) = extension._solve_batch(
+            system, targets, False, opts, [start_x, start_z])
         assume(report_x.converged and report_z.converged)
         inner = float(np.vdot(x0 - x.choi, z.choi - x.choi).real)
         assert inner <= 1e-6 * (1.0 + linalg.frob(x0))
@@ -1001,7 +1016,7 @@ class TestConeProjection:
     def test_is_the_projection(self, ccp, d, scale, seed):
         system = catalog.real_symmetric_system(d)
         solver = extension._FeasibilitySolver(
-            system, [np.zeros((d, d))] * len(system), ccp=ccp)
+            system, [np.zeros((d, d))] * len(system), ccp=ccp, real=True)
         rng = np.random.default_rng(seed)
         n = d * d
         unit = np.eye(d).reshape(n) / np.sqrt(d)
@@ -1035,7 +1050,7 @@ class TestConeProjection:
         # C - E diag(min(w, 0)) E* (E = F U) gives -4.4e-4 (1 + ||c||) here.
         system = catalog.real_symmetric_system(d)
         solver = extension._FeasibilitySolver(
-            system, [np.zeros((d, d))] * len(system), ccp=ccp)
+            system, [np.zeros((d, d))] * len(system), ccp=ccp, real=True)
         rng = np.random.default_rng([d, ccp])
         n = d * d
         unit = np.eye(d).reshape(n) / np.sqrt(d)
@@ -1137,7 +1152,7 @@ class TestNewtonSolver:
     def test_jacobian_matches_finite_differences(self, d, ccp):
         system = catalog.real_symmetric_system(d)
         solver = extension._FeasibilitySolver(
-            system, [np.zeros((d, d))] * len(system), ccp=ccp)
+            system, [np.zeros((d, d))] * len(system), ccp=ccp, real=True)
         rng = np.random.default_rng([d, ccp])
         n = d * d
         # Points away from eigenvalue ties and from 0, where Pi_K is smooth.
@@ -1235,7 +1250,7 @@ class TestNewtonSolver:
         # 2 and 1, and 3 at m = 100 one by one.  Each member's direction is,
         # bit for bit, the one it gets alone.
         system, targets, ccp = _newton_problem(name)
-        solver = extension._FeasibilitySolver(system, targets, ccp)
+        solver = _data_solver(system, targets, ccp)
         assert max(1, extension._DIRECT_MAX_COORDS // solver.coords) == chunk
         point, shift, defect = self._newton_step(solver, members)
         batch = solver._direct_direction(point, shift, defect)
@@ -1250,7 +1265,7 @@ class TestNewtonSolver:
         # duals, assembled here column by column: entry (i, j) is
         # <b_i, L* (J - I) L b_j>, with J - I applied to each L(b_j).
         system, targets, ccp = _newton_problem(name)
-        solver = extension._FeasibilitySolver(system, targets, ccp)
+        solver = _data_solver(system, targets, ccp)
         point, shift, defect = self._newton_step(solver, 3)
         formed = []
         solve_each = linalg.solve_each
@@ -1263,6 +1278,14 @@ class TestNewtonSolver:
             columns = solver._adjoint(defect.take([k])(lifted))
             dense = shift[k] * np.eye(len(basis)) + basis @ columns.T
             assert np.abs(h - dense).max() <= 1e-13
+
+
+def _data_solver(system, targets, ccp):
+    """The solver of ``targets`` in the arithmetic of its data, the one its
+    deterministic start is solved in: float64 when the system and every
+    target are real."""
+    real = system.real and not np.imag(targets).any()
+    return extension._FeasibilitySolver(system, targets, ccp=ccp, real=real)
 
 
 def _newton_problem(name):
@@ -1297,8 +1320,7 @@ class TestDirectNewtonStep:
             return direction(solver, point)
 
         monkeypatch.setattr(extension._FeasibilitySolver, "_newton_direction", recording)
-        solver = extension._FeasibilitySolver(system, targets, ccp)
-        _, report = solver.solve(ExtensionOptions(), [None])[0]
+        _, report = extension._solve_batch(system, targets, ccp, ExtensionOptions(), [None])[0]
         monkeypatch.undo()
         assert report.converged and points
         return solvers[0], points
@@ -1345,13 +1367,12 @@ class TestDirectNewtonStep:
 
     def test_default_bound_splits_real_symmetric_4(self):
         # real_symmetric_4 has 100 coordinates in real arithmetic, solved
-        # directly, and 160 in complex arithmetic, solved by CG.  Its real
-        # data builds the solver in real arithmetic.
+        # directly, and 160 in complex arithmetic, solved by CG.
         system, targets, _ = _newton_problem("real_symmetric_4 resolvent")
-        solver = extension._FeasibilitySolver(system, targets)
+        solver = extension._FeasibilitySolver(system, targets, ccp=False, real=True)
         assert solver.dtype == np.float64
         assert solver.coords == 100 <= extension._DIRECT_MAX_COORDS
-        solver._set_arithmetic(np.dtype(np.complex128))
+        solver = extension._FeasibilitySolver(system, targets, ccp=False, real=False)
         assert solver.coords == 160 > extension._DIRECT_MAX_COORDS
 
     def test_the_dual_basis_is_orthonormal_and_hermitian(self):
@@ -1601,6 +1622,30 @@ class TestRealArithmetic:
             assert op.choi.dtype == np.complex128
             assert np.all(op.choi.imag == 0.0) == (seed is None)
 
+    def test_a_seeded_start_of_real_data_builds_no_float64_arrays(self, rebit, monkeypatch):
+        # The arithmetic is decided before anything is built: the cone's
+        # arrays of a seeded member are asked for in complex128 alone.
+        _, images = _real_problem("rebit", False)
+        requests = []
+        constants = extension._cone_constants
+        monkeypatch.setattr(extension, "_cone_constants", lambda d, ccp, dtype:
+                            requests.append(dtype) or constants(d, ccp, dtype))
+        extension.multi_start(ExtensionProblem.for_map(rebit, images), [3])
+        assert requests == [np.complex128]
+
+    def test_a_mixed_batch_builds_each_solver_once(self, rebit, monkeypatch):
+        # One solver per arithmetic, each built once and running the loop of
+        # its own members.
+        _, images = _real_problem("rebit", False)
+        builds = []
+        init = extension._FeasibilitySolver.__init__
+        monkeypatch.setattr(extension._FeasibilitySolver, "__init__", lambda solver, *args:
+                            init(solver, *args) or builds.append(solver.dtype))
+        loops = recording_lockstep(monkeypatch)
+        extension.multi_start(ExtensionProblem.for_map(rebit, images), [None, 3])
+        assert builds == [np.complex128, np.float64]
+        assert loops == [(np.complex128, [3]), (np.float64, [None])]
+
     def test_complex_targets_stay_complex(self, rebit, monkeypatch):
         # Real data means every target real: one complex member of a batch
         # of targets on a real system is solved apart, in complex128.
@@ -1665,15 +1710,15 @@ def _extended_and_cold(name):
 
 
 def recording_solve(monkeypatch):
-    """Record the seeds of every ``_FeasibilitySolver.solve`` call."""
+    """Record the starts of every ``extension._solve_batch`` call."""
     calls = []
-    solve = extension._FeasibilitySolver.solve
+    solve = extension._solve_batch
 
-    def recording(solver, options, seeds):
-        calls.append(list(seeds))
-        return solve(solver, options, seeds)
+    def recording(system, targets, ccp, options, starts):
+        calls.append(list(starts))
+        return solve(system, targets, ccp, options, starts)
 
-    monkeypatch.setattr(extension._FeasibilitySolver, "solve", recording)
+    monkeypatch.setattr(extension, "_solve_batch", recording)
     return calls
 
 
@@ -1797,6 +1842,23 @@ class TestGivenStarts:
         assert batch == solo
         assert [residuals["iterations"] == 1 for _, residuals in batch] == [
             True, False, False, True]
+
+    @pytest.mark.parametrize("start, kind", _BAD_SEEDS)
+    def test_a_bad_start_is_invalid_input(self, rebit, start, kind):
+        with pytest.raises(InputError, match=f"start 0 is of type {kind}$"):
+            extension.ucp_extensions_feasible(rebit, [list(rebit.basis)], starts=[start])
+
+    def test_an_integer_start_is_a_seeded_start(self, rebit):
+        # As a seed of multi_start: the randomized start that it seeds.
+        images = dynamics.subsystem_evolve_images(catalog.rebit_dissipative(1.0), 1.0)
+        ((feasible, residuals),) = extension.ucp_extensions_feasible(
+            rebit, [images], starts=[np.int64(3)])
+        ((_, report),) = extension.multi_start(ExtensionProblem.for_map(
+            rebit, images, ExtensionOptions(max_iter=VALIDATE_MAX_ITER)), [3])
+        assert report.iterations > 1
+        assert (feasible, residuals) == (report.converged, {
+            "cone": report.cone_residual, "affine": report.affine_residual,
+            "restriction": report.restriction_error, "iterations": report.iterations})
 
     def test_starts_must_match_the_image_sets(self, rebit):
         images = list(rebit.basis)

@@ -77,7 +77,7 @@ def psd_project(n: int):
     """The PSD projection of n x n Hermitian matrices, n = d^2: the cone
     projection of a map-cone solver (frame F = I) on ``real_symmetric_d``."""
     system = catalog.real_symmetric_system(math.isqrt(n))
-    return extension._FeasibilitySolver(system, system.basis).project_cone
+    return extension._FeasibilitySolver(system, system.basis, ccp=False, real=True).project_cone
 
 
 class TestPsdProject:
