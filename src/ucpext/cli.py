@@ -12,9 +12,10 @@ residuals to three significant digits.
 
 The scenario schema is the one input gate, compiled once per process: its
 ``command`` enum names the handlers, its ``options`` properties the option keys.
-Its numbers are finite: Python's ``json`` reads the ``NaN`` and ``Infinity``
-tokens, and ``--tol nan`` parses, but neither passes the gate, and the echo of
-a rejected input spells them as strings, so every report is strict JSON.
+Its numbers are finite as floats: Python's ``json`` reads the ``NaN`` and
+``Infinity`` tokens and integers too large for a float, and ``--tol nan``
+parses, but none passes the gate, and the echo of a rejected input spells the
+non-finite floats as strings, so every report is strict JSON.
 Options are decoded once, by their schema types, and ``null`` means unset;
 handlers pass on only the options a scenario sets, so an unset option takes the
 default of the library function that uses it.
@@ -51,15 +52,23 @@ def load_scenario_schema() -> dict:
     return json.loads((_SCHEMA_DIR / "scenario.schema.json").read_text())
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _is_finite_number(checker, instance) -> bool:
-    return (checker.is_type(instance, "integer")
-            or isinstance(instance, float) and math.isfinite(instance))
+    """The gate's "number": an int that is not a bool, or a float, whose value
+    is finite as a float."""
+    try:
+        return _is_number(instance) and math.isfinite(instance)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 @functools.cache
 def _scenario_validator():
     """The scenario schema, read and compiled once per process; its "number"
-    excludes NaN and the infinities."""
+    excludes NaN, the infinities and ints too large for a float."""
     import jsonschema
 
     draft7 = jsonschema.Draft7Validator
@@ -78,7 +87,8 @@ def validate_scenario(scenario) -> None:
 
     error = best_match(_scenario_validator().iter_errors(scenario))
     if error is not None:
-        if isinstance(error.instance, float) and not math.isfinite(error.instance):
+        if (error.absolute_path and _is_number(error.instance)
+                and not _is_finite_number(None, error.instance)):
             where = "/".join(str(key) for key in error.absolute_path)
             raise InputError(f"scenario schema violation: {_json_safe(error.instance)} "
                              f"at {where} is not a finite number")
@@ -511,11 +521,13 @@ def _invalid_input(report: dict, message: str) -> dict:
     return report
 
 
-def run_scenario(scenario: dict) -> dict:
-    """Execute one scenario dict and return the full report."""
-    options = scenario.get("options", {})
-    options = dict(options) if isinstance(options, dict) else {}  # else validation rejects it
-    base = _envelope(scenario.get("command"), options)
+def run_scenario(scenario) -> dict:
+    """Execute one scenario dict and return the full report; any other value
+    is invalid input."""
+    fields = scenario if isinstance(scenario, dict) else {}  # else validation rejects it
+    options = fields.get("options", {})
+    options = dict(options) if isinstance(options, dict) else {}
+    base = _envelope(fields.get("command"), options)
     try:
         validate_scenario(scenario)
         holds, results = _HANDLERS[base["command"]](scenario, _decode_options(options))
@@ -600,8 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_flag_overrides(scenario: dict, args) -> dict:
-    options = scenario.get("options", {})
+def _apply_flag_overrides(scenario, args):
+    options = scenario.get("options", {}) if isinstance(scenario, dict) else None
     if not isinstance(options, dict):
         return scenario  # validation rejects it
     options = dict(options)
@@ -632,8 +644,6 @@ def _reports(args):
             yield _invalid_input(_envelope(None, flag_options),
                                  f"cannot parse scenario {path}: {exc}")
             continue
-        if not isinstance(scenario, dict):
-            scenario = {"command": None}
         yield run_scenario(_apply_flag_overrides(scenario, args))
 
 

@@ -45,6 +45,8 @@ AMPLITUDE_DAMPING_VALIDATE = {
                  "jumps": [{"op": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]], "rate": 1.0}]}}
 # Four named samples: the lambdas and times the counterexample search also takes.
 FOUR_SAMPLES = {"lambdas": [1.0, 4.0], "times": [0.5, 1.5]}
+# A JSON integer too large for a float: 1 followed by 400 zeros.
+HUGE = "1" + "0" * 400
 
 
 def pauli_generator_validate():
@@ -539,10 +541,14 @@ class TestFailuresAndExitCodes:
         path.write_text("[1, 2]")
         capsys.readouterr()
         assert main(["run", str(path)]) == 2
-        report = strict_json(capsys.readouterr().out)
-        assert report["status"] == "invalid-input"
-        assert report["command"] is None
-        jsonschema.validate(report, REPORT_SCHEMA)
+        reports = [strict_json(capsys.readouterr().out)]
+        # The library entry refuses any non-object the same way, without a crash.
+        reports += [strict_json(json.dumps(run_scenario(value))) for value in ([1, 2], "x", None)]
+        for report in reports:
+            assert report["status"] == "invalid-input"
+            assert report["command"] is None
+            assert report["error"]["message"].endswith("is not of type 'object'")
+            jsonschema.validate(report, REPORT_SCHEMA)
 
     def test_exit_codes(self, tmp_path):
         ok = write_scenario(tmp_path, {"command": "check-ccp", "dynamics": "g1"}, "a.json")
@@ -564,6 +570,12 @@ class TestFailuresAndExitCodes:
         ('{"command": "check-ccp", "dynamics": "g1", "options": {"seed": NaN}}', "options/seed"),
         ('{"command": "check-ccp", "dynamics": {"kind": "gksl", "jumps": [{"op": '
          '[[[0, 0], [1, 0]], [[0, 0], [0, 0]]], "rate": -Infinity}]}}', "dynamics/jumps/0/rate"),
+        pytest.param('{"command": "check-ccp", "dynamics": "g1", "options": {"tol": %s}}' % HUGE,
+                     "options/tol", id="huge-tol"),
+        pytest.param('{"command": "validate", "system": "rebit", "dynamics": "rebit_rotation", '
+                     '"options": {"times": [%s]}}' % HUGE, "options/times/0", id="huge-time"),
+        pytest.param('{"command": "demo-rebit", "options": {"delta_param": %s}}' % HUGE,
+                     "options/delta_param", id="huge-delta-param"),
     ])
     def test_non_finite_numbers_are_invalid_input(self, tmp_path, capsys, text, where):
         # Python's json reads NaN and Infinity; the gate refuses them, and the
@@ -883,6 +895,39 @@ class TestClosedPipe:
 class TestScenarioSchema:
     def test_published_schema_is_valid_draft7(self):
         jsonschema.Draft7Validator.check_schema(load_scenario_schema())
+
+    @pytest.mark.parametrize("value, valid", [
+        ([[[1, 0], [0, 0.5]], [[0, -1], [2, 0]]], True),
+        ([[[1, 0], [0, 0]], [[1, 0]]], True),  # ragged rows: the decoder refuses them
+        ([[[1e308, 0]]], True),
+        ([[[1]]], False), ([[[1, 0, 0]]], False),  # a pair of 1 or 3 numbers
+        ([[]], False), ([], False), ([[[True, 0]]], False), ([[["1", 0]]], False),
+        ([[[float("nan"), 0]]], False), ([[[float("inf"), 0]]], False),
+        ([[[0, float("-inf")]]], False), ([[[int(HUGE), 0]]], False),
+        ([[[[1, 0]]]], False),  # an extra level of nesting
+        ("x", False),
+    ])
+    def test_matrix_is_checked_as_through_a_ref(self, value, valid):
+        # The former form reached each [re, im] pair through a $ref; the
+        # inlined form must accept, reject and report exactly as it did.
+        matrix = load_scenario_schema()["definitions"]["matrix"]
+        pair = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
+        by_ref = {"type": "array", "minItems": 1, "items": {
+            "type": "array", "minItems": 1, "items": {"$ref": "#/definitions/complex"}}}
+        gate = type(cli._scenario_validator())
+        inlined, referenced = (
+            gate({"definitions": definitions, "allOf": [{"$ref": "#/definitions/matrix"}]})
+            for definitions in ({"matrix": matrix}, {"complex": pair, "matrix": by_ref}))
+
+        def verdict(validator):
+            error = jsonschema.exceptions.best_match(validator.iter_errors(value))
+            return None if error is None else (error.message, list(error.absolute_path))
+
+        assert verdict(inlined) == verdict(referenced)
+        assert (verdict(inlined) is None) == valid
+
+    def test_matrix_entries_need_no_reference_lookup(self):
+        assert "$ref" not in json.dumps(load_scenario_schema()["definitions"]["matrix"])
 
     def test_handlers_cover_the_command_enum(self):
         commands = load_scenario_schema()["properties"]["command"]["enum"]
