@@ -12,10 +12,12 @@ residuals to three significant digits.
 
 The scenario schema is the one input gate, compiled once per process: its
 ``command`` enum names the handlers, its ``options`` properties the option keys.
-Its numbers are finite as floats: Python's ``json`` reads the ``NaN`` and
-``Infinity`` tokens and integers too large for a float, and ``--tol nan``
-parses, but none passes the gate, and the echo of a rejected input spells the
-non-finite floats as strings, so every report is strict JSON.
+Its numbers, integers included, are finite as floats: Python's ``json`` reads
+the ``NaN`` and ``Infinity`` tokens and integers too large for a float, and
+``--tol nan`` and a 400-digit ``--starts`` parse, but none passes the gate, and
+the echo of a rejected input spells the non-finite floats as strings, so every
+report is strict JSON.  Each count that sets the length of a loop (``starts``,
+``panels``, ``horizon``) has a ``maximum`` there as well.
 Options are decoded once, by their schema types, and ``null`` means unset;
 handlers pass on only the options a scenario sets, so an unset option takes the
 default of the library function that uses it.
@@ -65,14 +67,22 @@ def _is_finite_number(checker, instance) -> bool:
         return False
 
 
+def _is_finite_integer(checker, instance) -> bool:
+    """The gate's "integer": a "number" with an integral value (``2.0`` too)."""
+    return _is_finite_number(checker, instance) and float(instance).is_integer()
+
+
 @functools.cache
 def _scenario_validator():
     """The scenario schema, read and compiled once per process; its "number"
-    excludes NaN, the infinities and ints too large for a float."""
+    and "integer" exclude NaN, the infinities and ints too large for a float.
+    (A keyword such as ``maximum`` checks only what passes as a "number", so
+    an int too large for a float must fail its type.)"""
     import jsonschema
 
     draft7 = jsonschema.Draft7Validator
-    finite = draft7.TYPE_CHECKER.redefine("number", _is_finite_number)
+    finite = draft7.TYPE_CHECKER.redefine_many(
+        {"number": _is_finite_number, "integer": _is_finite_integer})
     return jsonschema.validators.extend(draft7, type_checker=finite)(load_scenario_schema())
 
 
@@ -204,6 +214,15 @@ def _report_superop(phi) -> dict:
     return serialize.superop_to_json(phi, tagged=True)
 
 
+def _report_extension(report) -> dict:
+    """An ``ExtensionReport`` as every report writes it: its fields but
+    ``termination``, which stays off the wire until the report format
+    carries it (ROADMAP item 8)."""
+    fields = asdict(report)
+    del fields["termination"]
+    return fields
+
+
 # ---------------------------------------------------------------------------
 # Command handlers: each returns (holds, results)
 # ---------------------------------------------------------------------------
@@ -247,7 +266,8 @@ def _cmd_validate(scenario, options):
     verdict = dynamics.validate_subsystem_semigroup(
         sub, **_given(options, "tol", "max_iter", times="sample_ts", lambdas="sample_lambdas"))
     results = {"valid": verdict.valid, "message": verdict.message,
-               "checks": list(verdict.checks), "generator": asdict(verdict.generator)}
+               "checks": list(verdict.checks),
+               "generator": _report_extension(verdict.generator)}
     return verdict.valid, results
 
 
@@ -318,7 +338,7 @@ def _cmd_extend_map(scenario, options):
     images = _resolve_map(scenario, system, options)
     problem = ExtensionProblem.for_map(system, images, _extension_options(options))
     phi, report = extension.extend_ucp_map(problem)
-    results = {"report": asdict(report), "map": _report_superop(phi)}
+    results = {"report": _report_extension(report), "map": _report_superop(phi)}
     return report.converged, results
 
 
@@ -328,7 +348,7 @@ def _cmd_extend_generator(scenario, options):
     problem = ExtensionProblem.for_generator(system, sub, _extension_options(options))
     gen, report = extension.extend_generator(problem)
     results = {
-        "report": asdict(report),
+        "report": _report_extension(report),
         "generator": serialize.generator_to_json(gen),
         "certificates": asdict(gen.certificates),
     }
@@ -342,7 +362,7 @@ def _cmd_extend_resolvent_family(scenario, options):
     gen, family, report = extension.extend_via_resolvent_family(
         problem, options.get("omega", 4.0), **_given(options, "grid"))
     results = {
-        "report": asdict(report),
+        "report": _report_extension(report),
         "generator": serialize.generator_to_json(gen),
         "omega": family.omega,
         "grid": list(family.grid),
@@ -361,7 +381,7 @@ def _cmd_extend_group(scenario, options):
     gen, report = extension.extend_group(
         problem, **_given(options, "seed", starts="n_starts"))
     results = {
-        "report": asdict(report.extension),
+        "report": _report_extension(report.extension),
         "generator": serialize.generator_to_json(gen),
         "inverse_residual": report.inverse_residual,
         "uniqueness_spread": report.uniqueness_spread,

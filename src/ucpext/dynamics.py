@@ -348,20 +348,24 @@ def _sample_pass(a, samples) -> tuple:
 
 
 def _solve(sub: SubsystemGenerator, checks, images, tol: float, max_iter: int,
-           gen: Optional[Generator] = None) -> None:
+           gen: Optional[Generator] = None) -> list:
     """Solve the checks that have images as one batch
     (:func:`extension.ucp_extensions_feasible`), each from ``gen``'s own
     sample when ``gen`` is given (from the deterministic point where that
-    sample raises), and record each verdict in its check."""
+    sample raises), and record each verdict in its check.  Returns each
+    check's solve report, None for a check that was not solved."""
     from . import extension  # local import: extension builds on this module
 
     solved = [k for k, values in enumerate(images) if values is not None]
     starts = None if gen is None else _sample_pass(
         gen, [(checks[k]["kind"], checks[k]["parameter"]) for k in solved])[1]
-    verdicts = extension.ucp_extensions_feasible(sub.system, [images[k] for k in solved],
-                                                 tol=tol, max_iter=max_iter, starts=starts)
-    for k, (feasible, residuals) in zip(solved, verdicts):
+    reports = [None] * len(checks)
+    for k, report in zip(solved, extension._map_reports(
+            sub.system, [images[k] for k in solved], tol, max_iter, starts)):
+        feasible, residuals = extension._verdict(report)
         checks[k].update(feasible=feasible, residuals=residuals)
+        reports[k] = report
+    return reports
 
 
 @dataclass(frozen=True)
@@ -416,14 +420,15 @@ def validate_subsystem_semigroup(sub: SubsystemGenerator,
         t / 2^k, so one cold batch solves the named samples,
         ``DEFAULT_SAMPLE_TS``, ``DEFAULT_SAMPLE_LAMBDAS`` and t0 / 2^k for
         k = 1..10, t0 the smallest positive evolution time among them.  A
-        sample whose solve stops unconverged before its budget decides "not
+        sample whose unconverged solve stops on the plateau decides "not
         UCP"; ``checks`` holds the named samples, and the first such sample
         when it is not one of them.  The named samples come first, then t0
         and its halvings from t0 down, then the other evolution times and the
-        resolvents.  A sample that exhausts its budget, that cannot be
-        computed or whose images are no unital map on V is no
-        counterexample.  Without one the validation raises
-        :class:`Undecided`.
+        resolvents.  A sample whose solve stops unconverged for any other
+        reason (its ``termination``: the budget, the roundoff floor, a
+        non-finite dual), that cannot be computed or whose images are no
+        unital map on V is no counterexample.  Without one the validation
+        raises :class:`Undecided`.
 
     V need not be irreducible: both verdicts hold on every V, because M_d is
     injective.  Only when V is irreducible is M_d its injective envelope, so
@@ -468,10 +473,10 @@ def validate_subsystem_semigroup(sub: SubsystemGenerator,
     extra_checks, extra_images = _sample_pass(sub, sorted(
         others - set(named), key=lambda s: (s[0] != "evolution", s[1] > t0, -s[1])))
     search = checks + extra_checks
-    _solve(sub, search, images + extra_images, tol, max_iter)
-    failing = next((check for check in search
-                    if not check["feasible"] and check["residuals"] is not None
-                    and check["residuals"]["iterations"] < max_iter), None)
+    reports = _solve(sub, search, images + extra_images, tol, max_iter)
+    failing = next((check for check, report in zip(search, reports)
+                    if not check["feasible"] and report is not None
+                    and report.termination == "plateau"), None)
     if failing is None:
         raise Undecided(
             f"validation undecided: the generator extension "

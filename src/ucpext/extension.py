@@ -33,7 +33,14 @@ rigidity are decided by certificates instead; randomized starts only cross-check
 and restriction residuals are all at most ``tol``.  A run stopped by budget or
 plateau can still pass it after the polish; it then returns a feasible point
 that need not be the projection of its start, and the uniqueness diagnostics
-need only feasible points.
+need only feasible points.  ``termination`` is why the run stopped, decided
+in one place (:meth:`_FeasibilitySolver._lockstep`): ``tol``, ``roundoff``,
+``budget``, ``plateau`` or ``nonfinite``.  A verdict that the given data have
+no extension reads both: only an unconverged run that stopped on the plateau
+is evidence of infeasibility (:func:`extend_discrete`,
+``dynamics.validate_subsystem_semigroup``).  Any other unconverged stop
+decides nothing: a roundoff floor reached above ``tol`` means that the
+residuals, which are absolute, cannot get below it at the data's scale.
 
 The affine projection is matrix-free.  The agreement map is
 A(C)_k = sum_ij (v_k)_ij C[(i,.),(j,.)], its adjoint is
@@ -96,11 +103,13 @@ is accepted by backtracking from the unit step, halving it, on the Armijo
 test for f or on <grad f(W + t p), p> <= c <grad f(W), p>, which for convex f
 implies it and, unlike it, is not hidden by the roundoff of f (about
 1e-16 ||X||^2) once the residual is near 1e-8.  A run also stops at once on a
-non-finite dual value or gradient, and on a plateau: when, after 50 Newton
-steps, a residual still above 100 tol has not halved its best over the last
-50, the sets look disjoint or the problem is degenerate, and the verdict is
-left to the polish.  A dual that is not finite already at the start leaves
-no point to polish and raises :class:`NumericalError`.
+non-finite dual value or gradient (``nonfinite``), on its budget
+(``budget``), and on a plateau (``plateau``): when, after 50 Newton steps, a
+residual still above 100 tol has not halved its best over the last 50, the
+sets look disjoint or the problem is degenerate, and the verdict is left to
+the polish.  The stops on the defect and on the gradient's roundoff are
+``tol`` and ``roundoff``.  A dual that is not finite already at the start
+leaves no point to polish and raises :class:`NumericalError`.
 
 ``iterations`` counts evaluations of f, line-search trials included; each is
 one cone projection (one d^2 x d^2 eigh) plus O(|V| d^4), so ``max_iter`` is
@@ -252,11 +261,17 @@ class ExtensionOptions:
 
 @dataclass(frozen=True)
 class ExtensionReport:
+    """One solve's outcome.  ``converged`` is the residual check of the
+    polished point; ``termination`` is why the solver stopped, one of
+    ``tol``, ``roundoff``, ``budget``, ``plateau`` or ``nonfinite``
+    (:meth:`_FeasibilitySolver._lockstep`)."""
+
     iterations: int
     cone_residual: float
     affine_residual: float
     restriction_error: float
     converged: bool
+    termination: str
 
 
 @dataclass(frozen=True)
@@ -790,12 +805,22 @@ class _FeasibilitySolver:
         arithmetic: one seed per member of a stack of targets, or any number
         of seeds on a shared set (:meth:`start_points`), each checked by
         :func:`_solve_batch`.  Each member stops by its own rules and counts its own
-        evaluations.  This is the one place where a member leaves the batch:
-        at the top of each Newton step, the members that met the tolerance or
-        the roundoff floor, spent their budget, stalled, or did not move in
-        the last line search (with budget left, only a non-finite trial stops
-        one there) are dropped from the rows of the targets, of the dual point
-        and of the start points together.
+        evaluations.  This is the one place where a member leaves the batch,
+        and the one place that decides why: at the top of each Newton step,
+        each member gets its ``termination`` once it has a reason to stop,
+        the first of
+          * ``budget``: its evaluations reached ``max_iter``;
+          * ``nonfinite``: its last line search did not move, which with
+            budget left only a non-finite trial does;
+          * ``tol``: its affine defect is at most 0.2 tol;
+          * ``roundoff``: ||grad f|| is at its roundoff floor;
+          * ``plateau``: at the end of a window of _STALL_WINDOW Newton steps,
+            its defect is above 100 tol and its best fell by less than
+            _STALL_IMPROVEMENT of the window's;
+        and the members with a reason are dropped from the rows of the
+        targets, of the dual point and of the start points together.  A
+        member keeps going exactly while it has none, so ``budget`` is its
+        reason exactly when its ``iterations`` equal ``max_iter``.
         """
         tol, max_iter = options.tol, options.max_iter
         inner_tol = 0.2 * tol
@@ -808,15 +833,29 @@ class _FeasibilitySolver:
         iterations = [1] * size
         best_residual, best_x = list(defects), list(point.x)
         window_best = [math.inf] * size
-        stalled = [False] * size
+        termination = [None] * size
         batch, live = self, list(range(size))  # the member of each row of batch, point, x0
         moved = [True] * size
         steps = 0
         while True:
-            going = [k for k, i in enumerate(live)
-                     if moved[k] and defects[k] > inner_tol
-                     and point.residual[k] > point.floor[k]
-                     and iterations[i] < max_iter and not stalled[i]]
+            window_end = steps > 0 and steps % _STALL_WINDOW == 0
+            for k, i in enumerate(live):
+                window = window_best[i]
+                if window_end:
+                    window_best[i] = best_residual[i]
+                if iterations[i] >= max_iter:
+                    termination[i] = "budget"
+                elif not moved[k]:
+                    termination[i] = "nonfinite"
+                elif defects[k] <= inner_tol:
+                    termination[i] = "tol"
+                elif point.residual[k] <= point.floor[k]:
+                    termination[i] = "roundoff"
+                elif (window_end and defects[k] > 100.0 * tol and math.isfinite(window)
+                      and window - best_residual[i] < _STALL_IMPROVEMENT * window):
+                    # far from feasibility: disjoint sets, or no Slater point
+                    termination[i] = "plateau"
+            going = [k for k, i in enumerate(live) if termination[i] is None]
             if len(going) < len(live):
                 if not going:
                     break
@@ -831,13 +870,6 @@ class _FeasibilitySolver:
                 if moved[k] and defects[k] < best_residual[i]:
                     best_residual[i], best_x[i] = defects[k], point.x[k]
             steps += 1
-            if steps % _STALL_WINDOW == 0:
-                for k, i in enumerate(live):
-                    window = window_best[i]
-                    # a plateau far from feasibility: disjoint sets, or no Slater point
-                    stalled[i] = (defects[k] > 100.0 * tol and math.isfinite(window)
-                                  and window - best_residual[i] < _STALL_IMPROVEMENT * window)
-                    window_best[i] = best_residual[i]
 
         # Polish each best point: affine projection, then the cone-exact point;
         # the affine defect of the result is bounded by the distance between
@@ -848,15 +880,16 @@ class _FeasibilitySolver:
             chois, self.basis_rows.reshape(-1, self.d, self.d),
             self.target_rows.reshape(self.target_rows.shape[:-1] + (self.d, self.d))).tolist()
         runs = []
-        for choi, cone_residual, affine_residual, restriction, evaluations in zip(
+        for choi, cone_residual, affine_residual, restriction, evaluations, stop in zip(
                 chois, linalg.frob_each(z - chois).tolist(), self._defect_norms(chois),
-                restrictions, iterations):
+                restrictions, iterations, termination):
             runs.append((SuperOp(self.d, choi), ExtensionReport(
                 iterations=evaluations,
                 cone_residual=cone_residual,
                 affine_residual=affine_residual,
                 restriction_error=restriction,
                 converged=max(cone_residual, affine_residual, restriction) <= tol,
+                termination=stop,
             )))
         return runs
 
@@ -957,9 +990,10 @@ def multi_start(problem: ExtensionProblem, seeds):
 def extend_ucp_map(problem: ExtensionProblem):
     """Extend a UCP map given on V (by basis images) to a UCP map on M_d.
 
-    Returns ``(superop, report)``.  A non-converged report signals either that
-    the given map was not UCP on V (the feasible set is empty) or that the
-    iteration budget / tolerance was too tight.
+    Returns ``(superop, report)``.  A non-converged report that stopped on
+    the plateau is the evidence that the given map is not UCP on V (the sets
+    look disjoint); any other ``termination`` of a non-converged report
+    decides nothing (module docstring).
     """
     if problem.map_targets is None:
         raise InputError("extend_ucp_map needs a map-case problem")
@@ -994,6 +1028,27 @@ def ucp_extensions_feasible(system: MatricialSystem, image_sets,
     images that is no unital map on V gets ``(False, None)`` and is not
     solved, so its start is not read.
     """
+    reports = _map_reports(system, image_sets, tol, max_iter, starts)
+    return [_verdict(report) for report in reports]
+
+
+def _verdict(report: Optional[ExtensionReport]) -> tuple:
+    """``(feasible, residuals)`` of a map solve's report, ``(False, None)`` for
+    a set of images that was not solved."""
+    if report is None:
+        return False, None
+    return report.converged, {
+        "cone": report.cone_residual,
+        "affine": report.affine_residual,
+        "restriction": report.restriction_error,
+        "iterations": report.iterations,
+    }
+
+
+def _map_reports(system: MatricialSystem, image_sets, tol: float, max_iter: int,
+                 starts: Optional[Sequence] = None) -> list:
+    """The solve behind each verdict of :func:`ucp_extensions_feasible`: the
+    report of each set of images, None for a set that is no unital map on V."""
     starts = [None] * len(image_sets) if starts is None else list(starts)
     if len(starts) != len(image_sets):
         raise InputError(f"{len(starts)} starts for {len(image_sets)} sets of images")
@@ -1006,15 +1061,10 @@ def ucp_extensions_feasible(system: MatricialSystem, image_sets,
             pass
     runs = (_solve_batch(system, list(posed.values()), False, options, [starts[k] for k in posed])
             if posed else [])
-    verdicts = [(False, None)] * len(image_sets)
+    reports = [None] * len(image_sets)
     for k, (_, report) in zip(posed, runs):
-        verdicts[k] = (report.converged, {
-            "cone": report.cone_residual,
-            "affine": report.affine_residual,
-            "restriction": report.restriction_error,
-            "iterations": report.iterations,
-        })
-    return verdicts
+        reports[k] = report
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -1391,6 +1441,18 @@ def rigidity_witness(system: MatricialSystem,
     return maps.from_kraus(system.dim, [q, np.eye(system.dim) - q])
 
 
+# An unconverged stop other than the plateau, in the words of an Undecided
+# message and as its reason, by termination.
+_UNDECIDED_STOPS = {
+    "budget": ("spent its budget of {n} evaluations", "budget exhausted"),
+    "roundoff": ("stopped on its roundoff floor after {n} evaluations", "roundoff floor"),
+    "nonfinite": ("stopped on a non-finite dual value after {n} evaluations",
+                  "non-finite dual"),
+    "tol": ("met 0.2 tol after {n} evaluations, but its polished point did not meet tol",
+            "polish above tol"),
+}
+
+
 def extend_discrete(system: MatricialSystem, images, horizon: int,
                     options: Optional[ExtensionOptions] = None):
     """Extend a discrete-time UCP semigroup: one map extension, then powers.
@@ -1398,23 +1460,24 @@ def extend_discrete(system: MatricialSystem, images, horizon: int,
     A discrete semigroup is determined by its single step, so the step given
     on V is extended once and the returned list is [id, psi, psi^2, ...,
     psi^horizon].  The k-th power restricted to V matches the k-th power of
-    the given map within k * tol.  A solve that stops unconverged before its
-    budget raises :class:`ExtensionInfeasible`; one that spends its budget
-    decides nothing and raises :class:`Undecided`.
+    the given map within k * tol.  An unconverged solve is read by its
+    ``termination``: one that stopped on the plateau raises
+    :class:`ExtensionInfeasible`; any other stop decides nothing and raises
+    :class:`Undecided`, whose ``reason`` names the stop
+    (``_UNDECIDED_STOPS``).
     """
     horizon = int(horizon)
     if horizon < 0:
         raise InputError("horizon must be nonnegative")
-    problem = ExtensionProblem.for_map(system, images, options)
-    psi, report = extend_ucp_map(problem)
+    psi, report = extend_ucp_map(ExtensionProblem.for_map(system, images, options))
     if not report.converged:
         residuals = (f"cone residual {report.cone_residual:.3e}, "
                      f"affine residual {report.affine_residual:.3e}")
-        if report.iterations >= problem.options.max_iter:
-            raise Undecided(f"extension undecided: the solve spent its budget of "
-                            f"{problem.options.max_iter} evaluations ({residuals})",
-                            reason="budget exhausted")
-        raise ExtensionInfeasible(f"the given map is not extendably UCP on V ({residuals})")
+        if report.termination == "plateau":
+            raise ExtensionInfeasible(f"the given map is not extendably UCP on V ({residuals})")
+        stop, reason = _UNDECIDED_STOPS[report.termination]
+        raise Undecided(f"extension undecided: the solve {stop.format(n=report.iterations)} "
+                        f"({residuals})", reason=reason)
     powers = [maps.identity_map(system.dim)]
     t = psi.transfer
     acc = np.eye(t.shape[0], dtype=complex)

@@ -49,6 +49,13 @@ FOUR_SAMPLES = {"lambdas": [1.0, 4.0], "times": [0.5, 1.5]}
 HUGE = "1" + "0" * 400
 
 
+class NoWork(dict):
+    """A command table that fails any scenario that gets past the gate."""
+
+    def __getitem__(self, command):
+        raise AssertionError(f"{command} started")
+
+
 def pauli_generator_validate():
     """ROADMAP item 13's false positive: ``validate`` on M2 of the Pauli
     generator G(B) = sum_i gamma_i (s_i B s_i - B), gamma = (1, 1, -0.5), as
@@ -344,9 +351,9 @@ class TestRunScenario:
         report = run_scenario({"command": "validate", "system": "rebit",
                                "dynamics": "rebit_dissipative"})
         verdict = dynamics.validate_subsystem_semigroup(catalog.rebit_dissipative(1.0))
+        generator = {k: v for k, v in asdict(verdict.generator).items() if k != "termination"}
         assert report["results"] == {"valid": verdict.valid, "message": verdict.message,
-                                     "checks": list(verdict.checks),
-                                     "generator": asdict(verdict.generator)}
+                                     "checks": list(verdict.checks), "generator": generator}
         report = run_scenario({"command": "rigidity-probe", "system": "M2"})
         assert report["results"] == asdict(extension.rigidity_probe(catalog.qubit_system()))
 
@@ -616,6 +623,38 @@ class TestFailuresAndExitCodes:
         assert report["status"] == "invalid-input"
         assert "at least 2 starts" in report["error"]["message"]
         jsonschema.validate(report, REPORT_SCHEMA)
+
+    @pytest.mark.parametrize("key, scenario", [
+        ("starts", {"command": "demo-rebit"}),
+        ("starts", {"command": "rigidity-probe", "system": "rebit"}),
+        ("starts", {"command": "extend-group", "system": "rebit", "dynamics": "rebit_rotation"}),
+        ("panels", {"command": "identities", "dynamics": "g1"}),
+        ("horizon", {"command": "extend-discrete", "system": "rebit",
+                     "dynamics": "rebit_rotation"}),
+    ], ids=["demo-starts", "probe-starts", "group-starts", "panels", "horizon"])
+    def test_loop_counts_above_their_maximum_are_refused_before_any_work(
+            self, monkeypatch, key, scenario):
+        # Each count sets the length of a loop: the starts a multi-start
+        # draws and solves, the panels of the Laplace quadrature, the powers
+        # an extend-discrete report carries.  The gate bounds each, so no
+        # value of it can hang a run.
+        maximum = cli._option_schemas()[key]["maximum"]
+        cli.validate_scenario({**scenario, "options": {key: maximum}})
+        monkeypatch.setattr(cli, "_HANDLERS", NoWork())
+        for value, message in [(maximum + 1, f"is greater than the maximum of {maximum}"),
+                               (int(HUGE), f"at options/{key} is not a finite number")]:
+            report = run_scenario({**scenario, "options": {key: value}})
+            assert report["status"] == "invalid-input"
+            assert report["error"]["message"].endswith(message), report["error"]
+            jsonschema.validate(report, REPORT_SCHEMA)
+
+    def test_huge_start_flags_are_refused_before_any_work(self, tmp_path, capsys, monkeypatch):
+        path = write_scenario(tmp_path, {"command": "rigidity-probe", "system": "rebit"})
+        monkeypatch.setattr(cli, "_HANDLERS", NoWork())
+        capsys.readouterr()
+        for argv in (["demo-rebit", "--starts", HUGE], ["run", "--starts", HUGE, path]):
+            assert main(argv) == 2
+            assert json.loads(capsys.readouterr().out)["status"] == "invalid-input"
 
     @pytest.mark.parametrize("options", [5, "ab", [1, 2], None])
     def test_options_not_an_object(self, tmp_path, capsys, options):
@@ -1056,6 +1095,30 @@ class TestReports:
             assert report["status"] == "invalid-input"
             jsonschema.validate(report, REPORT_SCHEMA)
 
+
+    def test_extension_reports_leave_the_termination_out(self):
+        # Each extension-report block of a report has exactly the keys of
+        # definitions/extension_report; the report's termination is not
+        # among them.
+        definition = REPORT_SCHEMA["definitions"]["extension_report"]
+        keys = set(definition["properties"])
+        assert keys == set(definition["required"]) and "termination" not in keys
+        blocks = [
+            ({"command": "extend-map", "system": "rebit", "dynamics": "rebit_dissipative"},
+             "report"),
+            ({"command": "extend-generator", "system": "rebit", "dynamics": "rebit_rotation"},
+             "report"),
+            ({"command": "extend-resolvent-family", "system": "rebit",
+              "dynamics": "rebit_rotation"}, "report"),
+            ({"command": "extend-group", "system": "rebit", "dynamics": "rebit_rotation"},
+             "report"),
+            ({"command": "validate", "system": "rebit", "dynamics": "rebit_dissipative"},
+             "generator"),
+        ]
+        for scenario, key in blocks:
+            report = run_scenario(scenario)
+            assert report["status"] == "ok", (scenario["command"], report.get("error"))
+            assert set(report["results"][key]) == keys, scenario["command"]
 
     def test_validate_reports_carry_every_key(self):
         # Results carry valid, message, checks and generator, and each

@@ -467,6 +467,7 @@ class TestMultiStart:
         seeds = [1, None, 2]
         batch = extension.multi_start(problem, seeds)
         assert [report.iterations for _, report in batch] == [3, 1, 3]
+        assert [report.termination for _, report in batch] == ["budget", "tol", "budget"]
         assert batch[1][1].converged
         for seed, outcome in zip(seeds, batch):
             self._assert_same(outcome, extension.multi_start(problem, [seed])[0])
@@ -534,11 +535,13 @@ class TestMultiStart:
         assert len(after) == 2 and after[0] not in evaluated and after[1] in evaluated
         op, report = batch[poisoned]
         assert report.iterations == len(evaluated) + 1 < solo[poisoned][1].iterations
+        assert report.termination == "nonfinite"
         # Its best point is the one of its first step: the solve stopped by
         # the budget right after that step polishes the same point.
         stopped = ExtensionProblem.for_map(
             rebit, images, ExtensionOptions(seed=3, max_iter=report.iterations - 1))
-        self._assert_same((op, replace(report, iterations=report.iterations - 1)),
+        self._assert_same((op, replace(report, iterations=report.iterations - 1,
+                                       termination="budget")),
                           extension.extend_ucp_map(stopped))
         for k, (outcome, expected) in enumerate(zip(batch, solo)):
             if k != poisoned:
@@ -1190,12 +1193,13 @@ class TestNewtonSolver:
             prob = ExtensionProblem.for_map(*_unitary_mixture_images(3), opts)
         _, report = extension.multi_start(prob, [seed])[0]
         assert 1 <= report.iterations <= budget
+        assert (report.termination == "budget") == (report.iterations == budget)
 
     def test_infeasible_transpose_stops_on_the_plateau(self, qubit):
         # Far below the default budget: only the plateau rule can stop it.
         transpose = [v.T for v in qubit.basis]
         _, report = extension.extend_ucp_map(ExtensionProblem.for_map(qubit, transpose))
-        assert not report.converged
+        assert not report.converged and report.termination == "plateau"
         assert report.iterations <= 500 < ExtensionOptions().max_iter
         assert report.affine_residual > 0.1
 
@@ -1902,6 +1906,19 @@ class TestRankBands:
 
 
 class TestBasisScale:
+    @staticmethod
+    def _scaled(pauli, scale):
+        """span{I, scale X, scale Z}."""
+        return MatricialSystem.from_basis([pauli.I, scale * pauli.X, scale * pauli.Z])
+
+    @staticmethod
+    def _map_report(pauli, scale, seed):
+        """The report of the map solve of seed's random UCP map on span{I, scale X, scale Z}."""
+        system = TestBasisScale._scaled(pauli, scale)
+        phi = random_ucp_map(2, np.random.default_rng(seed), n_kraus=2)
+        return extension.extend_ucp_map(
+            ExtensionProblem.for_map(system, [phi.apply(v) for v in system.basis]))[1]
+
     @pytest.mark.parametrize("scale, seed", [(scale, seed) for scale in (1.0, 1e6)
                                              for seed in range(8)])
     def test_map_extension_converges_at_any_basis_scale(self, pauli, scale, seed):
@@ -1909,11 +1926,43 @@ class TestBasisScale:
         # verdict reads.  When it stopped on the whitened gradient, seeds 1,
         # 2, 4, 5 and 7 at scale 1e6 ended with restriction errors of 6.9e-7
         # to 3.0e-5, the Choi matrix of {I, X, Z} read against 1e6 X, 1e6 Z.
-        system = MatricialSystem.from_basis([pauli.I, scale * pauli.X, scale * pauli.Z])
-        phi = random_ucp_map(2, np.random.default_rng(seed), n_kraus=2)
-        _, report = extension.extend_ucp_map(
-            ExtensionProblem.for_map(system, [phi.apply(v) for v in system.basis]))
-        assert report.converged
+        report = self._map_report(pauli, scale, seed)
+        assert report.converged and report.termination == "tol"
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_at_scale_1e8_a_map_solve_stops_on_its_roundoff_floor(self, pauli, seed):
+        # The residuals are absolute (ROADMAP item 6): at 1e8 every seed stops
+        # on its roundoff floor after 10 to 58 evaluations, with affine
+        # residuals of 7.9e-8 to 2.0e-7, above tol.
+        report = self._map_report(pauli, 1e8, seed)
+        assert not report.converged and report.termination == "roundoff"
+
+    def test_a_roundoff_stop_leaves_a_discrete_step_undecided(self, pauli):
+        # A UCP step on span{I, 1e8 X, 1e8 Z} whose solve stops on its
+        # roundoff floor: no evidence that the step is infeasible.  While any
+        # unconverged stop before the budget counted, it raised
+        # ExtensionInfeasible.
+        system = self._scaled(pauli, 1e8)
+        phi = random_ucp_map(2, np.random.default_rng(0), n_kraus=2)
+        with pytest.raises(Undecided, match="stopped on its roundoff floor after 12 ") as failure:
+            extension.extend_discrete(system, [phi.apply(v) for v in system.basis], 2)
+        assert failure.value.fields == {"reason": "roundoff floor"}
+
+    @pytest.mark.parametrize("generator", [catalog.g1(1.0),
+                                           catalog.rotation_extension_generator(1.0)],
+                             ids=["g1", "rotation"])
+    def test_roundoff_stops_leave_a_validation_undecided(self, pauli, generator):
+        # Both generators are ccp and map span{I, 1e8 X, 1e8 Z} into itself,
+        # so they generate UCP semigroups there.  Every sample solve of the
+        # counterexample search stops on its roundoff floor; while any
+        # unconverged stop before the budget counted, each validation said
+        # "not a UCP subsystem semigroup".
+        system = self._scaled(pauli, 1e8)
+        sub = SubsystemGenerator.from_action(
+            system, [generator.op.apply(v) for v in system.basis])
+        with pytest.raises(Undecided, match="no sample solved is a counterexample") as failure:
+            dynamics.validate_subsystem_semigroup(sub)
+        assert failure.value.fields == {"reason": "no counterexample"}
 
 
 class TestUniquenessCertificate:
