@@ -14,7 +14,8 @@ from .catalog import (EnvelopeInfo, PauliBasis, four_case_catalog, g1, g2,
                       rebit_dissipative, rebit_rotation, rebit_system,
                       rotation_extension_generator)
 from .dynamics import (Generator, GeneratorCertificates, SubsystemGenerator,
-                       certify, evolve, gksl_generator, has_group_certificate,
+                       certify, certify_each, evolve, gksl_generator,
+                       has_group_certificate,
                        hilbert_identity_residual,
                        is_conditionally_completely_positive, laplace_resolvent,
                        resolvent, spectral_bound, validate_subsystem_semigroup)

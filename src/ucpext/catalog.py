@@ -55,6 +55,8 @@ _REAL_SYMMETRIC_CACHED = 8
 # complex numbers, and extend-group's multiplicativity defects, d^6: 143 MB and
 # 268 MB at d = 16, but 8.9 GB and 17 GB at d = 32.
 _REAL_SYMMETRIC_MAX_DIM = 16
+# g2's default prefactor, which demo-rebit reports when none is given.
+G2_DEFAULT_PREFACTOR = "derived"
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,7 @@ def g1(delta: float) -> Generator:
     return gksl_generator(2, jumps=[(p.X, delta / 2.0), (p.Z, delta / 2.0)])
 
 
-def g2(delta: float, prefactor: str = "derived") -> Generator:
+def g2(delta: float, prefactor: str = G2_DEFAULT_PREFACTOR) -> Generator:
     """Second dissipative extension generator:
 
         G2(B) = c * delta * ((1/3) X B X + (1/3) Y B Y + (1/3) Z B Z - B).

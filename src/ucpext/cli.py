@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import json
 import math
 import os
@@ -417,8 +416,7 @@ def _cmd_demo_rebit(scenario, options):
                          "dissipative check shows non-uniqueness by two starts that disagree")
     delta = options.get("delta_param", 1.0)
     omega = options.get("omega_param", 1.0)
-    prefactor = options.get("g2_prefactor",
-                            inspect.signature(catalog.g2).parameters["prefactor"].default)
+    prefactor = options.get("g2_prefactor", catalog.G2_DEFAULT_PREFACTOR)
     tol_kw = _given(options, "tol")
     checks = []
 
@@ -447,13 +445,24 @@ def _cmd_demo_rebit(scenario, options):
     want = (b * b + c * c <= a * a) & (a >= 0)
     record("rebit-cone-grid", np.all(got == want.ravel()), grid="{0,+-1,+-2}^3")
 
-    # Rotation group: unique extension equals the commutator generator.
+    # The rotation group's cross-check and the dissipative semigroup's starts
+    # are one lockstep batch on the rebit's ccp cone, at the scenario's tol.
     rot = catalog.rebit_rotation(omega)
+    diss = catalog.rebit_dissipative(delta)
+    solve_options = ExtensionOptions(**tol_kw)
+    rot_problem = ExtensionProblem.for_generator(rebit, rot, solve_options)
+    diss_problem = ExtensionProblem.for_generator(rebit, diss, solve_options)
+    rot_seeds = extension._start_seeds(options.get("seed", 0), starts)
+    runs = extension.multi_start([rot_problem] * starts + [diss_problem] * starts,
+                                 rot_seeds + list(range(starts)))
+    rot_runs, diss_runs = runs[:starts], runs[starts:]
+
+    # Rotation group: unique extension equals the commutator generator.
     truth = catalog.rotation_extension_generator(omega)
     try:
-        gen, group_report = extension.extend_group(
-            ExtensionProblem.for_generator(rebit, rot),
-            n_starts=starts, **_given(options, "seed"))
+        gen, group_report = extension.extend_group(rot_problem)
+        group_report = extension._group_cross_check(gen, group_report, rot_runs,
+                                                    solve_options.tol)
         rot_err = gen.op.distance(truth.op)
         record("rotation-extension-unique", rot_err <= 1e-6,
                distance_to_commutator_generator=rot_err,
@@ -463,14 +472,10 @@ def _cmd_demo_rebit(scenario, options):
         record("rotation-extension-unique", False, error=str(exc))
 
     # Dissipative semigroup: extension exists but is not unique.
-    diss = catalog.rebit_dissipative(delta)
-    runs = extension.multi_start(
-        ExtensionProblem.for_generator(rebit, diss, ExtensionOptions(**tol_kw)),
-        range(starts))
-    all_converged = all(
-        report.converged and dynamics.certify(op, **tol_kw).certificates.certified
-        for op, report in runs)
-    spread = extension.max_pairwise_distance([op.apply(p.Y) for op, _ in runs])
+    certified = dynamics.certify_each([op for op, _ in diss_runs], **tol_kw)
+    all_converged = all(report.converged and cert.certificates.certified
+                        for (_, report), cert in zip(diss_runs, certified))
+    spread = extension.max_pairwise_distance([op.apply(p.Y) for op, _ in diss_runs])
     record("dissipative-extension-not-unique", all_converged and spread >= 1e-3,
            all_converged=all_converged, max_spread_on_Y=spread)
 
@@ -625,7 +630,8 @@ def build_parser() -> argparse.ArgumentParser:
     demo = sub.add_parser("demo-rebit", help="run the full rebit demonstration")
     demo.add_argument("--delta", type=float, default=1.0)
     demo.add_argument("--omega-param", type=float, default=1.0)
-    demo.add_argument("--g2-prefactor", choices=("derived", "paper"), default="derived")
+    demo.add_argument("--g2-prefactor", choices=("derived", "paper"),
+                      default=catalog.G2_DEFAULT_PREFACTOR)
     demo.add_argument("--starts", type=int, default=DEFAULT_STARTS)
     demo.add_argument("--seed", type=int, default=0)
     demo.add_argument("--report", choices=("json", "text"), default="json")

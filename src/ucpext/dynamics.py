@@ -39,6 +39,7 @@ __all__ = [
     "Generator",
     "SubsystemGenerator",
     "certify",
+    "certify_each",
     "gksl_generator",
     "is_conditionally_completely_positive",
     "has_group_certificate",
@@ -82,19 +83,38 @@ class Generator:
 
 
 def certify(op: SuperOp, tol: float = FEASIBILITY_TOL) -> Generator:
-    """Wrap a SuperOp as a Generator, computing all certificates from scratch."""
-    hermitian = maps.is_hermiticity_preserving(op, tol)
-    min_eig = -np.inf
-    if hermitian:
-        proj = maps.ccp_projector(op.d)
-        compressed = proj @ linalg.hermitian_part(op.choi) @ proj
-        min_eig = float(np.linalg.eigvalsh(compressed)[0])  # reads the lower triangle
-    certs = GeneratorCertificates(
-        hermiticity_preserving=hermitian,
-        unital_kernel=linalg.frob(op.apply(np.eye(op.d))) <= tol,
-        ccp=hermitian and min_eig >= -tol * (1.0 + linalg.frob(op.choi)),
-    )
-    return Generator(op=op, certificates=certs, ccp_eigenvalue=min_eig)
+    """Wrap a SuperOp as a Generator, computing all certificates from scratch:
+    the one-map case of :func:`certify_each`."""
+    return certify_each([op], tol)[0]
+
+
+def certify_each(ops: Sequence[SuperOp], tol: float = FEASIBILITY_TOL) -> list:
+    """:func:`certify` of each map of ``ops``, maps on one M_d, in stacked
+    steps: the norms of the Choi matrices C, of C - C* and of A(I) by
+    ``linalg.frob_each``, and one ``eigvalsh`` over the stack of P herm(C) P
+    of the maps that preserve hermiticity.  Every step acts on each map alone,
+    so each Generator is the one its map gets in a stack of one."""
+    if not ops:
+        return []
+    d = ops[0].d
+    if any(op.d != d for op in ops):
+        raise InputError("certify_each needs maps on one M_d, "
+                         f"got d = {sorted({op.d for op in ops})}")
+    chois = np.array([op.choi for op in ops])
+    norms = linalg.frob_each(chois)
+    hermitian = linalg.frob_each(chois - linalg.dagger(chois)) <= tol * (1.0 + norms)
+    # A(I) = sum_i A(E_ii), the sum of the diagonal blocks [i, ., i, .] of C.
+    unital = linalg.frob_each(chois.reshape(-1, d, d, d, d).trace(axis1=1, axis2=3)) <= tol
+    min_eigs = np.full(len(ops), -np.inf)
+    if hermitian.any():
+        proj = maps.ccp_projector(d)
+        compressed = proj @ linalg.hermitian_part(chois[hermitian]) @ proj
+        min_eigs[hermitian] = np.linalg.eigvalsh(compressed)[:, 0]  # reads the lower triangles
+    ccp = hermitian & (min_eigs >= -tol * (1.0 + norms))
+    return [Generator(op=op, certificates=GeneratorCertificates(
+                hermiticity_preserving=h, unital_kernel=u, ccp=c), ccp_eigenvalue=e)
+            for op, h, u, c, e in zip(ops, hermitian.tolist(), unital.tolist(), ccp.tolist(),
+                                      min_eigs.tolist())]
 
 
 def is_conditionally_completely_positive(op: SuperOp, tol: float = FEASIBILITY_TOL) -> bool:

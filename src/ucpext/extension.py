@@ -155,11 +155,13 @@ eigh and stacked lift and relayout products), the Newton steps (a direct one
 forms the systems of up to 128 / m members in one set of stacked products),
 the line search and the polish act on arrays with a leading member axis,
 and each member's rows of the targets T and R^-T T travel with its start
-point.  All the starts of
-:func:`multi_start` are one batch that shares its problem's
-targets; the samples of a validation are another, one map per member
-(:func:`ucp_extensions_feasible`).  Each member keeps its own stopping
-rules, step length, best point, ``iterations`` and report
+point.  All the starts of :func:`multi_start` are one batch, which shares
+one problem's targets or stacks those of one problem per start (on one
+system, of one kind, with equal options: ``demo-rebit`` solves its rotation's
+cross-check and its dissipation's starts together); the samples of a
+validation are another, one map per member (:func:`ucp_extensions_feasible`).
+Each member keeps its own stopping rules, step length, best point,
+``iterations`` and report
 (``restriction_error`` is measured on its returned map).  A member leaves
 the batch at one place, the top of each Newton step, where every member
 that stopped is dropped.  Within a step no member leaves: a row whose CG has
@@ -961,24 +963,58 @@ def _solve_batch(system: MatricialSystem, targets, ccp: bool, options: Extension
     return runs
 
 
-def multi_start(problem: ExtensionProblem, seeds):
-    """Solve ``problem`` once per entry of ``seeds``, on one shared set-up.
+def _problem_targets(problem: ExtensionProblem) -> tuple:
+    """The agreement targets of ``problem``: its images on V, or its generator's action."""
+    return problem.map_targets if problem.generator is None else problem.generator.action
 
-    The seed ``None`` solves with ``problem.options`` as given; an int
-    ``s >= 0`` solves from the randomized start
-    ``replace(problem.options, seed=s)``; a ``SuperOp`` on M_d is the
-    member's given start, the affine projection of its Choi matrix (module
-    docstring), which draws no random numbers.  Any other seed raises
-    :class:`InputError` (:func:`_solve_batch`).
+
+def _problem_kind(problem: ExtensionProblem) -> str:
+    return "map" if problem.generator is None else "generator"
+
+
+def multi_start(problem, seeds):
+    """Solve one member per entry of ``seeds`` in one lockstep batch.
+
+    ``problem`` is one :class:`ExtensionProblem`, which every seed solves on
+    one shared set of targets, or a sequence of them, one per seed: on one
+    system (the same object), of one kind (map or generator) and with equal
+    options, whose targets are stacked.  Either way each member's result is
+    bit-identical to its solo solve; problems that differ in any of the
+    three, or a count that differs from the seeds', raise :class:`InputError`
+    naming the mismatch.
+
+    The seed ``None`` solves with the options as given; an int ``s >= 0``
+    solves from the randomized start ``replace(options, seed=s)``; a
+    ``SuperOp`` on M_d is the member's given start, the affine projection of
+    its Choi matrix (module docstring), which draws no random numbers.  Any
+    other seed raises :class:`InputError` (:func:`_solve_batch`).
     Returns one ``(superop, report)`` per seed, in order; the superop is the
     raw Choi-matrix solution (map problems use the PSD cone, generator
     problems the ccp cone { C : P C P >= 0 }, both projected through their
     frame as in the module docstring).
     """
-    ccp = problem.generator is not None
-    targets = problem.generator.action if ccp else problem.map_targets
-    options = problem.options
-    return _solve_batch(problem.system, targets, ccp, options,
+    seeds = list(seeds)
+    if isinstance(problem, ExtensionProblem):
+        first, targets = problem, _problem_targets(problem)
+    else:
+        problems = list(problem)
+        if len(problems) != len(seeds):
+            raise InputError(f"{len(problems)} problems for {len(seeds)} seeds")
+        if not problems:
+            return []
+        first = problems[0]
+        for k, other in enumerate(problems[1:], 1):
+            if other.system is not first.system:
+                raise InputError(f"problem {k} is on another system than problem 0")
+            if _problem_kind(other) != _problem_kind(first):
+                raise InputError(f"problem {k} is a {_problem_kind(other)} problem, "
+                                 f"problem 0 a {_problem_kind(first)} problem")
+            if other.options != first.options:
+                raise InputError(f"problem {k} has other options than problem 0: "
+                                 f"{other.options} against {first.options}")
+        targets = np.stack([_problem_targets(p) for p in problems])
+    options = first.options
+    return _solve_batch(first.system, targets, first.generator is not None, options,
                         [options.seed if seed is None else seed for seed in seeds])
 
 
@@ -1275,14 +1311,30 @@ def _decided_commutant(system: MatricialSystem, tol: float, error, claim: str):
     return comm
 
 
-def _cross_check(problem: ExtensionProblem, seeds, error, claim: str) -> list:
-    """The extensions from ``seeds``; one that does not converge leaves ``claim`` undecided."""
-    runs = multi_start(problem, seeds)
+def _cross_check(runs, error, claim: str) -> list:
+    """The extensions of ``runs``, the ``(superop, report)`` pairs of a
+    cross-check's randomized starts (:func:`multi_start`); one that did not
+    converge leaves ``claim`` undecided."""
     unconverged = sum(not report.converged for _, report in runs)
     if unconverged:
-        raise error(f"{claim} undecided: {unconverged} of {len(seeds)} randomized "
+        raise error(f"{claim} undecided: {unconverged} of {len(runs)} randomized "
                     "starts did not converge")
     return [op for op, _ in runs]
+
+
+def _group_cross_check(gen_plus: dynamics.Generator, group_report: GroupExtensionReport,
+                       runs, tol: float) -> GroupExtensionReport:
+    """``group_report`` of the extension ``gen_plus`` of +A, cross-checked by
+    ``runs``, randomized runs of +A (:func:`extend_group`): each must converge
+    and agree with G+ within 10 x tol, or :class:`GroupExtensionError`."""
+    ops = _cross_check(runs, GroupExtensionError, "uniqueness")
+    spread = max_pairwise_distance([gen_plus.op.choi] + [op.choi for op in ops])
+    if spread > 10.0 * tol:
+        raise GroupExtensionError(
+            f"randomized starts disagree (spread {spread:.3e}) although the certificate "
+            f"says the extension is unique (ccp defect of -G+ "
+            f"{group_report.certificate.inverse_witness:.3e})")
+    return replace(group_report, uniqueness_spread=spread, n_starts=len(runs))
 
 
 def extend_group(problem: ExtensionProblem, n_starts: int = 0, seed: int = 0):
@@ -1309,9 +1361,10 @@ def extend_group(problem: ExtensionProblem, n_starts: int = 0, seed: int = 0):
         (:func:`_multiplicativity_residual`; a UCP map with a UCP inverse is a
         *-automorphism).
 
-    ``n_starts`` randomized runs of +A are an opt-in cross-check: each must
-    converge and agree with G+ within 10 x tol, or the certificate and the
-    solver disagree and the extension fails.
+    ``n_starts`` randomized runs of +A are an opt-in cross-check, run after
+    the checks above (:func:`_group_cross_check`): each must converge and
+    agree with G+ within 10 x tol, or the certificate and the solver disagree
+    and the extension fails.
 
     Returns ``(generator, group_report)``; failures raise
     :class:`GroupExtensionError`.
@@ -1350,14 +1403,6 @@ def extend_group(problem: ExtensionProblem, n_starts: int = 0, seed: int = 0):
             f"not a group on V: inverse check residual {inverse_residual:.3e}"
         )
 
-    ops = (_cross_check(problem, run_seeds, GroupExtensionError, "uniqueness")
-           if run_seeds else [])
-    spread = max_pairwise_distance([gen_plus.op.choi] + [op.choi for op in ops])
-    if spread > 10.0 * opts.tol:
-        raise GroupExtensionError(
-            f"randomized starts disagree (spread {spread:.3e}) although the "
-            f"certificate says the extension is unique (ccp defect of -G+ {witness:.3e})")
-
     mult_residual = max(_multiplicativity_residual(step) for step in steps)
     if mult_residual > check_tol:
         raise GroupExtensionError(
@@ -1367,13 +1412,14 @@ def extend_group(problem: ExtensionProblem, n_starts: int = 0, seed: int = 0):
     group_report = GroupExtensionReport(
         extension=report,
         inverse_residual=inverse_residual,
-        uniqueness_spread=spread,
+        uniqueness_spread=0.0,
         multiplicativity_residual=mult_residual,
-        n_starts=n_starts,
+        n_starts=0,
         certificate=GroupCertificate(commutant_dim=comm.dim, commutant_gap=comm.gap,
                                      inverse_witness=witness),
     )
-    return gen_plus, group_report
+    runs = multi_start(problem, run_seeds) if run_seeds else []
+    return gen_plus, _group_cross_check(gen_plus, group_report, runs, opts.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -1404,8 +1450,8 @@ def rigidity_probe(system: MatricialSystem, n_starts: int = 0,
     options = ExtensionOptions(tol=tol, max_iter=max_iter)
     seeds = _start_seeds(seed, n_starts)
     comm = _decided_commutant(system, tol, NumericalError, "rigidity")
-    ops = (_cross_check(ExtensionProblem.for_map(system, system.basis, options),
-                        seeds, NumericalError, "rigidity") if seeds else [])
+    ops = (_cross_check(multi_start(ExtensionProblem.for_map(system, system.basis, options),
+                                    seeds), NumericalError, "rigidity") if seeds else [])
 
     ident = maps.identity_map(system.dim) if ops else None
     identity_threshold = max(50.0 * tol, 1e-6)

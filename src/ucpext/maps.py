@@ -18,6 +18,7 @@ normalization; trace preservation plays no role here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -198,11 +199,15 @@ def maximally_entangled_projector(d: int) -> np.ndarray:
     return np.outer(v, v)
 
 
+@functools.cache
 def ccp_projector(d: int) -> np.ndarray:
     """P = I - omega omega*, projecting orthogonally to the normalized maximally
-    entangled vector omega: a hermiticity-preserving map is ccp iff P choi P >= 0."""
+    entangled vector omega: a hermiticity-preserving map is ccp iff P choi P >= 0.
+    Built once per d and shared read-only."""
     omega = maximally_entangled_vector(d)
-    return np.eye(d * d) - np.outer(omega, np.conj(omega))
+    proj = np.eye(d * d) - np.outer(omega, np.conj(omega))
+    proj.setflags(write=False)
+    return proj
 
 
 def is_completely_positive(phi: SuperOp, tol: float = FEASIBILITY_TOL) -> CPReport:

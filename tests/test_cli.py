@@ -1155,6 +1155,70 @@ class TestDemoRebit:
         assert {"four-case-catalog", "rebit-cone-grid", "rotation-extension-unique",
                 "dissipative-extension-not-unique", "g1-g2-differ-on-Y"} <= names
 
+    def test_the_rotation_solves_at_the_scenario_tol(self, monkeypatch):
+        solved = []
+        solve = extension._solve_batch
+
+        def recording(system, targets, ccp, options, starts):
+            solved.append((len(starts), options.tol))
+            return solve(system, targets, ccp, options, starts)
+
+        monkeypatch.setattr(extension, "_solve_batch", recording)
+        report = run_scenario({"command": "demo-rebit", "options": {"tol": 1e-6}})
+        assert report["status"] == "ok"
+        # The +A solve of the rotation, then its 8 cross-check starts and the
+        # dissipation's 8 starts in one batch.
+        assert sorted(solved) == [(1, 1e-6), (16, 1e-6)]
+
+    @pytest.mark.parametrize("seed", [0, 29])
+    def test_one_batch_and_one_certification(self, monkeypatch, seed):
+        built, certified = [], []
+        solver_init = extension._FeasibilitySolver.__init__
+        certify_each = dynamics.certify_each
+
+        def counting(solver, *args):
+            built.append(args[-1])
+            solver_init(solver, *args)
+
+        def recording(ops, *args, **kwargs):
+            certified.append(len(ops))
+            return certify_each(ops, *args, **kwargs)
+
+        monkeypatch.setattr(extension._FeasibilitySolver, "__init__", counting)
+        monkeypatch.setattr(dynamics, "certify_each", recording)
+        report = run_scenario({"command": "demo-rebit", "options": {"seed": seed}})
+        monkeypatch.undo()
+        assert report["status"] == "ok"
+        assert sorted(built) == [False, True]  # one complex batch, the real +A solve
+        assert 8 in certified
+        # The rotation's cross-check is extend_group's own.
+        _, group_report = extension.extend_group(
+            extension.ExtensionProblem.for_generator(catalog.rebit_system(),
+                                                     catalog.rebit_rotation(1.0)),
+            n_starts=8, seed=seed)
+        check = next(c for c in report["results"]["checks"]
+                     if c["name"] == "rotation-extension-unique")
+        assert check["uniqueness_spread"] == group_report.uniqueness_spread
+
+    def test_a_disagreeing_rotation_start_fails_the_check_as_in_extend_group(
+            self, monkeypatch):
+        solve = extension.multi_start
+
+        def shifted(problem, seeds):
+            # Moves the rotation's 8 cross-check starts of the demo's batch of
+            # 16, not the +A solve.
+            runs = solve(problem, seeds)
+            return [(maps.SuperOp(op.d, op.choi + 1e-3 * np.eye(op.d ** 2)), run_report)
+                    if len(runs) == 16 and k < 8 else (op, run_report)
+                    for k, (op, run_report) in enumerate(runs)]
+
+        monkeypatch.setattr(extension, "multi_start", shifted)
+        report = run_scenario({"command": "demo-rebit"})
+        assert report["results"]["failed_checks"] == ["rotation-extension-unique"]
+        check = next(c for c in report["results"]["checks"]
+                     if c["name"] == "rotation-extension-unique")
+        assert check["error"].startswith("randomized starts disagree (spread ")
+
     def test_four_case_catalog_is_computed(self, monkeypatch):
         cases = catalog.four_case_catalog()
         wrong = [(system, replace(envelope, dim=envelope.dim + 1))

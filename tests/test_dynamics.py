@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import diagonal_damping, random_gksl, random_involution_lift
-from ucpext import catalog, dynamics, linalg, maps
+from ucpext import catalog, dynamics, extension, linalg, maps
 from ucpext.dynamics import SubsystemGenerator
 from ucpext.errors import InputError, NumericalError, Undecided
+from ucpext.extension import ExtensionProblem
 from ucpext.tolerances import VALIDATE_MAX_ITER
 
 
@@ -99,6 +100,68 @@ class TestConditionalCompletePositivity:
                 linalg.hermitian_part(dynamics.evolve(gen, t_small).choi))[0])
             oracle_says_ccp = min_eig >= -10.0 * t_small**2 * norm**2
             assert oracle_says_ccp == dynamics.is_conditionally_completely_positive(gen.op)
+
+
+class TestStackedCertification:
+    @staticmethod
+    def _per_map(op, tol):
+        """The certificates computed map by map, with a P built here: the
+        Choi-level tests of the module docstring."""
+        n = op.d * op.d
+        omega = maps.maximally_entangled_vector(op.d)
+        proj = np.eye(n) - np.outer(omega, np.conj(omega))
+        hermitian = maps.is_hermiticity_preserving(op, tol)
+        min_eig = (float(np.linalg.eigvalsh(proj @ linalg.hermitian_part(op.choi) @ proj)[0])
+                   if hermitian else -np.inf)
+        certs = dynamics.GeneratorCertificates(
+            hermiticity_preserving=hermitian,
+            unital_kernel=linalg.frob(op.apply(np.eye(op.d))) <= tol,
+            ccp=hermitian and min_eig >= -tol * (1.0 + linalg.frob(op.choi)))
+        return certs, min_eig
+
+    @staticmethod
+    def _maps():
+        """demo-rebit's eight dissipative runs, -G+ of the rebit rotation, a map
+        with A(I) = 0 that does not preserve hermiticity, and the identity,
+        which is ccp and preserves hermiticity but has A(I) = I."""
+        rebit = catalog.rebit_system()
+        runs = extension.multi_start(
+            ExtensionProblem.for_generator(rebit, catalog.rebit_dissipative(1.0)), range(8))
+        gen_plus, _ = extension.extend_generator(
+            ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(1.0)))
+        phase = maps.from_action(2, lambda b: 1j * (b - 0.5 * np.trace(b) * np.eye(2)))
+        return [op for op, _ in runs] + [-gen_plus.op, phase, maps.identity_map(2)]
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-6])
+    def test_each_map_gets_its_own_certificate(self, tol):
+        ops = self._maps()
+        stacked = dynamics.certify_each(ops, tol)
+        assert [gen.op for gen in stacked] == ops
+        verdicts = []
+        for op, gen in zip(ops, stacked):
+            certs, min_eig = self._per_map(op, tol)
+            alone = dynamics.certify(op, tol)
+            assert gen.certificates == alone.certificates == certs
+            assert gen.ccp_eigenvalue == alone.ccp_eigenvalue  # bit for bit
+            assert np.array_equal(gen.ccp_eigenvalue, min_eig)
+            verdicts.append((certs.hermiticity_preserving, certs.unital_kernel, certs.ccp))
+        assert verdicts[:9] == [(True, True, True)] * 9  # the runs and -G+
+        assert verdicts[9:] == [(False, True, False), (True, False, True)]
+        assert stacked[9].ccp_eigenvalue == -np.inf
+
+    def test_a_stack_of_one_is_certify(self):
+        op = catalog.g1(0.7).op
+        (gen,) = dynamics.certify_each([op])
+        assert gen == dynamics.certify(op)
+        assert dynamics.certify_each([]) == []
+
+    def test_maps_on_different_algebras_are_refused(self):
+        with pytest.raises(InputError, match=r"maps on one M_d, got d = \[2, 3\]"):
+            dynamics.certify_each([maps.identity_map(2), maps.identity_map(3)])
+
+    def test_the_projector_is_built_once_and_read_only(self):
+        proj = maps.ccp_projector(3)
+        assert maps.ccp_projector(3) is proj and not proj.flags.writeable
 
 
 class TestEvolve:

@@ -489,6 +489,51 @@ class TestMultiStart:
         for problem, outcome in zip(problems, batch):
             self._assert_same(outcome, extension.extend_ucp_map(problem))
 
+    def test_one_problem_per_seed_matches_solo_runs(self, rebit, monkeypatch):
+        # demo-rebit's batch: the rebit rotation and dissipation on one system
+        # and one cone, from deterministic starts (real arithmetic) and
+        # seeded ones (complex), stacked in one call with one solver per
+        # arithmetic.
+        options = ExtensionOptions(tol=1e-9)
+        rot = ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(1.3), options)
+        diss = ExtensionProblem.for_generator(rebit, catalog.rebit_dissipative(0.7), options)
+        problems = [rot, diss, diss, rot, diss, rot]
+        seeds = [None, 4, None, 4, 9, 2]
+        built = []
+        solver_init = extension._FeasibilitySolver.__init__
+
+        def counting(solver, system, targets, ccp, real):
+            built.append(real)
+            solver_init(solver, system, targets, ccp, real)
+
+        monkeypatch.setattr(extension._FeasibilitySolver, "__init__", counting)
+        batch = extension.multi_start(problems, seeds)
+        monkeypatch.undo()
+        assert sorted(built) == [False, True]
+        assert len(batch) == len(seeds)
+        for problem, seed, outcome in zip(problems, seeds, batch):
+            self._assert_same(outcome, extension.multi_start(problem, [seed])[0])
+        assert {report.termination for _, report in batch} == {"tol"}
+        assert batch[1][0].distance(batch[4][0]) > 1e-3  # the dissipation: not unique
+
+    def test_problems_of_one_batch_must_match(self, rebit):
+        rot = ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(1.0))
+        twin = MatricialSystem.from_basis(rebit.basis)
+        others = {
+            "problem 1 is on another system than problem 0": ExtensionProblem.for_generator(
+                twin, SubsystemGenerator.from_action(twin, rot.generator.action)),
+            "problem 1 is a map problem, problem 0 a generator problem":
+                ExtensionProblem.for_map(rebit, rebit.basis),
+            "problem 1 has other options than problem 0: ": ExtensionProblem.for_generator(
+                rebit, rot.generator, ExtensionOptions(tol=1e-6)),
+        }
+        for message, other in others.items():
+            with pytest.raises(InputError, match=f"^{message}"):
+                extension.multi_start([rot, other], [None, None])
+        with pytest.raises(InputError, match="^2 problems for 3 seeds$"):
+            extension.multi_start([rot, rot], [None, 1, 2])
+        assert extension.multi_start([], []) == []
+
     def test_no_seeds_no_runs(self, rebit):
         problem = ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(1.0))
         assert extension.multi_start(problem, []) == []
