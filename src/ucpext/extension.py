@@ -130,12 +130,12 @@ conditional-positivity recovery of the resolvent-family route).  Randomized
 starts add a seeded Hermitian Gaussian perturbation before the first
 projection; ``ExtensionOptions.seed`` chooses the start, ``None`` the
 deterministic one and an int the randomized one it seeds.  :func:`multi_start`
-solves one problem from a list of seeds on one set-up: the seed ``None``
-solves with the problem's options as given, and an int ``s`` solves from the
-randomized start with ``seed = s``, so equal seeds give bit-identical
-extensions.  A member can also be given its start, a ``SuperOp`` on M_d in
-place of its seed: the start point is then the affine projection of that
-map's Choi matrix.  :func:`multi_start` passes such a seed on as it is, and
+solves one problem per seed on one set-up: the seed ``None`` solves with the
+problem's options as given, and an int ``s`` solves from the randomized start
+with ``seed = s``, so equal seeds give bit-identical extensions.  A member can
+also be given its start, a ``SuperOp`` on M_d in place of its seed: the start
+point is then the affine projection of that map's Choi matrix.
+:func:`multi_start` passes such a seed on as it is, and
 :func:`ucp_extensions_feasible` takes one start of the same three kinds per
 sample.  A start of any other kind (a negative, non-integral or boolean seed,
 a map on another M_d) raises :class:`InputError` before anything is built
@@ -155,13 +155,13 @@ eigh and stacked lift and relayout products), the Newton steps (a direct one
 forms the systems of up to 128 / m members in one set of stacked products),
 the line search and the polish act on arrays with a leading member axis,
 and each member's rows of the targets T and R^-T T travel with its start
-point.  All the starts of :func:`multi_start` are one batch, which shares
-one problem's targets or stacks those of one problem per start (on one
-system, of one kind, with equal options: ``demo-rebit`` solves its rotation's
-cross-check and its dissipation's starts together); the samples of a
-validation are another, one map per member (:func:`ucp_extensions_feasible`).
-Each member keeps its own stopping rules, step length, best point,
-``iterations`` and report
+point.  Every batch enters through :func:`multi_start`, which stacks the
+targets of one problem per start (on one system, of one kind, with equal
+options; one problem solved from several seeds is repeated once per seed):
+``demo-rebit`` solves its rotation's cross-check and its dissipation's
+starts together, and the samples of a validation are one map problem per
+member (:func:`ucp_extensions_feasible`).  Each member keeps its own
+stopping rules, step length, best point, ``iterations`` and report
 (``restriction_error`` is measured on its returned map).  A member leaves
 the batch at one place, the top of each Newton step, where every member
 that stopped is dropped.  Within a step no member leaves: a row whose CG has
@@ -173,8 +173,9 @@ of the batch of one from its seed and targets; a single solve is such a
 batch, with the same (B, 1) per-member columns as any other.  At d = 2 the
 arrays are 3 x 3 or 4 x 4, so numpy's per-call cost, not arithmetic, sets
 the time of a step: eight seeded starts of the rebit rotation or dissipation
-take about 2.3 times as long as one (2.2 and 2.5 ms against 0.95 and 1.1 ms
-on a 2-core x86-64 host).
+take about 2.2 and 2.8 times as long as one (1.76 and 2.75 ms against 0.81
+and 0.98 ms, medians of 300 calls on a 2-core x86-64 host, OpenBLAS on one
+thread).
 
 Real arithmetic.  A member whose own data is real is solved in float64, the
 others in complex128.  Its data is real when the system's basis has no
@@ -220,7 +221,9 @@ from .errors import (ExtensionInfeasible, GroupExtensionError, InputError,
                      NumericalError, ResolventFamilyError, Undecided)
 from .maps import SuperOp
 from .systems import MatricialSystem
-from .tolerances import FEASIBILITY_TOL, SOLVE_MAX_ITER, VALIDATE_MAX_ITER
+from .tolerances import (FEASIBILITY_TOL, IDENTITY_THRESHOLD_FLOOR, IDENTITY_THRESHOLD_SLACK,
+                         IMAGE_HERMITIAN_TOL, RESCALE_UCP_TOL_FLOOR, SOLVE_MAX_ITER,
+                         VALIDATE_MAX_ITER)
 
 __all__ = [
     "ExtensionOptions",
@@ -250,15 +253,33 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExtensionOptions:
+    """The tolerance, budget and start of a solve, checked at construction:
+    ``tol`` a finite real > 0, ``max_iter`` an integer >= 1 and ``seed``
+    ``None`` or an integer >= 0, none of them a bool; any other value raises
+    :class:`InputError` naming its field."""
+
     tol: float = FEASIBILITY_TOL
     max_iter: int = SOLVE_MAX_ITER
     seed: Optional[int] = None  # None: deterministic start; an int: seeded random start
 
     def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0) or self.max_iter <= 0:
-            raise InputError("tol must be finite and positive, and max_iter positive")
+        tol = self.tol
+        if not ((_is_integer(tol) or isinstance(tol, (float, np.floating)))
+                and math.isfinite(tol) and tol > 0):
+            raise InputError(f"tol must be finite and positive (a real, not a bool), got {tol!r}")
+        if not (_is_integer(self.max_iter) and self.max_iter >= 1):
+            raise InputError(f"max_iter must be an integer >= 1 (not a bool), "
+                             f"got {self.max_iter!r}")
+        if not (self.seed is None or _is_integer(self.seed) and self.seed >= 0):
+            raise InputError(f"seed must be None or an integer >= 0 (not a bool), "
+                             f"got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -296,7 +317,7 @@ class ExtensionProblem:
                 options: Optional[ExtensionOptions] = None) -> "ExtensionProblem":
         d = system.dim
         mats = [linalg.ensure_hermitian(linalg.as_matrix(m, (d, d), f"image {k}"),
-                                        tol=1e-10, name=f"image {k}")
+                                        tol=IMAGE_HERMITIAN_TOL, name=f"image {k}")
                 for k, m in enumerate(images)]
         if len(mats) != len(system):
             raise InputError(f"{len(mats)} images for {len(system)} basis elements")
@@ -513,17 +534,17 @@ class _FeasibilitySolver:
     """Shared precomputation for a batch of feasibility problems on one system
     and one cone, solved from one start each.
 
-    ``targets`` holds the agreement targets: one set of |V| matrices, which
-    every member of a batch shares, or a stack of such sets, one per member.
-    Iterates are Hermitian d^2 x d^2 Choi matrices; the affine projection is
-    the matrix-free one of the module docstring, and the dual variables are
-    |V| x d^2 arrays whose rows are Hermitian d x d matrices, handled as flat
-    real vectors (a complex array viewed as its real and imaginary parts, or
-    in real arithmetic the real array itself), so that plain dot products are
-    the real inner product Re tr(a* b).  The methods act on one matrix or on
-    a stack along a leading batch axis, one member per row, each row against
-    its own targets (:meth:`take`), and every operation acts on each member
-    alone, so a member's iterates do not depend on the rest of its batch.
+    ``targets`` stacks the agreement targets, one set of |V| matrices per
+    member (a single set is a stack of one).  Iterates are Hermitian
+    d^2 x d^2 Choi matrices; the affine projection is the matrix-free one of
+    the module docstring, and the dual variables are |V| x d^2 arrays whose
+    rows are Hermitian d x d matrices, handled as flat real vectors (a
+    complex array viewed as its real and imaginary parts, or in real
+    arithmetic the real array itself), so that plain dot products are the
+    real inner product Re tr(a* b).  The methods act on a stack along a
+    leading batch axis, one member per row, each row against its own targets
+    (:meth:`take`), and every operation acts on each member alone, so a
+    member's iterates do not depend on the rest of its batch.
 
     Every array is built once, in float64 when ``real`` and in complex128
     otherwise, and the targets are checked for consistency there; which
@@ -547,9 +568,8 @@ class _FeasibilitySolver:
         cast = np.real if real else np.asarray
         self.basis_rows = np.ascontiguousarray(cast(np.array(system.basis))).reshape(
             len(system), n)
-        targets = np.ascontiguousarray(cast(targets), dtype=self.dtype)
-        members = targets.shape[:-3]  # () for a shared set, (B,) for one per member
-        self.target_rows = targets.reshape(members + (len(system), n))
+        self.target_rows = np.ascontiguousarray(cast(targets), dtype=self.dtype).reshape(
+            self.dual_shape)
         # onb_rows is the orthonormal basis Q = R^-T basis as rows.  lift W is
         # L(W) = sum_k conj(Q_k) (x) W_k relaid out, and onb_rows @ M its
         # adjoint L*; dual_adjoint = lift @ whiten holds the rows of conj(D),
@@ -559,27 +579,23 @@ class _FeasibilitySolver:
         self.dual_adjoint = self.lift @ self.whiten
         # The flat real duals: complex rows viewed as their real and
         # imaginary parts, real rows as they are.
-        self.dual_targets = (self.whiten @ self.target_rows).view(float).reshape(members + (-1,))
+        self.dual_targets = (self.whiten @ self.target_rows).view(float).reshape(
+            len(self.target_rows), -1)
         # The cone clips F* C F, F the frame of the cone as columns.
         self.base, self.frame, self.frame_h = _cone_constants(d, ccp, self.dtype)
         # The dual's dimension, and L of its basis, built on the direct path only.
         self.coords = len(system) * (d * (d + 1) // 2 if real else n)
         self.lifted_basis = None
         offsets = self.project_affine(np.zeros((n, n), dtype=self.dtype))
-        defects = self._defect(self._relayout(offsets)).reshape(self.dual_shape)
-        for defect, rows in zip(defects, self.target_rows.reshape(self.dual_shape)):
-            inconsistency = linalg.frob(defect)
-            if inconsistency > FEASIBILITY_TOL * (1.0 + linalg.frob(rows)):
-                raise InputError(
-                    f"agreement targets are inconsistent: residual {inconsistency:.3e}"
-                )
+        inconsistency = linalg.frob_each(self._defect(self._relayout(offsets)))
+        inconsistent = inconsistency > FEASIBILITY_TOL * (1.0 + linalg.frob_each(self.target_rows))
+        if inconsistent.any():
+            raise InputError("agreement targets are inconsistent: residual "
+                             f"{inconsistency[inconsistent.argmax()]:.3e}")
 
     def take(self, rows) -> "_FeasibilitySolver":
         """The solver of the members ``rows`` of a batch: the same system and
-        cone, with those members' rows of the targets.  A shared set serves
-        any members as it is."""
-        if self.target_rows.ndim == 2:
-            return self
+        cone, with those members' rows of the targets."""
         taken = copy.copy(self)
         taken.target_rows, taken.dual_targets = self.target_rows[rows], self.dual_targets[rows]
         return taken
@@ -804,9 +820,8 @@ class _FeasibilitySolver:
     def _lockstep(self, options: ExtensionOptions, seeds) -> list:
         """Project the start point of each seed onto its member's feasible set
         (module docstring), all members in one lockstep loop in this solver's
-        arithmetic: one seed per member of a stack of targets, or any number
-        of seeds on a shared set (:meth:`start_points`), each checked by
-        :func:`_solve_batch`.  Each member stops by its own rules and counts its own
+        arithmetic: one seed per member (:meth:`start_points`), each checked
+        by :func:`_solve_batch`.  Each member stops by its own rules and counts its own
         evaluations.  This is the one place where a member leaves the batch,
         and the one place that decides why: at the top of each Newton step,
         each member gets its ``termination`` once it has a reason to stop,
@@ -928,36 +943,38 @@ def max_pairwise_distance(mats) -> float:
 def _solve_batch(system: MatricialSystem, targets, ccp: bool, options: ExtensionOptions,
                  starts) -> list:
     """Solve one member per entry of ``starts`` on ``system`` and one cone,
-    with the tolerance and budget of ``options``; ``targets`` is one set of
-    |V| agreement targets that every member shares, or a stack of such sets,
-    one per start.  The one place that builds a :class:`_FeasibilitySolver`.
+    with the tolerance and budget of ``options``; ``targets`` stacks one set
+    of |V| agreement targets per start.  Called by :func:`multi_start` alone,
+    and the one place that builds a :class:`_FeasibilitySolver`.
 
     It checks every start first: ``None`` for the deterministic start, an
     integral seed >= 0 (numpy integers too, not a bool) for the randomized
     one it seeds, or a ``SuperOp`` on M_d, the member's given start; anything
-    else raises :class:`InputError`.  It then decides each member's
+    else raises :class:`InputError`, which names a negative seed by its value
+    and any other start by its type.  It then decides each member's
     arithmetic (module docstring, "Real arithmetic") and builds one solver per
     arithmetic present, each once; the complex members' loop runs first.
     Returns one ``(superop, report)`` per start, in order.
     """
     d = system.dim
     for k, start in enumerate(starts):
-        seeded = isinstance(start, (int, np.integer)) and not isinstance(start, bool) and start >= 0
+        seeded = _is_integer(start) and start >= 0
         if not (seeded or start is None or isinstance(start, SuperOp) and start.d == d):
-            kind = type(start).__name__ + (f" on M_{start.d}" if isinstance(start, SuperOp) else "")
+            if _is_integer(start):
+                kind = f"the negative seed {start}"
+            else:
+                kind = "of type " + type(start).__name__ + (
+                    f" on M_{start.d}" if isinstance(start, SuperOp) else "")
             raise InputError(f"starts must be None, integer seeds >= 0 or SuperOps on M_{d}; "
-                             f"start {k} is of type {kind}")
+                             f"start {k} is {kind}")
     targets = np.asarray(targets)
-    shared = targets.ndim == 3  # one set of targets, or one set per start
-    complex_targets = np.broadcast_to(np.imag(targets).any(axis=(-3, -2, -1)), len(starts))
     real = [system.real and not c and (start is None or isinstance(start, SuperOp))
-            for start, c in zip(starts, complex_targets.tolist())]
+            for start, c in zip(starts, np.imag(targets).any(axis=(-3, -2, -1)).tolist())]
     runs = [None] * len(starts)
     for arithmetic in (False, True):  # the complex members first
         rows = [k for k, r in enumerate(real) if r == arithmetic]
         if rows:
-            solver = _FeasibilitySolver(
-                system, targets if shared else targets[rows], ccp, arithmetic)
+            solver = _FeasibilitySolver(system, targets[rows], ccp, arithmetic)
             for k, run in zip(rows, solver._lockstep(options, [starts[k] for k in rows])):
                 runs[k] = run
     return runs
@@ -973,13 +990,14 @@ def _problem_kind(problem: ExtensionProblem) -> str:
 
 
 def multi_start(problem, seeds):
-    """Solve one member per entry of ``seeds`` in one lockstep batch.
+    """Solve one member per entry of ``seeds`` in one lockstep batch: the
+    one entry to :func:`_solve_batch`.
 
-    ``problem`` is one :class:`ExtensionProblem`, which every seed solves on
-    one shared set of targets, or a sequence of them, one per seed: on one
-    system (the same object), of one kind (map or generator) and with equal
-    options, whose targets are stacked.  Either way each member's result is
-    bit-identical to its solo solve; problems that differ in any of the
+    ``problem`` is a sequence of :class:`ExtensionProblem`, one per seed, on
+    one system (the same object), of one kind (map or generator) and with
+    equal options; one problem stands for ``[problem] * len(seeds)``.  Their
+    targets are stacked, one set per member, and each member's result is
+    bit-identical to its solo solve.  Problems that differ in any of the
     three, or a count that differs from the seeds', raise :class:`InputError`
     naming the mismatch.
 
@@ -994,27 +1012,24 @@ def multi_start(problem, seeds):
     frame as in the module docstring).
     """
     seeds = list(seeds)
-    if isinstance(problem, ExtensionProblem):
-        first, targets = problem, _problem_targets(problem)
-    else:
-        problems = list(problem)
-        if len(problems) != len(seeds):
-            raise InputError(f"{len(problems)} problems for {len(seeds)} seeds")
-        if not problems:
-            return []
-        first = problems[0]
-        for k, other in enumerate(problems[1:], 1):
-            if other.system is not first.system:
-                raise InputError(f"problem {k} is on another system than problem 0")
-            if _problem_kind(other) != _problem_kind(first):
-                raise InputError(f"problem {k} is a {_problem_kind(other)} problem, "
-                                 f"problem 0 a {_problem_kind(first)} problem")
-            if other.options != first.options:
-                raise InputError(f"problem {k} has other options than problem 0: "
-                                 f"{other.options} against {first.options}")
-        targets = np.stack([_problem_targets(p) for p in problems])
+    problems = [problem] * len(seeds) if isinstance(problem, ExtensionProblem) else list(problem)
+    if len(problems) != len(seeds):
+        raise InputError(f"{len(problems)} problems for {len(seeds)} seeds")
+    if not problems:
+        return []
+    first = problems[0]
+    for k, other in enumerate(problems[1:], 1):
+        if other.system is not first.system:
+            raise InputError(f"problem {k} is on another system than problem 0")
+        if _problem_kind(other) != _problem_kind(first):
+            raise InputError(f"problem {k} is a {_problem_kind(other)} problem, "
+                             f"problem 0 a {_problem_kind(first)} problem")
+        if other.options != first.options:
+            raise InputError(f"problem {k} has other options than problem 0: "
+                             f"{other.options} against {first.options}")
     options = first.options
-    return _solve_batch(first.system, targets, first.generator is not None, options,
+    return _solve_batch(first.system, np.stack([_problem_targets(p) for p in problems]),
+                        first.generator is not None, options,
                         [options.seed if seed is None else seed for seed in seeds])
 
 
@@ -1084,19 +1099,19 @@ def _verdict(report: Optional[ExtensionReport]) -> tuple:
 def _map_reports(system: MatricialSystem, image_sets, tol: float, max_iter: int,
                  starts: Optional[Sequence] = None) -> list:
     """The solve behind each verdict of :func:`ucp_extensions_feasible`: the
-    report of each set of images, None for a set that is no unital map on V."""
+    report of each set of images, None for a set that is no unital map on V.
+    The map problems of the others are one :func:`multi_start` batch."""
     starts = [None] * len(image_sets) if starts is None else list(starts)
     if len(starts) != len(image_sets):
         raise InputError(f"{len(starts)} starts for {len(image_sets)} sets of images")
     options = ExtensionOptions(tol=tol, max_iter=max_iter)
-    posed = {}  # the targets of each set of images that is a unital map on V
+    posed = {}  # the problem of each set of images that is a unital map on V
     for k, images in enumerate(image_sets):
         try:
-            posed[k] = ExtensionProblem.for_map(system, images, options).map_targets
+            posed[k] = ExtensionProblem.for_map(system, images, options)
         except InputError:
             pass
-    runs = (_solve_batch(system, list(posed.values()), False, options, [starts[k] for k in posed])
-            if posed else [])
+    runs = multi_start(list(posed.values()), [starts[k] for k in posed])
     reports = [None] * len(image_sets)
     for k, (_, report) in zip(posed, runs):
         reports[k] = report
@@ -1130,7 +1145,7 @@ def rescale_resolvent(phi: SuperOp, beta: float, mode: str = "closed",
     beta = float(beta)
     if not _in_rescaling_range(beta):
         raise InputError(f"beta must lie in (0, 1], got {beta}")
-    if not maps.is_ucp(phi, max(tol, 1e-6)):
+    if not maps.is_ucp(phi, max(tol, RESCALE_UCP_TOL_FLOOR)):
         raise InputError("rescale_resolvent requires a UCP input map")
     t = phi.transfer
     n = t.shape[0]
@@ -1277,11 +1292,16 @@ def extend_via_resolvent_family(problem: ExtensionProblem, omega: float,
 _GROUP_SAMPLE_TS = (0.4, 1.1)
 
 
-def _start_seeds(seed: Optional[int], n_starts: int) -> list:
+def _start_seeds(seed: int, n_starts: int) -> list:
     """Seeds of the randomized starts of a cross-check, drawn from ``seed``;
-    no random generator is built for none, the default."""
-    if n_starts < 0:
-        raise InputError(f"n_starts must be nonnegative, got {n_starts}")
+    no random generator is built for none, the default.  Both must be
+    integers >= 0, not bools: a seed of ``None`` would draw fresh entropy, and
+    so make the cross-check irreproducible."""
+    if not (_is_integer(n_starts) and n_starts >= 0):
+        raise InputError(f"n_starts must be nonnegative and an integer (not a bool), "
+                         f"got {n_starts!r}")
+    if not (_is_integer(seed) and seed >= 0):
+        raise InputError(f"seed must be nonnegative and an integer (not a bool), got {seed!r}")
     rng = np.random.default_rng(seed) if n_starts else None
     return [int(rng.integers(0, 2**32 - 1)) for _ in range(n_starts)]
 
@@ -1454,7 +1474,7 @@ def rigidity_probe(system: MatricialSystem, n_starts: int = 0,
                                     seeds), NumericalError, "rigidity") if seeds else [])
 
     ident = maps.identity_map(system.dim) if ops else None
-    identity_threshold = max(50.0 * tol, 1e-6)
+    identity_threshold = max(IDENTITY_THRESHOLD_SLACK * tol, IDENTITY_THRESHOLD_FLOOR)
     max_pair = max_pairwise_distance([op.choi for op in ops])
     max_to_id = max((op.distance(ident) for op in ops), default=0.0)
     rigid = comm.dim == 1

@@ -9,6 +9,17 @@ Two tolerance tiers, from strict to loose:
 STRUCTURAL_TOL = 1e-12
 FEASIBILITY_TOL = 1e-8
 
+# The Hermiticity residual that an image of a map on V may carry
+# (``extension.ExtensionProblem.for_map``).
+IMAGE_HERMITIAN_TOL = 1e-10
+# The least tolerance of the UCP check on the input of
+# ``extension.rescale_resolvent``: max(tol, RESCALE_UCP_TOL_FLOOR).
+RESCALE_UCP_TOL_FLOOR = 1e-6
+# ``extension.rigidity_probe``'s largest distance from a converged start to the
+# identity on a rigid V: max(IDENTITY_THRESHOLD_SLACK tol, IDENTITY_THRESHOLD_FLOOR).
+IDENTITY_THRESHOLD_SLACK = 50.0
+IDENTITY_THRESHOLD_FLOOR = 1e-6
+
 # Condition number above which a matrix counts as numerically singular.
 SINGULAR_COND = 1e13
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 from functools import lru_cache
@@ -16,10 +17,16 @@ from ucpext.systems import Commutant, MatricialSystem
 from ucpext.tolerances import FEASIBILITY_TOL, VALIDATE_MAX_ITER
 
 
-# Starts that are neither None, an integral seed >= 0 nor a SuperOp, with the
-# type the InputError names.
-_BAD_SEEDS = [(-1, "int"), (np.int64(-1), "int64"), ("a", "str"), (1.5, "float"),
-              (True, "bool"), ([1], "list")]
+# Starts that are neither None, an integral seed >= 0 nor a SuperOp, with how
+# the InputError names each: a negative seed by its value, any other by its type.
+_BAD_SEEDS = [(-1, "the negative seed -1"), (np.int64(-1), "the negative seed -1"),
+              ("a", "of type str"), (1.5, "of type float"), (True, "of type bool"),
+              ([1], "of type list")]
+# Each seed or start count that extend_group and rigidity_probe refuse before
+# any work: None would draw fresh entropy, so the cross-check would not repeat.
+_BAD_CROSS_CHECKS = [({"seed": None}, "seed"), ({"seed": -1}, "seed"),
+                     ({"seed": True}, "seed"), ({"n_starts": 2.5}, "n_starts"),
+                     ({"n_starts": True}, "n_starts")]
 
 
 def full_algebra_subsystem(gen):
@@ -592,11 +599,11 @@ class TestMultiStart:
             if k != poisoned:
                 self._assert_same(outcome, expected)
 
-    @pytest.mark.parametrize("start, kind", [(maps.identity_map(3), "SuperOp on M_3")]
+    @pytest.mark.parametrize("start, kind", [(maps.identity_map(3), "of type SuperOp on M_3")]
                              + _BAD_SEEDS)
     def test_a_bad_start_is_invalid_input(self, rebit, start, kind):
         problem = ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(1.0))
-        with pytest.raises(InputError, match=f"start 1 is of type {kind}$"):
+        with pytest.raises(InputError, match=f"start 1 is {kind}$"):
             extension.multi_start(problem, [None, start])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -611,6 +618,18 @@ class TestExtensionProblem:
     def test_tol_must_be_finite_and_positive(self, tol):
         with pytest.raises(InputError, match="tol must be finite and positive"):
             ExtensionOptions(tol=tol)
+
+    @pytest.mark.parametrize("field, value", [
+        ("tol", True), ("tol", "1e-8"), ("tol", None), ("max_iter", 2.5), ("max_iter", True),
+        ("seed", -1), ("seed", 1.5), ("seed", True)])
+    def test_a_bad_option_is_named_at_construction(self, field, value):
+        message = f"^{field} must be .*, got {re.escape(repr(value))}$"
+        with pytest.raises(InputError, match=message):
+            ExtensionOptions(**{field: value})
+
+    def test_integral_numpy_options_are_accepted(self):
+        options = ExtensionOptions(tol=np.float64(1e-6), max_iter=np.int64(5), seed=np.int64(0))
+        assert (options.tol, options.max_iter, options.seed) == (1e-6, 5, 0)
 
     def test_generator_on_other_basis_rejected(self, pauli):
         other = MatricialSystem.from_basis([pauli.I, pauli.X, pauli.Y])
@@ -700,6 +719,13 @@ class TestExtendGroup:
         problem = ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(1.0))
         with pytest.raises(InputError, match="n_starts must be nonnegative"):
             extension.extend_group(problem, n_starts=n_starts)
+
+    @pytest.mark.parametrize("given, field", _BAD_CROSS_CHECKS)
+    def test_bad_cross_check_seeds_rejected(self, rebit, monkeypatch, given, field):
+        monkeypatch.setattr(extension, "multi_start", no_solve)
+        problem = ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(1.0))
+        with pytest.raises(InputError, match=f"^{field} must be nonnegative and an integer"):
+            extension.extend_group(problem, **({"n_starts": 2} | given))
 
     def test_undecided_gap_gives_no_verdict(self, rebit, monkeypatch):
         monkeypatch.setattr(systems, "commutant", undecided_commutant)
@@ -854,6 +880,13 @@ class TestRigidityProbe:
         with pytest.raises(InputError, match="n_starts must be nonnegative"):
             extension.rigidity_probe(catalog.trivial_system(), n_starts=n_starts)
 
+    @pytest.mark.parametrize("given, field", _BAD_CROSS_CHECKS)
+    def test_bad_cross_check_seeds_rejected(self, monkeypatch, given, field):
+        monkeypatch.setattr(extension, "multi_start", no_solve)
+        monkeypatch.setattr(systems, "commutant", no_solve)  # refused before any work
+        with pytest.raises(InputError, match=f"^{field} must be nonnegative and an integer"):
+            extension.rigidity_probe(catalog.trivial_system(), **({"n_starts": 2} | given))
+
     def test_undecided_gap_gives_no_verdict(self, rebit, monkeypatch):
         monkeypatch.setattr(systems, "commutant", undecided_commutant)
         monkeypatch.setattr(extension, "multi_start", no_solve)
@@ -1002,14 +1035,14 @@ class TestAgreementProjection:
         d = system.dim
         rng = np.random.default_rng(seed)
         targets = [linalg.random_hermitian(d, rng) for _ in system.basis]
-        solver = extension._FeasibilitySolver(system, targets, ccp=False, real=False)
+        solver = extension._FeasibilitySolver(system, [targets], ccp=False, real=False)
         c = linalg.random_hermitian(d * d, rng)
-        pc = solver.project_affine(c)
+        pc = solver.project_affine(c)[0]
 
         op = maps.SuperOp(d, pc)
         for v, t in zip(system.basis, targets):
             assert linalg.frob(op.apply(v) - t) <= 1e-10
-        assert linalg.frob(solver.project_affine(pc) - pc) <= 1e-10
+        assert linalg.frob(solver.project_affine(pc)[0] - pc) <= 1e-10
 
         coords = np.einsum("kij,ij->k", np.conj(directions), c).real
         stacked = np.array(targets)
@@ -1035,14 +1068,14 @@ class TestProjectionProperty:
         system = _conjugated_real_symmetric(d, seed)
         phi = random_ucp_map(d, rng, n_kraus=rank)
         targets = [phi.apply(v) for v in system.basis]
-        solver = extension._FeasibilitySolver(system, targets, ccp=False, real=False)
+        solver = extension._FeasibilitySolver(system, [targets], ccp=False, real=False)
         # Problems without a positive-definite feasible point can plateau
         # (ROADMAP item 4); the budget keeps such draws cheap.
         opts = ExtensionOptions(max_iter=2000)
         start_x, start_z = (int(s) for s in rng.integers(0, 2**32 - 1, size=2))
         x0 = solver.start_points([start_x])[0]
         (x, report_x), (z, report_z) = extension._solve_batch(
-            system, targets, False, opts, [start_x, start_z])
+            system, [targets] * 2, False, opts, [start_x, start_z])
         assume(report_x.converged and report_z.converged)
         inner = float(np.vdot(x0 - x.choi, z.choi - x.choi).real)
         assert inner <= 1e-6 * (1.0 + linalg.frob(x0))
@@ -1369,7 +1402,7 @@ class TestDirectNewtonStep:
             return direction(solver, point)
 
         monkeypatch.setattr(extension._FeasibilitySolver, "_newton_direction", recording)
-        _, report = extension._solve_batch(system, targets, ccp, ExtensionOptions(), [None])[0]
+        _, report = extension._solve_batch(system, [targets], ccp, ExtensionOptions(), [None])[0]
         monkeypatch.undo()
         assert report.converged and points
         return solvers[0], points
@@ -1894,7 +1927,7 @@ class TestGivenStarts:
 
     @pytest.mark.parametrize("start, kind", _BAD_SEEDS)
     def test_a_bad_start_is_invalid_input(self, rebit, start, kind):
-        with pytest.raises(InputError, match=f"start 0 is of type {kind}$"):
+        with pytest.raises(InputError, match=f"start 0 is {kind}$"):
             extension.ucp_extensions_feasible(rebit, [list(rebit.basis)], starts=[start])
 
     def test_an_integer_start_is_a_seeded_start(self, rebit):
