@@ -44,7 +44,8 @@ from .dynamics import SubsystemGenerator
 from .errors import Failure, GroupExtensionError, InputError
 from .extension import ExtensionOptions, ExtensionProblem
 from .serialize import CHOI_CONVENTION
-from .tolerances import DEFAULT_STARTS
+from .tolerances import (DEFAULT_STARTS, DEMO_EXACT_TOL, DEMO_NONUNIQUE_SPREAD,
+                         DEMO_UNIQUE_DISTANCE_TOL, IDENTITIES_TOL, LAPLACE_TOL)
 
 _SCHEMA_DIR = Path(__file__).resolve().parent / "schemas"
 
@@ -178,7 +179,7 @@ def _resolve_subsystem_generator(scenario, system, options) -> SubsystemGenerato
         gen = _resolve_generator(scenario, options)
         if gen.d != system.dim:
             raise InputError("generator dimension does not match the system")
-        images = [gen.op.apply(v) for v in system.basis]
+        images = maps.apply_each(gen.op.choi, system.basis)
         return SubsystemGenerator.from_action(system, images, extension=gen)
     if not system.same_basis(sub.system):
         raise InputError(f"dynamics {dyn!r} are defined on the rebit system only")
@@ -202,7 +203,7 @@ def _resolve_map(scenario, system, options):
     phi = _resolve_superop(scenario, options)
     if phi.d != system.dim:
         raise InputError("map dimension does not match the system")
-    return [phi.apply(v) for v in system.basis]
+    return maps.apply_each(phi.choi, system.basis)
 
 
 def _extension_options(options) -> ExtensionOptions:
@@ -305,30 +306,30 @@ def _cmd_resolvent(scenario, options):
 
 def _cmd_identities(scenario, options):
     gen = _resolve_generator(scenario, options)
-    resolvent_of = functools.cache(functools.partial(dynamics.resolvent, gen))
     grid = options.get("grid", np.linspace(0.5, 4.0, 5).tolist())
-    tol = options.get("tol", 1e-9)
-    hilbert = []
-    worst = 0.0
-    for lam in grid:
-        for mu in grid:
-            if lam == mu:
-                continue
-            r = dynamics.hilbert_identity_residual(gen, lam, mu, resolvent_of)
-            worst = max(worst, r)
-            hilbert.append({"lambda": lam, "mu": mu, "residual": r})
+    tol = options.get("tol", IDENTITIES_TOL)
+    pairs = [(lam, mu) for lam in grid for mu in grid if lam != mu]
+    # Each resolvent is solved once: those of the grid's pairs in one stacked
+    # call, a Laplace check's own after its quadrature.
+    paired = list(dict.fromkeys(lam for lam, _ in pairs))
+    resolvents = dict(zip(paired, dynamics.resolvent(gen, paired)))
+    residuals = dynamics.hilbert_identity_residual(
+        gen, [lam for lam, _ in pairs], [mu for _, mu in pairs], resolvents.__getitem__).tolist()
+    hilbert = [{"lambda": lam, "mu": mu, "residual": r} for (lam, mu), r in zip(pairs, residuals)]
+    worst = max([0.0] + residuals)
     laplace = []
-    laplace_tol = 1e-6
     laplace_worst = 0.0
     for lam in options.get("lambdas", [0.5, 1.0, 2.0]):
         approx, bound = dynamics.laplace_resolvent(gen, lam, **_given(options, "panels"))
-        err = approx.distance(resolvent_of(lam))
+        if lam not in resolvents:
+            resolvents[lam] = dynamics.resolvent(gen, lam)
+        err = approx.distance(resolvents[lam])
         laplace_worst = max(laplace_worst, err)
         laplace.append({"lambda": lam, "quadrature_error": err,
                         "truncation_bound": bound})
-    return worst <= tol and laplace_worst <= laplace_tol, {
+    return worst <= tol and laplace_worst <= LAPLACE_TOL, {
         "hilbert": hilbert, "hilbert_worst": worst, "hilbert_tol": tol,
-        "laplace": laplace, "laplace_worst": laplace_worst, "laplace_tol": laplace_tol,
+        "laplace": laplace, "laplace_worst": laplace_worst, "laplace_tol": LAPLACE_TOL,
     }
 
 
@@ -464,7 +465,7 @@ def _cmd_demo_rebit(scenario, options):
         group_report = extension._group_cross_check(gen, group_report, rot_runs,
                                                     solve_options.tol)
         rot_err = gen.op.distance(truth.op)
-        record("rotation-extension-unique", rot_err <= 1e-6,
+        record("rotation-extension-unique", rot_err <= DEMO_UNIQUE_DISTANCE_TOL,
                distance_to_commutator_generator=rot_err,
                uniqueness_spread=group_report.uniqueness_spread,
                inverse_residual=group_report.inverse_residual)
@@ -476,7 +477,7 @@ def _cmd_demo_rebit(scenario, options):
     all_converged = all(report.converged and cert.certificates.certified
                         for (_, report), cert in zip(diss_runs, certified))
     spread = extension.max_pairwise_distance([op.apply(p.Y) for op, _ in diss_runs])
-    record("dissipative-extension-not-unique", all_converged and spread >= 1e-3,
+    record("dissipative-extension-not-unique", all_converged and spread >= DEMO_NONUNIQUE_SPREAD,
            all_converged=all_converged, max_spread_on_Y=spread)
 
     # The two named dissipative generators: same rebit action, different on Y.
@@ -484,17 +485,17 @@ def _cmd_demo_rebit(scenario, options):
     gen2 = catalog.g2(delta, prefactor=prefactor)
     diss_images = [diss.apply(v) for v in rebit.basis]
     same_on_rebit = extension.restriction_error(gen1.op, rebit.basis, diss_images)
-    record("g1-restricts-to-dissipation", same_on_rebit <= 1e-12,
+    record("g1-restricts-to-dissipation", same_on_rebit <= DEMO_EXACT_TOL,
            restriction_error=same_on_rebit)
     g2_restriction = extension.restriction_error(gen2.op, rebit.basis, diss_images)
     g2_x_coeff = float(np.real(np.trace(p.X.conj().T @ gen2.op.apply(p.X)) / 2.0))
-    record("g2-restricts-to-dissipation", g2_restriction <= 1e-12,
+    record("g2-restricts-to-dissipation", g2_restriction <= DEMO_EXACT_TOL,
            restriction_error=g2_restriction, prefactor=prefactor,
            action_on_X_coefficient=g2_x_coeff, expected_coefficient=-delta)
     y1 = float(np.real(np.trace(p.Y.conj().T @ gen1.op.apply(p.Y)) / 2.0))
     y2 = float(np.real(np.trace(p.Y.conj().T @ gen2.op.apply(p.Y)) / 2.0))
     record("g1-g2-differ-on-Y",
-           abs(y1 + 2.0 * delta) <= 1e-12 and abs(y2 + delta) <= 1e-12,
+           abs(y1 + 2.0 * delta) <= DEMO_EXACT_TOL and abs(y2 + delta) <= DEMO_EXACT_TOL,
            g1_Y_coefficient=y1, g2_Y_coefficient=y2)
     t_probe = 1.0
     diff = dynamics.evolve(gen1, t_probe).distance(dynamics.evolve(gen2, t_probe))

@@ -19,7 +19,6 @@ input.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -28,7 +27,7 @@ import numpy as np
 from . import linalg, maps
 from .errors import InputError, NumericalError, Undecided
 from .maps import SuperOp
-from .systems import MatricialSystem, contains
+from .systems import MatricialSystem, _first_outside
 from .tolerances import FEASIBILITY_TOL, VALIDATE_MAX_ITER
 
 if TYPE_CHECKING:
@@ -93,7 +92,9 @@ def certify_each(ops: Sequence[SuperOp], tol: float = FEASIBILITY_TOL) -> list:
     steps: the norms of the Choi matrices C, of C - C* and of A(I) by
     ``linalg.frob_each``, and one ``eigvalsh`` over the stack of P herm(C) P
     of the maps that preserve hermiticity.  Every step acts on each map alone,
-    so each Generator is the one its map gets in a stack of one."""
+    so each Generator is the one its map gets in a stack of one.  A map whose
+    ||C||_F or P herm(C) P overflows has no certificate: it raises
+    :class:`NumericalError` before any spectrum is computed."""
     if not ops:
         return []
     d = ops[0].d
@@ -101,14 +102,21 @@ def certify_each(ops: Sequence[SuperOp], tol: float = FEASIBILITY_TOL) -> list:
         raise InputError("certify_each needs maps on one M_d, "
                          f"got d = {sorted({op.d for op in ops})}")
     chois = np.array([op.choi for op in ops])
-    norms = linalg.frob_each(chois)
-    hermitian = linalg.frob_each(chois - linalg.dagger(chois)) <= tol * (1.0 + norms)
-    # A(I) = sum_i A(E_ii), the sum of the diagonal blocks [i, ., i, .] of C.
-    unital = linalg.frob_each(chois.reshape(-1, d, d, d, d).trace(axis1=1, axis2=3)) <= tol
-    min_eigs = np.full(len(ops), -np.inf)
-    if hermitian.any():
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        norms = linalg.frob_each(chois)
+        hermitian = linalg.frob_each(chois - linalg.dagger(chois)) <= tol * (1.0 + norms)
+        # A(I) = sum_i A(E_ii), the sum of the diagonal blocks [i, ., i, .] of C.
+        unital = linalg.frob_each(chois.reshape(-1, d, d, d, d).trace(axis1=1, axis2=3)) <= tol
         proj = maps.ccp_projector(d)
         compressed = proj @ linalg.hermitian_part(chois[hermitian]) @ proj
+    finite = np.isfinite(norms)
+    finite[hermitian] &= np.isfinite(compressed).all(axis=(-2, -1))
+    if not finite.all():
+        k = int(np.flatnonzero(~finite)[0])
+        raise NumericalError(f"the Choi matrix of map {k} is too large to certify: "
+                             "its norm or its compression by P overflows")
+    min_eigs = np.full(len(ops), -np.inf)
+    if hermitian.any():
         min_eigs[hermitian] = np.linalg.eigvalsh(compressed)[:, 0]  # reads the lower triangles
     ccp = hermitian & (min_eigs >= -tol * (1.0 + norms))
     return [Generator(op=op, certificates=GeneratorCertificates(
@@ -134,8 +142,14 @@ def gksl_generator(d: int, hamiltonian=None, jumps: Sequence = ()) -> Generator:
 
         A(B) = i [H, B] + sum_k r_k (V_k* B V_k - (1/2) {V_k* V_k, B}),
 
-    with nonnegative rates r_k.  A(I) = 0 holds exactly by construction and
-    all three certificates are true.
+    with finite nonnegative rates r_k.  A(I) = 0 holds exactly by
+    construction and all three certificates are true.
+
+    The action is applied in one pass, to the stack of the d^2 matrix units
+    E_ij, and its images are the Choi blocks (``maps`` convention).  Every
+    product acts on each unit alone, so the map is bit-identical to
+    ``maps.from_action`` of the same action, one unit at a time.  A
+    generator whose entries overflow raises :class:`NumericalError`.
     """
     if hamiltonian is None:
         ham = np.zeros((d, d), dtype=complex)
@@ -145,19 +159,23 @@ def gksl_generator(d: int, hamiltonian=None, jumps: Sequence = ()) -> Generator:
     terms = []
     for k, (op, rate) in enumerate(jumps):
         rate = float(rate)
+        if not np.isfinite(rate):
+            raise InputError(f"jump rate {k} is not finite: {rate}")
         if rate < 0:
             raise InputError(f"jump rate {k} is negative: {rate}")
         v = linalg.as_matrix(op, (d, d), f"jump operator {k}")
         terms.append((v, linalg.dagger(v), rate))
 
-    def action(b):
-        out = 1j * (ham @ b - b @ ham)
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)  # E_ij at i d + j
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        images = 1j * (ham @ units - units @ ham)
         for v, vd, rate in terms:
             vv = vd @ v
-            out = out + rate * (vd @ b @ v - 0.5 * (vv @ b + b @ vv))
-        return out
-
-    return certify(maps.from_action(d, action))
+            images = images + rate * (vd @ units @ v - 0.5 * (vv @ units + units @ vv))
+    if not np.isfinite(images).all():
+        raise NumericalError("the GKSL generator overflows: its Choi matrix is not finite")
+    choi = images.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    return certify(SuperOp(d, choi))
 
 
 def evolve(gen: Generator, t: float, tol: float = FEASIBILITY_TOL) -> SuperOp:
@@ -172,28 +190,46 @@ def evolve(gen: Generator, t: float, tol: float = FEASIBILITY_TOL) -> SuperOp:
     return SuperOp.from_transfer(gen.d, linalg.expm(gen.op.transfer, scale=t))
 
 
-def resolvent(gen: Generator, lam: complex) -> SuperOp:
-    """R(lam, A) = (lam - A)^{-1} as a SuperOp (inverted at the transfer level)."""
-    system = complex(lam) * np.eye(gen.d * gen.d) - gen.op.transfer
-    return SuperOp.from_transfer(gen.d, linalg.inverse(
-        system, f"resolvent system is singular at lam={lam}: condition estimate {{cond:.3e}}"))
+def resolvent(gen: Generator, lam):
+    """R(lam, A) = (lam - A)^{-1} as a SuperOp (inverted at the transfer level).
+    ``lam`` may also be a sequence of numbers: then the result is a list of
+    SuperOps, one per number, from one stacked inverse, each bit-identical to
+    its number's own.  A singular system raises :class:`NumericalError`
+    naming its lam."""
+    lams = [lam] if np.ndim(lam) == 0 else list(lam)
+    system = np.array(lams, dtype=complex)[:, None, None] * np.eye(gen.d * gen.d) - gen.op.transfer
+    inv = linalg.inverse(system, [
+        f"resolvent system is singular at lam={x}: condition estimate {{cond:.3e}}"
+        for x in lams])
+    ops = [SuperOp.from_transfer(gen.d, t) for t in inv]
+    return ops[0] if np.ndim(lam) == 0 else ops
 
 
-def hilbert_identity_residual(gen: Generator, lam: complex, mu: complex,
-                              resolvent_of=None) -> float:
+def hilbert_identity_residual(gen: Generator, lam, mu, resolvent_of=None):
     """Frobenius residual of (R(lam) - R(mu)) / (lam - mu) + R(lam) R(mu).
 
-    ``resolvent_of(x)`` gives R(x) of ``gen``, by default :func:`resolvent`; a
-    caller checking many pairs passes a memo of it, to solve each R(x) once.
+    ``lam`` and ``mu`` are numbers, or two sequences of one length, the pairs
+    to check; then the residual of each pair is returned, as an array, from
+    one stacked pass, each bit-identical to its pair's alone.
+    ``resolvent_of(x)`` gives R(x) of ``gen``; by default the resolvents of
+    the distinct parameters are one :func:`resolvent` call.  A caller that
+    needs them elsewhere too passes a lookup of its own, to solve each R(x)
+    once.
     """
-    if lam == mu:
+    one = np.ndim(lam) == 0 and np.ndim(mu) == 0
+    lams, mus = ([lam], [mu]) if one else (list(lam), list(mu))
+    if len(lams) != len(mus):
+        raise InputError(f"{len(lams)} values of lam for {len(mus)} of mu")
+    if any(a == b for a, b in zip(lams, mus)):
         raise InputError("resolvent identity requires lam != mu")
     if resolvent_of is None:
-        resolvent_of = functools.partial(resolvent, gen)
-    r_lam = resolvent_of(lam).transfer
-    r_mu = resolvent_of(mu).transfer
-    residual = (r_lam - r_mu) / (complex(lam) - complex(mu)) + r_lam @ r_mu
-    return linalg.frob(residual)
+        values = list(dict.fromkeys(lams + mus))
+        resolvent_of = dict(zip(values, resolvent(gen, values))).__getitem__
+    r_lam = np.array([resolvent_of(x).transfer for x in lams]).reshape(-1, gen.d ** 2, gen.d ** 2)
+    r_mu = np.array([resolvent_of(x).transfer for x in mus]).reshape(r_lam.shape)
+    steps = np.array(lams, dtype=complex) - np.array(mus, dtype=complex)
+    residuals = linalg.frob_each((r_lam - r_mu) / steps[:, None, None] + r_lam @ r_mu)
+    return float(residuals[0]) if one else residuals
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -228,9 +264,10 @@ def laplace_resolvent(gen: Generator, lam: float, horizon: Optional[float] = Non
     weights = 0.5 * h * _GL_WEIGHTS
     # At t = p*h + o_j the integrand is q^p times a node term, q = exp(-lam h) exp(h A):
     # total = (sum_p q^p) @ (sum_j w_j exp(-lam o_j) exp(o_j A)), q^p as a running power.
-    node_sum = sum(w * np.exp(-lam * off) * linalg.expm(gen.op.transfer, scale=off)
-                   for off, w in zip(offsets, weights))
-    q = np.exp(-lam * h) * linalg.expm(gen.op.transfer, scale=h)
+    # The 16 node exponentials and exp(h A), in one call.
+    exps = linalg.expm(gen.op.transfer, scale=np.append(offsets, h))
+    node_sum = sum(w * np.exp(-lam * off) * e for off, w, e in zip(offsets, weights, exps))
+    q = np.exp(-lam * h) * exps[-1]
     power_sum = np.zeros((n, n), dtype=complex)
     power = np.eye(n, dtype=complex)
     for _ in range(panels):
@@ -287,16 +324,17 @@ class SubsystemGenerator:
             raise InputError(f"{len(images)} images for {len(system)} basis elements")
         if extension is not None and extension.d != d:
             raise InputError(f"extension acts on M_{extension.d}, the system lies in M_{d}")
-        for k, img in enumerate(images):
-            if not contains(system, img):
-                raise InputError(f"action[{k}] does not lie in span(V)")
+        stack = np.array(images)
+        outside = _first_outside(system, stack, FEASIBILITY_TOL)  # one test of every image
+        if outside is not None:
+            raise InputError(f"action[{outside[0]}] does not lie in span(V)")
         if linalg.frob(images[0]) > FEASIBILITY_TOL:
             raise InputError("A(basis[0]) must vanish: the unit is not annihilated")
 
         # Images of the orthonormalized basis follow linearly from the
         # orthonormalization coefficients; their coordinates, as columns, give
         # the matrix of A on V.
-        coord = system.coords(images).T @ system.onb_coeffs.T
+        coord = system.coords(stack).T @ system.onb_coeffs.T
         imag_defect = float(np.max(np.abs(coord.imag))) if coord.size else 0.0
         if imag_defect > FEASIBILITY_TOL * (1.0 + float(np.max(np.abs(coord.real)))):
             raise InputError(

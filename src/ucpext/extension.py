@@ -914,13 +914,10 @@ class _FeasibilitySolver:
 def restriction_errors(chois: np.ndarray, basis, targets) -> np.ndarray:
     """max_k ||phi_C(v_k) - t_k|| for each Choi matrix C of the stack
     ``chois``: agreement checked on the maps themselves, all the images
-    phi_C(v_k) in one product (each bit-identical to ``op.apply(v_k)``) and
-    their distances in one norm.  ``targets`` is one set of |V| matrices that
-    every map shares, or a stack of such sets, one per map."""
-    basis = np.asarray(basis)
-    d = basis.shape[-1]
-    images = np.einsum("kij,miajb->mkab", basis, chois.reshape(-1, d, d, d, d))
-    return linalg.frob_each(images - targets).max(axis=-1)
+    phi_C(v_k) in one product (``maps.apply_each``) and their distances in
+    one norm.  ``targets`` is one set of |V| matrices that every map shares,
+    or a stack of such sets, one per map."""
+    return linalg.frob_each(maps.apply_each(chois, basis) - targets).max(axis=-1)
 
 
 def restriction_error(op: SuperOp, basis, targets) -> float:
@@ -944,8 +941,9 @@ def _solve_batch(system: MatricialSystem, targets, ccp: bool, options: Extension
                  starts) -> list:
     """Solve one member per entry of ``starts`` on ``system`` and one cone,
     with the tolerance and budget of ``options``; ``targets`` stacks one set
-    of |V| agreement targets per start.  Called by :func:`multi_start` alone,
-    and the one place that builds a :class:`_FeasibilitySolver`.
+    of |V| agreement targets per start, and any other shape raises
+    :class:`InputError` naming both counts.  Called by :func:`multi_start`
+    alone, and the one place that builds a :class:`_FeasibilitySolver`.
 
     It checks every start first: ``None`` for the deterministic start, an
     integral seed >= 0 (numpy integers too, not a bool) for the randomized
@@ -968,6 +966,11 @@ def _solve_batch(system: MatricialSystem, targets, ccp: bool, options: Extension
             raise InputError(f"starts must be None, integer seeds >= 0 or SuperOps on M_{d}; "
                              f"start {k} is {kind}")
     targets = np.asarray(targets)
+    set_shape = (len(system), d, d)
+    if targets.shape[1:] != set_shape or len(targets) != len(starts):
+        got = len(targets) if targets.shape[1:] == set_shape else f"shape {targets.shape}"
+        raise InputError(f"{len(starts)} starts need {len(starts)} target sets of shape "
+                         f"{set_shape}, got {got}")
     real = [system.real and not c and (start is None or isinstance(start, SuperOp))
             for start, c in zip(starts, np.imag(targets).any(axis=(-3, -2, -1)).tolist())]
     runs = [None] * len(starts)
@@ -1123,14 +1126,16 @@ def _map_reports(system: MatricialSystem, image_sets, tol: float, max_iter: int,
 # ---------------------------------------------------------------------------
 
 
-def _in_rescaling_range(beta: float) -> bool:
-    """Whether beta lies in (0, 1]: the one test of a parameter lam in (0, omega],
-    made on beta = lam / omega, the ratio :func:`rescale_resolvent` is given."""
-    return 0.0 < beta <= 1.0
+def _in_rescaling_range(beta) -> bool:
+    """Whether beta, or each of an array of them, lies in (0, 1]: the one test
+    of a parameter lam in (0, omega], made on beta = lam / omega, the ratio
+    :func:`rescale_resolvent` is given."""
+    beta = np.asarray(beta)
+    return bool(np.all((0.0 < beta) & (beta <= 1.0)))
 
 
-def rescale_resolvent(phi: SuperOp, beta: float, mode: str = "closed",
-                      tol: float = FEASIBILITY_TOL) -> SuperOp:
+def rescale_resolvent(phi: SuperOp, beta, mode: str = "closed",
+                      tol: float = FEASIBILITY_TOL):
     """The nonlinear map  phi -> sum_{k>=0} beta (1-beta)^k phi^(k+1).
 
     For phi = mu * R(mu, G) the result is (beta*mu) * R(beta*mu, G): it
@@ -1141,15 +1146,24 @@ def rescale_resolvent(phi: SuperOp, beta: float, mode: str = "closed",
     the discarded tail has norm at most that coefficient mass because powers
     of a UCP map are contractions.  ``mode="closed"`` evaluates the resummed
     form  beta * phi o (id - (1-beta) phi)^(-1).
+
+    In closed mode ``beta`` may also be a 1-d array of ratios: phi is checked
+    once, the inverses are one stacked :func:`linalg.inverse`, and the result
+    is a list of SuperOps, one per ratio, each bit-identical to its ratio's
+    own.
     """
-    beta = float(beta)
-    if not _in_rescaling_range(beta):
+    betas = np.asarray(beta, dtype=float)
+    if betas.ndim > (mode == "closed"):
+        raise InputError(f"beta must be a number, or in closed mode a 1-d array; "
+                         f"got shape {betas.shape}")
+    if not _in_rescaling_range(betas):
         raise InputError(f"beta must lie in (0, 1], got {beta}")
     if not maps.is_ucp(phi, max(tol, RESCALE_UCP_TOL_FLOOR)):
         raise InputError("rescale_resolvent requires a UCP input map")
     t = phi.transfer
     n = t.shape[0]
     if mode == "series":
+        beta = float(beta)
         out = np.zeros_like(t)
         power = t.copy()  # phi^(k+1)
         coeff = beta
@@ -1163,10 +1177,13 @@ def rescale_resolvent(phi: SuperOp, beta: float, mode: str = "closed",
             k += 1
         return SuperOp.from_transfer(phi.d, out)
     if mode == "closed":
-        inv = linalg.inverse(np.eye(n) - (1.0 - beta) * t,
+        stack = betas[..., None, None]
+        inv = linalg.inverse(np.eye(n) - (1.0 - stack) * t,
                              "id - (1-beta) phi is numerically singular (cond {cond:.3e}); "
                              "the input was not a valid UCP map")
-        return SuperOp.from_transfer(phi.d, beta * (t @ inv))
+        out = stack * (t @ inv)
+        return ([SuperOp.from_transfer(phi.d, o) for o in out] if betas.ndim
+                else SuperOp.from_transfer(phi.d, out))
     raise InputError(f"unknown mode {mode!r}")
 
 
@@ -1196,12 +1213,15 @@ def extend_generator(problem: ExtensionProblem):
 # ---------------------------------------------------------------------------
 
 
-def _recover_generator(f_lam: SuperOp, lam: float) -> SuperOp:
-    """G = lam * (id - F(lam)^{-1}) at the transfer level."""
-    t = f_lam.transfer
-    inv = linalg.inverse(
-        t, f"family member at lam={lam} is numerically singular (cond {{cond:.3e}})")
-    return SuperOp.from_transfer(f_lam.d, lam * (np.eye(t.shape[0]) - inv))
+def _recover_generator(transfers: np.ndarray, lams) -> np.ndarray:
+    """G = lam * (id - F(lam)^{-1}) at the transfer level: of one transfer
+    matrix F(lam) and its lam, or of each of a stack (K, n, n) and its own of
+    ``lams`` (K,), through one stacked :func:`linalg.inverse`."""
+    lams = np.asarray(lams, dtype=float)
+    inv = linalg.inverse(transfers, [
+        f"family member at lam={lam} is numerically singular (cond {{cond:.3e}})"
+        for lam in lams.reshape(-1).tolist()])
+    return lams[..., None, None] * (np.eye(transfers.shape[-1]) - inv)
 
 
 # How often extend_via_resolvent_family doubles omega before it gives up.
@@ -1233,7 +1253,7 @@ def extend_via_resolvent_family(problem: ExtensionProblem, omega: float,
     if grid is None:
         grid = np.linspace(omega / 8.0, omega, 8)
     grid = sorted(float(g) for g in grid)
-    if not grid or not all(_in_rescaling_range(lam / omega) for lam in grid):
+    if not grid or not _in_rescaling_range(np.array(grid) / omega):
         raise InputError("grid must be a nonempty subset of (0, omega]")
 
     opts = problem.options
@@ -1253,11 +1273,15 @@ def extend_via_resolvent_family(problem: ExtensionProblem, omega: float,
             current *= 2.0
             continue
 
-        members = [(lam, rescale_resolvent(f_omega, lam / current, tol=inner.tol))
-                   for lam in grid]
-        recovered = [(lam, _recover_generator(f, lam)) for lam, f in members]
-        candidate = _recover_generator(f_omega, current)
-        spread = max_pairwise_distance([op.choi for _, op in recovered] + [candidate.choi])
+        # The members, their generators and the candidate from F(omega)
+        # itself, each kernel in one stacked call over the grid.
+        lams = np.array(grid + [current])
+        members = list(zip(grid, rescale_resolvent(f_omega, lams[:-1] / current,
+                                                   tol=inner.tol)))
+        recovered = maps.chois_of_transfers(_recover_generator(
+            np.array([f.transfer for _, f in members] + [f_omega.transfer]), lams))
+        candidate = SuperOp(f_omega.d, recovered[-1])
+        spread = max_pairwise_distance(recovered)
 
         gen = dynamics.certify(candidate, tol=opts.tol)
         restriction = restriction_error(candidate, sub.system.basis, sub.action)
@@ -1412,12 +1436,13 @@ def extend_group(problem: ExtensionProblem, n_starts: int = 0, seed: int = 0):
             f"not a group on V: -G+ is not ccp (ccp defect {witness:.3e} of the "
             "extension G+ of +A)")
 
-    steps = [dynamics.evolve(gen_plus, t) for t in _GROUP_SAMPLE_TS]
-    ident = maps.identity_map(sub.system.dim)
-    inverse_residual = max(
-        step.compose(dynamics.evolve(gen_minus, t)).distance(ident)
-        for step, t in zip(steps, _GROUP_SAMPLE_TS)
-    )
+    # exp(t G+) and exp(-t G+) = exp(t (-G+)) at each sample time, in one call.
+    d = sub.system.dim
+    plus, minus = linalg.expm(np.array([gen_plus.op.transfer, gen_minus.op.transfer])[:, None],
+                              scale=np.array(_GROUP_SAMPLE_TS))
+    steps = [SuperOp.from_transfer(d, e) for e in plus]
+    ident = maps.identity_map(d)
+    inverse_residual = max(SuperOp.from_transfer(d, e).distance(ident) for e in plus @ minus)
     if inverse_residual > check_tol:
         raise GroupExtensionError(
             f"not a group on V: inverse check residual {inverse_residual:.3e}"

@@ -41,6 +41,8 @@ __all__ = [
     "conjugation_map",
     "transpose_map",
     "amplification_apply",
+    "apply_each",
+    "chois_of_transfers",
     "is_completely_positive",
     "is_unital",
     "is_ucp",
@@ -78,9 +80,7 @@ class SuperOp:
     @classmethod
     def from_transfer(cls, d: int, transfer) -> "SuperOp":
         t = linalg.as_matrix(transfer, (d * d, d * d), "transfer")
-        t4 = t.reshape(d, d, d, d)  # [a, b, i, j]
-        choi = t4.transpose(2, 0, 3, 1).reshape(d * d, d * d)
-        return cls(d=d, choi=np.ascontiguousarray(choi))
+        return cls(d=d, choi=chois_of_transfers(t))
 
     # -- action ------------------------------------------------------------
 
@@ -116,6 +116,17 @@ class SuperOp:
     def distance(self, other: "SuperOp") -> float:
         """Frobenius distance between Choi matrices (= distance of transfer matrices)."""
         return linalg.frob(self.choi - other.choi)
+
+
+def chois_of_transfers(transfers: np.ndarray) -> np.ndarray:
+    """The Choi matrix of the map of each transfer matrix of a stack (shape
+    (..., d^2, d^2)), or of one: the entries relaid, [a, b, i, j] ->
+    [i, a, j, b]."""
+    n = transfers.shape[-1]
+    d = math.isqrt(n)
+    t4 = transfers.reshape(transfers.shape[:-2] + (d, d, d, d))  # [..., a, b, i, j]
+    return np.ascontiguousarray(np.moveaxis(t4, (-4, -3, -2, -1), (-3, -1, -4, -2))
+                                .reshape(transfers.shape))
 
 
 @dataclass(frozen=True)
@@ -183,6 +194,16 @@ def amplification_apply(phi: SuperOp, k: int, m) -> np.ndarray:
     m4 = linalg.as_matrix(m, (k * d, k * d), "input").reshape(k, d, k, d)
     out = np.einsum("iajb,piqj->paqb", phi._choi4, m4)
     return out.reshape(k * d, k * d)
+
+
+def apply_each(chois: np.ndarray, mats) -> np.ndarray:
+    """phi_C(m_k) for each Choi matrix C of ``chois`` (one, shape (d^2, d^2),
+    or a stack (..., d^2, d^2)) and each m_k of the stack ``mats`` (shape
+    (K, d, d)): shape (..., K, d, d), in one einsum.  Each image is
+    bit-identical to ``SuperOp.apply`` of its map to its matrix."""
+    mats = np.asarray(mats)
+    d = mats.shape[-1]
+    return np.einsum("kij,...iajb->...kab", mats, chois.reshape(chois.shape[:-2] + (d, d, d, d)))
 
 
 def maximally_entangled_vector(d: int) -> np.ndarray:

@@ -18,8 +18,10 @@ once.
 
 Membership in M_k(V) has one test, blockwise projection onto span(V) of a
 stack of one level followed by a relative residual bound
-(``_first_outside``); :func:`contains`, ``LevelElement.wrap`` and
-:func:`positive_elements` all go through it.
+(``_first_outside``, which names the first matrix outside); :func:`contains`,
+``LevelElement.wrap``, :func:`positive_elements` and
+``dynamics.SubsystemGenerator.from_action`` (all the images at once) go
+through it.
 
 Two norms are exposed, both computed by bisection on PSD tests against the
 system's cone:
@@ -54,7 +56,8 @@ import scipy.linalg
 
 from . import linalg
 from .errors import InputError
-from .tolerances import FEASIBILITY_TOL, STRUCTURAL_TOL
+from .tolerances import (BISECTION_SLACK, FEASIBILITY_TOL, GRAM_INDEPENDENCE_TOL,
+                         STRUCTURAL_TOL)
 
 __all__ = [
     "MatricialSystem",
@@ -73,7 +76,6 @@ __all__ = [
 ]
 
 _BISECTION_STEPS = 60
-_GRAM_INDEPENDENCE_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,13 +104,14 @@ class MatricialSystem:
 
     @classmethod
     def from_basis(cls, basis) -> "MatricialSystem":
-        mats = [linalg.ensure_hermitian(b, name=f"basis[{k}]") for k, b in enumerate(basis)]
+        mats = [np.asarray(b, dtype=complex) for b in basis]
         if not mats:
             raise InputError("basis must be nonempty")
-        d = mats[0].shape[0]
+        d = linalg.ensure_square(mats[0], "basis[0]").shape[0]
         for k, m in enumerate(mats):
             if m.shape != (d, d):
                 raise InputError(f"basis[{k}] has shape {m.shape}, expected ({d}, {d})")
+        mats = linalg.ensure_hermitian(np.array(mats), name="basis")  # one stacked gate
         if not np.allclose(mats[0], np.eye(d), atol=STRUCTURAL_TOL):
             raise InputError("basis[0] must be the identity matrix")
 
@@ -116,13 +119,13 @@ class MatricialSystem:
         # real parts alone of a real basis): the Hilbert-Schmidt inner product
         # is the plain dot product of the rows.
         m = len(mats)
-        stacked = np.array(mats).reshape(m, d * d)
+        stacked = mats.reshape(m, d * d)
         real = not np.any(stacked.imag)
         rows = np.ascontiguousarray(stacked.real) if real else stacked.view(float)
         gram = rows @ rows.T
         # Linear independence via the smallest Gram eigenvalue.
         gmin = float(np.linalg.eigvalsh(gram)[0])
-        if gmin <= _GRAM_INDEPENDENCE_TOL:
+        if gmin <= GRAM_INDEPENDENCE_TOL:
             raise InputError(
                 f"basis is numerically dependent: smallest Gram eigenvalue {gmin:.3e}"
             )
@@ -136,7 +139,7 @@ class MatricialSystem:
         onb_rows = np.ascontiguousarray(q.T)
         onb = linalg.hermitian_part(
             (onb_rows.astype(complex) if real else onb_rows.view(complex)).reshape(m, d, d))
-        for a in (*mats, onb, coeffs):
+        for a in (mats, onb, coeffs):
             a.flags.writeable = False
         return cls(dim=d, basis=tuple(mats), onb=onb, onb_coeffs=coeffs, real=real)
 
@@ -194,10 +197,10 @@ class LevelElement:
         if m.shape[0] != m.shape[1] or m.shape[0] % d != 0:
             raise InputError(f"level element shape {m.shape} is not a multiple of ambient dim {d}")
         k = m.shape[0] // d
-        resid = _first_outside(system, m[None], FEASIBILITY_TOL)
-        if resid is not None:
+        outside = _first_outside(system, m[None], FEASIBILITY_TOL)
+        if outside is not None:
             raise InputError(
-                f"matrix is not in M_{k}(V): membership residual {resid:.3e}"
+                f"matrix is not in M_{k}(V): membership residual {outside[1]:.3e}"
             )
         return cls(level=k, matrix=m)
 
@@ -313,14 +316,18 @@ def project_level(system: MatricialSystem, m) -> np.ndarray:
     return out.swapaxes(-3, -2).reshape(a.shape)
 
 
-def _first_outside(system: MatricialSystem, a: np.ndarray, tol: float) -> Optional[float]:
+def _first_outside(system: MatricialSystem, a: np.ndarray, tol: float) -> Optional[tuple]:
     """The one membership test of M_k(V), relative: a matrix m of the stack
     ``a`` (shape (n, k*d, k*d)) lies in M_k(V) when
-    ||m - proj(m)||_F <= tol * (1 + ||m||_F).  Returns the residual of the
-    first matrix outside, or None when every matrix lies in M_k(V)."""
+    ||m - proj(m)||_F <= tol * (1 + ||m||_F).  Returns ``(index, residual)``
+    of the first matrix outside, or None when every matrix lies in M_k(V).
+    Each verdict is the one its matrix gets in a stack of one."""
     resid = np.linalg.norm(a - project_level(system, a), axis=(-2, -1))
     outside = resid > tol * (1.0 + np.linalg.norm(a, axis=(-2, -1)))
-    return float(resid[outside][0]) if outside.any() else None
+    if not outside.any():
+        return None
+    k = int(np.flatnonzero(outside)[0])
+    return k, float(resid[k])
 
 
 def positive_elements(system: MatricialSystem, matrices,
@@ -330,9 +337,9 @@ def positive_elements(system: MatricialSystem, matrices,
     projection and one ``eigvalsh`` of the whole stack.  An element outside
     M_k(V) raises :class:`InputError`."""
     a = np.asarray(matrices, dtype=complex)
-    resid = _first_outside(system, a, tol)
-    if resid is not None:
-        raise InputError(f"element violates membership: residual {resid:.3e}")
+    outside = _first_outside(system, a, tol)
+    if outside is not None:
+        raise InputError(f"element violates membership: residual {outside[1]:.3e}")
     h = linalg.ensure_hermitian(a, tol=max(tol, STRUCTURAL_TOL))
     return np.linalg.eigvalsh(h)[..., 0] >= -tol
 
@@ -367,7 +374,7 @@ def matrix_norm(system: MatricialSystem, el: LevelElement) -> float:
     n = m.shape[0]
     eye = np.eye(n)
     md = linalg.dagger(m)
-    slack = 1e-13 * (1.0 + linalg.frob(m))
+    slack = BISECTION_SLACK * (1.0 + linalg.frob(m))
 
     def feasible(r: float) -> bool:
         block = np.block([[r * eye, m], [md, r * eye]])
@@ -387,7 +394,7 @@ def order_norm_h(system: MatricialSystem, v) -> float:
     if not contains(system, h):
         raise InputError("v is not a member of the system")
     eye = np.eye(system.dim)
-    slack = 1e-13 * (1.0 + linalg.frob(h))
+    slack = BISECTION_SLACK * (1.0 + linalg.frob(h))
 
     def feasible(r: float) -> bool:
         lo = float(np.linalg.eigvalsh(r * eye - h)[0])

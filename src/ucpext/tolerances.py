@@ -22,6 +22,25 @@ IDENTITY_THRESHOLD_FLOOR = 1e-6
 
 # Condition number above which a matrix counts as numerically singular.
 SINGULAR_COND = 1e13
+# ``systems.MatricialSystem.from_basis``: a basis whose smallest Gram
+# eigenvalue is at most this is numerically dependent.
+GRAM_INDEPENDENCE_TOL = 1e-10
+# The norm bisections of ``systems`` (``matrix_norm``, ``order_norm_h``)
+# accept a PSD test whose smallest eigenvalue is at least
+# -BISECTION_SLACK (1 + ||m||_F).
+BISECTION_SLACK = 1e-13
+
+# The CLI's ``identities`` command: the default bound on the Hilbert
+# identity residuals, and the bound on the Laplace quadrature errors.
+IDENTITIES_TOL = 1e-9
+LAPLACE_TOL = 1e-6
+# The CLI's ``demo-rebit`` checks: the largest distance of the rotation's
+# extension from the commutator generator, the least spread on Y that shows
+# the dissipation's extensions differ, and the bound on the restriction
+# errors and Pauli coefficients of g1 and g2, which hold exactly.
+DEMO_UNIQUE_DISTANCE_TOL = 1e-6
+DEMO_NONUNIQUE_SPREAD = 1e-3
+DEMO_EXACT_TOL = 1e-12
 
 # Iteration budgets: evaluations of the dual, one cone projection (one eigh)
 # each; the CG steps of a Newton step are not counted.  They are ceilings, not

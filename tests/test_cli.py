@@ -124,7 +124,8 @@ class TestRunScenario:
         lams = []
         resolvent = dynamics.resolvent
         monkeypatch.setattr(dynamics, "resolvent",
-                            lambda gen, lam: lams.append(lam) or resolvent(gen, lam))
+                            lambda gen, lam: lams.extend(np.atleast_1d(lam).tolist())
+                            or resolvent(gen, lam))
         report = run_scenario({"command": "identities", "system": "M2", "dynamics": "g1"})
         assert report["status"] == "ok"
         # The default grid of five and the Laplace checks' 0.5, 1.0 and 2.0.
@@ -753,6 +754,21 @@ class TestFailuresAndExitCodes:
         assert main(["run", path]) == 2
         assert json.loads(capsys.readouterr().out)["status"] == "invalid-input"
 
+    @pytest.mark.parametrize("spec", [
+        {"kind": "gksl", "jumps": [{"op": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]], "rate": 1e308}]},
+        {"kind": "gksl", "H": [[[1e308, 0], [0, 0]], [[0, 0], [-1e308, 0]]]},
+    ], ids=["rate", "hamiltonian"])
+    def test_an_overflowing_gksl_generator_fails_quietly(self, tmp_path, capsys, spec):
+        # Finite GKSL data whose generator overflows: a failed report with a
+        # NumericalError and exit 1, and no RuntimeWarning (an error here).
+        path = write_scenario(tmp_path, {"command": "check-ccp", "dynamics": spec})
+        capsys.readouterr()
+        assert main(["run", path]) == 1
+        out, err = capsys.readouterr()
+        report = strict_json(out)
+        assert report["status"] == "failed" and report["error"]["type"] == "NumericalError"
+        assert err == ""
+
     @pytest.mark.parametrize("scenario, status, error_type", [
         ({"command": "validate", "system": "rebit", "dynamics": "g1",
           "options": {"times": [-1.0]}}, "invalid-input", "input"),
@@ -762,8 +778,9 @@ class TestFailuresAndExitCodes:
           "options": {"lambdas": [-1.0]}}, "invalid-input", "input"),
         ({"command": "extend-group", "system": "rebit", "dynamics": "rebit_rotation",
           "options": {"max_iter": 5, "starts": 8}}, "failed", "GroupExtensionError"),
+        # its certificate overflows: refused before any spectrum is computed
         ({"command": "check-ccp", "dynamics": {"kind": "choi", "super": {
-            "d": 2, "choi": [[[1e308, 0.0]] * 4] * 4}}}, "failed", "LinAlgError"),
+            "d": 2, "choi": [[[1e308, 0.0]] * 4] * 4}}}, "failed", "NumericalError"),
         ({"command": "extend-group", "system": "rebit", "dynamics": "rebit_rotation",
           "options": {"omega_param": 1e150}}, "failed", "GroupExtensionError"),
         ({"command": "check-cp", "dynamics": {"kind": "choi", "super": {

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from conftest import diagonal_damping, random_gksl, random_involution_lift
-from ucpext import catalog, dynamics, extension, linalg, maps
+from ucpext import catalog, dynamics, extension, linalg, maps, systems
 from ucpext.dynamics import SubsystemGenerator
 from ucpext.errors import InputError, NumericalError, Undecided
 from ucpext.extension import ExtensionProblem
@@ -40,6 +42,53 @@ class TestGksl:
         for _ in range(5):
             g = random_gksl(int(rng.integers(2, 5)), rng)
             assert g.certificates.certified
+
+    @staticmethod
+    def per_unit(d, ham, jumps):
+        """The reference: the GKSL action applied one matrix unit at a time
+        (``maps.from_action``), then certified."""
+        terms = [(v, np.conj(v).T, rate) for v, rate in jumps]
+
+        def action(b):
+            out = 1j * (ham @ b - b @ ham)
+            for v, vd, rate in terms:
+                vv = vd @ v
+                out = out + rate * (vd @ b @ v - 0.5 * (vv @ b + b @ vv))
+            return out
+
+        return dynamics.certify(maps.from_action(d, action))
+
+    @pytest.mark.parametrize("with_h", [False, True])
+    @pytest.mark.parametrize("jump_count", ["none", "one", "d^2"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_one_pass_is_bit_identical_to_the_per_unit_form(self, d, jump_count, with_h):
+        rng = np.random.default_rng(10 * d + len(jump_count) + with_h)
+        n = {"none": 0, "one": 1, "d^2": d * d}[jump_count]
+        jumps = [(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)),
+                  float(rng.uniform(0.1, 2.0))) for _ in range(n)]
+        ham = linalg.random_hermitian(d, rng) if with_h else None
+        gen = dynamics.gksl_generator(d, ham, jumps)
+        ref = self.per_unit(d, np.zeros((d, d)) if ham is None else linalg.ensure_hermitian(ham),
+                            jumps)
+        assert np.array_equal(gen.op.choi, ref.op.choi)
+        assert gen.certificates == ref.certificates
+        assert gen.ccp_eigenvalue == ref.ccp_eigenvalue
+
+    def test_an_overflowing_generator_is_a_numerical_error(self, pauli):
+        # (2X)* E (2X) at rate 1e308 overflows the images of the units.
+        with pytest.raises(NumericalError, match="the GKSL generator overflows"):
+            dynamics.gksl_generator(2, jumps=[(2 * pauli.X, 1e308)])
+        # Finite images whose Choi norm overflows: refused before any spectrum.
+        with pytest.raises(NumericalError, match="map 0 is too large to certify"):
+            dynamics.gksl_generator(2, jumps=[(pauli.X, 1e308)])
+        # A finite Hermitian H whose Hermitian part overflows.
+        with pytest.raises(NumericalError, match="Hermitian part of hamiltonian overflows"):
+            dynamics.gksl_generator(2, hamiltonian=np.diag([1e308, -1e308]))
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf")])
+    def test_a_rate_that_is_not_finite_is_invalid_input(self, pauli, rate):
+        with pytest.raises(InputError, match="jump rate 1 is not finite"):
+            dynamics.gksl_generator(2, jumps=[(pauli.Z, 0.5), (pauli.X, rate)])
 
 
 class TestConditionalCompletePositivity:
@@ -268,6 +317,21 @@ class TestResolvent:
 
 
 class TestIdentitySuite:
+    def test_pairs_in_one_pass_are_each_pair_s_own(self):
+        # The reference is the per-pair formula, each resolvent inverted alone.
+        gen = random_gksl(3, np.random.default_rng(21))
+        n = gen.d ** 2
+        grid = [0.5, 1.375, 2.25, 3.125, 4.0]
+        pairs = [(lam, mu) for lam in grid for mu in grid if lam != mu]
+        got = dynamics.hilbert_identity_residual(gen, [lam for lam, _ in pairs],
+                                                 [mu for _, mu in pairs])
+        for (lam, mu), residual in zip(pairs, got.tolist()):
+            r_lam, r_mu = (np.linalg.inv(complex(x) * np.eye(n) - gen.op.transfer)
+                           for x in (lam, mu))
+            assert residual == linalg.frob((r_lam - r_mu) / (complex(lam) - complex(mu))
+                                           + r_lam @ r_mu)
+            assert residual == dynamics.hilbert_identity_residual(gen, lam, mu)
+
     def test_zero_generator_exact(self):
         g = dynamics.gksl_generator(2)
         assert dynamics.hilbert_identity_residual(g, 1.0, 2.0) <= 1e-15
@@ -376,6 +440,29 @@ class TestSubsystemGenerator:
         with pytest.raises(InputError):
             SubsystemGenerator.from_action(
                 rebit, [np.zeros((2, 2)), 1j * pauli.X, pauli.Z])
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_one_membership_test_names_the_first_image_outside(self, d):
+        # Images in span(V) (multiples of the basis, the unit's image 0), some
+        # moved out of it by an antisymmetric imaginary part of a size below,
+        # near and above the relative tolerance.  The verdict and the index
+        # named are those of the first image the per-image test refuses.
+        rng = np.random.default_rng(d)
+        system = catalog.real_symmetric_system(d)
+        out = np.zeros((d, d), dtype=complex)
+        out[0, 1], out[1, 0] = 1j, -1j
+        for _ in range(20):
+            images = [np.zeros((d, d))] + [c * b for c, b in zip(
+                rng.normal(size=len(system) - 1), system.basis[1:])]
+            for k in rng.choice(len(system), size=int(rng.integers(0, 3)), replace=False):
+                images[k] = images[k] + float(rng.choice([1e-10, 1e-8, 1e-6, 1.0])) * out
+            first = next((k for k, img in enumerate(images)
+                          if not systems.contains(system, img)), None)
+            if first is None:
+                SubsystemGenerator.from_action(system, images)
+            else:
+                with pytest.raises(InputError, match=re.escape(f"action[{first}] does not")):
+                    SubsystemGenerator.from_action(system, images)
 
     def test_extension_must_act_on_the_system_s_algebra(self, rebit):
         with pytest.raises(InputError, match="extension acts on M_3"):

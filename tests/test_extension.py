@@ -65,6 +65,49 @@ def sampled_map_norm(phi_transfer_apply, unitaries):
     return max(linalg.spectral_norm(phi_transfer_apply(u)) for u in unitaries)
 
 
+class TestStackedFamily:
+    """The resolvent family's stacked kernels against the per-member forms."""
+
+    @pytest.mark.parametrize("dynamics_of", [catalog.rebit_dissipative, catalog.rebit_rotation])
+    def test_each_member_is_its_lambda_s_own(self, rebit, dynamics_of):
+        problem = ExtensionProblem.for_generator(rebit, dynamics_of(1.0))
+        gen, family, _ = extension.extend_via_resolvent_family(problem, 4.0)
+        t = family.f_omega.transfer
+        n = t.shape[0]
+        for lam, member in family.members:
+            beta = lam / family.omega
+            alone = extension.rescale_resolvent(family.f_omega, beta)
+            assert np.array_equal(member.choi, alone.choi)
+            by_hand = beta * (t @ np.linalg.inv(np.eye(n) - (1.0 - beta) * t))
+            assert np.array_equal(member.transfer, by_hand)
+        lams = [lam for lam, _ in family.members] + [family.omega]
+        transfers = np.array([m.transfer for _, m in family.members] + [t])
+        recovered = extension._recover_generator(transfers, lams)
+        for lam, transfer, generator in zip(lams, transfers, recovered):
+            assert np.array_equal(generator, extension._recover_generator(transfer, lam))
+            assert np.array_equal(generator, lam * (np.eye(n) - np.linalg.inv(transfer)))
+        assert np.array_equal(gen.op.transfer, recovered[-1])
+
+    def test_a_singular_member_is_named_by_its_lambda(self):
+        ident = maps.identity_map(2).transfer
+        singular = np.diag([1.0, 1.0, 1.0, 1e-20])
+        with pytest.raises(NumericalError, match=re.escape(
+                "family member at lam=2.0 is numerically singular (cond 1.000e+20)")):
+            extension._recover_generator(np.array([ident, singular, singular]), [1.0, 2.0, 3.0])
+
+    def test_closed_rescalings_check_phi_once(self, monkeypatch):
+        phi = random_ucp_map(2, np.random.default_rng(8))
+        checks = []
+        is_ucp = maps.is_ucp
+        monkeypatch.setattr(maps, "is_ucp", lambda op, tol: checks.append(op) or is_ucp(op, tol))
+        members = extension.rescale_resolvent(phi, np.linspace(0.125, 1.0, 8))
+        assert len(members) == 8 and len(checks) == 1
+        with pytest.raises(InputError, match="beta must lie in"):
+            extension.rescale_resolvent(phi, [0.5, 1.5])
+        with pytest.raises(InputError, match="beta must be a number"):
+            extension.rescale_resolvent(phi, [0.5], mode="series")
+
+
 class TestRescaleResolvent:
     def test_identity_fixed_point(self):
         ident = maps.identity_map(2)
@@ -605,6 +648,17 @@ class TestMultiStart:
         problem = ExtensionProblem.for_generator(rebit, catalog.rebit_rotation(1.0))
         with pytest.raises(InputError, match=f"start 1 is {kind}$"):
             extension.multi_start(problem, [None, start])
+
+    def test_the_batch_needs_one_target_set_per_start(self, rebit):
+        # Called directly, _solve_batch refuses targets that do not stack one
+        # set per start, naming both counts, instead of leaving a run None.
+        action = catalog.rebit_rotation(1.0).action
+        with pytest.raises(InputError, match=re.escape(
+                "2 starts need 2 target sets of shape (3, 2, 2), got 1")):
+            extension._solve_batch(rebit, [action], True, ExtensionOptions(), [None, 1])
+        with pytest.raises(InputError, match=re.escape(
+                "2 starts need 2 target sets of shape (3, 2, 2), got shape (3, 2, 2)")):
+            extension._solve_batch(rebit, action, True, ExtensionOptions(), [None, 1])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_dual_overflowing_at_a_start_fails_the_batch(self, rebit):

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ucpext import catalog, dynamics, extension, linalg, maps, systems
 from ucpext.dynamics import SubsystemGenerator
@@ -70,6 +71,47 @@ class TestExpm:
             lhs = linalg.expm(m, s) @ linalg.expm(m, t)
             rhs = linalg.expm(m, s + t)
             assert linalg.frob(lhs - rhs) <= 1e-9 * (1.0 + linalg.frob(rhs))
+
+
+class TestStackedKernels:
+    """``expm`` and ``inverse`` of a stack against each matrix alone, by the
+    per-matrix calls they replace: bit for bit, not to a tolerance."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 16])
+    def test_expm_of_a_stack_is_each_matrix_s(self, n):
+        rng = np.random.default_rng(n)
+        stack = rng.normal(size=(3, 2, n, n)) + 1j * rng.normal(size=(3, 2, n, n))
+        scales = rng.uniform(-2.0, 2.0, size=(3, 2))
+        got = linalg.expm(stack, scales)
+        for idx in np.ndindex(3, 2):
+            assert np.array_equal(got[idx], scipy.linalg.expm(float(scales[idx]) * stack[idx]))
+        # One matrix and a sequence of scales: a stack of its exponentials.
+        one = linalg.expm(stack[0, 0], scales[1])
+        for k in range(2):
+            assert np.array_equal(one[k], scipy.linalg.expm(float(scales[1, k]) * stack[0, 0]))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_expm_names_the_first_overflowing_scale(self):
+        dissipation = np.array([[0.0, 0.0], [1.0, -1.0]])
+        with pytest.raises(NumericalError, match=re.escape("overflowed at scale 1.000e+100")):
+            linalg.expm(dissipation, [1.0, 1e100, 1e200])
+        with pytest.raises(NumericalError, match=re.escape("overflowed at scale 1.000e+100")):
+            linalg.expm(np.array([np.zeros((2, 2)), dissipation]), 1e100)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 9])
+    def test_inverse_of_a_stack_is_each_matrix_s(self, n):
+        rng = np.random.default_rng(n)
+        stack = rng.normal(size=(2, 3, n, n)) + 1j * rng.normal(size=(2, 3, n, n))
+        got = linalg.inverse(stack, "singular (cond {cond:.3e})")
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(got[idx], np.linalg.inv(stack[idx]))
+
+    def test_inverse_names_the_first_singular_matrix(self):
+        stack = np.array([np.eye(2), np.diag([1.0, 1e-15]), np.diag([1.0, 1e-20])])
+        with pytest.raises(NumericalError, match=re.escape("singular (cond 1.000e+15)")):
+            linalg.inverse(stack, "singular (cond {cond:.3e})")
+        with pytest.raises(NumericalError, match=re.escape("second (cond 1.000e+15)")):
+            linalg.inverse(stack, ["first {cond}", "second (cond {cond:.3e})", "third {cond}"])
 
 
 @functools.cache
@@ -208,6 +250,16 @@ class TestHermitianGate:
         h = linalg.ensure_hermitian(nearly)
         assert np.array_equal(h, np.conj(h.T))
         np.testing.assert_allclose(h, pauli.X, atol=1e-14)
+
+    def test_a_stack_names_the_matrix_that_fails(self, pauli):
+        stack = np.array([pauli.I, pauli.X, [[0.0, 1.0], [0.0, 0.0]]])
+        with pytest.raises(InputError, match=re.escape("basis[2] is not Hermitian")):
+            linalg.ensure_hermitian(stack, name="basis")
+
+    def test_an_overflowing_hermitian_part_is_a_numerical_error(self):
+        # diag(1e308, -1e308) is finite and Hermitian; 0.5 (h + h*) overflows.
+        with pytest.raises(NumericalError, match="the Hermitian part of h overflows"):
+            linalg.ensure_hermitian(np.diag([1e308, -1e308]), name="h")
 
     def test_map_images_pass_the_gate_at_their_tolerance(self, rebit, pauli):
         with pytest.raises(InputError, match="image 1 is not Hermitian"):

@@ -196,3 +196,29 @@ class TestInvariants:
             assert report.witness is not None
             image = maps.amplification_apply(phi, 2, report.witness.matrix)
             assert np.linalg.eigvalsh(linalg.hermitian_part(image))[0] <= -1e-8
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_apply_each_is_apply_of_each(d):
+    # One einsum over a stack of maps and a stack of matrices, bit for bit
+    # the images SuperOp.apply gives one map and one matrix at a time.
+    rng = np.random.default_rng(d)
+    chois = rng.normal(size=(3, d * d, d * d)) + 1j * rng.normal(size=(3, d * d, d * d))
+    mats = rng.normal(size=(4, d, d)) + 1j * rng.normal(size=(4, d, d))
+    got = maps.apply_each(chois, mats)
+    assert got.shape == (3, 4, d, d)
+    for m, choi in enumerate(chois):
+        assert np.array_equal(maps.apply_each(choi, mats), got[m])
+        for k, mat in enumerate(mats):
+            assert np.array_equal(got[m, k], SuperOp(d, choi).apply(mat))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_chois_of_transfers_is_from_transfer_of_each(d):
+    rng = np.random.default_rng(d)
+    transfers = rng.normal(size=(2, 3, d * d, d * d)) + 1j * rng.normal(size=(2, 3, d * d, d * d))
+    got = maps.chois_of_transfers(transfers)
+    for idx in np.ndindex(2, 3):
+        t4 = transfers[idx].reshape(d, d, d, d)  # [a, b, i, j] -> choi [i, a, j, b]
+        assert np.array_equal(got[idx], t4.transpose(2, 0, 3, 1).reshape(d * d, d * d))
+        assert np.array_equal(SuperOp(d, got[idx]).transfer, transfers[idx])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,19 @@ class TestConstruction:
     def test_non_hermitian_basis_rejected(self, pauli):
         with pytest.raises(InputError):
             MatricialSystem.from_basis([pauli.I, pauli.X + 1j * pauli.I])
+
+    def test_one_stacked_gate_keeps_each_element_and_names_a_bad_one(self, pauli):
+        rng = np.random.default_rng(3)
+        nearly = [h + 1e-14 * rng.normal(size=(3, 3))
+                  for h in (linalg.random_hermitian(3, rng) for _ in range(4))]
+        basis = [np.eye(3)] + nearly
+        system = MatricialSystem.from_basis(basis)
+        for given, kept in zip(basis, system.basis):
+            assert np.array_equal(kept, linalg.ensure_hermitian(given))
+        with pytest.raises(InputError, match=re.escape("basis[2] is not Hermitian")):
+            MatricialSystem.from_basis([pauli.I, pauli.X, [[0.0, 1.0], [0.0, 0.0]]])
+        with pytest.raises(InputError, match=re.escape("basis[1] has shape (3, 3)")):
+            MatricialSystem.from_basis([pauli.I, np.eye(3)])
 
     def test_same_basis(self, pauli, rebit):
         assert rebit.same_basis(rebit)
