@@ -375,7 +375,7 @@ def _cmd_extend_group(scenario, options):
     system = _resolve_system(scenario)
     sub = _resolve_subsystem_generator(scenario, system, options)
     # The seed draws only the cross-check seeds: the one +A solve starts from
-    # the deterministic point, seeded or not.
+    # the generator's certified extension, or from the deterministic point.
     problem = ExtensionProblem.for_generator(
         system, sub, ExtensionOptions(**_given(options, "tol", "max_iter")))
     gen, report = extension.extend_group(

@@ -68,13 +68,15 @@ class GeneratorCertificates:
 
 @dataclass(frozen=True)
 class Generator:
-    """An infinitesimal generator with re-derived certificates.  ``ccp_eigenvalue``
-    is lambda_min(P choi(A) P), the number the ccp certificate compares with
-    -tol * (1 + ||choi||_F); -inf, not computed, when A does not preserve hermiticity."""
+    """An infinitesimal generator with re-derived certificates, decided at
+    ``tol``.  ``ccp_eigenvalue`` is lambda_min(P choi(A) P), the number the ccp
+    certificate compares with -tol * (1 + ||choi||_F); -inf, not computed,
+    when A does not preserve hermiticity."""
 
     op: SuperOp
     certificates: GeneratorCertificates
     ccp_eigenvalue: float
+    tol: float
 
     @property
     def d(self) -> int:
@@ -120,7 +122,7 @@ def certify_each(ops: Sequence[SuperOp], tol: float = FEASIBILITY_TOL) -> list:
         min_eigs[hermitian] = np.linalg.eigvalsh(compressed)[:, 0]  # reads the lower triangles
     ccp = hermitian & (min_eigs >= -tol * (1.0 + norms))
     return [Generator(op=op, certificates=GeneratorCertificates(
-                hermiticity_preserving=h, unital_kernel=u, ccp=c), ccp_eigenvalue=e)
+                hermiticity_preserving=h, unital_kernel=u, ccp=c), ccp_eigenvalue=e, tol=tol)
             for op, h, u, c, e in zip(ops, hermitian.tolist(), unital.tolist(), ccp.tolist(),
                                       min_eigs.tolist())]
 
@@ -235,6 +237,22 @@ def hilbert_identity_residual(gen: Generator, lam, mu, resolvent_of=None):
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
+def _power_sum(q: np.ndarray, count: int) -> np.ndarray:
+    """sum_{p < count} q^p for count >= 1, by binary doubling over the bits
+    of count from the top: S(1) = I, S(2k) = S(k) + q^k S(k) and
+    S(k + 1) = I + q S(k), with q^k alongside: at most 4 log2(count)
+    products, where the running sum takes count."""
+    eye = np.eye(q.shape[-1], dtype=q.dtype)
+    total, power = eye, q  # S(k) and q^k at k = 1
+    for bit in bin(count)[3:]:
+        total = total + power @ total
+        power = power @ power
+        if bit == "1":
+            total = eye + q @ total
+            power = q @ power
+    return total
+
+
 def laplace_resolvent(gen: Generator, lam: float, horizon: Optional[float] = None,
                       panels: int = 400):
     """Resolvent via the Laplace integral of the semigroup,
@@ -258,22 +276,15 @@ def laplace_resolvent(gen: Generator, lam: float, horizon: Optional[float] = Non
     if horizon <= 0 or panels <= 0:
         raise InputError("horizon and panels must be positive")
 
-    n = gen.d * gen.d
     h = horizon / panels
     offsets = 0.5 * h * (_GL_NODES + 1.0)  # node positions inside one panel
     weights = 0.5 * h * _GL_WEIGHTS
     # At t = p*h + o_j the integrand is q^p times a node term, q = exp(-lam h) exp(h A):
-    # total = (sum_p q^p) @ (sum_j w_j exp(-lam o_j) exp(o_j A)), q^p as a running power.
+    # total = (sum_p q^p) @ (sum_j w_j exp(-lam o_j) exp(o_j A)).
     # The 16 node exponentials and exp(h A), in one call.
     exps = linalg.expm(gen.op.transfer, scale=np.append(offsets, h))
     node_sum = sum(w * np.exp(-lam * off) * e for off, w, e in zip(offsets, weights, exps))
-    q = np.exp(-lam * h) * exps[-1]
-    power_sum = np.zeros((n, n), dtype=complex)
-    power = np.eye(n, dtype=complex)
-    for _ in range(panels):
-        power_sum += power
-        power = power @ q
-    total = power_sum @ node_sum
+    total = _power_sum(np.exp(-lam * h) * exps[-1], panels) @ node_sum
     bound = float(np.exp(-lam * horizon) / lam)
     return SuperOp.from_transfer(gen.d, total), bound
 
@@ -305,9 +316,10 @@ class SubsystemGenerator:
 
     ``extension`` is optional: a generator G on M_d that A was restricted
     from, so G(basis[k]) = action[k] and G maps V into V.  It is not checked
-    beyond its dimension, because it decides nothing: when it is certified,
-    :func:`validate_subsystem_semigroup` starts its generator solve from G,
-    and the solver still decides the verdict.
+    beyond its dimension, because it decides nothing: when it is certified at
+    the solve's tol, the generator solves of
+    :func:`validate_subsystem_semigroup` and ``extension.extend_group`` start
+    from G, and the solver still decides the verdict.
     """
 
     system: MatricialSystem
@@ -453,9 +465,9 @@ def validate_subsystem_semigroup(sub: SubsystemGenerator,
     ``ExtensionProblem.for_generator``, at ``tol`` and ``max_iter``) decides
     "UCP" for every t and lambda: a ccp G on M_d that agrees with A on V maps
     V into V, so exp(t G) is UCP and equals exp(t A) on V.  The solve starts
-    from ``sub.extension`` when that generator is certified, where it takes
-    one dual evaluation, and from the deterministic point otherwise;
-    ``generator`` reports it.
+    from ``sub.extension`` when that generator is certified at ``tol``, where
+    it takes one dual evaluation, and from the deterministic point otherwise
+    (``extension._generator_start``); ``generator`` reports it.
 
     A sample is the map lam * R(lam, A) for a named lambda, or exp(t * A) for
     a named t, computed on V's coordinates; it passes when it extends to a
@@ -503,11 +515,9 @@ def validate_subsystem_semigroup(sub: SubsystemGenerator,
     overflow = next((c for c in checks if c["kind"] == "evolution" and "error" in c), None)
     if overflow is not None:
         raise NumericalError(overflow["error"])
-    given = sub.extension
     problem = extension.ExtensionProblem.for_generator(
         sub.system, sub, extension.ExtensionOptions(tol=tol, max_iter=max_iter))
-    ((op, report),) = extension.multi_start(
-        problem, [given.op if given is not None and given.certificates.certified else None])
+    ((op, report),) = extension.multi_start(problem, [extension._generator_start(problem)])
     gen_plus = certify(op, tol)
     if report.converged and gen_plus.certificates.certified:
         _solve(sub, checks, images, tol, max_iter, gen_plus)

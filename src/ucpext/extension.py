@@ -141,7 +141,8 @@ sample.  A start of any other kind (a negative, non-integral or boolean seed,
 a map on another M_d) raises :class:`InputError` before anything is built
 (:func:`_solve_batch`).  A validation
 (``dynamics.validate_subsystem_semigroup``) uses both, on every V: its one
-generator solve starts from a certified extension of its generator, and its
+generator solve starts from a certified extension of its generator
+(:func:`_generator_start`, the rule :func:`extend_group` shares), and its
 cross-check samples from the samples of the certified extension G+ that
 solve returns.  Each start already lies in its feasible set, so the
 solver confirms it in one dual evaluation, with the same stop rule, polish
@@ -316,11 +317,11 @@ class ExtensionProblem:
     def for_map(cls, system: MatricialSystem, images,
                 options: Optional[ExtensionOptions] = None) -> "ExtensionProblem":
         d = system.dim
-        mats = [linalg.ensure_hermitian(linalg.as_matrix(m, (d, d), f"image {k}"),
-                                        tol=IMAGE_HERMITIAN_TOL, name=f"image {k}")
-                for k, m in enumerate(images)]
+        mats = [linalg.as_matrix(m, (d, d), f"image {k}") for k, m in enumerate(images)]
         if len(mats) != len(system):
             raise InputError(f"{len(mats)} images for {len(system)} basis elements")
+        # One gate of the stack, each image against its own entries.
+        mats = linalg.ensure_hermitian(np.array(mats), tol=IMAGE_HERMITIAN_TOL, name="image")
         if linalg.frob(mats[0] - np.eye(d)) > FEASIBILITY_TOL * d:
             raise InputError("map must be unital on V: image of the identity must be I")
         return cls(system=system, map_targets=tuple(mats),
@@ -1208,6 +1209,22 @@ def extend_generator(problem: ExtensionProblem):
     return dynamics.certify(result, tol=problem.options.tol), report
 
 
+def _generator_start(problem: ExtensionProblem):
+    """The start of the one generator solve of :func:`extend_group` and of
+    ``dynamics.validate_subsystem_semigroup``: the extension that
+    ``problem``'s generator carries (``SubsystemGenerator.extension``) when it
+    is certified at the problem's tol, which the solve then confirms in one
+    dual evaluation, and ``None``, the deterministic point, otherwise.  The
+    solver decides the verdict either way; the start only picks where it
+    begins."""
+    given = problem.generator.extension
+    if given is None:
+        return None
+    if given.tol != problem.options.tol:
+        given = dynamics.certify(given.op, problem.options.tol)
+    return given.op if given.certificates.certified else None
+
+
 # ---------------------------------------------------------------------------
 # Generator extension (route B: resolvent family)
 # ---------------------------------------------------------------------------
@@ -1389,13 +1406,19 @@ def extend_group(problem: ExtensionProblem, n_starts: int = 0, seed: int = 0):
       * rigidity, before any solve: V must be irreducible (commutant C I,
         :func:`rigidity_probe`); on a reducible V, M_d is not the injective
         envelope and uniqueness in M_d is not claimed;
-      * the group: +A is extended to a ccp G+ (:func:`extend_generator`; a
-        run that does not converge leaves the group undecided).  On a rigid
-        V, A generates a UCP group exactly when -G+ is ccp: then exp(-t G+)
-        is a UCP inverse of exp(t G+), and for any ccp extension G of A,
-        exp(t G) o exp(-t G+) is UCP and fixes V, so it is the identity and
-        G = G+ (a ccp extension of -A is likewise -G+).  The witness is the
-        ccp defect of -G+ that :func:`dynamics.certify` tests.
+      * the group: +A is extended to a ccp G+ (a run that does not converge
+        leaves the group undecided).  On a rigid V, A generates a UCP group
+        exactly when -G+ is ccp: then exp(-t G+) is a UCP inverse of
+        exp(t G+), and for any ccp extension G of A, exp(t G) o exp(-t G+)
+        is UCP and fixes V, so it is the identity and G = G+ (a ccp
+        extension of -A is likewise -G+).  The witness is the ccp defect of
+        -G+; G+ and -G+ are certified in one :func:`dynamics.certify_each`.
+
+    Since the group's extension is unique, the solve may start anywhere
+    without changing what it finds: it starts from the generator's certified
+    extension (:func:`_generator_start`), which it confirms in one dual
+    evaluation, and from the deterministic point when there is none.  For
+    a non-group only the ccp defect in the message may depend on the start.
 
     The result must also satisfy, at sampled times and within 100 x tol:
 
@@ -1426,10 +1449,10 @@ def extend_group(problem: ExtensionProblem, n_starts: int = 0, seed: int = 0):
             f"uniqueness in M_d is not claimed: V is reducible (commutant dimension "
             f"{comm.dim}), so M_d is not its injective envelope")
 
-    gen_plus, report = extend_generator(problem)  # the one solve
+    ((op, report),) = multi_start(problem, [_generator_start(problem)])  # the one solve
+    gen_plus, gen_minus = dynamics.certify_each([op, -op], opts.tol)
     if not report.converged:
         raise GroupExtensionError("group undecided: the extension of +A did not converge")
-    gen_minus = dynamics.certify(-gen_plus.op, opts.tol)
     witness = max(0.0, -gen_minus.ccp_eigenvalue)
     if not gen_minus.certificates.certified:
         raise GroupExtensionError(

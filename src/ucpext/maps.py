@@ -238,9 +238,14 @@ def is_completely_positive(phi: SuperOp, tol: float = FEASIBILITY_TOL) -> CPRepo
     Choi matrix is exactly the image of the unnormalized maximally entangled
     projector under the d-th amplification; that projector is returned as a
     PSD witness whenever the check fails.  A Choi matrix whose Hermitian part
-    overflows leaves no verdict and raises :class:`NumericalError`.
+    overflows leaves no verdict and raises :class:`NumericalError`, before
+    any spectrum is computed.
     """
-    hermitized = linalg.hermitian_part(phi.choi)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        hermitized = linalg.hermitian_part(phi.choi)
+    if not np.isfinite(hermitized).all():
+        raise NumericalError("the Hermitian part of the Choi matrix is not finite: "
+                             "no complete-positivity verdict")
     min_eig = float(np.linalg.eigvalsh(hermitized)[0])
     defect = linalg.frob(phi.choi - hermitized)
     if not (math.isfinite(min_eig) and math.isfinite(defect)):

@@ -70,6 +70,18 @@ def pauli_generator_validate():
             "options": {"times": [1.0, 1.5], "lambdas": [0.1]}}
 
 
+def not_ccp_group_generator():
+    """G_H + (B -> B - B^T), H the rotation generator -i E_12 + i E_21, as
+    Choi dynamics.  The added map vanishes on real symmetric matrices, so on
+    real_symmetric_3 this restricts to the group generator of G_H; -P SWAP P
+    in its Choi matrix makes it not ccp, so ``extend-group`` gets no
+    certified extension to start from."""
+    ham = np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]])
+    op = maps.SuperOp(3, dynamics.gksl_generator(3, ham).op.choi
+                      + maps.from_action(3, lambda b: b - b.T).choi)
+    return {"kind": "choi", "super": serialize.superop_to_json(op)}
+
+
 class TestRunScenario:
     def test_check_cp_on_choi_map(self):
         gen_report = run_scenario({"command": "check-cp",
@@ -784,7 +796,7 @@ class TestFailuresAndExitCodes:
         ({"command": "extend-group", "system": "rebit", "dynamics": "rebit_rotation",
           "options": {"omega_param": 1e150}}, "failed", "GroupExtensionError"),
         ({"command": "check-cp", "dynamics": {"kind": "choi", "super": {
-            "d": 2, "choi": [[[1e308, 0.0]] * 4] * 4}}}, "failed", "LinAlgError"),
+            "d": 2, "choi": [[[1e308, 0.0]] * 4] * 4}}}, "failed", "NumericalError"),
         # PSD, so CP; its Hermitian part overflows and its spectrum is NaN
         ({"command": "check-cp", "dynamics": {"kind": "choi", "super": {
             "d": 2, "choi": [[[1e308 if i == j and i in (0, 3) else 0.0, 0.0]
@@ -822,11 +834,10 @@ class TestFailuresAndExitCodes:
         ({"command": "extend-group", "system": "rebit", "dynamics": "rebit_rotation",
           "options": {"omega_param": 1e150}},
          "GroupExtensionError", "group undecided: the extension of +A did not converge"),
+        # the group generator of G_H, given by a generator that is not ccp: the
+        # +A solve starts cold, and one evaluation does not converge
         ({"command": "extend-group", "system": "real_symmetric_3",
-          "dynamics": {"kind": "gksl", "H": [[[0, 0], [0, -1], [0, 0]],
-                                             [[0, 1], [0, 0], [0, 0]],
-                                             [[0, 0], [0, 0], [0, 0]]]},
-          "options": {"max_iter": 1}},
+          "dynamics": not_ccp_group_generator(), "options": {"max_iter": 1}},
          "GroupExtensionError", "group undecided: the extension of +A did not converge"),
         ({"command": "rigidity-probe", "system": "real_symmetric_3",
           "options": {"starts": 4, "max_iter": 1}},

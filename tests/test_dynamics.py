@@ -374,6 +374,48 @@ class TestIdentitySuite:
         assert approx.distance(dynamics.resolvent(g, 1.0)) <= 1e-6
 
 
+class CountingProducts(np.ndarray):
+    """An array that counts the matrix products it takes part in."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            CountingProducts.products += 1
+        plain = [x.view(np.ndarray) if isinstance(x, CountingProducts) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs).view(CountingProducts)
+
+
+class TestLaplacePowerSum:
+    """The Laplace quadrature's sum of panel powers, sum_{p < P} q^p, by
+    binary doubling: the running sum's value in O(log P) products."""
+
+    @staticmethod
+    def q_matrix():
+        # exp(-lam h) exp(h A) of a random GKSL generator, as in the quadrature.
+        gen = random_gksl(3, np.random.default_rng(5))
+        return np.exp(-0.05) * linalg.expm(gen.op.transfer, scale=0.05)
+
+    @pytest.mark.parametrize("panels", [1, 2, 3, 7, 400, 401])
+    def test_doubling_is_the_running_sum(self, panels):
+        q = self.q_matrix()
+        running = np.zeros_like(q)
+        power = np.eye(len(q), dtype=complex)
+        for _ in range(panels):
+            running += power
+            power = power @ q
+        got = dynamics._power_sum(q, panels)
+        assert linalg.frob(got - running) <= 1e-12 * linalg.frob(running)
+
+    @pytest.mark.parametrize("panels, bound", [(1, 0), (400, 20), (100_000, 42)])
+    def test_products_grow_with_the_bits_of_panels(self, panels, bound):
+        # 100 000 has 17 bits, 6 of them set: 16 doublings of 2 products each
+        # and 5 increments of 2, against 100 000 products for the running sum.
+        CountingProducts.products = 0
+        dynamics._power_sum(self.q_matrix().view(CountingProducts), panels)
+        assert CountingProducts.products == bound <= 4 * max(np.log2(panels), 0)
+
+
 class TestSpectralBound:
     def test_zero_generator(self):
         assert dynamics.spectral_bound(dynamics.gksl_generator(2)) == pytest.approx(0.0)

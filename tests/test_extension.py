@@ -2011,6 +2011,77 @@ class TestGivenStarts:
 _RANK_BAND_UNCONVERGED = {(3, 3): set(), (4, 5): {1}}
 
 
+def _not_ccp_lift(s):
+    """``(lift, hamiltonian group)``: G_H + s (B -> B - B^T) and G_H, H from
+    :func:`_real_gksl_terms` at d = 3.  The added map vanishes on real
+    symmetric matrices, so both restrict to one group generator on
+    real_symmetric_3; its Choi matrix adds -s P SWAP P, a ccp defect of s."""
+    ham, _ = _real_gksl_terms()[3]
+    group = dynamics.gksl_generator(3, ham)
+    flip = maps.from_action(3, lambda b: b - b.T)
+    return maps.SuperOp(3, group.op.choi + s * flip.choi), group
+
+
+class TestGroupStart:
+    """extend_group starts its one +A solve from the generator's certified
+    extension (``extension._generator_start``), as a validation does; the
+    group's extension is unique, so the start moves no verdict."""
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_a_hamiltonian_group_is_confirmed_in_one_evaluation(self, monkeypatch, d):
+        ham, _ = _real_gksl_terms()[d]
+        system = catalog.real_symmetric_system(d)
+        gen = dynamics.gksl_generator(d, ham)
+        calls = counting_multi_start(monkeypatch)
+        given, report = extension.extend_group(ExtensionProblem.for_generator(
+            system, _restricted(system, gen, extension=gen)))
+        cold, cold_report = extension.extend_group(ExtensionProblem.for_generator(
+            system, _restricted(system, gen)))
+        assert calls == [[gen.op], [None]]
+        assert report.extension.iterations == 1 < cold_report.extension.iterations
+        assert report.extension.converged and cold_report.extension.converged
+        assert given.op.distance(cold.op) <= 10.0 * FEASIBILITY_TOL
+        assert report.certificate.inverse_witness <= 100.0 * FEASIBILITY_TOL
+
+    def test_a_certified_dissipation_is_still_no_group(self, monkeypatch):
+        # The certified real GKSL generator with jumps, on a rigid V: the solve
+        # starts from it, and -G+ is not ccp.
+        extended, _ = _extended_and_cold("real_symmetric_3")
+        assert extended.extension.certificates.certified
+        calls = counting_multi_start(monkeypatch)
+        with pytest.raises(GroupExtensionError, match=r"not a group on V: -G\+ is not ccp"):
+            extension.extend_group(ExtensionProblem.for_generator(extended.system, extended),
+                                   n_starts=4)
+        assert calls == [[extended.extension.op]]  # the +A solve only
+
+    def test_an_uncertified_extension_starts_cold(self, monkeypatch):
+        # G_H + (B -> B - B^T) is not ccp, so it is no start; the group is
+        # still found, from the deterministic point.
+        system = catalog.real_symmetric_system(3)
+        lift, group = _not_ccp_lift(1.0)
+        given = dynamics.certify(lift)
+        assert not given.certificates.certified
+        sub = _restricted(system, given, extension=given)
+        assert np.allclose(_restricted(system, group).action, sub.action, rtol=0, atol=1e-14)
+        calls = counting_multi_start(monkeypatch)
+        gen, report = extension.extend_group(ExtensionProblem.for_generator(system, sub))
+        assert calls == [[None]]
+        assert report.extension.iterations > 1
+        assert gen.op.distance(group.op) <= 1e-6
+
+    def test_the_certificate_is_read_at_the_problem_s_tol(self):
+        # A ccp defect of 1e-6 passes at tol 1e-4, not at 1e-8: the start
+        # follows the problem's tol, whatever tol the extension was certified at.
+        system = catalog.real_symmetric_system(3)
+        lift, _ = _not_ccp_lift(1e-6)
+        for certified_at in (1e-8, 1e-4):
+            given = dynamics.certify(lift, certified_at)
+            sub = _restricted(system, given, extension=given)
+            starts = [extension._generator_start(ExtensionProblem.for_generator(
+                system, sub, ExtensionOptions(tol=tol))) for tol in (1e-8, 1e-4)]
+            assert starts == [None, lift]
+
+
 class TestRankBands:
     @pytest.mark.parametrize("d, rank, seed", [
         pytest.param(d, rank, seed, marks=pytest.mark.xfail(strict=True, reason=(

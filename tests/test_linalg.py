@@ -262,7 +262,7 @@ class TestHermitianGate:
             linalg.ensure_hermitian(np.diag([1e308, -1e308]), name="h")
 
     def test_map_images_pass_the_gate_at_their_tolerance(self, rebit, pauli):
-        with pytest.raises(InputError, match="image 1 is not Hermitian"):
+        with pytest.raises(InputError, match=r"image\[1\] is not Hermitian"):
             ExtensionProblem.for_map(rebit, [pauli.I, np.array([[0.0, 1.0], [0.0, 0.0]]),
                                              pauli.Z])
         # A defect within for_map's 1e-10 is accepted and its target symmetrised.

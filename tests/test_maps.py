@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,20 @@ class TestCpUnital:
         phi = SuperOp(2, np.diag([1e308, 0.0, 0.0, 1e308]))
         with pytest.raises(NumericalError, match="not finite"):
             maps.is_completely_positive(phi)
+
+    @pytest.mark.parametrize("choi", [np.full((4, 4), 1e308), np.diag([1e308, 0, 0, 1e308])],
+                             ids=["full", "diagonal"])
+    def test_an_overflowing_hermitian_part_is_refused_before_the_spectrum(self, monkeypatch,
+                                                                          choi):
+        # No spectrum is computed, and no RuntimeWarning (an error here) is raised.
+        def no_spectrum(*args):
+            raise AssertionError("eigvalsh of a Hermitian part that is not finite")
+
+        monkeypatch.setattr(maps.np.linalg, "eigvalsh", no_spectrum)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="Hermitian part .* is not finite"):
+                maps.is_completely_positive(SuperOp(2, choi.astype(complex)))
 
     def test_unitality(self, pauli):
         assert maps.is_unital(maps.identity_map(2))
