@@ -12,6 +12,9 @@ residuals to three significant digits.
 
 The scenario schema is the one input gate, compiled once per process: its
 ``command`` enum names the handlers, its ``options`` properties the option keys.
+It walks each field under one subschema: a field that takes two kinds of
+value (``system``, ``dynamics``, ``dynamics.H``) is a type union whose
+keywords apply to their own type, not a ``oneOf`` that tries every branch.
 Its numbers, integers included, are finite as floats: Python's ``json`` reads
 the ``NaN`` and ``Infinity`` tokens and integers too large for a float, and
 ``--tol nan`` and a 400-digit ``--starts`` parse, but none passes the gate, and
@@ -21,6 +24,8 @@ report is strict JSON.  Each count that sets the length of a loop (``starts``,
 Options are decoded once, by their schema types, and ``null`` means unset;
 handlers pass on only the options a scenario sets, so an unset option takes the
 default of the library function that uses it.
+Result dataclasses enter a report through :func:`_as_dict`, which reads their
+fields without deep copies.
 
 Exit codes: 0 = ok, 1 = mathematical failure (infeasible, diverged, invalid
 certificate), 2 = malformed input (schema violation, unknown command).
@@ -34,7 +39,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -214,13 +219,25 @@ def _report_superop(phi) -> dict:
     return serialize.superop_to_json(phi, tagged=True)
 
 
+def _as_dict(result) -> dict:
+    """A result dataclass as a dict of its fields, nested result dataclasses
+    as dicts too: ``dataclasses.asdict`` without its deep copy of each leaf,
+    which these dataclasses do not need, holding only immutable scalars,
+    ``None`` and other result dataclasses."""
+    entries = {}
+    for field in fields(result):
+        value = getattr(result, field.name)
+        entries[field.name] = _as_dict(value) if is_dataclass(value) else value
+    return entries
+
+
 def _report_extension(report) -> dict:
     """An ``ExtensionReport`` as every report writes it: its fields but
     ``termination``, which stays off the wire until the report format
     carries it (ROADMAP item 8)."""
-    fields = asdict(report)
-    del fields["termination"]
-    return fields
+    entries = _as_dict(report)
+    del entries["termination"]
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +367,7 @@ def _cmd_extend_generator(scenario, options):
     results = {
         "report": _report_extension(report),
         "generator": serialize.generator_to_json(gen),
-        "certificates": asdict(gen.certificates),
+        "certificates": _as_dict(gen.certificates),
     }
     return report.converged and gen.certificates.certified, results
 
@@ -387,7 +404,7 @@ def _cmd_extend_group(scenario, options):
         "uniqueness_spread": report.uniqueness_spread,
         "multiplicativity_residual": report.multiplicativity_residual,
         "n_starts": report.n_starts,
-        "certificate": asdict(report.certificate),
+        "certificate": _as_dict(report.certificate),
     }
     return True, results
 
@@ -405,7 +422,7 @@ def _cmd_rigidity_probe(scenario, options):
     system = _resolve_system(scenario)
     report = extension.rigidity_probe(
         system, **_given(options, "seed", "tol", "max_iter", starts="n_starts"))
-    return True, asdict(report)
+    return True, _as_dict(report)
 
 
 def _cmd_demo_rebit(scenario, options):

@@ -335,12 +335,15 @@ def positive_elements(system: MatricialSystem, matrices,
     """Positivity in the system's cone of each matrix of a stack of one level
     (shape (n, k*d, k*d)): membership plus PSD in the ambient space, from one
     projection and one ``eigvalsh`` of the whole stack.  An element outside
-    M_k(V) raises :class:`InputError`."""
+    M_k(V) raises :class:`InputError`.  Membership and Hermiticity are
+    structure, tested at max(tol, STRUCTURAL_TOL): a ``tol`` below the
+    projection's roundoff refuses no element that lies in M_k(V)."""
     a = np.asarray(matrices, dtype=complex)
-    outside = _first_outside(system, a, tol)
+    structural = max(tol, STRUCTURAL_TOL)
+    outside = _first_outside(system, a, structural)
     if outside is not None:
         raise InputError(f"element violates membership: residual {outside[1]:.3e}")
-    h = linalg.ensure_hermitian(a, tol=max(tol, STRUCTURAL_TOL))
+    h = linalg.ensure_hermitian(a, tol=structural)
     return np.linalg.eigvalsh(h)[..., 0] >= -tol
 
 

@@ -996,6 +996,89 @@ class TestScenarioSchema:
     def test_matrix_entries_need_no_reference_lookup(self):
         assert "$ref" not in json.dumps(load_scenario_schema()["definitions"]["matrix"])
 
+    # The former forms of the three fields with two kinds of value: one
+    # subschema per kind, under ``oneOf``.
+    MATRIX = {"$ref": "#/definitions/matrix"}
+    ONE_OF_SYSTEM = {"oneOf": [{"type": "string"}, {
+        "type": "object", "required": ["basis"], "additionalProperties": False,
+        "properties": {"basis": {"type": "array", "items": MATRIX}}}]}
+    ONE_OF_DYNAMICS = {"oneOf": [{"type": "string"}, {
+        "type": "object", "required": ["kind"], "additionalProperties": False,
+        "properties": {
+            "kind": {"type": "string", "enum": ["gksl", "choi"]},
+            "H": {"oneOf": [MATRIX, {"type": "null"}]},
+            "jumps": {"type": "array", "items": {
+                "type": "object", "required": ["op", "rate"], "additionalProperties": False,
+                "properties": {"op": MATRIX, "rate": {"type": "number", "minimum": 0}}}},
+            "super": {"type": "object", "required": ["d", "choi"], "additionalProperties": False,
+                      "properties": {"d": {"type": "integer", "minimum": 1}, "choi": MATRIX,
+                                     "convention": {"type": "string"}}}}}]}
+
+    @staticmethod
+    def field_corpus():
+        """Scenarios that vary ``system``, ``dynamics`` and ``dynamics.H``: a
+        value of every JSON type, objects without their required key or with
+        an extra one, and ragged, mistyped and non-finite matrices."""
+        pair, nan, inf = [1, 0], float("nan"), float("inf")
+        matrices = [[[pair]], [[pair, pair], [pair, pair]], [[pair, pair], [pair]],
+                    [[[nan, 0]]], [[[0, inf]]], [[[int(HUGE), 0]]], [[[1]]], [[[1, 0, 0]]],
+                    [[[True, 0]]], [[]], [], [[[[1, 0]]]], [pair]]
+        every_type = [None, True, False, 0, -1, 1.5, nan, "x", "", [], [1], {}, {"a": 1}]
+        systems = every_type + matrices + [
+            {"basis": basis} for basis in [[], [[[pair]]], [[[pair]], 5], *matrices]] + [
+            {"basis": [[[pair]]], "extra": 1}, {"extra": 1}, {"basis": None}]
+        hs = every_type + matrices
+        kinds = [{"kind": kind} for kind in ("gksl", "choi", "bogus", 5, None)]
+        dynamics = every_type + kinds + [{"kind": "gksl", "H": h} for h in hs] + [
+            {"H": [[pair]]}, {"kind": "gksl", "extra": 1},
+            {"kind": "gksl", "jumps": [{"op": [[pair]], "rate": 1.0}]},
+            {"kind": "gksl", "jumps": [{"op": [[pair]]}]}, {"kind": "gksl", "jumps": [{}]},
+            {"kind": "gksl", "jumps": [{"op": [[[nan, 0]]], "rate": 1.0, "extra": 1}]},
+            {"kind": "choi", "super": {"d": 1, "choi": [[pair]]}},
+            {"kind": "choi", "super": {}}, {"kind": "choi", "super": 5},
+            {"kind": "choi", "super": {"d": 0, "choi": [[pair]], "convention": 5}},
+            {"kind": 5, "H": [[pair]], "jumps": [{}], "extra": 1}]
+        return ([{"command": "rigidity-probe", "system": value} for value in systems]
+                + [{"command": "check-ccp", "dynamics": value} for value in dynamics])
+
+    def test_type_unions_accept_what_one_of_accepted(self):
+        schema = load_scenario_schema()
+        assert "oneOf" not in json.dumps(schema)
+        reference = load_scenario_schema()
+        reference["properties"].update(system=self.ONE_OF_SYSTEM, dynamics=self.ONE_OF_DYNAMICS)
+        gate = type(cli._scenario_validator())
+        committed, one_of = gate(schema), gate(reference)
+        corpus = self.field_corpus()
+        verdicts = [committed.is_valid(scenario) for scenario in corpus]
+        assert verdicts == [one_of.is_valid(scenario) for scenario in corpus]
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_h_carries_the_matrix_keywords(self):
+        # H inlines the matrix definition: draft 7 ignores a $ref's siblings.
+        schema = load_scenario_schema()
+        h = dict(schema["properties"]["dynamics"]["properties"]["H"])
+        matrix = dict(schema["definitions"]["matrix"])
+        assert (h.pop("type"), matrix.pop("type")) == (["array", "null"], "array")
+        assert h == matrix
+
+    @pytest.mark.parametrize("scenario, message", [
+        ({"command": "rigidity-probe", "system": 5}, "5 is not of type 'string', 'object'"),
+        ({"command": "rigidity-probe", "system": [[[1, 0]]]},
+         "[[[1, 0]]] is not of type 'string', 'object'"),
+        ({"command": "check-ccp", "dynamics": None}, "None is not of type 'string', 'object'"),
+        ({"command": "check-ccp", "dynamics": {"kind": "gksl", "H": "x"}},
+         "'x' is not of type 'array', 'null'"),
+        ({"command": "check-ccp", "dynamics": {"kind": "gksl", "H": {}}},
+         "{} is not of type 'array', 'null'"),
+        # A dynamics object with two errors at one place names one of them,
+        # not the whole object.
+        ({"command": "check-ccp", "dynamics": {"kind": 5}}, "5 is not of type 'string'"),
+    ])
+    def test_a_wrong_typed_field_names_the_accepted_types(self, scenario, message):
+        report = run_scenario(scenario)
+        assert report["status"] == "invalid-input"
+        assert report["error"]["message"] == f"scenario schema violation: {message}"
+
     def test_handlers_cover_the_command_enum(self):
         commands = load_scenario_schema()["properties"]["command"]["enum"]
         assert set(cli._HANDLERS) == set(commands)
@@ -1039,6 +1122,29 @@ class TestOptionDecoding:
 
 
 class TestReports:
+    @pytest.mark.parametrize("result", [
+        extension.ExtensionReport(iterations=7, cone_residual=1e-9, affine_residual=0.0,
+                                  restriction_error=2.5e-12, converged=True,
+                                  termination="tol"),
+        dynamics.GeneratorCertificates(hermiticity_preserving=True, unital_kernel=False,
+                                       ccp=True),
+        extension.GroupCertificate(commutant_dim=1, commutant_gap=0.75, inverse_witness=0.0),
+        extension.RigidityReport(
+            all_identity=True, max_pairwise_distance=1e-10, max_distance_to_identity=3e-11,
+            identity_threshold=1e-6, n_converged=4, n_runs=4,
+            certificate=extension.RigidityCertificate(commutant_dim=1, commutant_gap=None)),
+        extension.RigidityReport(
+            all_identity=False, max_pairwise_distance=0.5, max_distance_to_identity=1.0,
+            identity_threshold=1e-6, n_converged=3, n_runs=4,
+            certificate=extension.RigidityCertificate(commutant_dim=2, commutant_gap=0.125)),
+    ], ids=["extension", "certificates", "group-certificate", "rigidity-m_d", "rigidity-gap"])
+    def test_results_convert_as_asdict_does(self, result):
+        # Equal, key order included (the text report keeps it): a subclass's
+        # inherited fields first, a nested certificate as a dict.
+        converted = cli._as_dict(result)
+        assert converted == asdict(result)
+        assert json.dumps(converted) == json.dumps(asdict(result))
+
     def test_determinism_byte_identical(self):
         scenarios = [
             {"command": "extend-generator", "system": "rebit",
@@ -1267,6 +1373,15 @@ class TestDemoRebit:
                      if c["name"] == "g2-restricts-to-dissipation")
         assert check["action_on_X_coefficient"] == pytest.approx(-16.0 / 9.0)
         assert check["expected_coefficient"] == pytest.approx(-1.0)
+
+    def test_a_tol_below_roundoff_fails_the_solves_not_the_grid(self):
+        # The grid lies in the rebit exactly, whatever the tol; the solves
+        # cannot meet 1e-16 and say so.
+        report = run_scenario({"command": "demo-rebit", "options": {"tol": 1e-16}})
+        assert report["status"] == "failed"
+        check = next(c for c in report["results"]["checks"] if c["name"] == "rebit-cone-grid")
+        assert check["passed"]
+        assert "rebit-cone-grid" not in report["results"]["failed_checks"]
 
     def test_demo_cli_flags(self, capsys):
         code = main(["demo-rebit", "--g2-prefactor", "paper", "--report", "json"])

@@ -196,6 +196,17 @@ class TestPositivity:
         with pytest.raises(InputError, match="violates membership"):
             systems.positive_elements(rebit, np.array([pauli.I, pauli.Y]), 1e-8)
 
+    @pytest.mark.parametrize("tol", [1e-16, 1e-300])
+    def test_membership_is_tested_at_the_structural_floor(self, rebit, pauli, tol):
+        # The demo's grid lies in the rebit exactly; its projection's roundoff
+        # (about 2e-15) is no membership violation at a tol below it.
+        grid = [(a, b, c) for a in range(-2, 3) for b in range(-2, 3) for c in range(-2, 3)]
+        stack = np.array([rebit_element(pauli, a, b, c) for a, b, c in grid])
+        want = [a >= 0 and b * b + c * c <= a * a for a, b, c in grid]
+        assert systems.positive_elements(rebit, stack, tol).tolist() == want
+        with pytest.raises(InputError, match="violates membership"):
+            systems.positive_elements(rebit, np.array([pauli.I, pauli.Y]), tol)
+
     def test_wrap_validates_membership(self, rebit, pauli):
         with pytest.raises(InputError):
             LevelElement.wrap(rebit, np.kron(np.eye(2), pauli.Y))
